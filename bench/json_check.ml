@@ -33,19 +33,14 @@
      (`bench/main.exe --baseline`, the committed BENCH_fault.json):
      one cell per (object, fault model) with the five verdict counters
      and throughput;
-   - "detectable-modelcheck/v1"     — a modelcheck engine baseline
-     (`bench/main.exe --baseline`):
-     per case the engine-independent counters plus one throughput record
-     per execution substrate and the measured undo/replay speedup;
-   - "detectable-modelcheck/v2"     — v1 plus, per substrate record, an
-     "alloc" block (bytes_per_node), and per case the ISSUE 8 gates
-     ("min_nodes_per_sec" undo floor, "max_bytes_per_node" allocation
-     ceiling);
-   - "detectable-modelcheck/v3"     — v2 plus a top-level
-     "reduction_cases" array: per config and engine one run under every
-     reduction mode (none / dpor / dpor+sym / dpor+sym-memo) with exact
-     node and violation counters and the "min_node_reduction" gate —
-     the committed BENCH_modelcheck.json;
+   - "detectable-modelcheck/v4"     — the explorer baseline
+     (`bench/main.exe --baseline`, the committed BENCH_modelcheck.json):
+     per case the exact counters, a "perf" record (throughput and the
+     "alloc" block) and the "min_nodes_per_sec" floor and
+     "max_bytes_per_node" ceiling; plus a "reduction_cases" array: per
+     config one run under every reduction mode (none / dpor / dpor+sym /
+     dpor+sym-memo) with exact node and violation counters and the
+     "min_node_reduction" gate;
    - "detectable-lincheck/v1"       — a linearizability-checker engine
      baseline (`bench/main.exe --baseline`, the committed
      BENCH_lincheck.json): per case the engine-independent counters plus
@@ -244,50 +239,39 @@ let check_fault_baseline j =
             [ "elapsed_s"; "trials_per_sec"; "domains" ])
         cells
 
-let check_modelcheck_baseline ~v j =
+let check_modelcheck_baseline j =
   match get_list (member "cases" j) with
   | [] -> fail "json_check: \"cases\" must be a non-empty array"
   | cases ->
       List.iter
         (fun c ->
           require_keys "modelcheck case" c
-            ([
-               "object"; "switch_budget"; "crash_budget"; "domains";
-               "counters"; "engines"; "undo_speedup"; "min_speedup";
-             ]
-            @
-            if v >= 2 then [ "min_nodes_per_sec"; "max_bytes_per_node" ]
-            else []);
+            [
+              "object"; "switch_budget"; "crash_budget"; "domains"; "counters";
+              "perf"; "min_nodes_per_sec"; "max_bytes_per_node";
+            ];
           require_keys "modelcheck counters" (member "counters" c)
             [
               "executions"; "truncated"; "nodes"; "total_violations";
               "distinct_shared_configs";
             ];
-          match get_list (member "engines" c) with
-          | [] -> fail "json_check: case \"engines\" must be a non-empty array"
-          | engines ->
-              List.iter
-                (fun e ->
-                  require_keys "substrate record" e
-                    [
-                      "engine"; "elapsed_s"; "nodes_per_sec"; "rewound_cells";
-                      "rewound_cells_per_sec"; "intern_hit_rate";
-                    ];
-                  if v >= 2 then begin
-                    let a = member "alloc" e in
-                    check_alloc "substrate alloc" a;
-                    require_keys "substrate alloc" a [ "bytes_per_node" ]
-                  end)
-                engines)
+          let perf = member "perf" c in
+          require_keys "modelcheck perf" perf
+            [
+              "elapsed_s"; "nodes_per_sec"; "rewound_cells";
+              "rewound_cells_per_sec"; "intern_hit_rate"; "alloc";
+            ];
+          let a = member "alloc" perf in
+          check_alloc "modelcheck perf alloc" a;
+          require_keys "modelcheck perf alloc" a [ "bytes_per_node" ])
         cases
 
-(* v3 reduction-ratio section: every engine entry must carry one run per
-   reduction mode, the verdicts must agree across the modes of an entry
-   (a reduced search keeps one representative per equivalence class, so
-   the raw count of violating executions may shrink, but whether a
-   violation exists may not — reduction soundness is visible in the
-   committed artefact itself), and the recorded node_reduction must
-   clear its own gate *)
+(* reduction-ratio section: every case must carry one run per reduction
+   mode, the verdicts must agree across the modes (a reduced search
+   keeps one representative per equivalence class, so the raw count of
+   violating executions may shrink, but whether a violation exists may
+   not — reduction soundness is visible in the committed artefact
+   itself), and the recorded node_reduction must clear its own gate *)
 let check_modelcheck_reductions j =
   match get_list (member "reduction_cases" j) with
   | [] -> fail "json_check: \"reduction_cases\" must be a non-empty array"
@@ -295,59 +279,46 @@ let check_modelcheck_reductions j =
       List.iter
         (fun c ->
           require_keys "reduction case" c
-            [ "object"; "switch_budget"; "crash_budget"; "engines" ];
+            [
+              "object"; "switch_budget"; "crash_budget"; "runs";
+              "node_reduction"; "min_node_reduction";
+            ];
           let label = get_str (member "object" c) in
-          match get_list (member "engines" c) with
-          | [] ->
-              fail "json_check: reduction case \"engines\" must be non-empty"
-          | engines ->
-              List.iter
-                (fun e ->
-                  require_keys "reduction engine entry" e
-                    [
-                      "engine"; "runs"; "node_reduction"; "min_node_reduction";
-                    ];
-                  let engine = get_str (member "engine" e) in
-                  let runs = get_list (member "runs" e) in
-                  if List.length runs < 2 then
-                    fail
-                      "json_check: reduction case %s/%s needs at least an \
-                       unreduced and a reduced run"
-                      label engine;
-                  let viols = ref [] in
-                  List.iter
-                    (fun r ->
-                      require_keys "reduction run" r
-                        [
-                          "reduction"; "nodes"; "executions";
-                          "total_violations"; "distinct_shared_configs";
-                        ];
-                      viols :=
-                        ( get_str (member "reduction" r),
-                          get_int (member "total_violations" r) )
-                        :: !viols)
-                    runs;
-                  (match !viols with
-                  | [] -> ()
-                  | (_, v0) :: _ ->
-                      List.iter
-                        (fun (red, v) ->
-                          if v > 0 <> (v0 > 0) then
-                            fail
-                              "json_check: reduction case %s/%s: %s records \
-                               %d violations where another mode records %d \
-                               — verdict parity broken in the committed \
-                               artefact"
-                              label engine red v v0)
-                        !viols);
-                  let ratio = get_num (member "node_reduction" e) in
-                  let gate = get_num (member "min_node_reduction" e) in
-                  if ratio < gate then
-                    fail
-                      "json_check: reduction case %s/%s records \
-                       node_reduction %.2f under its own gate %.2f"
-                      label engine ratio gate)
-                engines)
+          let runs = get_list (member "runs" c) in
+          if List.length runs < 2 then
+            fail
+              "json_check: reduction case %s needs at least an unreduced and \
+               a reduced run"
+              label;
+          let viols =
+            List.map
+              (fun r ->
+                require_keys "reduction run" r
+                  [
+                    "reduction"; "nodes"; "executions"; "total_violations";
+                    "distinct_shared_configs";
+                  ];
+                ( get_str (member "reduction" r),
+                  get_int (member "total_violations" r) ))
+              runs
+          in
+          let _, v0 = List.hd viols in
+          List.iter
+            (fun (red, v) ->
+              if v > 0 <> (v0 > 0) then
+                fail
+                  "json_check: reduction case %s: %s records %d violations \
+                   where another mode records %d — verdict parity broken in \
+                   the committed artefact"
+                  label red v v0)
+            viols;
+          let ratio = get_num (member "node_reduction" c) in
+          let gate = get_num (member "min_node_reduction" c) in
+          if ratio < gate then
+            fail
+              "json_check: reduction case %s records node_reduction %.2f \
+               under its own gate %.2f"
+              label ratio gate)
         cases
 
 (* The lower-bound validator checks the arithmetic, not just the keys:
@@ -542,14 +513,8 @@ let () =
       | "detectable-bench/fault-v1" ->
           check_fault_baseline j;
           print_endline "fault baseline: valid"
-      | "detectable-modelcheck/v1" ->
-          check_modelcheck_baseline ~v:1 j;
-          print_endline "modelcheck baseline: valid"
-      | "detectable-modelcheck/v2" ->
-          check_modelcheck_baseline ~v:2 j;
-          print_endline "modelcheck baseline: valid"
-      | "detectable-modelcheck/v3" ->
-          check_modelcheck_baseline ~v:3 j;
+      | "detectable-modelcheck/v4" ->
+          check_modelcheck_baseline j;
           check_modelcheck_reductions j;
           print_endline "modelcheck baseline: valid"
       | "detectable-lincheck/v1" ->

@@ -280,7 +280,7 @@ let engine_json ~engine ~workload (cfg : Modelcheck.Explore.config)
     else float_of_int m.Modelcheck.Explore.dedup_hits /. float_of_int total
   in
   Printf.sprintf
-    {|    { "engine": %S, "workload": %S, "substrate": %S,
+    {|    { "engine": %S, "workload": %S,
       "switch_budget": %d, "crash_budget": %d,
       "domains": %d, "prune": %b, "reduction": %S,
       "executions": %d, "truncated": %d, "nodes": %d,
@@ -291,7 +291,7 @@ let engine_json ~engine ~workload (cfg : Modelcheck.Explore.config)
       "intern_hit_rate": %.4f,
       "lin_engine": %S, "leaf_checks": %d, "lin_elapsed_s": %.6f,
       "lin_checks_per_sec": %.1f, "lin_reuse_rate": %.4f }|}
-    engine workload m.Modelcheck.Explore.engine
+    engine workload
     cfg.Modelcheck.Explore.switch_budget
     cfg.Modelcheck.Explore.crash_budget m.Modelcheck.Explore.domains_used
     cfg.Modelcheck.Explore.prune m.Modelcheck.Explore.reduction
@@ -333,23 +333,18 @@ let checker_json ~budget ~smoke =
         } );
     ]
   in
-  (* the acceptance pair: DRW at switch_budget = 4, one row per execution
-     substrate, single domain, identical configuration otherwise — the
-     nodes/sec ratio of the two rows is the undo engine's speedup.
-     Skipped under --smoke (the replay row alone runs for ~a minute). *)
+  (* the DRW acceptance row at switch_budget = 4, single domain.
+     Skipped under --smoke (it runs for several seconds). *)
   let drw_runs =
     if smoke then []
     else
-      let drw =
-        {
-          Modelcheck.Explore.default_config with
-          switch_budget = 4;
-          crash_budget = 1;
-        }
-      in
       [
-        ("replay_drw_sw4", { drw with Modelcheck.Explore.engine = `Replay });
-        ("undo_drw_sw4", { drw with Modelcheck.Explore.engine = `Undo });
+        ( "drw_sw4",
+          {
+            Modelcheck.Explore.default_config with
+            switch_budget = 4;
+            crash_budget = 1;
+          } );
       ]
   in
   let results =
@@ -400,7 +395,7 @@ let checker_json ~budget ~smoke =
    baseline. *)
 
 (* Throughput floors written into regenerated baselines: 1.5x (torture
-   trials/sec) and 1.3x (modelcheck undo nodes/sec) over the numbers the
+   trials/sec) and 1.3x (modelcheck nodes/sec) over the numbers the
    committed artifacts recorded before the allocation-discipline
    overhaul, per ISSUE 8's acceptance gates.  Keyed by case label so a
    renamed/added case simply gets no floor until one is decided. *)
@@ -821,32 +816,24 @@ let fault_compare ~j ~file ~tolerance ~domains =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Modelcheck engine baselines (BENCH_modelcheck.json, schema
-   detectable-modelcheck/v3).
+(* Modelcheck baselines (BENCH_modelcheck.json, schema
+   detectable-modelcheck/v4).
 
-   `--baseline` also runs each modelcheck case under BOTH execution
-   substrates (`Replay and `Undo) at the same budgets, asserts the
-   deterministic counters are byte-identical (engine equivalence is part
-   of the recorded contract, not just a test), and writes per-substrate
-   throughput and allocation profile, the measured undo/replay speedup,
-   and the two ISSUE 8 perf gates: "min_nodes_per_sec" (the undo-engine
-   floor, 1.3x what the artifact recorded before the allocation
-   overhaul) and "max_bytes_per_node" (4x the measured undo-loop
-   allocation).  `--compare` on a file with this schema reruns the cases
-   at the file's recorded budgets and diffs: counters exactly,
-   throughput within the tolerance of the recorded value and above the
-   floor scaled by the tolerance, the fresh speedup against the file's
-   "min_speedup" gate (set below the measured speedup so slower CI
-   machines don't flake; the committed baseline records the real
-   measured number), and the fresh undo bytes/node under the ceiling
-   exactly (allocation counts are machine-independent).
+   `--baseline` runs each modelcheck case and writes its deterministic
+   counters, its throughput and allocation profile ("perf"), and two
+   perf gates: "min_nodes_per_sec" (the throughput floor, 1.3x what the
+   artifact recorded before the allocation overhaul) and
+   "max_bytes_per_node" (4x the measured allocation).  `--compare` on a
+   file with this schema reruns the cases at the file's recorded
+   budgets and diffs: counters exactly, throughput within the tolerance
+   of the recorded value and above the floor scaled by the tolerance,
+   and the fresh bytes/node under the ceiling exactly (allocation
+   counts are machine-independent).
 
-   v3 adds the "reduction_cases" section defined further down: the same
-   config explored under every reduction mode on each engine, with
-   exact violation parity and a minimum none/dpor+sym-memo node-count
-   ratio as recorded gates. *)
-
-let mc_speedup_gate = 3.0
+   The "reduction_cases" section defined further down explores one
+   config under every reduction mode, with exact counters, verdict
+   parity and a minimum none/dpor+sym-memo node-count ratio as recorded
+   gates. *)
 
 let mc_cases ~budget =
   [
@@ -859,99 +846,50 @@ let mc_factory = function
   | "dcas_n3_one_cas_each" -> Some (mk_dcas_n3, dcas_n3_workload)
   | _ -> None
 
-type mc_counters = {
-  c_executions : int;
-  c_truncated : int;
-  c_nodes : int;
-  c_violations : int;
-  c_configs : int;
-}
-
 let mc_run_case ~label ~switches ~crashes =
   let mk, workloads =
     match mc_factory label with
     | Some mw -> mw
     | None -> failwith ("unknown modelcheck bench case " ^ label)
   in
-  let cfg engine =
+  (* pay off the major-GC debt of whatever ran before (earlier cases,
+     other baselines) off the measured clock: OCaml 5.1 has no
+     compaction, so an unsettled heap taxes the timed search *)
+  Gc.full_major ();
+  Gc.full_major ();
+  Gc.full_major ();
+  Modelcheck.Explore.explore ~mk ~workloads
     {
       Modelcheck.Explore.default_config with
       switch_budget = switches;
       crash_budget = crashes;
-      engine;
     }
-  in
-  (* Measure undo BEFORE replay: the replay engine rebuilds from the
-     root at every node and churns tens of GB through the major heap,
-     which stays expanded afterwards (OCaml 5.1 has no compaction), so
-     an undo run timed after it pays replay's GC damage — ~3x slower
-     than the same search on a clean heap.  Undo's own churn is small
-     enough to leave replay's measurement unaffected.  [settle] eagerly
-     finishes outstanding major cycles before each engine run, paying
-     the previous run's sweep debt off the measured clock — without it
-     the SECOND case's undo run still inherits the first case's replay
-     damage. *)
-  let settle () =
-    Gc.full_major ();
-    Gc.full_major ();
-    Gc.full_major ()
-  in
-  settle ();
-  let undo = Modelcheck.Explore.explore ~mk ~workloads (cfg `Undo) in
-  settle ();
-  let replay = Modelcheck.Explore.explore ~mk ~workloads (cfg `Replay) in
-  let counters (o : Modelcheck.Explore.outcome) =
-    {
-      c_executions = o.Modelcheck.Explore.executions;
-      c_truncated = o.Modelcheck.Explore.truncated;
-      c_nodes = o.Modelcheck.Explore.nodes;
-      c_violations = o.Modelcheck.Explore.total_violations;
-      c_configs = o.Modelcheck.Explore.distinct_shared_configs;
-    }
-  in
-  let cr = counters replay and cu = counters undo in
-  if cr <> cu then
-    failwith
-      (Printf.sprintf
-         "ENGINE DIVERGENCE on %s (sw=%d cr=%d): replay \
-          ex=%d/tr=%d/nodes=%d/viol=%d/cfgs=%d vs undo \
-          ex=%d/tr=%d/nodes=%d/viol=%d/cfgs=%d"
-         label switches crashes cr.c_executions cr.c_truncated cr.c_nodes
-         cr.c_violations cr.c_configs cu.c_executions cu.c_truncated cu.c_nodes
-         cu.c_violations cu.c_configs);
-  (cr, replay, undo)
 
-let mc_engine_json (o : Modelcheck.Explore.outcome) =
+let mc_perf_json (o : Modelcheck.Explore.outcome) =
   let m = o.Modelcheck.Explore.metrics in
   Printf.sprintf
-    {|        { "engine": %S, "elapsed_s": %.6f, "nodes_per_sec": %.1f,
-          "rewound_cells": %d, "rewound_cells_per_sec": %.1f,
-          "intern_hit_rate": %.4f,
-          "alloc": { "minor_words": %.0f, "promoted_words": %.0f, "minor_collections": %d, "bytes_per_node": %.1f } }|}
-    m.Modelcheck.Explore.engine m.Modelcheck.Explore.elapsed_s
-    m.Modelcheck.Explore.nodes_per_sec m.Modelcheck.Explore.rewound_cells
+    {|{ "elapsed_s": %.6f, "nodes_per_sec": %.1f,
+        "rewound_cells": %d, "rewound_cells_per_sec": %.1f,
+        "intern_hit_rate": %.4f,
+        "alloc": { "minor_words": %.0f, "promoted_words": %.0f, "minor_collections": %d, "bytes_per_node": %.1f } }|}
+    m.Modelcheck.Explore.elapsed_s m.Modelcheck.Explore.nodes_per_sec
+    m.Modelcheck.Explore.rewound_cells
     m.Modelcheck.Explore.rewound_cells_per_sec
     m.Modelcheck.Explore.intern_hit_rate m.Modelcheck.Explore.minor_words
     m.Modelcheck.Explore.promoted_words m.Modelcheck.Explore.minor_collections
     m.Modelcheck.Explore.bytes_per_node
 
-let mc_speedup (replay : Modelcheck.Explore.outcome)
-    (undo : Modelcheck.Explore.outcome) =
-  undo.Modelcheck.Explore.metrics.Modelcheck.Explore.nodes_per_sec
-  /. Float.max replay.Modelcheck.Explore.metrics.Modelcheck.Explore.nodes_per_sec
-       1e-9
+(* --- reduction-ratio cases ------------------------------------------
 
-(* --- reduction-ratio cases (schema v3) ------------------------------
-
-   One config explored under every reduction mode on each engine: the
-   committed rows pin the node counts of [`None]/[`Dpor]/[`Dpor_sym]/
-   [`Dpor_sym_memo] on the same search, the violation counters must
-   agree exactly across all modes (reduction prunes interleavings,
-   never the bug), and "min_node_reduction" gates how much smaller the
-   strongest mode's tree must stay relative to the unreduced one.  Two
-   configs: a healthy uniform dcas (the canonical-memo mode fully
-   active, violation parity at zero) and the no-vec ablation (parity on
-   a real violation count). *)
+   One config explored under every reduction mode: the committed rows
+   pin the node counts of [`None]/[`Dpor]/[`Dpor_sym]/[`Dpor_sym_memo]
+   on the same search, the verdicts must agree across all modes
+   (reduction prunes interleavings, never the bug), and
+   "min_node_reduction" gates how much smaller the strongest mode's
+   tree must stay relative to the unreduced one.  Two configs: a
+   healthy uniform dcas (the canonical-memo mode fully active, verdict
+   parity at zero) and the no-vec ablation (parity on a real
+   violation). *)
 
 let mc_reductions : Modelcheck.Explore.reduction list =
   [ `None; `Dpor; `Dpor_sym; `Dpor_sym_memo ]
@@ -975,35 +913,32 @@ let mc_red_factory = function
 let mc_red_cases =
   [ ("dcas_n3_uniform_cas", 2, 0); ("dcas_no_vec_n2_cas_race", 2, 1) ]
 
-let mc_red_run ~label ~switches ~crashes ~engine red =
-  let mk, workloads =
-    match mc_red_factory label with
-    | Some mw -> mw
-    | None -> failwith ("unknown reduction bench case " ^ label)
-  in
-  Modelcheck.Explore.explore ~mk ~workloads
-    {
-      Modelcheck.Explore.default_config with
-      switch_budget = switches;
-      crash_budget = crashes;
-      engine;
-      reduction = red;
-    }
-
-(* all four modes on one engine; enforces verdict parity in-process so
-   a parity break can never even be recorded as a baseline.  Parity is
-   on the verdict (does a violation exist), not on the raw count of
+(* all four modes of one case; enforces verdict parity in-process so a
+   parity break can never even be recorded as a baseline.  Parity is on
+   the verdict (does a violation exist), not on the raw count of
    violating executions: a reduced search keeps one representative per
    equivalence class, so it legitimately reaches fewer of the
    equivalent violating interleavings (the recorded per-mode counts are
    still pinned exactly by --compare).  A reduced mode must also never
    do more work than the unreduced one. *)
-let mc_red_engine ~label ~switches ~crashes ~engine =
+let mc_red_runs ~label ~switches ~crashes =
+  let mk, workloads =
+    match mc_red_factory label with
+    | Some mw -> mw
+    | None -> failwith ("unknown reduction bench case " ^ label)
+  in
   let outs =
-    List.map (fun red -> mc_red_run ~label ~switches ~crashes ~engine red)
+    List.map
+      (fun reduction ->
+        Modelcheck.Explore.explore ~mk ~workloads
+          {
+            Modelcheck.Explore.default_config with
+            switch_budget = switches;
+            crash_budget = crashes;
+            reduction;
+          })
       mc_reductions
   in
-  let engine_name = match engine with `Undo -> "undo" | `Replay -> "replay" in
   let violates (o : Modelcheck.Explore.outcome) =
     o.Modelcheck.Explore.total_violations > 0
   in
@@ -1014,9 +949,9 @@ let mc_red_engine ~label ~switches ~crashes ~engine =
       if violates o <> base then
         failwith
           (Printf.sprintf
-             "REDUCTION PARITY DIVERGENCE on %s (%s, %s): %d violations vs \
-              %d under none"
-             label engine_name
+             "REDUCTION PARITY DIVERGENCE on %s (%s): %d violations vs %d \
+              under none"
+             label
              (Modelcheck.Explore.reduction_name red)
              o.Modelcheck.Explore.total_violations
              unreduced.Modelcheck.Explore.total_violations);
@@ -1025,8 +960,8 @@ let mc_red_engine ~label ~switches ~crashes ~engine =
       then
         failwith
           (Printf.sprintf
-             "REDUCTION BLOWUP on %s (%s, %s): %d executions vs %d under none"
-             label engine_name
+             "REDUCTION BLOWUP on %s (%s): %d executions vs %d under none"
+             label
              (Modelcheck.Explore.reduction_name red)
              o.Modelcheck.Explore.executions
              unreduced.Modelcheck.Explore.executions))
@@ -1042,27 +977,25 @@ let mc_red_ratio outs =
 
 let mc_red_run_json red (o : Modelcheck.Explore.outcome) =
   Printf.sprintf
-    {|          { "reduction": %S, "nodes": %d, "executions": %d,
-            "total_violations": %d, "distinct_shared_configs": %d }|}
+    {|        { "reduction": %S, "nodes": %d, "executions": %d,
+          "total_violations": %d, "distinct_shared_configs": %d }|}
     (Modelcheck.Explore.reduction_name red)
     o.Modelcheck.Explore.nodes o.Modelcheck.Explore.executions
     o.Modelcheck.Explore.total_violations
     o.Modelcheck.Explore.distinct_shared_configs
 
-let mc_red_engine_json ~label ~switches ~crashes ~engine =
-  let outs = mc_red_engine ~label ~switches ~crashes ~engine in
+let mc_red_case_json (label, switches, crashes) =
+  let outs = mc_red_runs ~label ~switches ~crashes in
   let ratio = mc_red_ratio outs in
-  let engine_name = match engine with `Undo -> "undo" | `Replay -> "replay" in
   Printf.printf
-    "%-24s %s: %s nodes, %.1fx node reduction (none -> dpor+sym-memo)\n%!"
-    label engine_name
+    "%-24s %s nodes, %.1fx node reduction (none -> dpor+sym-memo)\n%!" label
     (String.concat "/" (List.map (fun o -> string_of_int (mc_red_nodes o)) outs))
     ratio;
   Printf.sprintf
-    "        { \"engine\": %S,\n\
-     \          \"runs\": [\n%s\n          ],\n\
-     \          \"node_reduction\": %.2f, \"min_node_reduction\": %.2f }"
-    engine_name
+    "    { \"object\": %S, \"switch_budget\": %d, \"crash_budget\": %d,\n\
+     \      \"runs\": [\n%s\n      ],\n\
+     \      \"node_reduction\": %.2f, \"min_node_reduction\": %.2f }"
+    label switches crashes
     (String.concat ",\n" (List.map2 mc_red_run_json mc_reductions outs))
     ratio
     (* the gate is deterministic (node counts are machine-independent)
@@ -1070,50 +1003,39 @@ let mc_red_engine_json ~label ~switches ~crashes ~engine =
        genuinely regressing, not by re-shaping the tree *)
     (Float.max 1.0 (ratio *. 0.7))
 
-let mc_red_case_json (label, switches, crashes) =
-  Printf.sprintf
-    "    { \"object\": %S, \"switch_budget\": %d, \"crash_budget\": %d,\n\
-     \      \"engines\": [\n%s,\n%s\n      ] }"
-    label switches crashes
-    (mc_red_engine_json ~label ~switches ~crashes ~engine:`Replay)
-    (mc_red_engine_json ~label ~switches ~crashes ~engine:`Undo)
-
 let modelcheck_baseline ~out ~budget =
   let cases =
     List.map
       (fun (label, switches, crashes) ->
-        let c, replay, undo = mc_run_case ~label ~switches ~crashes in
-        let speedup = mc_speedup replay undo in
-        Printf.printf "%-24s sw=%d cr=%d: undo %.2fx over replay (%.0f vs %.0f \
-                       nodes/sec)\n%!"
-          label switches crashes speedup
-          undo.Modelcheck.Explore.metrics.Modelcheck.Explore.nodes_per_sec
-          replay.Modelcheck.Explore.metrics.Modelcheck.Explore.nodes_per_sec;
-        let undo_bpn =
-          undo.Modelcheck.Explore.metrics.Modelcheck.Explore.bytes_per_node
-        in
+        let o = mc_run_case ~label ~switches ~crashes in
+        let m = o.Modelcheck.Explore.metrics in
+        Printf.printf "%-24s sw=%d cr=%d: %.0f nodes/sec, %.1f bytes/node\n%!"
+          label switches crashes m.Modelcheck.Explore.nodes_per_sec
+          m.Modelcheck.Explore.bytes_per_node;
         Printf.sprintf
           "    { \"object\": %S, \"switch_budget\": %d, \"crash_budget\": %d,\n\
           \      \"domains\": 1,\n\
           \      \"counters\": { \"executions\": %d, \"truncated\": %d, \
            \"nodes\": %d,\n\
           \        \"total_violations\": %d, \"distinct_shared_configs\": %d },\n\
-          \      \"engines\": [\n%s,\n%s\n      ],\n\
-          \      \"undo_speedup\": %.2f, \"min_speedup\": %.1f,\n\
+          \      \"perf\": %s,\n\
           \      \"min_nodes_per_sec\": %.0f, \"max_bytes_per_node\": %.0f }"
-          label switches crashes c.c_executions c.c_truncated c.c_nodes
-          c.c_violations c.c_configs (mc_engine_json replay)
-          (mc_engine_json undo) speedup mc_speedup_gate (mc_nps_floor label)
+          label switches crashes o.Modelcheck.Explore.executions
+          o.Modelcheck.Explore.truncated o.Modelcheck.Explore.nodes
+          o.Modelcheck.Explore.total_violations
+          o.Modelcheck.Explore.distinct_shared_configs (mc_perf_json o)
+          (mc_nps_floor label)
           (* keep the ceiling meaningful even for a (nearly)
-             allocation-free undo loop: never below one cache line *)
-          (Float.max 64.0 (undo_bpn *. alloc_ceiling_factor)))
+             allocation-free loop: never below one cache line *)
+          (Float.max 64.0
+             (m.Modelcheck.Explore.bytes_per_node *. alloc_ceiling_factor)))
       (mc_cases ~budget)
   in
   let red_cases = List.map mc_red_case_json mc_red_cases in
   let doc =
     Printf.sprintf
       "{\n\
-      \  \"schema\": \"detectable-modelcheck/v3\",\n\
+      \  \"schema\": \"detectable-modelcheck/v4\",\n\
       \  \"cases\": [\n%s\n  ],\n\
       \  \"reduction_cases\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" cases)
@@ -1123,8 +1045,7 @@ let modelcheck_baseline ~out ~budget =
   output_string oc doc;
   close_out oc;
   Printf.printf
-    "modelcheck baseline (%d cases + %d reduction cases, both engines) \
-     written to %s\n"
+    "modelcheck baseline (%d cases + %d reduction cases) written to %s\n"
     (List.length cases) (List.length red_cases) out
 
 let modelcheck_compare ~j ~file ~tolerance =
@@ -1144,56 +1065,33 @@ let modelcheck_compare ~j ~file ~tolerance =
          | Some _ ->
              let switches = get_int (member "switch_budget" case) in
              let crashes = get_int (member "crash_budget" case) in
-             let c, replay, undo = mc_run_case ~label ~switches ~crashes in
+             let o = mc_run_case ~label ~switches ~crashes in
              let base = member "counters" case in
              let mismatches =
                List.filter_map
-                 (fun (name, want, got) ->
+                 (fun (name, got) ->
+                   let want = get_int (member name base) in
                    if want = got then None
                    else
                      Some
                        (Printf.sprintf "%s: baseline %d, fresh %d" name want
                           got))
                  [
-                   ("executions", get_int (member "executions" base),
-                    c.c_executions);
-                   ("truncated", get_int (member "truncated" base), c.c_truncated);
-                   ("nodes", get_int (member "nodes" base), c.c_nodes);
-                   ("total_violations",
-                    get_int (member "total_violations" base), c.c_violations);
+                   ("executions", o.Modelcheck.Explore.executions);
+                   ("truncated", o.Modelcheck.Explore.truncated);
+                   ("nodes", o.Modelcheck.Explore.nodes);
+                   ("total_violations", o.Modelcheck.Explore.total_violations);
                    ("distinct_shared_configs",
-                    get_int (member "distinct_shared_configs" base), c.c_configs);
+                    o.Modelcheck.Explore.distinct_shared_configs);
                  ]
              in
-             let base_undo_nps =
-               List.fold_left
-                 (fun acc e ->
-                   if get_str (member "engine" e) = "undo" then
-                     get_num (member "nodes_per_sec" e)
-                   else acc)
-                 0.0
-                 (get_list (member "engines" case))
-             in
-             let fresh_undo_nps =
-               undo.Modelcheck.Explore.metrics.Modelcheck.Explore.nodes_per_sec
-             in
-             let fresh_undo_bpn =
-               undo.Modelcheck.Explore.metrics.Modelcheck.Explore.bytes_per_node
-             in
-             let min_speedup = get_num (member "min_speedup" case) in
-             (* v2 gates; absent from v1-era baselines, then not enforced *)
-             let nps_floor =
-               if mem "min_nodes_per_sec" case then
-                 get_num (member "min_nodes_per_sec" case)
-               else 0.0
-             in
-             let bpn_ceiling =
-               if mem "max_bytes_per_node" case then
-                 Some (get_num (member "max_bytes_per_node" case))
-               else None
-             in
-             let speedup = mc_speedup replay undo in
-             let ratio = fresh_undo_nps /. Float.max base_undo_nps 1e-9 in
+             let base_nps = get_num (member "nodes_per_sec" (member "perf" case)) in
+             let m = o.Modelcheck.Explore.metrics in
+             let fresh_nps = m.Modelcheck.Explore.nodes_per_sec in
+             let fresh_bpn = m.Modelcheck.Explore.bytes_per_node in
+             let nps_floor = get_num (member "min_nodes_per_sec" case) in
+             let bpn_ceiling = get_num (member "max_bytes_per_node" case) in
+             let ratio = fresh_nps /. Float.max base_nps 1e-9 in
              if mismatches <> [] then begin
                incr fail_cnt;
                Printf.printf "%-24s DETERMINISM MISMATCH\n" label;
@@ -1202,147 +1100,103 @@ let modelcheck_compare ~j ~file ~tolerance =
                  "  (behavioral change: regenerate the baseline with \
                   --baseline and explain it in the PR)\n"
              end
-             else if speedup < min_speedup then begin
-               incr fail_cnt;
-               Printf.printf
-                 "%-24s SPEEDUP REGRESSION: undo %.2fx over replay \
-                  (baseline gate %.1fx, recorded %.2fx)\n"
-                 label speedup min_speedup
-                 (get_num (member "undo_speedup" case))
-             end
-             else if
-               match bpn_ceiling with
-               | Some c -> fresh_undo_bpn > c
-               | None -> false
-             then begin
+             else if fresh_bpn > bpn_ceiling then begin
                (* allocation counts are machine-independent: no tolerance *)
                incr fail_cnt;
                Printf.printf
-                 "%-24s ALLOC REGRESSION: undo %.0f bytes/node over the \
-                  recorded ceiling %.0f\n"
-                 label fresh_undo_bpn
-                 (Option.value bpn_ceiling ~default:0.0)
+                 "%-24s ALLOC REGRESSION: %.0f bytes/node over the recorded \
+                  ceiling %.0f\n"
+                 label fresh_bpn bpn_ceiling
              end
-             else if fresh_undo_nps *. tolerance < nps_floor then begin
+             else if fresh_nps *. tolerance < nps_floor then begin
                incr fail_cnt;
                Printf.printf
-                 "%-24s THROUGHPUT GATE: undo %.0f nodes/sec under the \
-                  recorded floor %.0f even at tolerance %.0fx\n"
-                 label fresh_undo_nps nps_floor tolerance
+                 "%-24s THROUGHPUT GATE: %.0f nodes/sec under the recorded \
+                  floor %.0f even at tolerance %.0fx\n"
+                 label fresh_nps nps_floor tolerance
              end
              else if ratio < 1.0 /. tolerance then begin
                incr fail_cnt;
                Printf.printf
-                 "%-24s PERF REGRESSION: undo %.0f nodes/sec vs baseline \
-                  %.0f (%.2fx, tolerance %.0fx)\n"
-                 label fresh_undo_nps base_undo_nps ratio tolerance
+                 "%-24s PERF REGRESSION: %.0f nodes/sec vs baseline %.0f \
+                  (%.2fx, tolerance %.0fx)\n"
+                 label fresh_nps base_nps ratio tolerance
              end
              else
                Printf.printf
-                 "%-24s ok: counters exact, undo %.2fx over replay, %.0f \
-                  nodes/sec vs baseline %.0f (%.2fx), %.1f bytes/node%s\n"
-                 label speedup fresh_undo_nps base_undo_nps ratio
-                 fresh_undo_bpn
-                 (match bpn_ceiling with
-                 | Some c -> Printf.sprintf " (ceiling %.0f)" c
-                 | None -> ""))
+                 "%-24s ok: counters exact, %.0f nodes/sec vs baseline %.0f \
+                  (%.2fx), %.1f bytes/node (ceiling %.0f)\n"
+                 label fresh_nps base_nps ratio fresh_bpn bpn_ceiling)
        (get_list (member "cases" j));
-     (* v3: reduction-ratio cases.  Node counts are machine-independent,
-        so every recorded counter must reproduce exactly, and the fresh
-        none/dpor+sym-memo node ratio must clear the recorded gate.
-        Absent from v2-era baselines, then not enforced. *)
-     if mem "reduction_cases" j then
-       List.iter
-         (fun case ->
-           let label = get_str (member "object" case) in
-           let switches = get_int (member "switch_budget" case) in
-           let crashes = get_int (member "crash_budget" case) in
-           if mc_red_factory label = None then begin
-             incr fail_cnt;
-             Printf.printf
-               "%-24s UNKNOWN reduction case (renamed/removed?) — \
-                regenerate the baseline with --baseline\n"
-               label
-           end
-           else
-             List.iter
-               (fun eng ->
-                 let engine_name = get_str (member "engine" eng) in
-                 let engine =
-                   match engine_name with
-                   | "replay" -> `Replay
-                   | "undo" -> `Undo
-                   | other ->
-                       raise
-                         (Tiny_json.Error ("unknown engine \"" ^ other ^ "\""))
-                 in
-                 match
-                   mc_red_engine ~label ~switches ~crashes ~engine
-                 with
-                 | exception Failure msg ->
-                     (* in-process parity check tripped on the re-run *)
-                     incr fail_cnt;
-                     Printf.printf "%-24s %s\n" label msg
-                 | outs ->
-                     let runs = get_list (member "runs" eng) in
-                     if List.length runs <> List.length outs then
-                       raise
-                         (Tiny_json.Error
-                            (Printf.sprintf
-                               "%s/%s: %d recorded runs, expected %d \
-                                reduction modes"
-                               label engine_name (List.length runs)
-                               (List.length outs)));
-                     let mismatches = ref [] in
-                     List.iter2
-                       (fun run o ->
-                         let red = get_str (member "reduction" run) in
-                         List.iter
-                           (fun (name, want, got) ->
-                             if want <> got then
-                               mismatches :=
-                                 Printf.sprintf
-                                   "%s/%s %s: baseline %d, fresh %d"
-                                   engine_name red name want got
-                                 :: !mismatches)
-                           [
-                             ("nodes", get_int (member "nodes" run),
-                              mc_red_nodes o);
-                             ("executions",
-                              get_int (member "executions" run),
-                              o.Modelcheck.Explore.executions);
-                             ("total_violations",
-                              get_int (member "total_violations" run),
-                              o.Modelcheck.Explore.total_violations);
-                             ("distinct_shared_configs",
-                              get_int
-                                (member "distinct_shared_configs" run),
-                              o.Modelcheck.Explore.distinct_shared_configs);
-                           ])
-                       runs outs;
-                     let ratio = mc_red_ratio outs in
-                     let gate = get_num (member "min_node_reduction" eng) in
-                     if !mismatches <> [] then begin
-                       incr fail_cnt;
-                       Printf.printf "%-24s REDUCTION DETERMINISM MISMATCH\n"
-                         label;
-                       List.iter (Printf.printf "  %s\n")
-                         (List.rev !mismatches)
-                     end
-                     else if ratio < gate then begin
-                       incr fail_cnt;
-                       Printf.printf
-                         "%-24s REDUCTION REGRESSION (%s): %.2fx node \
-                          reduction under the recorded gate %.2fx\n"
-                         label engine_name ratio gate
-                     end
-                     else
-                       Printf.printf
-                         "%-24s %s reduction ok: counters exact, %.2fx \
-                          node reduction (gate %.2fx)\n"
-                         label engine_name ratio gate)
-               (get_list (member "engines" case)))
-         (get_list (member "reduction_cases" j))
+     (* reduction-ratio cases.  Node counts are machine-independent, so
+        every recorded counter must reproduce exactly, and the fresh
+        none/dpor+sym-memo node ratio must clear the recorded gate. *)
+     List.iter
+       (fun case ->
+         let label = get_str (member "object" case) in
+         let switches = get_int (member "switch_budget" case) in
+         let crashes = get_int (member "crash_budget" case) in
+         if mc_red_factory label = None then begin
+           incr fail_cnt;
+           Printf.printf
+             "%-24s UNKNOWN reduction case (renamed/removed?) — regenerate \
+              the baseline with --baseline\n"
+             label
+         end
+         else
+           match mc_red_runs ~label ~switches ~crashes with
+           | exception Failure msg ->
+               (* in-process parity check tripped on the re-run *)
+               incr fail_cnt;
+               Printf.printf "%-24s %s\n" label msg
+           | outs ->
+               let runs = get_list (member "runs" case) in
+               if List.length runs <> List.length outs then
+                 raise
+                   (Tiny_json.Error
+                      (Printf.sprintf
+                         "%s: %d recorded runs, expected %d reduction modes"
+                         label (List.length runs) (List.length outs)));
+               let mismatches = ref [] in
+               List.iter2
+                 (fun run o ->
+                   let red = get_str (member "reduction" run) in
+                   List.iter
+                     (fun (name, got) ->
+                       let want = get_int (member name run) in
+                       if want <> got then
+                         mismatches :=
+                           Printf.sprintf "%s %s: baseline %d, fresh %d" red
+                             name want got
+                           :: !mismatches)
+                     [
+                       ("nodes", mc_red_nodes o);
+                       ("executions", o.Modelcheck.Explore.executions);
+                       ("total_violations", o.Modelcheck.Explore.total_violations);
+                       ("distinct_shared_configs",
+                        o.Modelcheck.Explore.distinct_shared_configs);
+                     ])
+                 runs outs;
+               let ratio = mc_red_ratio outs in
+               let gate = get_num (member "min_node_reduction" case) in
+               if !mismatches <> [] then begin
+                 incr fail_cnt;
+                 Printf.printf "%-24s REDUCTION DETERMINISM MISMATCH\n" label;
+                 List.iter (Printf.printf "  %s\n") (List.rev !mismatches)
+               end
+               else if ratio < gate then begin
+                 incr fail_cnt;
+                 Printf.printf
+                   "%-24s REDUCTION REGRESSION: %.2fx node reduction under \
+                    the recorded gate %.2fx\n"
+                   label ratio gate
+               end
+               else
+                 Printf.printf
+                   "%-24s reduction ok: counters exact, %.2fx node reduction \
+                    (gate %.2fx)\n"
+                   label ratio gate)
+       (get_list (member "reduction_cases" j))
    with Tiny_json.Error m ->
      Printf.eprintf "bench --compare: %s: %s\n" file m;
      exit 1);
@@ -2066,8 +1920,7 @@ let lowerbound_compare ~j ~file ~tolerance =
 (* entry point: ad-hoc flag scan (no cmdliner dependency here)
 
    --json [--budget N] [--smoke]   checker-throughput JSON to stdout
-                                   (--smoke skips the slow DRW@4
-                                   replay/undo substrate rows)
+                                   (--smoke skips the slow DRW@4 row)
    --baseline [--out FILE] [--trials N] [--seed S] [--domains D]
               [--fault-out FILE] [--fault-trials N]
               [--mc-out FILE] [--mc-budget N]
@@ -2075,7 +1928,7 @@ let lowerbound_compare ~j ~file ~tolerance =
               [--lb-out FILE] [--lb-max-n N]
                                    writes the torture baseline (--out),
                                    the fault-model matrix baseline
-                                   (--fault-out), the modelcheck engine
+                                   (--fault-out), the modelcheck
                                    baseline (--mc-out), the lincheck
                                    engine baseline (--lin-out) and the
                                    Theorem 1 lower-bound baseline
@@ -2087,8 +1940,8 @@ let lowerbound_compare ~j ~file ~tolerance =
    --compare FILE [--tolerance X] [--domains D]
                                    dispatches on the file's "schema"
                                    (torture-v1/v2, fault-v1,
-                                   modelcheck/v1/v2, lincheck/v1 or
-                                   lowerbound-v1)
+                                   modelcheck/v4, lincheck/v1 or
+                                   lowerbound-v1/v2)
    (no flags)                      full experiment + bench suite *)
 
 let flag_value name =
@@ -2180,8 +2033,7 @@ let () =
         torture_compare ~j ~file ~tolerance ~domains:(int_flag "--domains" 1)
     | "detectable-bench/fault-v1" ->
         fault_compare ~j ~file ~tolerance ~domains:(int_flag "--domains" 1)
-    | "detectable-modelcheck/v1" | "detectable-modelcheck/v2"
-    | "detectable-modelcheck/v3" ->
+    | "detectable-modelcheck/v4" ->
         modelcheck_compare ~j ~file ~tolerance
     | "detectable-lincheck/v1" -> lincheck_compare ~j ~file ~tolerance
     | "detectable-bench/lowerbound-v1" | "detectable-bench/lowerbound-v2" ->

@@ -145,26 +145,6 @@ let policy_arg =
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"What the caller does after a fail verdict: retry or giveup.")
 
-let gc_conv =
-  let parse s =
-    match Dtc_util.Gc_tune.parse s with
-    | t -> Ok t
-    | exception Invalid_argument m -> Error (`Msg m)
-  in
-  let print ppf t = Format.pp_print_string ppf (Dtc_util.Gc_tune.to_string t) in
-  Arg.conv ~docv:"GC" (parse, print)
-
-let gc_arg =
-  Arg.(
-    value
-    & opt gc_conv Dtc_util.Gc_tune.none
-    & info [ "gc" ] ~docv:"SPEC"
-        ~doc:
-          "Per-domain GC tuning for the hot loops, e.g. \
-           $(b,minor-heap=8M,space-overhead=200) (sizes in words, k/M \
-           suffixes).  Applied inside each worker domain (and restored \
-           after sequential runs); defaults leave the runtime untouched.")
-
 let lin_engine_arg =
   let choices =
     [
@@ -407,7 +387,7 @@ let torture_cmd =
   in
   let run kind procs ops trials crash_prob max_crashes policy lin_engine seed
       domains fault watchdog checkpoint resume json no_timing report_file
-      no_shrink gc =
+      no_shrink =
     if resume && checkpoint = None then
       `Error (false, "--resume requires --checkpoint FILE")
     else begin
@@ -418,7 +398,7 @@ let torture_cmd =
       let should_stop = install_stop_flag () in
       match
         Torture.run ~domains ~root_seed:seed ~trials ~shrink:(not no_shrink)
-          ?checkpoint ~resume ~gc ~should_stop spec
+          ?checkpoint ~resume ~should_stop spec
       with
       | exception Torture.Interrupted { completed; total } ->
           interrupted_exit ~completed ~total
@@ -445,8 +425,7 @@ let torture_cmd =
         (const run $ obj_arg $ procs_arg $ ops_arg $ trials_arg
        $ crash_prob_arg $ max_crashes_arg $ policy_arg $ lin_engine_arg
        $ seed_arg $ domains $ fault_arg $ watchdog_arg $ checkpoint_arg
-       $ resume_arg $ json_arg $ no_timing_arg $ report_arg $ no_shrink_arg
-       $ gc_arg))
+       $ resume_arg $ json_arg $ no_timing_arg $ report_arg $ no_shrink_arg))
 
 (* campaign: multi-process supervised torture *)
 
@@ -754,8 +733,9 @@ let modelcheck_cmd =
       value & flag
       & info [ "no-prune" ]
           ~doc:
-            "Disable the visited-set subtree memoisation (replays every DFS \
-             node from scratch, like the original engine).")
+            "Disable the visited-set subtree memoisation: every DFS node is \
+             explored in full, even when an equivalent state was already \
+             summarised.")
   in
   let exact_configs =
     Arg.(
@@ -764,24 +744,6 @@ let modelcheck_cmd =
           ~doc:
             "Keep full snapshots in the configuration set to audit \
              fingerprint collisions (more memory).")
-  in
-  let engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("undo", (`Undo : Modelcheck.Explore.engine));
-               ("replay", `Replay);
-             ])
-          `Undo
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution substrate: $(b,undo) backtracks one live \
-             machine/session over the store's write journal; $(b,replay) \
-             rebuilds from the root at every DFS node (the historical \
-             engine).  Both visit the same nodes and report identical \
-             counters.")
   in
   let reduction =
     Arg.(
@@ -818,8 +780,8 @@ let modelcheck_cmd =
              A capped run reports partial counters — valid lower bounds \
              over what was visited.")
   in
-  let run kind procs ops switches crashes domains no_prune exact_configs engine
-      lin_engine reduction node_budget policy seed gc =
+  let run kind procs ops switches crashes domains no_prune exact_configs
+      lin_engine reduction node_budget policy seed =
     let workloads = workloads_of_kind kind ~seed ~procs ~ops in
     let cfg =
       {
@@ -830,11 +792,9 @@ let modelcheck_cmd =
         domains;
         prune = not no_prune;
         exact_configs;
-        engine;
         lin_engine;
         reduction;
         node_budget;
-        gc;
       }
     in
     let out =
@@ -853,7 +813,7 @@ let modelcheck_cmd =
         float_of_int m.Modelcheck.Explore.dedup_hits /. float_of_int total
     in
     Printf.printf
-      "dedup: %d hits (%.1f%%), %d replays saved, %d states tracked%s\n"
+      "dedup: %d hits (%.1f%%), %d nodes saved, %d states tracked%s\n"
       m.Modelcheck.Explore.dedup_hits (100.0 *. hit_rate)
       m.Modelcheck.Explore.nodes_saved m.Modelcheck.Explore.peak_visited
       (if exact_configs then
@@ -861,9 +821,9 @@ let modelcheck_cmd =
            m.Modelcheck.Explore.fingerprint_collisions
        else "");
     Printf.printf
-      "throughput: %.0f nodes/sec over %.2fs on %d domain(s), %s engine\n"
+      "throughput: %.0f nodes/sec over %.2fs on %d domain(s)\n"
       m.Modelcheck.Explore.nodes_per_sec m.Modelcheck.Explore.elapsed_s
-      m.Modelcheck.Explore.domains_used m.Modelcheck.Explore.engine;
+      m.Modelcheck.Explore.domains_used;
     Printf.printf
       "allocation: %.0f bytes/node (%.0f minor words, %.0f promoted, %d \
        minor GCs)\n"
@@ -886,22 +846,19 @@ let modelcheck_cmd =
     else if out.Modelcheck.Explore.capped then
       print_endline
         "node budget reached: counters are partial lower bounds";
-    if m.Modelcheck.Explore.engine = "undo" then (
-      let hits = m.Modelcheck.Explore.intern_hits
-      and misses = m.Modelcheck.Explore.intern_misses in
-      Printf.printf
-        "undo: %d cells rewound (%.0f cells/sec), intern hit rate %.1f%% \
-         (%d hits / %d misses)\n"
-        m.Modelcheck.Explore.rewound_cells
-        m.Modelcheck.Explore.rewound_cells_per_sec
-        (100.0 *. m.Modelcheck.Explore.intern_hit_rate)
-        hits misses;
-      match m.Modelcheck.Explore.journal_depth_hist with
-      | [] -> ()
-      | hist ->
-          Printf.printf "journal depth (log2 buckets): %s\n"
-            (String.concat " "
-               (List.map (fun (b, n) -> Printf.sprintf "%d:%d" b n) hist)));
+    Printf.printf
+      "undo: %d cells rewound (%.0f cells/sec), intern hit rate %.1f%% (%d \
+       hits / %d misses)\n"
+      m.Modelcheck.Explore.rewound_cells
+      m.Modelcheck.Explore.rewound_cells_per_sec
+      (100.0 *. m.Modelcheck.Explore.intern_hit_rate)
+      m.Modelcheck.Explore.intern_hits m.Modelcheck.Explore.intern_misses;
+    (match m.Modelcheck.Explore.journal_depth_hist with
+    | [] -> ()
+    | hist ->
+        Printf.printf "journal depth (log2 buckets): %s\n"
+          (String.concat " "
+             (List.map (fun (b, n) -> Printf.sprintf "%d:%d" b n) hist)));
     Printf.printf
       "checker: %s engine, %d leaf checks (%.0f checks/sec, %.3fs), %.1f%% \
        event reuse (%d of %d events pushed)\n"
@@ -916,7 +873,7 @@ let modelcheck_cmd =
         Printf.printf "checker frontier size (log2 buckets): %s\n"
           (String.concat " "
              (List.map (fun (b, n) -> Printf.sprintf "%d:%d" b n) hist)));
-    (match m.Modelcheck.Explore.replay_depth_hist with
+    (match m.Modelcheck.Explore.depth_hist with
     | [] -> ()
     | hist ->
         let deepest, _ = List.hd (List.rev hist) in
@@ -926,7 +883,7 @@ let modelcheck_cmd =
             (0, 0) hist
         in
         Printf.printf
-          "replay depth: max %d decisions, busiest depth %d (%d nodes)\n"
+          "decision depth: max %d decisions, busiest depth %d (%d nodes)\n"
           deepest busiest_d busiest_n);
     List.iter
       (fun (v : Modelcheck.Explore.violation) ->
@@ -940,11 +897,11 @@ let modelcheck_cmd =
         match
           Modelcheck.Shrink.minimise
             ~mk:(mk_of_kind kind ~n:procs)
-            ~workloads ~policy ~engine ~lin_engine ~reduction v.decisions
+            ~workloads ~policy ~lin_engine v.decisions
         with
         | Some r ->
             Printf.printf
-              "minimised to %d decisions (%d replays): %s  [prefix, then free run]\n"
+              "minimised to %d decisions (%d attempts): %s  [prefix, then free run]\n"
               (List.length r.Modelcheck.Shrink.decisions)
               r.Modelcheck.Shrink.attempts
               (String.concat " "
@@ -967,8 +924,8 @@ let modelcheck_cmd =
     Term.(
       ret
         (const run $ obj_arg $ procs_arg $ ops_arg $ switches $ crashes
-       $ domains $ no_prune $ exact_configs $ engine $ lin_engine_arg
-       $ reduction $ node_budget $ policy_arg $ seed_arg $ gc_arg))
+       $ domains $ no_prune $ exact_configs $ lin_engine_arg $ reduction
+       $ node_budget $ policy_arg $ seed_arg))
 
 (* witness *)
 

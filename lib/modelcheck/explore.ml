@@ -8,8 +8,6 @@ let pp_decision fmt = function
   | Step pid -> Format.fprintf fmt "p%d" pid
   | Crash -> Format.fprintf fmt "CRASH"
 
-type engine = [ `Replay | `Undo ]
-
 type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
 
 let reduction_name = function
@@ -29,11 +27,9 @@ type config = {
   prune : bool;
   domains : int;
   exact_configs : bool;
-  engine : engine;
   lin_engine : Lin_check.engine;
   reduction : reduction;
   node_budget : int;
-  gc : Dtc_util.Gc_tune.t;
 }
 
 (* the wipe actually applied at a Crash decision: an explicit fault
@@ -53,14 +49,10 @@ let default_config =
     prune = true;
     domains = 1;
     exact_configs = false;
-    engine = `Undo;
     lin_engine = `Incremental;
     reduction = `None;
     node_budget = 0;
-    gc = Dtc_util.Gc_tune.none;
   }
-
-let engine_name = function `Replay -> "replay" | `Undo -> "undo"
 
 (* ---- dynamic partial-order reduction --------------------------------
 
@@ -173,14 +165,13 @@ type violation = {
 }
 
 type metrics = {
-  engine : string;
   dedup_hits : int;
   nodes_saved : int;
   peak_visited : int;
   fingerprint_collisions : int;
   elapsed_s : float;
   nodes_per_sec : float;
-  replay_depth_hist : (int * int) list;
+  depth_hist : (int * int) list;
   domains_used : int;
   rewound_cells : int;
   rewound_cells_per_sec : float;
@@ -220,10 +211,10 @@ type outcome = {
 
 (* Memoised summary of one DFS subtree: what the unpruned engine would
    have accumulated at-and-below a node with this state (excluding the
-   node's own replay, which every hit performs anyway to learn the
+   node's own visit, which every hit performs anyway to learn the
    state).  Adding a cached summary instead of re-exploring reproduces
    the unpruned counters exactly — pruning changes [nodes] (physical
-   replays) but never [executions]/[truncated]/[total_violations].
+   visits) but never [executions]/[truncated]/[total_violations].
 
    The table is open-addressed over flat int arrays (keys plus 4-int
    payload slots: logical nodes strictly below, executions, truncated,
@@ -306,7 +297,7 @@ end
    Under reduction two more components join the key, both constant 0
    when the reduction is off (so default-path memo behavior — and every
    committed counter — is unchanged): the sleep-set pid mask (a slept
-   subtree summary must not be replayed at a sleep-free revisit), and,
+   subtree summary must not be reused at a sleep-free revisit), and,
    under symmetry, the ever-stepped pid mask (interchangeability of two
    processes depends on neither having stepped on the path).
 
@@ -328,8 +319,6 @@ let mk_key ~fa ~fb ~dg ~c ~switches ~crashes ~smask ~stepped =
 
 type state = {
   cfg : config;
-  mk : unit -> Runtime.Machine.t * Obj_inst.t;
-  workloads : Spec.op list array;
   configs : Config_set.t;
   visited : Memo_tbl.t;
   (* Histograms are dense int arrays indexed by bucket — a Hashtbl
@@ -338,7 +327,7 @@ type state = {
      by the word size. *)
   mutable depth_hist : int array;
   journal_hist : int array;
-      (* undo engine: log2-bucketed journal depth sampled at each node *)
+      (* log2-bucketed journal depth sampled at each node *)
   frontier_hist : int array;
       (* incremental checker: log2-bucketed frontier size per node *)
   mutable lin : Lin_check.Session.t option;
@@ -356,7 +345,7 @@ type state = {
   mutable n_violations : int;
   mutable dedup_hits : int;
   mutable nodes_saved : int;
-  mutable rewound : int;  (* undo engine: cells restored by rewinds *)
+  mutable rewound : int;  (* cells restored by rewinds *)
   mutable intern_hits : int;
   mutable intern_misses : int;
   mutable sleep_skips : int;  (* children pruned by the sleep set *)
@@ -370,8 +359,8 @@ type state = {
          node at depth [d] (safe — recursion only visits deeper slots
          while a node's buffer is live) *)
   mutable mbufs : Session.mark_buf array;
-      (* per-depth pooled session marks for the undo engine, same
-         reuse discipline; distinct buffers in slots 0..mbufs_n-1 *)
+      (* per-depth pooled session marks, same reuse discipline;
+         distinct buffers in slots 0..mbufs_n-1 *)
   mutable mbufs_n : int;
   n_procs : int;
   wl_class : int array;
@@ -398,12 +387,9 @@ type state = {
      whose stamp is unchanged since the cached entry has an identical
      logged state (stamps are restored exactly by rewinds and drawn
      from a never-rewound counter), so its [proc_sym_sig] walk can be
-     skipped.  Stamps are only meaningful within one session, so the
-     caches are flushed whenever the session identity changes — the
-     undo engines keep one session for the whole search and hit almost
-     always; the replay engine makes a session per node and never hits.
+     skipped.  Stamps are only meaningful within one session, which is
+     fine: a state serves exactly one session for its whole search.
      [-1] marks an empty slot (real stamps are >= 0). *)
-  mutable c_sess : Session.t option;
   c_self_stamp : int array;
   c_self_val : int array;  (* self-relabeled signature, for [canon_order] *)
   c_perm_stamp : int array;
@@ -411,14 +397,12 @@ type state = {
   c_perm_val : int array;  (* rank-relabeled digest, for [canon_key] *)
 }
 
-let mk_state ?(sym_memo = false) cfg mk workloads =
+let mk_state ?(sym_memo = false) cfg workloads =
   let n_procs = Array.length workloads in
   let scr () = if sym_memo then Array.make n_procs 0 else [||] in
   let scr_empty () = if sym_memo then Array.make n_procs (-1) else [||] in
   {
     cfg;
-    mk;
-    workloads;
     configs =
       Config_set.create
         ~mode:(if cfg.exact_configs then Config_set.Exact else Config_set.Fingerprint)
@@ -467,7 +451,6 @@ let mk_state ?(sym_memo = false) cfg mk workloads =
     c_rank = scr ();
     c_pacc = scr ();
     c_slot = scr ();
-    c_sess = None;
     c_self_stamp = scr_empty ();
     c_self_val = scr ();
     c_perm_stamp = scr_empty ();
@@ -566,14 +549,6 @@ let canon_order st session ~smask ~stepped =
   and ord = st.c_ord
   and inv = st.c_inv
   and rank = st.c_rank in
-  (* stamps only identify states within one session: flush the digest
-     caches if this state object last served a different session *)
-  (match st.c_sess with
-  | Some s when s == session -> ()
-  | _ ->
-      st.c_sess <- Some session;
-      Array.fill st.c_self_stamp 0 n (-1);
-      Array.fill st.c_perm_stamp 0 n (-1));
   for p = 0 to n - 1 do
     let r = Session.sym_rank session p in
     evr.(p) <- (if r < 0 then max_int else r);
@@ -694,24 +669,6 @@ let canon_key st session machine ~cur ~switches ~crashes ~sleep ~stepped =
   let m = Value.mix in
   m (m (m (m (m !acc c) switches) crashes) rsleep) !rstepped land max_int
 
-(* [decisions] is kept newest-first during the DFS; replay applies it
-   oldest-first. *)
-let replay st decisions =
-  let machine, inst = st.mk () in
-  (* sym-memo keys read the per-process interaction logs, which only
-     undo-mode sessions keep; the replay engine's behavior is otherwise
-     untouched by the journaling *)
-  let session =
-    Session.create ~policy:st.cfg.policy ~undo:st.sym_memo machine inst
-      ~workloads:st.workloads
-  in
-  List.iter
-    (function
-      | Step pid -> Session.step session pid
-      | Crash -> Session.crash_wipe session (config_wipe st.cfg))
-    (List.rev decisions);
-  (machine, inst, session)
-
 let log2_bucket n =
   let rec go acc n = if n = 0 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
@@ -804,168 +761,20 @@ let record_execution st ~decisions ~inst ~session ~truncated =
             msg }
           :: st.violations
 
-(* DFS over decision sequences: [cur] is the running process (switching
-   away from it costs budget; after a crash any process is free),
-   [switches]/[crashes] are budget spent so far, [depth] the length of
-   [decisions].  [sleep] is the DPOR sleep set ((pid, pending request)
-   pairs; always [] when the reduction is off) and [stepped] the mask of
-   pids that have taken a step anywhere on the path (only consulted by
-   the symmetry reduction).  Returns the node's entry event count so the
-   parent can tell whether the decision that reached it was silent. *)
-(* [hlen] is the parent node's history length: what the incremental
-   checker session has already been fed when this node is entered. *)
-let rec dfs st decisions ~depth ~hlen ~sleep ~stepped cur switches crashes =
-  if st.cfg.node_budget > 0 && st.nodes >= st.cfg.node_budget then
-    raise Node_cap;
-  st.nodes <- st.nodes + 1;
-  bump_depth st depth;
-  let machine, inst, session = replay st decisions in
-  ignore (Config_set.add_live st.configs (Runtime.Machine.mem machine) : bool);
-  let here = Session.event_count session in
-  let red = st.cfg.reduction in
-  let sym_active =
-    match red with
-    | `Dpor_sym | `Dpor_sym_memo -> inst.Obj_inst.id_symmetric
-    | `None | `Dpor -> false
-  in
-  let key =
-    if st.cfg.prune then
-      Some
-        (if st.sym_memo && crashes = 0 then
-           canon_key st session machine ~cur ~switches ~crashes ~sleep ~stepped
-         else begin
-           let fa, fb =
-             Mem.live_fingerprint_full (Runtime.Machine.mem machine)
-           in
-           let c = match cur with None -> -1 | Some pid -> pid in
-           mk_key ~fa ~fb ~dg:(Session.state_digest session) ~c ~switches
-             ~crashes ~smask:(sleep_mask sleep)
-             ~stepped:(if sym_active then stepped else 0)
-         end)
-    else None
-  in
-  let mslot =
-    match key with Some k -> Memo_tbl.find st.visited k | None -> -1
-  in
-  (if mslot >= 0 then begin
-     let v = st.visited in
-     st.dedup_hits <- st.dedup_hits + 1;
-     st.nodes_saved <- st.nodes_saved + Memo_tbl.nodes_at v mslot;
-     st.executions <- st.executions + Memo_tbl.execs_at v mslot;
-     st.truncated <- st.truncated + Memo_tbl.trunc_at v mslot;
-     st.n_violations <- st.n_violations + Memo_tbl.viols_at v mslot
-   end
-   else begin
-      let nodes0 = st.nodes
-      and saved0 = st.nodes_saved
-      and execs0 = st.executions
-      and trunc0 = st.truncated
-      and viols0 = st.n_violations in
-      let lm = lin_enter st ~inst ~session ~hlen in
-      let runnable = Session.runnable session in
-      if runnable = [] then
-        record_execution st ~decisions ~inst ~session ~truncated:false
-      else if Session.steps session >= st.cfg.max_steps then
-        record_execution st ~decisions ~inst ~session ~truncated:true
-      else begin
-        (* crash move: dependent with everything, so it is never slept
-           and its child starts with an empty sleep set *)
-        if crashes < st.cfg.crash_budget then
-          ignore
-            (dfs st (Crash :: decisions) ~depth:(depth + 1) ~hlen:here
-               ~sleep:[] ~stepped None switches (crashes + 1)
-              : int);
-        (* step moves *)
-        let sleep = ref sleep in
-        let explored = ref 0 (* pid mask; reduction is off past 62 procs *) in
-        let source_ok =
-          source_eligible ~reduction:red ~crash_budget:st.cfg.crash_budget ~cur
-            ~crashes session
-        in
-        let source_stop = ref false in
-        List.iter
-          (fun pid ->
-            (* only a preemption costs budget: switching away from a process
-               that finished (or crashed) is free *)
-            let cost =
-              match cur with
-              | None -> 0
-              | Some c -> if c = pid || not (List.mem c runnable) then 0 else 1
-            in
-            if !source_stop then begin
-              if switches + cost <= st.cfg.switch_budget then
-                st.source_skips <- st.source_skips + 1
-            end
-            else if switches + cost <= st.cfg.switch_budget then begin
-              if red <> `None && List.mem_assoc pid !sleep then
-                st.sleep_skips <- st.sleep_skips + 1
-              else if
-                sym_active
-                && stepped land (1 lsl pid) = 0
-                && List.exists
-                     (fun q ->
-                       q < pid
-                       && stepped land (1 lsl q) = 0
-                       && st.wl_class.(q) = st.wl_class.(pid)
-                       && !explored land (1 lsl q) <> 0
-                       && Sym.swap_invariant ~n:st.n_procs
-                            (Runtime.Machine.mem machine) pid q)
-                     runnable
-              then st.sym_skips <- st.sym_skips + 1
-              else begin
-                let req =
-                  if red <> `None then Session.pending_request session pid
-                  else None
-                in
-                let child_sleep =
-                  match req with
-                  | Some r -> List.filter (fun (_, r') -> independent r r') !sleep
-                  | None -> []
-                in
-                let child_here =
-                  dfs st (Step pid :: decisions) ~depth:(depth + 1) ~hlen:here
-                    ~sleep:child_sleep
-                    ~stepped:(stepped lor (1 lsl pid))
-                    (Some pid) (switches + cost) crashes
-                in
-                explored := !explored lor (1 lsl pid);
-                (* source set: the running process's local silent step is a
-                   sufficient singleton — siblings are covered by the child
-                   subtree (see the source-set comment above) *)
-                if source_ok && cur = Some pid && child_here = here then
-                  source_stop := true;
-                (match req with
-                | Some r when child_here = here && sleepable r ->
-                    sleep := (pid, r) :: !sleep
-                | _ -> ())
-              end
-            end)
-          runnable
-      end;
-      lin_leave st lm;
-      match key with
-      | Some k ->
-          Memo_tbl.set st.visited k
-            ~nodes:(st.nodes - nodes0 + (st.nodes_saved - saved0))
-            ~execs:(st.executions - execs0)
-            ~trunc:(st.truncated - trunc0)
-            ~viols:(st.n_violations - viols0)
-      | None -> ()
-   end);
-  here
-
-(* ---- undo engine ----------------------------------------------------
-
-   Same node structure, child generation and memoisation as [dfs], but
-   over ONE machine/session pair: each child is explored by
-   Session.mark → apply the decision → recurse → Session.rewind, so a
-   node costs O(work in its own subtree edge) instead of a full replay
-   of the decision prefix.  Because decisions are applied to a
-   configuration that is (by Session.rewind's contract) byte-identical
-   to what a fresh replay would produce, every counter, digest, memo
-   key and violation sample comes out identical to the replay engine's. *)
-
-let rec dfs_undo st session machine inst decisions ~depth ~hlen ~sleep ~stepped
+(* DFS over decision sequences, on ONE machine/session pair: each child
+   is explored by Session.mark → apply the decision → recurse →
+   Session.rewind, so a node costs O(work in its own subtree edge)
+   instead of a replay of the decision prefix.  [cur] is the running
+   process (switching away from it costs budget; after a crash any
+   process is free), [switches]/[crashes] are budget spent so far,
+   [depth] the length of [decisions] (newest-first).  [sleep] is the
+   DPOR sleep set ((pid, pending request) pairs; always [] when the
+   reduction is off) and [stepped] the mask of pids that have taken a
+   step anywhere on the path (only consulted by the symmetry
+   reduction).  [hlen] is the parent node's history length: what the
+   incremental checker session has already been fed when this node is
+   entered. *)
+let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
     cur switches crashes =
   if st.cfg.node_budget > 0 && st.nodes >= st.cfg.node_budget then
     raise Node_cap;
@@ -1027,7 +836,7 @@ let rec dfs_undo st session machine inst decisions ~depth ~hlen ~sleep ~stepped
           let mb = get_mbuf st session depth in
           Session.mark_into session mb;
           Session.crash_wipe session (config_wipe st.cfg);
-          dfs_undo st session machine inst (Crash :: decisions)
+          dfs st session machine inst (Crash :: decisions)
             ~depth:(depth + 1) ~hlen:here ~sleep:[] ~stepped None switches
             (crashes + 1);
           Session.rewind_buf session mb
@@ -1086,7 +895,7 @@ let rec dfs_undo st session machine inst decisions ~depth ~hlen ~sleep ~stepped
               Session.mark_into session mb;
               Session.step session pid;
               let silent = Session.event_count session = here in
-              dfs_undo st session machine inst (Step pid :: decisions)
+              dfs st session machine inst (Step pid :: decisions)
                 ~depth:(depth + 1) ~hlen:here ~sleep:child_sleep
                 ~stepped:(stepped lor (1 lsl pid))
                 (Some pid) (switches + cost) crashes;
@@ -1172,14 +981,13 @@ let finish ~t0 ~domains_used sts =
     capped = List.exists (fun st -> st.capped) sts;
     metrics =
       {
-        engine = engine_name base.cfg.engine;
         dedup_hits = sum (fun st -> st.dedup_hits);
         nodes_saved = sum (fun st -> st.nodes_saved);
         peak_visited = sum (fun st -> Memo_tbl.length st.visited);
         fingerprint_collisions = Config_set.collisions base.configs;
         elapsed_s;
         nodes_per_sec = float_of_int nodes /. Float.max elapsed_s 1e-9;
-        replay_depth_hist = sorted_hist base.depth_hist;
+        depth_hist = sorted_hist base.depth_hist;
         domains_used;
         rewound_cells = rewound;
         rewound_cells_per_sec = float_of_int rewound /. Float.max elapsed_s 1e-9;
@@ -1233,43 +1041,21 @@ let with_alloc_stats st f =
   r
 
 let explore_sequential ~t0 ~mk ~workloads ~sym_memo cfg =
-  let st = mk_state ~sym_memo cfg mk workloads in
-  Dtc_util.Gc_tune.with_applied cfg.gc (fun () ->
-      with_alloc_stats st (fun () ->
-          with_intern_stats st (fun () ->
-              try
-                ignore
-                  (dfs st [] ~depth:0 ~hlen:0 ~sleep:[] ~stepped:0 None 0 0
-                    : int)
-              with Node_cap -> st.capped <- true)));
+  let st = mk_state ~sym_memo cfg workloads in
+  with_alloc_stats st (fun () ->
+      with_intern_stats st (fun () ->
+          let machine, inst = mk () in
+          let session =
+            Session.create ~policy:cfg.policy ~undo:true machine inst ~workloads
+          in
+          (try
+             dfs st session machine inst [] ~depth:0 ~hlen:0 ~sleep:[]
+               ~stepped:0 None 0 0
+           with Node_cap -> st.capped <- true);
+          st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine)));
   finish ~t0 ~domains_used:1 [ st ]
 
-let explore_undo_sequential ~t0 ~mk ~workloads ~sym_memo cfg =
-  let st = mk_state ~sym_memo cfg mk workloads in
-  Dtc_util.Gc_tune.with_applied cfg.gc (fun () ->
-      with_alloc_stats st (fun () ->
-          with_intern_stats st (fun () ->
-              let machine, inst = mk () in
-              let session =
-                Session.create ~policy:cfg.policy ~undo:true machine inst
-                  ~workloads
-              in
-              (try
-                 dfs_undo st session machine inst [] ~depth:0 ~hlen:0 ~sleep:[]
-                   ~stepped:0 None 0 0
-               with Node_cap -> st.capped <- true);
-              st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine))));
-  finish ~t0 ~domains_used:1 [ st ]
-
-(* Parallel exploration: replay the root once to learn the top-level
-   decision frontier, deal the frontier round-robin to worker domains,
-   and let each worker run the ordinary replay-based DFS on its share.
-   Replay shares no mutable state across workers — every node rebuilds
-   its machine through [mk] — so the only cross-domain traffic is the
-   final merge.  Memo tables are per-worker; because cached summaries
-   are exact, missing cross-worker dedup costs only replays, never
-   accuracy. *)
-(* Root-level reduction for the parallel explorers: mirror [dfs]'s own
+(* Root-level reduction for the parallel explorer: mirror [dfs]'s own
    sibling walk when generating the top-level task list.  Symmetric
    never-stepped siblings are skipped outright (counted in the root
    state's [sym_skips]), and each step task carries the sibling sleep
@@ -1279,7 +1065,7 @@ let explore_undo_sequential ~t0 ~mk ~workloads ~sym_memo cfg =
    (one extra machine step per root child; the probes are not counted
    as explored nodes).  [explored]/[sleep] accumulate left-to-right
    exactly as in [dfs], so the reduction decisions match the
-   sequential engines' root node decision for decision. *)
+   sequential search's root node decision for decision. *)
 let root_step_tasks root (cfg : config) inst mem session runnable ~probe_silent
     =
   let red = cfg.reduction in
@@ -1323,71 +1109,16 @@ let root_step_tasks root (cfg : config) inst mem session runnable ~probe_silent
       end)
     runnable
 
+(* Parallel exploration: learn the top-level decision frontier at the
+   root, deal it round-robin to worker domains, and let each worker run
+   the ordinary DFS on its share.  Each worker owns ONE session built
+   through [mk] — it marks the root configuration once and explores its
+   whole share by apply/recurse/rewind — so the only cross-domain
+   traffic is the final merge.  Memo tables are per-worker; because
+   cached summaries are exact, missing cross-worker dedup costs only
+   revisits, never accuracy. *)
 let explore_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains =
-  let root = mk_state ~sym_memo cfg mk workloads in
-  root.nodes <- 1;
-  bump_depth root 0;
-  let machine, inst, session = replay root [] in
-  ignore (Config_set.add_live root.configs (Runtime.Machine.mem machine) : bool);
-  let runnable = Session.runnable session in
-  if runnable = [] then begin
-    record_execution root ~decisions:[] ~inst ~session ~truncated:false;
-    finish ~t0 ~domains_used:1 [ root ]
-  end
-  else if Session.steps session >= cfg.max_steps then begin
-    record_execution root ~decisions:[] ~inst ~session ~truncated:true;
-    finish ~t0 ~domains_used:1 [ root ]
-  end
-  else begin
-    (* mirror [dfs]'s child generation at the root: cur = None, so every
-       step child is free and a crash child spends one crash budget *)
-    let here0 = Session.event_count session in
-    let probe_silent pid =
-      let _, _, s' = replay root [ Step pid ] in
-      Session.event_count s' = here0
-    in
-    let tasks =
-      (if cfg.crash_budget > 0 then [ (Crash, None, 0, 1, []) ] else [])
-      @ root_step_tasks root cfg inst
-          (Runtime.Machine.mem machine)
-          session runnable ~probe_silent
-    in
-    let n_workers = min domains (List.length tasks) in
-    let chunks = Array.make n_workers [] in
-    List.iteri
-      (fun i task -> chunks.(i mod n_workers) <- task :: chunks.(i mod n_workers))
-      tasks;
-    let worker idx () =
-      (* worker domains are fresh: GC tuning applies to this domain only
-         and dies with it *)
-      Dtc_util.Gc_tune.apply cfg.gc;
-      let st = mk_state ~sym_memo cfg mk workloads in
-      (* root-level sleeping and symmetry ride in on the task list (see
-         [root_step_tasks]); the node budget stays per worker *)
-      with_alloc_stats st (fun () ->
-          try
-            List.iter
-              (fun (d, cur, switches, crashes, sleep) ->
-                let stepped = match d with Step pid -> 1 lsl pid | Crash -> 0 in
-                ignore
-                  (dfs st [ d ] ~depth:1 ~hlen:0 ~sleep ~stepped cur switches
-                     crashes
-                    : int))
-              (List.rev chunks.(idx))
-          with Node_cap -> st.capped <- true);
-      st
-    in
-    let handles = Array.init n_workers (fun i -> Domain.spawn (worker i)) in
-    let sts = Array.to_list (Array.map Domain.join handles) in
-    finish ~t0 ~domains_used:n_workers (root :: sts)
-  end
-
-(* Parallel undo engine: same frontier dealing as [explore_parallel],
-   but each worker owns ONE undo session — it marks the root
-   configuration once and explores its whole share of the frontier by
-   apply/recurse/rewind, never replaying. *)
-let explore_undo_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains =
-  let root = mk_state ~sym_memo cfg mk workloads in
+  let root = mk_state ~sym_memo cfg workloads in
   root.nodes <- 1;
   bump_depth root 0;
   bump_fixed root.journal_hist 0;
@@ -1432,10 +1163,7 @@ let explore_undo_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains =
       (fun i task -> chunks.(i mod n_workers) <- task :: chunks.(i mod n_workers))
       tasks;
     let worker idx () =
-      (* worker domains are fresh: GC tuning applies to this domain only
-         and dies with it *)
-      Dtc_util.Gc_tune.apply cfg.gc;
-      let st = mk_state ~sym_memo cfg mk workloads in
+      let st = mk_state ~sym_memo cfg workloads in
       with_alloc_stats st (fun () ->
           let machine, inst = mk () in
           let session =
@@ -1454,7 +1182,7 @@ let explore_undo_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains =
                  let stepped =
                    match d with Step pid -> 1 lsl pid | Crash -> 0
                  in
-                 dfs_undo st session machine inst [ d ] ~depth:1 ~hlen:0 ~sleep
+                 dfs st session machine inst [ d ] ~depth:1 ~hlen:0 ~sleep
                    ~stepped cur switches crashes;
                  Session.rewind session root_mark)
                (List.rev chunks.(idx))
@@ -1498,25 +1226,18 @@ let explore ~mk ~workloads (cfg : config) =
     | `None | `Dpor | `Dpor_sym -> false
   in
   let domains = max 1 cfg.domains in
-  match cfg.engine with
-  | `Replay ->
-      if domains = 1 then explore_sequential ~t0 ~mk ~workloads ~sym_memo cfg
-      else explore_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains
-  | `Undo ->
-      if domains = 1 then
-        explore_undo_sequential ~t0 ~mk ~workloads ~sym_memo cfg
-      else explore_undo_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains
+  if domains = 1 then explore_sequential ~t0 ~mk ~workloads ~sym_memo cfg
+  else explore_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains
 
 let no_metrics ~elapsed_s ~nodes =
   {
-    engine = "replay";
     dedup_hits = 0;
     nodes_saved = 0;
     peak_visited = 0;
     fingerprint_collisions = 0;
     elapsed_s;
     nodes_per_sec = float_of_int nodes /. Float.max elapsed_s 1e-9;
-    replay_depth_hist = [];
+    depth_hist = [];
     domains_used = 1;
     rewound_cells = 0;
     rewound_cells_per_sec = 0.;

@@ -7,9 +7,12 @@ open Sched
     Because process programs are deterministic given the values their
     primitive steps return, an execution is fully determined by its
     {e decision sequence}: at each point, either some process takes its
-    next primitive step or the system crashes.  The explorer re-executes
-    the workload from scratch along every decision sequence in a bounded
-    family and checks every resulting history with {!Lin_check}.
+    next primitive step or the system crashes.  The explorer walks every
+    decision sequence in a bounded family depth-first on one live
+    machine and session, backtracking by {!Session.mark}/[rewind] over
+    the store's write journal (discarded fibers are rebuilt lazily by
+    ghost replay), and checks every resulting history with
+    {!Lin_check}.
 
     Full interleaving exploration explodes combinatorially, so the family
     is {e delay-bounded} (Emmi–Qadeer–Rakamarić style): a run may switch
@@ -20,7 +23,7 @@ open Sched
     switches), and every scheduling bug this repository's ablations plant
     is found with budgets ≤ 3.
 
-    Two engine features keep larger budgets affordable (see DESIGN.md,
+    Two search features keep larger budgets affordable (see DESIGN.md,
     "Scaling the checker"):
 
     - {b Pruning} ([prune], on by default): each DFS node is keyed by a
@@ -29,14 +32,14 @@ open Sched
       Revisiting an equivalent node adds the cached
       executions/violations counts instead of re-exploring, so pruning
       is {e exact}: [executions], [truncated], [total_violations] and
-      [distinct_shared_configs] are identical to the unpruned engine's;
-      only [nodes] (physical replays) shrinks.  Commuting interleavings
+      [distinct_shared_configs] are identical to the unpruned search's;
+      only [nodes] (physical visits) shrinks.  Commuting interleavings
       of non-interfering steps all land on the same key, which is where
       the savings come from.
     - {b Parallelism} ([domains] > 1): the top-level decision frontier is
       dealt round-robin to that many OCaml domains, each running the
-      replay-based DFS on its share with its own machines, memo table
-      and configuration set; outcomes merge at the join.  [mk] must
+      DFS on its share with its own machine, session, memo table and
+      configuration set; outcomes merge at the join.  [mk] must
       therefore be safe to call concurrently (a pure constructor of
       fresh machines — which every existing factory already is).
 
@@ -48,19 +51,6 @@ open Sched
 type decision = Step of int  (** process [pid] takes one step *) | Crash
 
 val pp_decision : Format.formatter -> decision -> unit
-
-type engine = [ `Replay | `Undo ]
-(** Execution substrate of the DFS.
-
-    [`Replay] rebuilds machine + session from the root for every node
-    (the historical engine, O(depth) per node).  [`Undo] keeps ONE
-    machine/session pair and backtracks by [Session.mark]/[rewind] over
-    the store's write journal — O(work-since-mark) per node, with
-    discarded fibers rebuilt lazily by ghost replay.  Both engines
-    visit the same nodes in the same order with identical state
-    digests, so [executions]/[truncated]/[total_violations]/
-    [distinct_shared_configs] and the violation samples are identical;
-    only speed (and the engine-specific metrics) differ. *)
 
 type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
 (** Search-space reduction applied during child generation (default
@@ -74,7 +64,7 @@ type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
     steps (two steps are dependent iff they may touch the same cell
     with at least one writer; crashes are dependent with everything),
     so commuting interleavings of independent steps are pruned
-    {e before} being replayed rather than merely deduplicated
+    {e before} being explored rather than merely deduplicated
     afterwards.  A step is only slept when executing it emitted no
     history events, which keeps the linearizability checker's event
     order out of the commutation.  The source-set rule goes further
@@ -146,15 +136,14 @@ type config = {
   wipe : Fault_model.wipe option;
       (** when [Some w], crashes apply fault-model wipe [w] instead of
           the [keep] mask (see {!Nvm.Fault_model}); [Seeded] wipes key
-          their randomness on the session's crash counter, which the
-          undo engine rewinds, so both engines replay identical crash
-          outcomes.  Default [None]. *)
+          their randomness on the session's crash counter, which
+          backtracking rewinds, so every revisit of a crash decision
+          sees the same outcome.  Default [None]. *)
   max_violations : int;  (** stop collecting after this many samples *)
   prune : bool;  (** memoise subtrees by state fingerprint (exact) *)
   domains : int;  (** worker domains; 1 = sequential *)
   exact_configs : bool;
       (** audit config-set fingerprints with full snapshots *)
-  engine : engine;  (** execution substrate; default [`Undo] *)
   lin_engine : Lin_check.engine;
       (** linearizability-checker engine; default [`Incremental].
           [`Incremental] keeps one {!Lin_check.Session} synced along
@@ -174,21 +163,13 @@ type config = {
           [domains > 1] the budget applies per worker domain.  The cap
           is on {e physical} nodes, which is what makes reduced and
           unreduced searches comparable under the same budget. *)
-  gc : Dtc_util.Gc_tune.t;
-      (** per-domain GC tuning applied to every domain the exploration
-          runs on: inside each spawned worker when [domains > 1], and
-          around (with restore-after) the sequential search otherwise.
-          Default {!Dtc_util.Gc_tune.none} — GC parameters untouched. *)
 }
 
 val default_config : config
 (** switch budget 3, crash budget 1, 2_000 steps, [Retry], keep-all,
     collect up to 3 violations; pruning on, 1 domain, fingerprint-mode
-    configuration counting, undo engine, incremental checker, no
-    reduction, no node budget. *)
-
-val engine_name : engine -> string
-(** ["replay"] / ["undo"] — the label used in metrics and JSON. *)
+    configuration counting, incremental checker, no reduction, no node
+    budget. *)
 
 type violation = {
   decisions : decision list;  (** the schedule that exhibits it *)
@@ -197,27 +178,26 @@ type violation = {
 }
 
 type metrics = {
-  engine : string;  (** {!engine_name} of the engine that ran *)
   dedup_hits : int;  (** nodes answered from the visited set *)
   nodes_saved : int;
-      (** logical nodes the memo hits avoided replaying; the unpruned
-          engine would have visited [nodes + nodes_saved] nodes *)
+      (** logical nodes the memo hits avoided visiting; the unpruned
+          search would have visited [nodes + nodes_saved] nodes *)
   peak_visited : int;  (** total memo-table entries (summed over domains) *)
   fingerprint_collisions : int;
       (** {!Config_set.collisions} of the merged set; always 0 unless
           [exact_configs] *)
   elapsed_s : float;
   nodes_per_sec : float;  (** physically visited nodes per wall-clock second *)
-  replay_depth_hist : (int * int) list;
+  depth_hist : (int * int) list;
       (** (decision-sequence length, visited nodes at that depth),
           ascending — the work profile of the search *)
   domains_used : int;
   rewound_cells : int;
-      (** undo engine: total cell restorations performed by rewinds *)
+      (** total cell restorations performed by rewinds *)
   rewound_cells_per_sec : float;
   journal_depth_hist : (int * int) list;
-      (** undo engine: (log2 bucket of journal depth, nodes sampled at
-          that depth), ascending; bucket [b] covers depths
+      (** (log2 bucket of journal depth, nodes sampled at that depth),
+          ascending; bucket [b] covers depths
           [2^(b-1) .. 2^b - 1] (bucket 0 = empty journal) *)
   intern_hits : int;  (** {!Nvm.Value.intern} table hits during the run *)
   intern_misses : int;
@@ -267,7 +247,7 @@ type metrics = {
 type outcome = {
   executions : int;  (** complete executions explored (incl. memoised) *)
   truncated : int;  (** executions cut off by [max_steps] *)
-  nodes : int;  (** DFS nodes physically replayed *)
+  nodes : int;  (** DFS nodes physically visited *)
   violations : violation list;  (** sample, capped at [max_violations] *)
   total_violations : int;  (** all violating executions, uncapped *)
   distinct_shared_configs : int;
@@ -285,9 +265,8 @@ val explore :
   config ->
   outcome
 (** [mk] must build a fresh machine and instance on every call (the
-    explorer re-executes from the initial configuration once per DFS
-    node) and, when [domains > 1], must tolerate concurrent calls from
-    different domains. *)
+    explorer builds one per worker domain) and, when [domains > 1], must
+    tolerate concurrent calls from different domains. *)
 
 val crash_points :
   mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->

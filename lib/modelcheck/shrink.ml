@@ -39,8 +39,12 @@ let judge ~lin_engine session (inst : Obj_inst.t) =
   | Lin_check.Ok_linearizable _ -> None
   | Lin_check.Violation msg -> Some (Session.history session, msg)
 
-let run_candidate ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine decisions
-    =
+let reproduces ~mk ~workloads ?(policy = Session.Retry)
+    ?(keep = fun (_ : Nvm.Loc.t) -> true) ?wipe ?(max_steps = 5_000)
+    ?(lin_engine = (`Incremental : Lin_check.engine)) decisions =
+  let wipe =
+    match wipe with Some w -> w | None -> Nvm.Fault_model.Keep keep
+  in
   let machine, inst = mk () in
   let session = Session.create ~policy machine inst ~workloads in
   ignore machine;
@@ -48,69 +52,21 @@ let run_candidate ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine decisions
   free_run session ~max_steps;
   judge ~lin_engine session inst
 
-let reproduces ~mk ~workloads ?(policy = Session.Retry)
-    ?(keep = fun (_ : Nvm.Loc.t) -> true) ?wipe ?(max_steps = 5_000)
-    ?(lin_engine = (`Incremental : Lin_check.engine)) decisions =
-  let wipe =
-    match wipe with Some w -> w | None -> Nvm.Fault_model.Keep keep
-  in
-  run_candidate ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine decisions
-
-(* Both engines perform the same greedy single-deletion search with the
-   same memoisation, so they try the same candidates in the same order
-   and return identical results (decisions, history, msg, attempts);
-   they differ only in how a candidate execution is realised. *)
-
-let minimise_replay ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine
-    decisions =
-  let attempts = ref 0 in
-  (* successive deletion passes can regenerate a candidate already tried
-     (deleting i then j yields the same list as deleting j then i); the
-     outcome is a pure function of the decision list, so memoise it and
-     only count physical replays in [attempts] *)
-  let seen = Hashtbl.create 64 in
-  let try_candidate ds =
-    match Hashtbl.find_opt seen ds with
-    | Some cached -> cached
-    | None ->
-        incr attempts;
-        let outcome =
-          run_candidate ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine ds
-        in
-        Hashtbl.replace seen ds outcome;
-        outcome
-  in
-  match try_candidate decisions with
-  | None -> None
-  | Some (history0, msg0) ->
-      (* greedy single-deletion passes until no deletion preserves the
-         violation (1-minimality) *)
-      let rec shrink (cur, history, msg) =
-        let n = List.length cur in
-        let rec try_deletions k =
-          if k >= n then None
-          else
-            let candidate = List.filteri (fun idx _ -> idx <> k) cur in
-            match try_candidate candidate with
-            | Some (h, m) -> Some (candidate, h, m)
-            | None -> try_deletions (k + 1)
-        in
-        match try_deletions 0 with
-        | Some shorter -> shrink shorter
-        | None -> (cur, history, msg)
-      in
-      let ds, history, msg = shrink (decisions, history0, msg0) in
-      Some { decisions = ds; history; msg; attempts = !attempts }
-
-(* Incremental engine: ONE undo session for the whole search.  Deleting
-   index [k] leaves the first [k] decisions of the current sequence
-   unchanged, and the greedy pass walks [k] upward, so the session is
-   simply advanced through the kept prefix one decision at a time; a
-   candidate is then evaluated by taking a mark where the session stands,
-   running only its tail plus the free run, and rewinding.  Candidate
+(* Greedy single-deletion passes until no deletion preserves the
+   violation (1-minimality), over ONE undo session for the whole search.
+   Deleting index [k] leaves the first [k] decisions of the current
+   sequence unchanged, and the greedy pass walks [k] upward, so the
+   session is simply advanced through the kept prefix one decision at a
+   time; a candidate is then evaluated by taking a mark where the
+   session stands, running only its tail plus the free run, and
+   rewinding.  Candidate
    cost drops from O(whole sequence) to O(its tail), and nothing is ever
    replayed from the root.  Marks stay LIFO: the only outstanding mark is
    the candidate-local one, plus the root mark used to restart passes.
+   Successive passes can regenerate a candidate already tried (deleting
+   i then j yields the same list as deleting j then i); the outcome is a
+   pure function of the decision list, so it is memoised and [attempts]
+   counts only physical executions.
 
    Under the incremental checker a [Lin_check.Session] shadows the undo
    session mark-for-mark: kept-prefix events are pushed below the
@@ -118,8 +74,12 @@ let minimise_replay ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine
    every later candidate of the pass), the candidate's own tail events
    above it. *)
 
-let minimise_undo ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine decisions
-    =
+let minimise ~mk ~workloads ?(policy = Session.Retry)
+    ?(keep = fun (_ : Nvm.Loc.t) -> true) ?wipe ?(max_steps = 5_000)
+    ?(lin_engine = (`Incremental : Lin_check.engine)) decisions =
+  let wipe =
+    match wipe with Some w -> w | None -> Nvm.Fault_model.Keep keep
+  in
   let machine, inst = mk () in
   let session = Session.create ~policy ~undo:true machine inst ~workloads in
   ignore machine;
@@ -221,28 +181,3 @@ let minimise_undo ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine decisions
       in
       let ds, history, msg = shrink (decisions, history0, msg0) in
       Some { decisions = ds; history; msg; attempts = !attempts }
-
-let minimise ~mk ~workloads ?(policy = Session.Retry)
-    ?(keep = fun (_ : Nvm.Loc.t) -> true) ?wipe ?(max_steps = 5_000)
-    ?(engine = (`Undo : Explore.engine))
-    ?(lin_engine = (`Incremental : Lin_check.engine))
-    ?(reduction = (`None : Explore.reduction)) decisions =
-  (* [reduction] records which search produced the witness; candidate
-     replays are single concrete schedules, so no pruning can apply and
-     the minimised result is invariant in it (the reduction tests pin
-     this) — that covers every mode, including the source-set rule and
-     the canonical memo keys of [`Dpor_sym_memo], which only ever cut
-     branches of a search tree and never alter a concrete replay.
-     Accepting it here keeps call sites honest about the contract
-     instead of silently dropping the search configuration. *)
-  ignore (Explore.reduction_name reduction);
-  let wipe =
-    match wipe with Some w -> w | None -> Nvm.Fault_model.Keep keep
-  in
-  match engine with
-  | `Replay ->
-      minimise_replay ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine
-        decisions
-  | `Undo ->
-      minimise_undo ~mk ~workloads ~policy ~wipe ~max_steps ~lin_engine
-        decisions

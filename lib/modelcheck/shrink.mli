@@ -17,18 +17,14 @@ open Sched
     closed.  The result therefore reproduces a violation under "prefix
     then free run", which is how the minimised schedule should be read.
 
-    Like {!Explore.explore}, the shrinker has two execution substrates
-    selected by [?engine].  [`Replay] builds a fresh machine + session
-    per candidate.  [`Undo] (the default) keeps one session in undo
+    Like {!Explore.explore}, the shrinker keeps one session in undo
     mode: the greedy pass advances the session through the kept prefix
     and evaluates each deletion candidate by mark / run-tail / rewind,
     so a candidate costs O(its tail) instead of O(the whole sequence).
-    Both engines try the same candidates in the same order and return
-    identical results, including [attempts].
 
-    Orthogonally, [?lin_engine] selects the linearizability-checker
-    engine (default [`Incremental]).  Under [`Undo] + [`Incremental] a
-    {!Lin_check.Session} shadows the undo session mark-for-mark, so each
+    [?lin_engine] selects the linearizability-checker engine (default
+    [`Incremental]).  Under [`Incremental] a {!Lin_check.Session}
+    shadows the undo session mark-for-mark, so each
     candidate's verdict reuses the frontier of the kept prefix instead
     of re-checking the whole history; verdicts are identical to
     [`Batch]'s, so the search trajectory and result do not depend on the
@@ -38,7 +34,7 @@ type result = {
   decisions : Explore.decision list;  (** the minimised prefix *)
   history : Event.t list;
   msg : string;
-  attempts : int;  (** replays performed while shrinking *)
+  attempts : int;  (** candidate executions performed while shrinking *)
 }
 
 val reproduces :
@@ -64,19 +60,9 @@ val minimise :
   ?keep:(Nvm.Loc.t -> bool) ->
   ?wipe:Nvm.Fault_model.wipe ->
   ?max_steps:int ->
-  ?engine:Explore.engine ->
   ?lin_engine:Lin_check.engine ->
-  ?reduction:Explore.reduction ->
   Explore.decision list ->
   result option
 (** [None] if the input sequence does not reproduce a violation under
     tolerant replay (shrinking needs a reproducible starting point).
-    [wipe] as in {!reproduces}.
-
-    [reduction] names the search that found the witness (default
-    [`None]).  Shrinking replays single concrete schedules, so no
-    sleep-set or symmetry pruning can apply to a candidate and the
-    minimised result is {e invariant} in this argument — the same
-    1-minimal witness comes back whichever reduction found the
-    violation.  The parameter exists to keep that contract explicit at
-    call sites (and under test) rather than silently discarded. *)
+    [wipe] as in {!reproduces}. *)

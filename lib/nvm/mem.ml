@@ -87,10 +87,10 @@ let term_b id (c : Value.hc) = Value.mix id c.Value.db
    Maintenance is gated on [journal_on]: it is the undo engine's
    signature, and that engine is exactly the caller whose hot loop
    reads a fingerprint at every node, where an O(1) accumulator read
-   beats the O(cells) scan.  The replay engine re-executes whole
-   decision prefixes per node, so per-write maintenance would cost it
-   O(depth) where one scan per node is cheaper — with the gate off it
-   keeps the scan (see the [live_] readers below).  [set_journal]
+   beats the O(cells) scan.  Stores that never journal (torture trials,
+   shrink reproductions) read fingerprints rarely if at all, so
+   per-write maintenance would be pure overhead — with the gate off
+   they keep the scan (see the [live_] readers below).  [set_journal]
    recomputes the accumulators when journaling turns on. *)
 let fp_set mem id (c' : Value.hc) =
   if mem.journal_on then begin

@@ -594,7 +594,7 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
                 Modelcheck.Shrink.minimise ~mk:spec.mk
                   ~workloads:(spec.workloads_of_seed tr.t_seed)
                   ~policy:spec.policy ~wipe ~max_steps:spec.max_steps
-                  ~engine:`Undo tr.t_trace
+                  tr.t_trace
               with _ -> None
             with
             | Some r ->
@@ -655,8 +655,7 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
   }
 
 let run ?(domains = 1) ?(root_seed = 1) ?(trials = 200) ?(shrink = true)
-    ?checkpoint ?(resume = false) ?(gc = Dtc_util.Gc_tune.none)
-    ?(should_stop = fun () -> false) spec =
+    ?checkpoint ?(resume = false) ?(should_stop = fun () -> false) spec =
   if trials < 0 then invalid_arg "Torture.run: trials must be non-negative";
   if resume && checkpoint = None then
     invalid_arg "Torture.run: resume requires a checkpoint path";
@@ -687,17 +686,13 @@ let run ?(domains = 1) ?(root_seed = 1) ?(trials = 200) ?(shrink = true)
   (* shard d owns the missing positions { k | k mod domains = d }; trials
      share nothing, so the only cross-domain traffic is the join.  Each
      worker builds one {!Session.scratch} and reuses it across its whole
-     trial range, applies the (opt-in) GC tuning on its own domain —
-     [Gc.control] is per-domain in OCaml 5, so tuning must happen inside
-     the worker, and [with_applied] restores the caller's settings on the
-     domains = 1 / rescue paths that run on the joining domain — and
-     meters its own allocation: [Gc.quick_stat] counters are per-domain
-     too, so the snapshots bracket the loop inside the worker and the
+     trial range, and meters its own allocation: [Gc.quick_stat]
+     counters are per-domain, so the snapshots bracket the loop inside
+     the worker and the
      shard deltas are summed after the join.  [should_stop] is polled
      between trials, so an interrupt loses at most the trials in
      flight — everything completed is already journaled. *)
   let worker d () =
-    Dtc_util.Gc_tune.with_applied gc @@ fun () ->
     let scratch = Session.make_scratch () in
     let a0 = Dtc_util.Alloc_stats.snap () in
     let acc = ref [] in

@@ -285,7 +285,6 @@ val run :
   ?shrink:bool ->
   ?checkpoint:string ->
   ?resume:bool ->
-  ?gc:Dtc_util.Gc_tune.t ->
   ?should_stop:(unit -> bool) ->
   spec ->
   report
@@ -298,10 +297,6 @@ val run :
     producing a report byte-identical ({!to_json} [~timing:false]) to an
     uninterrupted campaign.  Raises [Invalid_argument] if the journal
     was written by a campaign with different parameters.
-    [gc] (default {!Dtc_util.Gc_tune.none}: parameters untouched) is
-    applied inside every worker domain for the duration of its trial
-    loop — GC tuning can only change timing, never a verdict, so the
-    determinism contract is unaffected.
     [should_stop] (default [fun () -> false]) is polled between trials
     on every worker domain (it must therefore be thread-safe — an
     [Atomic.t] flag flipped by a signal handler is the intended use);

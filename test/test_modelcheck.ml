@@ -182,93 +182,144 @@ let test_engines_agree_reexec () =
     (check_engines_agree ~mk:mk_reexec ~workloads:fig2_workload ~switches:2
        ~crashes:1 ())
 
-(* --- the undo engine agrees with the replay engine ---
+(* --- the explorer agrees with the naive reference ---
 
-   The undo engine visits the same DFS nodes in the same order as the
-   replay engine (same runnable ordering, same digests, same memo keys),
-   so EVERY externally observable number — including physically visited
-   nodes and the memo statistics — and the violation samples must be
-   byte-identical; only wall-clock differs. *)
+   [Ref_modelcheck.explore] walks the same delay-bounded family with no
+   memo, no reduction and no undo journal, rebuilding every node from
+   the root, judging leaves with the batch checker and counting
+   configurations by pairwise memory-equivalence.  So every
+   externally observable count must be identical, with pruning on or
+   off and on any number of domains.  Violation samples come from
+   physically explored leaves, so they are always among the reference's
+   violations; without pruning every violating leaf is explored, and a
+   sequential run must then report exactly the reference's first ones. *)
 
-let viol_sig (o : Modelcheck.Explore.outcome) =
-  List.map
-    (fun (v : Modelcheck.Explore.violation) -> (v.decisions, v.msg))
-    o.Modelcheck.Explore.violations
+let viol_sig (v : Modelcheck.Explore.violation) = (v.decisions, v.msg, v.history)
 
-let check_undo_matches_replay ?(domains = 1) ~mk ~workloads ~switches ~crashes
-    () =
-  let cfg engine =
+let matches_reference ?(domains = [ 1 ]) ~mk ~workloads ~switches ~crashes () =
+  let base =
     {
       Modelcheck.Explore.default_config with
       switch_budget = switches;
       crash_budget = crashes;
-      domains;
-      engine;
     }
   in
-  let run e = Modelcheck.Explore.explore ~mk ~workloads (cfg e) in
-  let r = run `Replay and u = run `Undo in
-  let ck label f =
-    Alcotest.(check int) label (f r) (f u)
-  in
-  ck "executions" (fun o -> o.Modelcheck.Explore.executions);
-  ck "truncated" (fun o -> o.Modelcheck.Explore.truncated);
-  ck "nodes" (fun o -> o.Modelcheck.Explore.nodes);
-  ck "total_violations" (fun o -> o.Modelcheck.Explore.total_violations);
-  ck "distinct_shared_configs"
-    (fun o -> o.Modelcheck.Explore.distinct_shared_configs);
-  ck "dedup_hits"
-    (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.dedup_hits);
-  ck "nodes_saved"
-    (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.nodes_saved);
-  ck "peak_visited"
-    (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.peak_visited);
-  Alcotest.(check bool) "violation samples identical" true
-    (viol_sig r = viol_sig u);
-  Alcotest.(check string) "undo run is labelled undo" "undo"
-    u.Modelcheck.Explore.metrics.Modelcheck.Explore.engine;
-  u
+  let r = Ref_modelcheck.explore ~mk ~workloads base in
+  let ref_viols = List.map viol_sig r.violations in
+  let n_ref = List.length ref_viols in
+  List.for_all
+    (fun domains ->
+      List.for_all
+        (fun prune ->
+          let o =
+            Modelcheck.Explore.explore ~mk ~workloads
+              { base with domains; prune }
+          in
+          let samples = List.map viol_sig o.Modelcheck.Explore.violations in
+          let max_v = base.Modelcheck.Explore.max_violations in
+          o.Modelcheck.Explore.executions = r.executions
+          && o.Modelcheck.Explore.truncated = r.truncated
+          && o.Modelcheck.Explore.total_violations = n_ref
+          && o.Modelcheck.Explore.distinct_shared_configs
+             = r.distinct_shared_configs
+          && List.for_all (fun v -> List.mem v ref_viols) samples
+          && (samples <> [] || n_ref = 0)
+          && (prune || List.length samples = min max_v n_ref)
+          && (prune || domains > 1
+             || samples = List.filteri (fun i _ -> i < max_v) ref_viols))
+        [ true; false ])
+    domains
 
-let test_undo_engine_drw () =
-  ignore
-    (check_undo_matches_replay
-       ~mk:(fun () -> Test_support.mk_drw ~n:2 ())
-       ~workloads:[| [ Spec.write_op (i 1); Spec.read_op ]; [ Spec.write_op (i 2) ] |]
-       ~switches:2 ~crashes:1 ())
+let check_matches_reference ?domains ~mk ~workloads ~switches ~crashes () =
+  Alcotest.(check bool) "product = reference" true
+    (matches_reference ?domains ~mk ~workloads ~switches ~crashes ())
 
-let test_undo_engine_dcas () =
-  ignore
-    (check_undo_matches_replay
-       ~mk:(fun () -> Test_support.mk_dcas ~n:2 ())
-       ~workloads:[| [ Spec.cas_op (i 0) (i 1) ]; [ Spec.cas_op (i 1) (i 0) ] |]
-       ~switches:2 ~crashes:1 ())
+let test_reference_drw () =
+  check_matches_reference
+    ~mk:(fun () -> Test_support.mk_drw ~n:2 ())
+    ~workloads:[| [ Spec.write_op (i 1); Spec.read_op ]; [ Spec.write_op (i 2) ] |]
+    ~switches:2 ~crashes:1 ()
 
-let test_undo_engine_broken_violating () =
-  (* on the broken baselines the agreement covers real violation sets *)
-  let u =
-    check_undo_matches_replay ~mk:mk_no_vec ~workloads:no_vec_workload
-      ~switches:2 ~crashes:1 ()
-  in
-  Alcotest.(check bool) "no_vec violates" true
-    (u.Modelcheck.Explore.total_violations > 0);
-  Alcotest.(check bool) "undo engine rewinds" true
-    (u.Modelcheck.Explore.metrics.Modelcheck.Explore.rewound_cells > 0);
-  let u2 =
-    check_undo_matches_replay ~mk:mk_reexec ~workloads:fig2_workload
-      ~switches:2 ~crashes:1 ()
-  in
-  Alcotest.(check bool) "reexec violates" true
-    (u2.Modelcheck.Explore.total_violations > 0)
+let test_reference_dcas () =
+  check_matches_reference
+    ~mk:(fun () -> Test_support.mk_dcas ~n:2 ())
+    ~workloads:[| [ Spec.cas_op (i 0) (i 1) ]; [ Spec.cas_op (i 1) (i 0) ] |]
+    ~switches:2 ~crashes:1 ()
 
-let test_undo_engine_parallel () =
-  ignore
-    (check_undo_matches_replay ~domains:2 ~mk:mk_no_vec
-       ~workloads:no_vec_workload ~switches:2 ~crashes:1 ())
+let test_reference_broken () =
+  (* on the broken ablations the agreement covers real violation sets *)
+  List.iter
+    (fun (name, mk, workloads) ->
+      let o =
+        Modelcheck.Explore.explore ~mk ~workloads
+          Modelcheck.Explore.default_config
+      in
+      Alcotest.(check bool) (name ^ " violates") true
+        (o.Modelcheck.Explore.total_violations > 0);
+      Alcotest.(check bool) (name ^ " rewinds") true
+        (o.Modelcheck.Explore.metrics.Modelcheck.Explore.rewound_cells > 0);
+      check_matches_reference ~mk ~workloads ~switches:2 ~crashes:1 ())
+    [ ("no_vec", mk_no_vec, no_vec_workload); ("reexec", mk_reexec, fig2_workload) ]
+
+let test_reference_parallel () =
+  check_matches_reference ~domains:[ 2 ] ~mk:mk_no_vec
+    ~workloads:no_vec_workload ~switches:2 ~crashes:1 ()
+
+(* random cas workloads on the real Dcas or its no-vec ablation; each
+   case costs the reference 2-8 s on a 2-vCPU VM at this budget, hence
+   the small count *)
+let prop_reference_random_workloads =
+  QCheck.Test.make ~name:"undo = reference, random" ~count:5
+    QCheck.(pair small_nat bool)
+    (fun (seed, broken) ->
+      let workloads =
+        Workload.cas
+          (Dtc_util.Prng.create (seed + 1))
+          ~procs:2 ~ops_per_proc:2 ~values:2
+      in
+      let mk () =
+        if broken then mk_no_vec () else Test_support.mk_dcas ~n:2 ()
+      in
+      matches_reference ~domains:[ 1; 2 ] ~mk ~workloads ~switches:2
+        ~crashes:1 ())
+
+(* Reductions visit a subset of the unreduced search's nodes, so their
+   configuration counts are lower bounds — including the orbit-weighted
+   counts of [`Dpor_sym_memo], which uniform CAS chains on the
+   id-symmetric Dcas fully activate.  None may exceed the reference's
+   exact census. *)
+let prop_reduced_configs_bounded =
+  QCheck.Test.make ~name:"reduced configs <= exact" ~count:6
+    QCheck.(pair (int_range 2 3) (int_range 1 2))
+    (fun (n, ops) ->
+      let mk () = Test_support.mk_dcas ~n () in
+      let workloads =
+        Array.make n (List.init ops (fun k -> Spec.cas_op (i k) (i (k + 1))))
+      in
+      let cfg =
+        {
+          Modelcheck.Explore.default_config with
+          switch_budget = 2;
+          crash_budget = 0;
+        }
+      in
+      let exact =
+        (Ref_modelcheck.explore ~mk ~workloads cfg)
+          .distinct_shared_configs
+      in
+      List.for_all
+        (fun reduction ->
+          let o = Modelcheck.Explore.explore ~mk ~workloads { cfg with reduction } in
+          o.Modelcheck.Explore.distinct_shared_configs <= exact
+          && (reduction <> `Dpor_sym_memo
+             || o.Modelcheck.Explore.metrics.Modelcheck.Explore.canonical_orbits
+                > 0))
+        [ `Dpor; `Dpor_sym; `Dpor_sym_memo ])
 
 (* --- the incremental lin-checker agrees with the batch reference ---
 
-   Same contract as undo-vs-replay: the checker engine must not change
-   ANY externally observable number, only the leaf-check cost. *)
+   The checker engine must not change ANY externally observable number,
+   only the leaf-check cost. *)
 
 let check_lin_engines_agree ~mk ~workloads ~switches ~crashes () =
   let cfg lin_engine =
@@ -293,7 +344,8 @@ let check_lin_engines_agree ~mk ~workloads ~switches ~crashes () =
   ck "lin_events_total"
     (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.lin_events_total);
   Alcotest.(check bool) "violation samples identical" true
-    (viol_sig b = viol_sig inc);
+    (List.map viol_sig b.Modelcheck.Explore.violations
+    = List.map viol_sig inc.Modelcheck.Explore.violations);
   Alcotest.(check string) "batch run labelled batch" "batch"
     b.Modelcheck.Explore.metrics.Modelcheck.Explore.lin_engine;
   Alcotest.(check string) "incremental run labelled incremental" "incremental"
@@ -330,35 +382,6 @@ let test_lin_engines_agree_broken () =
   Alcotest.(check bool) "violations present" true
     (inc.Modelcheck.Explore.total_violations > 0)
 
-let prop_undo_replay_random_workloads =
-  (* engine equivalence over randomly generated cas workloads on the
-     ablated (violating) object — each seed is a fresh property case *)
-  QCheck.Test.make ~name:"undo = replay on random workloads" ~count:12
-    QCheck.small_nat (fun seed ->
-      let workloads =
-        Workload.cas
-          (Dtc_util.Prng.create (seed + 1))
-          ~procs:2 ~ops_per_proc:2 ~values:2
-      in
-      let cfg engine =
-        {
-          Modelcheck.Explore.default_config with
-          switch_budget = 2;
-          crash_budget = 1;
-          engine;
-        }
-      in
-      let run e = Modelcheck.Explore.explore ~mk:mk_no_vec ~workloads (cfg e) in
-      let r = run `Replay and u = run `Undo in
-      r.Modelcheck.Explore.executions = u.Modelcheck.Explore.executions
-      && r.Modelcheck.Explore.truncated = u.Modelcheck.Explore.truncated
-      && r.Modelcheck.Explore.nodes = u.Modelcheck.Explore.nodes
-      && r.Modelcheck.Explore.total_violations
-         = u.Modelcheck.Explore.total_violations
-      && r.Modelcheck.Explore.distinct_shared_configs
-         = u.Modelcheck.Explore.distinct_shared_configs
-      && viol_sig r = viol_sig u)
-
 let test_metrics_sanity () =
   let out =
     Modelcheck.Explore.explore
@@ -380,9 +403,9 @@ let test_metrics_sanity () =
     out.Modelcheck.Explore.nodes
     (List.fold_left
        (fun acc (_, n) -> acc + n)
-       0 m.Modelcheck.Explore.replay_depth_hist);
+       0 m.Modelcheck.Explore.depth_hist);
   (* histogram is sorted by depth with no duplicate buckets *)
-  let depths = List.map fst m.Modelcheck.Explore.replay_depth_hist in
+  let depths = List.map fst m.Modelcheck.Explore.depth_hist in
   Alcotest.(check bool) "histogram sorted" true
     (depths = List.sort_uniq compare depths)
 
@@ -406,17 +429,18 @@ let suites =
           test_engines_agree_no_vec;
         Alcotest.test_case "engines agree (rw_no_aux_reexec)" `Quick
           test_engines_agree_reexec;
-        Alcotest.test_case "undo = replay (drw)" `Quick test_undo_engine_drw;
-        Alcotest.test_case "undo = replay (dcas)" `Quick test_undo_engine_dcas;
-        Alcotest.test_case "undo = replay (broken, violating)" `Quick
-          test_undo_engine_broken_violating;
-        Alcotest.test_case "undo = replay (parallel)" `Quick
-          test_undo_engine_parallel;
+        Alcotest.test_case "undo = reference (drw)" `Quick test_reference_drw;
+        Alcotest.test_case "undo = reference (dcas)" `Quick test_reference_dcas;
+        Alcotest.test_case "undo = reference (broken)" `Quick
+          test_reference_broken;
+        Alcotest.test_case "undo = reference (domains)" `Quick
+          test_reference_parallel;
         Alcotest.test_case "lin engines agree (drw)" `Quick
           test_lin_engines_agree_drw;
         Alcotest.test_case "lin engines agree (broken, violating)" `Quick
           test_lin_engines_agree_broken;
-        QCheck_alcotest.to_alcotest prop_undo_replay_random_workloads;
+        QCheck_alcotest.to_alcotest prop_reference_random_workloads;
+        QCheck_alcotest.to_alcotest prop_reduced_configs_bounded;
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;
       ] );
   ]

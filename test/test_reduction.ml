@@ -4,9 +4,6 @@
    - verdict parity: [`None], [`Dpor] and [`Dpor_sym] agree on whether a
      workload violates, on the broken ablations and on random workloads
      (reduction prunes redundant interleavings, never the bug);
-   - witness invariance: Shrink returns the identical 1-minimal witness
-     whichever reduction found the violation (candidate replays are
-     single concrete schedules — nothing to prune);
    - the symmetry quotient: canonical fingerprints are invariant under
      process-id permutation where raw fingerprints are not, and
      [`Dpor_sym] degrades to exactly [`Dpor] on objects that do not
@@ -127,35 +124,6 @@ let prop_parity_random_workloads =
              o.Modelcheck.Explore.executions
              <= (List.hd outs).Modelcheck.Explore.executions)
            (List.tl outs))
-
-(* --- witness invariance through Shrink ----------------------------- *)
-
-let test_shrink_witness_invariant () =
-  (* one violation, minimised under every reduction argument: identical
-     decisions, message and attempt count (candidate replays are single
-     concrete schedules, so the reduction has nothing to prune) *)
-  let out = explore_with ~mk:mk_no_vec ~workloads:no_vec_workload `Dpor in
-  match out.Modelcheck.Explore.violations with
-  | [] -> Alcotest.fail "expected the ablation to violate under dpor"
-  | v :: _ -> (
-      let minimise red =
-        Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads:no_vec_workload
-          ~reduction:red v.Modelcheck.Explore.decisions
-      in
-      match List.map minimise reductions with
-      | [ Some a; Some b; Some c; Some d ] ->
-          let sig_of (r : Modelcheck.Shrink.result) =
-            ( List.map
-                (Format.asprintf "%a" Modelcheck.Explore.pp_decision)
-                r.Modelcheck.Shrink.decisions,
-              r.Modelcheck.Shrink.msg,
-              r.Modelcheck.Shrink.attempts )
-          in
-          Alcotest.(check bool) "none = dpor" true (sig_of a = sig_of b);
-          Alcotest.(check bool) "dpor = dpor+sym" true (sig_of b = sig_of c);
-          Alcotest.(check bool) "dpor+sym = dpor+sym-memo" true
-            (sig_of c = sig_of d)
-      | _ -> Alcotest.fail "witness did not reproduce under some reduction")
 
 (* --- the symmetry quotient ----------------------------------------- *)
 
@@ -472,8 +440,6 @@ let suites =
         Alcotest.test_case "healthy object stays clean" `Quick
           test_parity_healthy_dcas;
         QCheck_alcotest.to_alcotest prop_parity_random_workloads;
-        Alcotest.test_case "shrink witness invariance" `Quick
-          test_shrink_witness_invariant;
         Alcotest.test_case "sleep skips fire" `Quick test_sleep_skips_fire;
         Alcotest.test_case "node budget caps" `Quick test_node_budget_caps;
         Alcotest.test_case "lower-bound growth (small N)" `Quick

@@ -90,55 +90,58 @@ let test_tolerant_replay_skips_dead_steps () =
   | None -> ()
   | Some (_, msg) -> Alcotest.failf "unexpected violation: %s" msg
 
-let test_engine_parity () =
-  (* the undo-substrate shrinker tries the same candidates in the same
-     order as the replay one, so every field of the result — including
-     the number of physical attempts — must be identical *)
-  let v = find_violation () in
-  let run engine =
-    Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads ~engine
-      v.Modelcheck.Explore.decisions
+let test_matches_reference () =
+  (* the undo-session shrinker must return exactly what plain greedy
+     single deletion over [reproduces] returns, for every sampled
+     violation of the ablation *)
+  let out =
+    Modelcheck.Explore.explore ~mk:mk_no_vec ~workloads
+      Modelcheck.Explore.default_config
   in
-  match (run `Replay, run `Undo) with
-  | Some r, Some u ->
-      Alcotest.(check bool) "same minimised decisions" true
-        (r.Modelcheck.Shrink.decisions = u.Modelcheck.Shrink.decisions);
-      Alcotest.(check string) "same message" r.Modelcheck.Shrink.msg
-        u.Modelcheck.Shrink.msg;
-      Alcotest.(check bool) "same history" true
-        (r.Modelcheck.Shrink.history = u.Modelcheck.Shrink.history);
-      Alcotest.(check int) "same attempts" r.Modelcheck.Shrink.attempts
-        u.Modelcheck.Shrink.attempts
-  | _ -> Alcotest.fail "engines disagree on reproducibility"
+  Alcotest.(check bool) "violations sampled" true
+    (out.Modelcheck.Explore.violations <> []);
+  List.iter
+    (fun (v : Modelcheck.Explore.violation) ->
+      match
+        ( Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads v.decisions,
+          Ref_modelcheck.minimise ~mk:mk_no_vec ~workloads v.decisions )
+      with
+      | Some r, Some (ds, (history, msg)) ->
+          Alcotest.(check bool) "same minimised decisions" true
+            (r.Modelcheck.Shrink.decisions = ds);
+          Alcotest.(check string) "same message" msg r.Modelcheck.Shrink.msg;
+          Alcotest.(check bool) "same history" true
+            (r.Modelcheck.Shrink.history = history)
+      | _ -> Alcotest.fail "shrinker and reference disagree on reproducibility")
+    out.Modelcheck.Explore.violations
 
 let test_lin_engine_parity () =
   (* the shadowing incremental lin-session must judge every shrink
-     candidate exactly as the batch checker does, on both substrates —
-     rewind-heavy traffic by construction, since the shrinker rewinds
-     the session across every rejected candidate *)
+     candidate exactly as the batch checker does — rewind-heavy traffic
+     by construction, since the shrinker rewinds the session across
+     every rejected candidate *)
   let v = find_violation () in
-  let run engine lin_engine =
-    Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads ~engine ~lin_engine
+  let run lin_engine =
+    Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads ~lin_engine
       v.Modelcheck.Explore.decisions
   in
-  List.iter
-    (fun engine ->
-      match (run engine `Batch, run engine `Incremental) with
-      | Some b, Some inc ->
-          Alcotest.(check bool) "same minimised decisions" true
-            (b.Modelcheck.Shrink.decisions = inc.Modelcheck.Shrink.decisions);
-          Alcotest.(check string) "same message" b.Modelcheck.Shrink.msg
-            inc.Modelcheck.Shrink.msg;
-          Alcotest.(check int) "same attempts" b.Modelcheck.Shrink.attempts
-            inc.Modelcheck.Shrink.attempts
-      | _ -> Alcotest.fail "lin engines disagree on reproducibility")
-    [ `Replay; `Undo ]
+  match (run `Batch, run `Incremental) with
+  | Some b, Some inc ->
+      Alcotest.(check bool) "same minimised decisions" true
+        (b.Modelcheck.Shrink.decisions = inc.Modelcheck.Shrink.decisions);
+      Alcotest.(check string) "same message" b.Modelcheck.Shrink.msg
+        inc.Modelcheck.Shrink.msg;
+      Alcotest.(check int) "same attempts" b.Modelcheck.Shrink.attempts
+        inc.Modelcheck.Shrink.attempts
+  | _ -> Alcotest.fail "lin engines disagree on reproducibility"
 
 let test_undo_refuses_non_repro () =
+  (* a longer interleaving with a mid-run crash: the undo session must
+     still judge the whole sequence clean before it shrinks anything *)
   let mk () = Test_support.mk_dcas ~n:2 () in
   match
-    Modelcheck.Shrink.minimise ~mk ~workloads ~engine:`Undo
-      [ Modelcheck.Explore.Crash ]
+    Modelcheck.Shrink.minimise ~mk ~workloads
+      Modelcheck.Explore.[ Step 0; Step 1; Crash; Step 0; Step 1 ]
   with
   | None -> ()
   | Some _ -> Alcotest.fail "undo minimise invented a violation"
@@ -157,11 +160,11 @@ let suites =
           test_minimise_none_for_correct_object;
         Alcotest.test_case "tolerant replay" `Quick
           test_tolerant_replay_skips_dead_steps;
-        Alcotest.test_case "undo = replay engine parity" `Quick
-          test_engine_parity;
+        Alcotest.test_case "matches reference shrinker" `Quick
+          test_matches_reference;
         Alcotest.test_case "undo refuses non-repro" `Quick
           test_undo_refuses_non_repro;
-        Alcotest.test_case "lin engine parity (both substrates)" `Quick
+        Alcotest.test_case "lin engine parity" `Quick
           test_lin_engine_parity;
       ] );
   ]
