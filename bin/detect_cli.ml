@@ -402,6 +402,7 @@ let torture_cmd =
       with
       | exception Torture.Interrupted { completed; total } ->
           interrupted_exit ~completed ~total
+      | exception (Invalid_argument m | Sys_error m) -> `Error (false, m)
       | report ->
           report_outputs ~json ~no_timing ~supervision:Torture.no_supervision
             ~report_file report
@@ -570,6 +571,7 @@ let campaign_cmd =
       with
       | exception Torture.Interrupted { completed; total } ->
           interrupted_exit ~completed ~total
+      | exception (Invalid_argument m | Sys_error m) -> `Error (false, m)
       | report, counters ->
           report_outputs ~json ~no_timing
             ~supervision:(Campaign.supervision counters chaos)

@@ -277,10 +277,6 @@ let run_trial spec ~scratch ~root ~index =
 
 let checkpoint_schema = "detectable-torture-checkpoint/v2"
 
-(* v1 journals are v2 without lifecycle event lines; reading them needs
-   nothing extra, so resume accepts both *)
-let checkpoint_schema_v1 = "detectable-torture-checkpoint/v1"
-
 let header_line (spec : spec) ~root_seed ~trials =
   Printf.sprintf
     {|{ "schema": %S, "object": "%s", "root_seed": %d, "trials": %d, "policy": %S, "crash_prob": %.4f, "max_crashes": %d, "max_steps": %d, "fault": %S, "watchdog": %d }|}
@@ -364,14 +360,17 @@ let read_checkpoint path (spec : spec) ~root_seed ~trials =
   match String.split_on_char '\n' contents with
   | [] -> []
   | header :: rest when String.trim header <> "" ->
-      let h =
-        try Tiny_json.parse header
-        with Tiny_json.Error m ->
-          invalid_arg ("Torture.run: unreadable checkpoint header: " ^ m)
+      let unreadable m =
+        invalid_arg ("Torture.run: unreadable checkpoint header: " ^ m)
       in
-      let str k = Tiny_json.get_str (Tiny_json.member k h) in
-      let int k = Tiny_json.get_int (Tiny_json.member k h) in
-      let num k = Tiny_json.get_num (Tiny_json.member k h) in
+      let h = try Tiny_json.parse header with Tiny_json.Error m -> unreadable m in
+      let field get k =
+        try get (Tiny_json.member k h)
+        with Tiny_json.Error m -> unreadable (Printf.sprintf "%S: %s" k m)
+      in
+      let str = field Tiny_json.get_str in
+      let int = field Tiny_json.get_int in
+      let num = field Tiny_json.get_num in
       let mismatch what =
         invalid_arg
           (Printf.sprintf
@@ -380,8 +379,7 @@ let read_checkpoint path (spec : spec) ~root_seed ~trials =
              path what)
       in
       let schema = str "schema" in
-      if schema <> checkpoint_schema && schema <> checkpoint_schema_v1 then
-        mismatch "schema";
+      if schema <> checkpoint_schema then mismatch "schema";
       if str "object" <> spec.label then mismatch "object";
       if int "root_seed" <> root_seed then mismatch "root_seed";
       if int "trials" <> trials then mismatch "trials";

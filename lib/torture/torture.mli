@@ -46,8 +46,7 @@ open Sched
     With [~checkpoint:path] the campaign journals one JSONL line per
     completed trial (schema [detectable-torture-checkpoint/v2]: a header
     echoing the campaign parameters, then per-trial records, optionally
-    interleaved with supervisor lifecycle event lines; v1 journals — the
-    same format without event lines — are still readable).  With
+    interleaved with supervisor lifecycle event lines).  With
     [~resume:true] an existing journal's completed trials are loaded and
     only the missing indices run; the merged report is byte-identical to
     an uninterrupted campaign's.  The journal validates the header
@@ -241,11 +240,13 @@ val trial_of_json : Tiny_json.t -> int * trial
 val read_checkpoint :
   string -> spec -> root_seed:int -> trials:int -> (int * trial) list
 (** Completed trials recorded in a (possibly interrupted) journal, in
-    file order with duplicates removed.  Accepts v1 and v2 headers;
-    skips lifecycle event lines (objects with an ["event"] key);
-    tolerates one torn {e trailing} line (a writer died mid-write).
-    Raises [Invalid_argument] naming the offending line(s) when the
-    header parameters mismatch, a non-trailing line is unreadable, a
+    file order with duplicates removed.  Skips lifecycle event lines
+    (objects with an ["event"] key); tolerates one torn {e trailing}
+    line (a writer died mid-write).  Raises [Invalid_argument]: an
+    ["unreadable checkpoint header: …"] one when the header does not
+    parse or lacks or mistypes a key, otherwise one naming the offending
+    line(s) when the header parameters mismatch, a non-trailing line is
+    unreadable, a
     trial index is out of range, or two lines record {e different}
     results for the same trial (overlapping shard ranges) — identical
     duplicates are deduplicated silently, so replayed writes stay

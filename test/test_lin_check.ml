@@ -236,6 +236,43 @@ let test_long_history_corrupted () =
   in
   bad reg h
 
+(* concurrent crashed histories past the word boundary: 30 random Drw
+   runs (3 processes x 40 operations, up to 2 crashes each) — the
+   parameters of the committed lincheck "drw_long_histories" row — judged
+   by both engines, verdicts and violation messages alike *)
+let test_long_crash_histories_parity () =
+  let open Sched in
+  let events = ref 0 in
+  for index = 0 to 29 do
+    let prng = Dtc_util.Prng.stream 7 ~index in
+    let wseed =
+      Int64.to_int (Int64.shift_right_logical (Dtc_util.Prng.next_int64 prng) 2)
+    in
+    let m = Runtime.Machine.create () in
+    let inst = Detectable.Drw.instance (Detectable.Drw.create m ~n:3 ~init:(i 0)) in
+    let workloads =
+      Workload.register (Dtc_util.Prng.create wseed) ~procs:3 ~ops_per_proc:40
+        ~values:3
+    in
+    let cfg =
+      {
+        Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
+        crash_plan =
+          Crash_plan.random ~max_crashes:2 ~prob:0.002 (Dtc_util.Prng.split prng);
+        policy = Session.Retry;
+        max_steps = 1_000_000;
+      }
+    in
+    let h = (Driver.run m inst ~workloads cfg).Driver.history in
+    let ops =
+      List.length (List.filter (function Event.Inv _ -> true | _ -> false) h)
+    in
+    Alcotest.(check bool) "beyond word_ops" true (ops > Lin_check.word_ops);
+    events := !events + List.length h;
+    ignore (both inst.Obj_inst.spec h)
+  done;
+  Alcotest.(check int) "the committed row's event total" 7410 !events
+
 (* ------------------------------------------------------------------ *)
 (* the incremental session: mark/rewind semantics *)
 
@@ -516,6 +553,8 @@ let suites =
           test_long_history_accepted;
         Alcotest.test_case "long history corrupted (bitset path)" `Quick
           test_long_history_corrupted;
+        Alcotest.test_case "long crash histories: engine parity" `Quick
+          test_long_crash_histories_parity;
         Alcotest.test_case "session rewind, different suffix" `Quick
           test_session_rewind_different_suffix;
         Alcotest.test_case "session rewind past malformed" `Quick

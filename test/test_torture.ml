@@ -455,6 +455,44 @@ let test_checkpoint_duplicates_deduped () =
         (Torture.to_json ~timing:false full)
         (Torture.to_json ~timing:false resumed))
 
+(* a header that parses but lacks or mistypes a key is the same named
+   "unreadable checkpoint header" error as one that does not parse, and
+   the retired v1 schema is a mismatch *)
+let test_checkpoint_header_keys_named () =
+  let spec = dcas_spec () in
+  with_temp_journal (fun path ->
+      ignore (Torture.run ~root_seed:21 ~trials:10 ~checkpoint:path spec);
+      let header, trials =
+        match read_lines path with h :: t -> (h, t) | [] -> Alcotest.fail "empty journal"
+      in
+      let replace ~sub ~by s =
+        let n = String.length sub in
+        let rec go i =
+          if i + n > String.length s then Alcotest.failf "header lacks %S" sub
+          else if String.sub s i n = sub then
+            String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+          else go (i + 1)
+        in
+        go 0
+      in
+      List.iter
+        (fun (what, header, sub) ->
+          write_lines path (header :: trials);
+          expect_invalid what sub (fun () ->
+              Torture.run ~root_seed:21 ~trials:10 ~checkpoint:path ~resume:true
+                spec))
+        [
+          ( "a missing key",
+            {|{ "schema": "detectable-torture-checkpoint/v2" }|},
+            {|unreadable checkpoint header: "object": missing key|} );
+          ( "a mistyped key",
+            replace ~sub:{|"crash_prob": 0.0500|} ~by:{|"crash_prob": "0.05"|} header,
+            {|unreadable checkpoint header: "crash_prob": expected a number|} );
+          ( "a v1 header",
+            replace ~sub:"checkpoint/v2" ~by:"checkpoint/v1" header,
+            "schema differs" );
+        ])
+
 (* a duplicate trial index carrying a different result means overlapping
    shard ranges disagreed — hard error naming both lines *)
 let test_checkpoint_conflict_rejected () =
@@ -593,6 +631,8 @@ let suites =
           test_checkpoint_resume_identity;
         Alcotest.test_case "mismatched journal header rejected" `Quick
           test_checkpoint_header_validated;
+        Alcotest.test_case "header key errors named" `Quick
+          test_checkpoint_header_keys_named;
         Alcotest.test_case "identical duplicates deduped" `Quick
           test_checkpoint_duplicates_deduped;
         Alcotest.test_case "conflicting duplicate rejected" `Quick
