@@ -145,23 +145,6 @@ let policy_arg =
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"What the caller does after a fail verdict: retry or giveup.")
 
-let lin_engine_arg =
-  let choices =
-    [
-      ("incremental", (`Incremental : Lin_check.engine)); ("batch", `Batch);
-    ]
-  in
-  Arg.(
-    value
-    & opt (enum choices) `Incremental
-    & info [ "lin-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Linearizability-checker engine: $(b,incremental) maintains the \
-           Wing-Gong frontier event by event, so a verdict costs O(new \
-           events) and shared history prefixes are checked once; $(b,batch) \
-           re-checks every history from scratch (the reference engine).  \
-           Both return identical verdicts.")
-
 (* ------------------------------------------------------------------ *)
 (* list *)
 
@@ -218,8 +201,8 @@ let fault_conv =
 let kind_name kind =
   List.assoc kind (List.map (fun (k, v) -> (v, k)) obj_choices)
 
-let torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes
-    ~lin_engine ~fault ~watchdog =
+let torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes ~fault
+    ~watchdog =
   let model, persist =
     match (fault : Fault_model.t) with
     | Fault_model.Atomic -> (Machine.Private_cache, false)
@@ -228,8 +211,7 @@ let torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes
   Torture.default_spec_of ~label:(kind_name kind)
     ~mk:(mk_of_kind ~model ~persist kind ~n:procs)
     ~workloads_of_seed:(fun s -> workloads_of_kind kind ~seed:s ~procs ~ops)
-    ~policy ~crash_prob ~max_crashes ~max_steps:100_000 ~lin_engine ~fault
-    ~watchdog ()
+    ~policy ~crash_prob ~max_crashes ~max_steps:100_000 ~fault ~watchdog ()
 
 (* SIGINT/SIGTERM flip an atomic stop flag the engines poll between
    trials; the run then flushes its final checkpoint lines (including an
@@ -385,15 +367,14 @@ let torture_cmd =
              The merged report is bit-identical for any value: trial i always \
              runs on the child seed stream derived from (seed, i).")
   in
-  let run kind procs ops trials crash_prob max_crashes policy lin_engine seed
-      domains fault watchdog checkpoint resume json no_timing report_file
-      no_shrink =
+  let run kind procs ops trials crash_prob max_crashes policy seed domains
+      fault watchdog checkpoint resume json no_timing report_file no_shrink =
     if resume && checkpoint = None then
       `Error (false, "--resume requires --checkpoint FILE")
     else begin
       let spec =
         torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes
-          ~lin_engine ~fault ~watchdog
+          ~fault ~watchdog
       in
       let should_stop = install_stop_flag () in
       match
@@ -424,8 +405,8 @@ let torture_cmd =
     Term.(
       ret
         (const run $ obj_arg $ procs_arg $ ops_arg $ trials_arg
-       $ crash_prob_arg $ max_crashes_arg $ policy_arg $ lin_engine_arg
-       $ seed_arg $ domains $ fault_arg $ watchdog_arg $ checkpoint_arg
+       $ crash_prob_arg $ max_crashes_arg $ policy_arg $ seed_arg $ domains
+       $ fault_arg $ watchdog_arg $ checkpoint_arg
        $ resume_arg $ json_arg $ no_timing_arg $ report_arg $ no_shrink_arg))
 
 (* campaign: multi-process supervised torture *)
@@ -496,8 +477,8 @@ let campaign_cmd =
              undisturbed run — only the timing block's supervision \
              counters change.")
   in
-  let run kind procs ops trials crash_prob max_crashes policy lin_engine seed
-      workers fault watchdog chaos heartbeat_every heartbeat_timeout
+  let run kind procs ops trials crash_prob max_crashes policy seed workers
+      fault watchdog chaos heartbeat_every heartbeat_timeout
       retry_budget backoff_base backoff_cap checkpoint resume json no_timing
       report_file no_shrink =
     if resume && checkpoint = None then
@@ -505,7 +486,7 @@ let campaign_cmd =
     else begin
       let spec =
         torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes
-          ~lin_engine ~fault ~watchdog
+          ~fault ~watchdog
       in
       let config =
         {
@@ -534,10 +515,6 @@ let campaign_cmd =
             (match policy with
             | Session.Retry -> "retry"
             | Session.Give_up -> "giveup");
-            "--lin-engine";
-            (match (lin_engine : Lin_check.engine) with
-            | `Incremental -> "incremental"
-            | `Batch -> "batch");
             "--crash-prob";
             Printf.sprintf "%h" crash_prob;
             "--max-crashes";
@@ -595,8 +572,8 @@ let campaign_cmd =
     Term.(
       ret
         (const run $ obj_arg $ procs_arg $ ops_arg $ trials_arg
-       $ crash_prob_arg $ max_crashes_arg $ policy_arg $ lin_engine_arg
-       $ seed_arg $ workers $ fault_arg $ watchdog_arg $ chaos
+       $ crash_prob_arg $ max_crashes_arg $ policy_arg $ seed_arg $ workers
+       $ fault_arg $ watchdog_arg $ chaos
        $ heartbeat_every $ heartbeat_timeout $ retry_budget $ backoff_base
        $ backoff_cap $ checkpoint_arg $ resume_arg $ json_arg $ no_timing_arg
        $ report_arg $ no_shrink_arg))
@@ -636,11 +613,11 @@ let torture_worker_cmd =
       & info [ "chaos-hang-after" ] ~docv:"K"
           ~doc:"Chaos injection: stop emitting after K trials.")
   in
-  let run kind procs ops crash_prob max_crashes policy lin_engine seed fault
-      watchdog lo hi heartbeat_every kill_after hang_after =
+  let run kind procs ops crash_prob max_crashes policy seed fault watchdog lo
+      hi heartbeat_every kill_after hang_after =
     let spec =
       torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes
-        ~lin_engine ~fault ~watchdog
+        ~fault ~watchdog
     in
     let fault_plan =
       match (kill_after, hang_after) with
@@ -663,7 +640,7 @@ let torture_worker_cmd =
     Term.(
       ret
         (const run $ obj_arg $ procs_arg $ ops_arg $ crash_prob_arg
-       $ max_crashes_arg $ policy_arg $ lin_engine_arg $ seed_arg $ fault_arg
+       $ max_crashes_arg $ policy_arg $ seed_arg $ fault_arg
        $ watchdog_arg $ lo $ hi $ heartbeat_every $ chaos_kill_after
        $ chaos_hang_after))
 
@@ -722,14 +699,6 @@ let modelcheck_cmd =
   let crashes =
     Arg.(value & opt int 1 & info [ "crashes" ] ~docv:"C" ~doc:"Crash budget.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"W"
-          ~doc:
-            "Explore the top-level decision frontier on this many OCaml \
-             domains (1 = sequential).")
-  in
   let no_prune =
     Arg.(
       value & flag
@@ -782,8 +751,8 @@ let modelcheck_cmd =
              A capped run reports partial counters — valid lower bounds \
              over what was visited.")
   in
-  let run kind procs ops switches crashes domains no_prune exact_configs
-      lin_engine reduction node_budget policy seed =
+  let run kind procs ops switches crashes no_prune exact_configs reduction
+      node_budget policy seed =
     let workloads = workloads_of_kind kind ~seed ~procs ~ops in
     let cfg =
       {
@@ -791,10 +760,8 @@ let modelcheck_cmd =
         switch_budget = switches;
         crash_budget = crashes;
         policy;
-        domains;
         prune = not no_prune;
         exact_configs;
-        lin_engine;
         reduction;
         node_budget;
       }
@@ -822,10 +789,8 @@ let modelcheck_cmd =
          Printf.sprintf ", %d fingerprint collisions"
            m.Modelcheck.Explore.fingerprint_collisions
        else "");
-    Printf.printf
-      "throughput: %.0f nodes/sec over %.2fs on %d domain(s)\n"
-      m.Modelcheck.Explore.nodes_per_sec m.Modelcheck.Explore.elapsed_s
-      m.Modelcheck.Explore.domains_used;
+    Printf.printf "throughput: %.0f nodes/sec over %.2fs\n"
+      m.Modelcheck.Explore.nodes_per_sec m.Modelcheck.Explore.elapsed_s;
     Printf.printf
       "allocation: %.0f bytes/node (%.0f minor words, %.0f promoted, %d \
        minor GCs)\n"
@@ -862,9 +827,9 @@ let modelcheck_cmd =
           (String.concat " "
              (List.map (fun (b, n) -> Printf.sprintf "%d:%d" b n) hist)));
     Printf.printf
-      "checker: %s engine, %d leaf checks (%.0f checks/sec, %.3fs), %.1f%% \
-       event reuse (%d of %d events pushed)\n"
-      m.Modelcheck.Explore.lin_engine m.Modelcheck.Explore.leaf_checks
+      "checker: %d leaf checks (%.0f checks/sec, %.3fs), %.1f%% event reuse \
+       (%d of %d events pushed)\n"
+      m.Modelcheck.Explore.leaf_checks
       m.Modelcheck.Explore.lin_checks_per_sec m.Modelcheck.Explore.lin_elapsed_s
       (100.0 *. m.Modelcheck.Explore.lin_reuse_rate)
       m.Modelcheck.Explore.lin_events_pushed
@@ -899,7 +864,7 @@ let modelcheck_cmd =
         match
           Modelcheck.Shrink.minimise
             ~mk:(mk_of_kind kind ~n:procs)
-            ~workloads ~policy ~lin_engine v.decisions
+            ~workloads ~policy v.decisions
         with
         | Some r ->
             Printf.printf
@@ -926,8 +891,8 @@ let modelcheck_cmd =
     Term.(
       ret
         (const run $ obj_arg $ procs_arg $ ops_arg $ switches $ crashes
-       $ domains $ no_prune $ exact_configs $ lin_engine_arg $ reduction
-       $ node_budget $ policy_arg $ seed_arg))
+       $ no_prune $ exact_configs $ reduction $ node_budget $ policy_arg
+       $ seed_arg))
 
 (* witness *)
 

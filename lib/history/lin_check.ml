@@ -233,8 +233,6 @@ let check_exn spec events =
 
 type engine = [ `Batch | `Incremental ]
 
-let engine_name = function `Batch -> "batch" | `Incremental -> "incremental"
-
 module Session = struct
   type fnode = {
     f_lin : Bitset.t;

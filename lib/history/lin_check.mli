@@ -55,9 +55,6 @@ val word_ops : int
 
 type engine = [ `Batch | `Incremental ]
 
-val engine_name : engine -> string
-(** ["batch"] / ["incremental"] — the label used in metrics and JSON. *)
-
 val check_with : engine -> Spec.t -> Event.t list -> verdict
 (** [check_with `Batch] is {!check}; [check_with `Incremental] runs a
     fresh {!Session} over the whole history.  Same verdicts either

@@ -8,15 +8,11 @@ type mode = Fingerprint | Exact
    hash traversal per probe; here membership is two array reads per
    probe step and insertion allocates nothing.  The probe index mixes
    both halves, the slot stores both, so equality stays the full
-   126-bit pair — no weakening of the collision guarantee.  Each slot
-   also carries an int payload ([wv]): canonical sets store the orbit
-   weight there (1 for plain sets), so the parallel join can transfer
-   weights without re-deriving them from snapshots it no longer has. *)
+   126-bit pair — no weakening of the collision guarantee. *)
 module Pair_set = struct
   type t = {
     mutable ka : int array;  (* first halves; [empty] marks a free slot *)
     mutable kb : int array;
-    mutable wv : int array;  (* per-slot weight payload *)
     mutable mask : int;  (* capacity - 1; capacity is a power of two *)
     mutable count : int;
   }
@@ -34,7 +30,6 @@ module Pair_set = struct
     {
       ka = Array.make cap empty;
       kb = Array.make cap 0;
-      wv = Array.make cap 0;
       mask = cap - 1;
       count = 0;
     }
@@ -46,11 +41,10 @@ module Pair_set = struct
     else probe s fa fb ((i + 1) land s.mask)
 
   let grow s =
-    let old_ka = s.ka and old_kb = s.kb and old_wv = s.wv in
+    let old_ka = s.ka and old_kb = s.kb in
     let cap = 2 * (s.mask + 1) in
     s.ka <- Array.make cap empty;
     s.kb <- Array.make cap 0;
-    s.wv <- Array.make cap 0;
     s.mask <- cap - 1;
     Array.iteri
       (fun i a ->
@@ -58,27 +52,22 @@ module Pair_set = struct
           let b = old_kb.(i) in
           let j = probe s a b (Value.mix a b land s.mask) in
           s.ka.(j) <- a;
-          s.kb.(j) <- b;
-          s.wv.(j) <- old_wv.(i)
+          s.kb.(j) <- b
         end)
       old_ka
 
   (* true iff the pair was new *)
-  let add_w s fa fb w =
+  let add s fa fb =
     let fa = sanitize fa in
     if 2 * (s.count + 1) > s.mask + 1 then grow s;
     let i = probe s fa fb (Value.mix fa fb land s.mask) in
     if s.ka.(i) = empty then begin
       s.ka.(i) <- fa;
       s.kb.(i) <- fb;
-      s.wv.(i) <- w;
       s.count <- s.count + 1;
       true
     end
     else false
-
-  let iter_w f s =
-    Array.iteri (fun i a -> if a <> empty then f a s.kb.(i) s.wv.(i)) s.ka
 end
 
 type t = {
@@ -128,7 +117,7 @@ let mode set = set.mode
 let canonical set = set.canonical
 
 let insert_fp_w set fa fb w =
-  let fresh = Pair_set.add_w set.fps fa fb w in
+  let fresh = Pair_set.add set.fps fa fb in
   if fresh then set.weighted <- set.weighted + w;
   fresh
 
@@ -148,7 +137,7 @@ let insert_exact set ((fa, fb) as fp) ~weight snap =
     Hashtbl.replace set.exact fp (snap :: bucket);
     (* a colliding configuration occupies no fresh pair-set slot, but
        its weight still counts toward the (audited) total *)
-    ignore (Pair_set.add_w set.fps fa fb weight : bool);
+    ignore (Pair_set.add set.fps fa fb : bool);
     set.weighted <- set.weighted + weight;
     true
   end
@@ -176,8 +165,8 @@ let add_live set mem =
       insert_fp_w set (Mem.live_shared_a mem) (Mem.live_shared_b mem) 1
   | Some n, Fingerprint ->
       if
-        Pair_set.add_w set.seen_raw (Mem.live_shared_a mem)
-          (Mem.live_shared_b mem) 0
+        Pair_set.add set.seen_raw (Mem.live_shared_a mem)
+          (Mem.live_shared_b mem)
       then begin
         let fa, fb = Sym.canonical_fingerprint_shared ~n mem in
         insert_fp_w set fa fb (Sym.orbit_size_shared ~n mem)
@@ -196,33 +185,3 @@ let cardinal set =
 let orbits set = set.fps.Pair_set.count + set.collisions
 
 let collisions set = set.collisions
-
-let merge_into ~dst ~src =
-  if dst.canonical <> src.canonical then
-    invalid_arg "Config_set.merge_into: canonical modes differ";
-  match (dst.mode, src.mode) with
-  | Fingerprint, _ ->
-      Pair_set.iter_w
-        (fun fa fb w -> ignore (insert_fp_w dst fa fb w : bool))
-        src.fps;
-      (* keep the canonical live-insertion guard exact across the join *)
-      Pair_set.iter_w
-        (fun fa fb _ -> ignore (Pair_set.add_w dst.seen_raw fa fb 0 : bool))
-        src.seen_raw
-  | Exact, Exact ->
-      Hashtbl.iter
-        (fun fp bucket ->
-          List.iter
-            (fun snap ->
-              let weight =
-                match dst.canonical with
-                | None -> 1
-                | Some n ->
-                    Sym.cells_orbit_size_shared ~n (Mem.snapshot_cells snap)
-              in
-              ignore (insert_exact dst fp ~weight snap : bool))
-            bucket)
-        src.exact
-  | Exact, Fingerprint ->
-      invalid_arg
-        "Config_set.merge_into: cannot merge fingerprints into an exact set"

@@ -72,10 +72,3 @@ val collisions : t -> int
     with a previously inserted, non-memory-equivalent one.  Any non-zero
     value means fingerprint-mode counts would have under-reported.
     Always 0 in [Fingerprint] mode (collisions are invisible there). *)
-
-val merge_into : dst:t -> src:t -> unit
-(** Union [src] into [dst] (the parallel explorer's join); orbit
-    weights transfer with their keys.  Merging a [Fingerprint] source
-    into an [Exact] destination is rejected with [Invalid_argument] —
-    the snapshots needed for auditing are gone — as is merging across
-    different [canonical] settings (the key spaces differ). *)

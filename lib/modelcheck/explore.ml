@@ -21,21 +21,13 @@ type config = {
   crash_budget : int;
   max_steps : int;
   policy : Session.policy;
-  keep : Loc.t -> bool;
-  wipe : Fault_model.wipe option;
+  wipe : Fault_model.wipe;
   max_violations : int;
   prune : bool;
-  domains : int;
   exact_configs : bool;
-  lin_engine : Lin_check.engine;
   reduction : reduction;
   node_budget : int;
 }
-
-(* the wipe actually applied at a Crash decision: an explicit fault
-   model wins over the legacy keep mask *)
-let config_wipe cfg =
-  match cfg.wipe with Some w -> w | None -> Fault_model.Keep cfg.keep
 
 let default_config =
   {
@@ -43,13 +35,10 @@ let default_config =
     crash_budget = 1;
     max_steps = 2_000;
     policy = Session.Retry;
-    keep = (fun _ -> true);
-    wipe = None;
+    wipe = Fault_model.keep_all;
     max_violations = 3;
     prune = true;
-    domains = 1;
     exact_configs = false;
-    lin_engine = `Incremental;
     reduction = `None;
     node_budget = 0;
   }
@@ -172,14 +161,12 @@ type metrics = {
   elapsed_s : float;
   nodes_per_sec : float;
   depth_hist : (int * int) list;
-  domains_used : int;
   rewound_cells : int;
   rewound_cells_per_sec : float;
   journal_depth_hist : (int * int) list;
   intern_hits : int;
   intern_misses : int;
   intern_hit_rate : float;
-  lin_engine : string;
   leaf_checks : int;
   lin_elapsed_s : float;
   lin_checks_per_sec : float;
@@ -330,10 +317,9 @@ type state = {
       (* log2-bucketed journal depth sampled at each node *)
   frontier_hist : int array;
       (* incremental checker: log2-bucketed frontier size per node *)
-  mutable lin : Lin_check.Session.t option;
+  lin : Lin_check.Session.t;
       (* the one incremental checker session, synced along the decision
-         stack; None under `Batch (and at parallel roots, which fall
-         back to whole-history checks) *)
+         stack *)
   mutable leaf_checks : int;
   mutable lin_pushed : int;  (* events fed to the checker *)
   mutable lin_total : int;  (* sum of leaf history lengths *)
@@ -352,8 +338,6 @@ type state = {
   mutable sym_skips : int;  (* children pruned by symmetry *)
   mutable source_skips : int;  (* sibling frontiers cut by source sets *)
   mutable capped : bool;  (* node budget exhausted; counters are partial *)
-  mutable alloc : Dtc_util.Alloc_stats.delta;
-      (* GC-counter delta attributable to this state's worker *)
   mutable rbufs : int array array;
       (* per-depth runnable-pid buffers: slot [d] is reused by every
          node at depth [d] (safe — recursion only visits deeper slots
@@ -397,7 +381,7 @@ type state = {
   c_perm_val : int array;  (* rank-relabeled digest, for [canon_key] *)
 }
 
-let mk_state ?(sym_memo = false) cfg workloads =
+let mk_state ~sym_memo cfg workloads spec =
   let n_procs = Array.length workloads in
   let scr () = if sym_memo then Array.make n_procs 0 else [||] in
   let scr_empty () = if sym_memo then Array.make n_procs (-1) else [||] in
@@ -412,7 +396,7 @@ let mk_state ?(sym_memo = false) cfg workloads =
     depth_hist = Array.make 64 0;
     journal_hist = Array.make 64 0;
     frontier_hist = Array.make 64 0;
-    lin = None;
+    lin = Lin_check.Session.create spec;
     leaf_checks = 0;
     lin_pushed = 0;
     lin_total = 0;
@@ -431,7 +415,6 @@ let mk_state ?(sym_memo = false) cfg workloads =
     sym_skips = 0;
     source_skips = 0;
     capped = false;
-    alloc = Dtc_util.Alloc_stats.zero;
     rbufs = [||];
     mbufs = [||];
     mbufs_n = 0;
@@ -675,15 +658,14 @@ let log2_bucket n =
 
 (* ---- incremental-checker plumbing ----------------------------------
 
-   Under [lin_engine = `Incremental] the state carries ONE
-   [Lin_check.Session] whose history mirrors the decision stack: on
-   entering a DFS node whose parent had [hlen] events, the checker is
-   marked and fed the [event_count - hlen] events this node's decision
-   added (the session spine is newest-first, so the delta is its
-   prefix); on leaving, it is rewound.  A leaf verdict then reads the
-   already-maintained frontier instead of re-running Wing–Gong over the
-   whole history.  All checker-attributable wall time is accumulated in
-   [lin_elapsed] so engines can be compared on checker work alone. *)
+   The state carries ONE [Lin_check.Session] whose history mirrors the
+   decision stack: on entering a DFS node whose parent had [hlen]
+   events, the checker is marked and fed the [event_count - hlen] events
+   this node's decision added (the session spine is newest-first, so the
+   delta is its prefix); on leaving, it is rewound.  A leaf verdict then
+   reads the already-maintained frontier instead of re-running Wing–Gong
+   over the whole history.  All checker-attributable wall time is
+   accumulated in [lin_elapsed]. *)
 
 let take_rev k l =
   let rec go k l acc =
@@ -692,65 +674,44 @@ let take_rev k l =
   in
   go k l []
 
-let lin_enter st ~inst ~session ~hlen =
-  match st.cfg.lin_engine with
-  | `Batch -> None
-  | `Incremental ->
-      let ls =
-        match st.lin with
-        | Some ls -> ls
-        | None ->
-            let ls = Lin_check.Session.create inst.Obj_inst.spec in
-            st.lin <- Some ls;
-            ls
-      in
-      let t0 = Unix.gettimeofday () in
-      let m = Lin_check.Session.mark ls in
-      let here = Session.event_count session in
-      List.iter
-        (Lin_check.Session.push_event ls)
-        (take_rev (here - hlen) (Session.events_rev session));
-      st.lin_pushed <- st.lin_pushed + (here - hlen);
-      st.lin_elapsed <- st.lin_elapsed +. (Unix.gettimeofday () -. t0);
-      bump_fixed st.frontier_hist
-        (log2_bucket (Lin_check.Session.frontier_size ls));
-      Some (ls, m)
+let lin_enter st ~session ~hlen =
+  let ls = st.lin in
+  let t0 = Unix.gettimeofday () in
+  let m = Lin_check.Session.mark ls in
+  let here = Session.event_count session in
+  List.iter
+    (Lin_check.Session.push_event ls)
+    (take_rev (here - hlen) (Session.events_rev session));
+  st.lin_pushed <- st.lin_pushed + (here - hlen);
+  st.lin_elapsed <- st.lin_elapsed +. (Unix.gettimeofday () -. t0);
+  bump_fixed st.frontier_hist (log2_bucket (Lin_check.Session.frontier_size ls));
+  m
 
-let lin_leave st = function
-  | None -> ()
-  | Some (ls, m) ->
-      let t0 = Unix.gettimeofday () in
-      Lin_check.Session.rewind ls m;
-      st.lin_elapsed <- st.lin_elapsed +. (Unix.gettimeofday () -. t0)
+let lin_leave st m =
+  let t0 = Unix.gettimeofday () in
+  Lin_check.Session.rewind st.lin m;
+  st.lin_elapsed <- st.lin_elapsed +. (Unix.gettimeofday () -. t0)
 
 (* Leaf verdict: driver anomalies short-circuit; otherwise the synced
-   incremental session answers in O(frontier), falling back to a
-   whole-history check when no session is synced (parallel roots). *)
-let leaf_verdict st ~inst ~session =
+   incremental session answers in O(frontier). *)
+let leaf_verdict st ~session =
   match Session.anomalies session with
   | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
   | [] ->
       st.leaf_checks <- st.leaf_checks + 1;
       st.lin_total <- st.lin_total + Session.event_count session;
       let t0 = Unix.gettimeofday () in
-      let v =
-        match st.lin with
-        | Some ls -> Lin_check.Session.verdict ls
-        | None ->
-            st.lin_pushed <- st.lin_pushed + Session.event_count session;
-            Lin_check.check_with st.cfg.lin_engine inst.Obj_inst.spec
-              (Session.history session)
-      in
+      let v = Lin_check.Session.verdict st.lin in
       st.lin_elapsed <- st.lin_elapsed +. (Unix.gettimeofday () -. t0);
       v
 
 (* [decisions] arrives newest-first (the DFS stack as-is); it is only
    materialised oldest-first when a violation sample is actually kept,
    so the common all-green leaf allocates no reversed copy. *)
-let record_execution st ~decisions ~inst ~session ~truncated =
+let record_execution st ~decisions ~session ~truncated =
   if truncated then st.truncated <- st.truncated + 1
   else st.executions <- st.executions + 1;
-  match leaf_verdict st ~inst ~session with
+  match leaf_verdict st ~session with
   | Lin_check.Ok_linearizable _ -> ()
   | Lin_check.Violation msg ->
       st.n_violations <- st.n_violations + 1;
@@ -822,20 +783,20 @@ let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
       and trunc0 = st.truncated
       and viols0 = st.n_violations in
       let here = Session.event_count session in
-      let lm = lin_enter st ~inst ~session ~hlen in
+      let lm = lin_enter st ~session ~hlen in
       let rbuf = get_rbuf st depth in
       let n_run = Session.runnable_into session rbuf in
       if n_run = 0 then
-        record_execution st ~decisions ~inst ~session ~truncated:false
+        record_execution st ~decisions ~session ~truncated:false
       else if Session.steps session >= st.cfg.max_steps then
-        record_execution st ~decisions ~inst ~session ~truncated:true
+        record_execution st ~decisions ~session ~truncated:true
       else begin
         (* crash move: dependent with everything, so it is never slept
            and its child starts with an empty sleep set *)
         if crashes < st.cfg.crash_budget then begin
           let mb = get_mbuf st session depth in
           Session.mark_into session mb;
-          Session.crash_wipe session (config_wipe st.cfg);
+          Session.crash_wipe session st.cfg.wipe;
           dfs st session machine inst (Crash :: decisions)
             ~depth:(depth + 1) ~hlen:here ~sleep:[] ~stepped None switches
             (crashes + 1);
@@ -924,45 +885,14 @@ let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
       | None -> ()
   end
 
-(* Merge worker states (worker order, so results are deterministic for a
-   fixed [domains]) into the final outcome. *)
-let finish ~t0 ~domains_used sts =
-  let base = List.hd sts in
-  let merge_fixed (dst : int array) (src : int array) =
-    for i = 0 to Array.length src - 1 do
-      dst.(i) <- dst.(i) + src.(i)
-    done
-  in
-  List.iter
-    (fun st ->
-      Config_set.merge_into ~dst:base.configs ~src:st.configs;
-      (if Array.length st.depth_hist > Array.length base.depth_hist then begin
-         let b = Array.make (Array.length st.depth_hist) 0 in
-         Array.blit base.depth_hist 0 b 0 (Array.length base.depth_hist);
-         base.depth_hist <- b
-       end);
-      merge_fixed base.depth_hist st.depth_hist;
-      merge_fixed base.journal_hist st.journal_hist;
-      merge_fixed base.frontier_hist st.frontier_hist;
-      base.alloc <- Dtc_util.Alloc_stats.add base.alloc st.alloc)
-    (List.tl sts);
-  let sum f = List.fold_left (fun acc st -> acc + f st) 0 sts in
-  let sumf f = List.fold_left (fun acc st -> acc +. f st) 0. sts in
-  let nodes = sum (fun st -> st.nodes) in
-  let leaf_checks = sum (fun st -> st.leaf_checks) in
-  let lin_pushed = sum (fun st -> st.lin_pushed) in
-  let lin_total = sum (fun st -> st.lin_total) in
-  let lin_elapsed = sumf (fun st -> st.lin_elapsed) in
-  let rewound = sum (fun st -> st.rewound) in
-  let intern_hits = sum (fun st -> st.intern_hits) in
-  let intern_misses = sum (fun st -> st.intern_misses) in
+let finish ~t0 ~alloc st =
+  let nodes = st.nodes
+  and lin_pushed = st.lin_pushed
+  and lin_total = st.lin_total
+  and lin_elapsed = st.lin_elapsed
+  and rewound = st.rewound in
   let elapsed_s = Unix.gettimeofday () -. t0 in
-  let violations =
-    let all = List.concat_map (fun st -> List.rev st.violations) sts in
-    List.filteri (fun i _ -> i < base.cfg.max_violations) all
-  in
-  (* same (bucket, count) ascending assoc shape the Hashtbl version
-     produced: zero buckets are skipped *)
+  (* (bucket, count) ascending assoc; zero buckets are skipped *)
   let sorted_hist (h : int array) =
     let acc = ref [] in
     for i = Array.length h - 1 downto 0 do
@@ -970,52 +900,49 @@ let finish ~t0 ~domains_used sts =
     done;
     !acc
   in
-  let alloc = base.alloc in
   {
-    executions = sum (fun st -> st.executions);
-    truncated = sum (fun st -> st.truncated);
+    executions = st.executions;
+    truncated = st.truncated;
     nodes;
-    violations;
-    total_violations = sum (fun st -> st.n_violations);
-    distinct_shared_configs = Config_set.cardinal base.configs;
-    capped = List.exists (fun st -> st.capped) sts;
+    violations = List.rev st.violations;
+    total_violations = st.n_violations;
+    distinct_shared_configs = Config_set.cardinal st.configs;
+    capped = st.capped;
     metrics =
       {
-        dedup_hits = sum (fun st -> st.dedup_hits);
-        nodes_saved = sum (fun st -> st.nodes_saved);
-        peak_visited = sum (fun st -> Memo_tbl.length st.visited);
-        fingerprint_collisions = Config_set.collisions base.configs;
+        dedup_hits = st.dedup_hits;
+        nodes_saved = st.nodes_saved;
+        peak_visited = Memo_tbl.length st.visited;
+        fingerprint_collisions = Config_set.collisions st.configs;
         elapsed_s;
         nodes_per_sec = float_of_int nodes /. Float.max elapsed_s 1e-9;
-        depth_hist = sorted_hist base.depth_hist;
-        domains_used;
+        depth_hist = sorted_hist st.depth_hist;
         rewound_cells = rewound;
         rewound_cells_per_sec = float_of_int rewound /. Float.max elapsed_s 1e-9;
-        journal_depth_hist = sorted_hist base.journal_hist;
-        intern_hits;
-        intern_misses;
+        journal_depth_hist = sorted_hist st.journal_hist;
+        intern_hits = st.intern_hits;
+        intern_misses = st.intern_misses;
         intern_hit_rate =
-          (let total = intern_hits + intern_misses in
+          (let total = st.intern_hits + st.intern_misses in
            if total = 0 then 0.
-           else float_of_int intern_hits /. float_of_int total);
-        lin_engine = Lin_check.engine_name base.cfg.lin_engine;
-        leaf_checks;
+           else float_of_int st.intern_hits /. float_of_int total);
+        leaf_checks = st.leaf_checks;
         lin_elapsed_s = lin_elapsed;
         lin_checks_per_sec =
-          float_of_int leaf_checks /. Float.max lin_elapsed 1e-9;
+          float_of_int st.leaf_checks /. Float.max lin_elapsed 1e-9;
         lin_events_pushed = lin_pushed;
         lin_events_total = lin_total;
         lin_reuse_rate =
           (if lin_total = 0 then 0.
            else 1. -. (float_of_int lin_pushed /. float_of_int lin_total));
-        frontier_hist = sorted_hist base.frontier_hist;
-        reduction = reduction_name base.cfg.reduction;
-        sleep_skips = sum (fun st -> st.sleep_skips);
-        sym_skips = sum (fun st -> st.sym_skips);
-        source_skips = sum (fun st -> st.source_skips);
+        frontier_hist = sorted_hist st.frontier_hist;
+        reduction = reduction_name st.cfg.reduction;
+        sleep_skips = st.sleep_skips;
+        sym_skips = st.sym_skips;
+        source_skips = st.source_skips;
         canonical_orbits =
-          (match Config_set.canonical base.configs with
-          | Some _ -> Config_set.orbits base.configs
+          (match Config_set.canonical st.configs with
+          | Some _ -> Config_set.orbits st.configs
           | None -> 0);
         minor_words = alloc.Dtc_util.Alloc_stats.d_minor_words;
         promoted_words = alloc.Dtc_util.Alloc_stats.d_promoted_words;
@@ -1023,181 +950,6 @@ let finish ~t0 ~domains_used sts =
         bytes_per_node = Dtc_util.Alloc_stats.bytes_per alloc nodes;
       };
   }
-
-(* Intern-table traffic attributable to this state's work: delta in the
-   calling domain's counters around [f ()]. *)
-let with_intern_stats st f =
-  let h0, m0 = Value.intern_stats () in
-  let r = f () in
-  let h1, m1 = Value.intern_stats () in
-  st.intern_hits <- st.intern_hits + (h1 - h0);
-  st.intern_misses <- st.intern_misses + (m1 - m0);
-  r
-
-(* Attribute the calling domain's allocation over [f ()] to [st]. *)
-let with_alloc_stats st f =
-  let r, d = Dtc_util.Alloc_stats.measure f in
-  st.alloc <- Dtc_util.Alloc_stats.add st.alloc d;
-  r
-
-let explore_sequential ~t0 ~mk ~workloads ~sym_memo cfg =
-  let st = mk_state ~sym_memo cfg workloads in
-  with_alloc_stats st (fun () ->
-      with_intern_stats st (fun () ->
-          let machine, inst = mk () in
-          let session =
-            Session.create ~policy:cfg.policy ~undo:true machine inst ~workloads
-          in
-          (try
-             dfs st session machine inst [] ~depth:0 ~hlen:0 ~sleep:[]
-               ~stepped:0 None 0 0
-           with Node_cap -> st.capped <- true);
-          st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine)));
-  finish ~t0 ~domains_used:1 [ st ]
-
-(* Root-level reduction for the parallel explorer: mirror [dfs]'s own
-   sibling walk when generating the top-level task list.  Symmetric
-   never-stepped siblings are skipped outright (counted in the root
-   state's [sym_skips]), and each step task carries the sibling sleep
-   set an in-line DFS would have handed its child.  Sleeping needs each
-   earlier sibling's silence, which an in-line DFS only learns after
-   taking the step — here [probe_silent] answers it at dispatch time
-   (one extra machine step per root child; the probes are not counted
-   as explored nodes).  [explored]/[sleep] accumulate left-to-right
-   exactly as in [dfs], so the reduction decisions match the
-   sequential search's root node decision for decision. *)
-let root_step_tasks root (cfg : config) inst mem session runnable ~probe_silent
-    =
-  let red = cfg.reduction in
-  let sym_active =
-    match red with
-    | `Dpor_sym | `Dpor_sym_memo -> inst.Obj_inst.id_symmetric
-    | `None | `Dpor -> false
-  in
-  let sleep = ref [] in
-  let explored = ref 0 in
-  List.filter_map
-    (fun pid ->
-      if
-        sym_active
-        && List.exists
-             (fun q ->
-               q < pid
-               && root.wl_class.(q) = root.wl_class.(pid)
-               && !explored land (1 lsl q) <> 0
-               && Sym.swap_invariant ~n:root.n_procs mem pid q)
-             runnable
-      then begin
-        root.sym_skips <- root.sym_skips + 1;
-        None
-      end
-      else begin
-        let req =
-          if red <> `None then Session.pending_request session pid else None
-        in
-        let task_sleep =
-          match req with
-          | Some r -> List.filter (fun (_, r') -> independent r r') !sleep
-          | None -> []
-        in
-        explored := !explored lor (1 lsl pid);
-        (match req with
-        | Some r when sleepable r && probe_silent pid ->
-            sleep := (pid, r) :: !sleep
-        | _ -> ());
-        Some (Step pid, Some pid, 0, 0, task_sleep)
-      end)
-    runnable
-
-(* Parallel exploration: learn the top-level decision frontier at the
-   root, deal it round-robin to worker domains, and let each worker run
-   the ordinary DFS on its share.  Each worker owns ONE session built
-   through [mk] — it marks the root configuration once and explores its
-   whole share by apply/recurse/rewind — so the only cross-domain
-   traffic is the final merge.  Memo tables are per-worker; because
-   cached summaries are exact, missing cross-worker dedup costs only
-   revisits, never accuracy. *)
-let explore_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains =
-  let root = mk_state ~sym_memo cfg workloads in
-  root.nodes <- 1;
-  bump_depth root 0;
-  bump_fixed root.journal_hist 0;
-  let machine, inst, session =
-    with_intern_stats root (fun () ->
-        let machine, inst = mk () in
-        let session =
-          Session.create ~policy:cfg.policy ~undo:true machine inst ~workloads
-        in
-        (machine, inst, session))
-  in
-  ignore (Config_set.add_live root.configs (Runtime.Machine.mem machine) : bool);
-  let runnable = Session.runnable session in
-  if runnable = [] then begin
-    record_execution root ~decisions:[] ~inst ~session ~truncated:false;
-    finish ~t0 ~domains_used:1 [ root ]
-  end
-  else if Session.steps session >= cfg.max_steps then begin
-    record_execution root ~decisions:[] ~inst ~session ~truncated:true;
-    finish ~t0 ~domains_used:1 [ root ]
-  end
-  else begin
-    (* mirror [dfs]'s child generation at the root: cur = None, so every
-       step child is free and a crash child spends one crash budget *)
-    let here0 = Session.event_count session in
-    let root_mark0 = Session.mark session in
-    let probe_silent pid =
-      Session.step session pid;
-      let silent = Session.event_count session = here0 in
-      Session.rewind session root_mark0;
-      silent
-    in
-    let tasks =
-      (if cfg.crash_budget > 0 then [ (Crash, None, 0, 1, []) ] else [])
-      @ root_step_tasks root cfg inst
-          (Runtime.Machine.mem machine)
-          session runnable ~probe_silent
-    in
-    let n_workers = min domains (List.length tasks) in
-    let chunks = Array.make n_workers [] in
-    List.iteri
-      (fun i task -> chunks.(i mod n_workers) <- task :: chunks.(i mod n_workers))
-      tasks;
-    let worker idx () =
-      let st = mk_state ~sym_memo cfg workloads in
-      with_alloc_stats st (fun () ->
-          let machine, inst = mk () in
-          let session =
-            Session.create ~policy:cfg.policy ~undo:true machine inst
-              ~workloads
-          in
-          let root_mark = Session.mark session in
-          (* root-level sleeping and symmetry ride in on the task list
-             (see [root_step_tasks]); the node budget stays per worker *)
-          (try
-             List.iter
-               (fun (d, cur, switches, crashes, sleep) ->
-                 (match d with
-                 | Step pid -> Session.step session pid
-                 | Crash -> Session.crash_wipe session (config_wipe cfg));
-                 let stepped =
-                   match d with Step pid -> 1 lsl pid | Crash -> 0
-                 in
-                 dfs st session machine inst [ d ] ~depth:1 ~hlen:0 ~sleep
-                   ~stepped cur switches crashes;
-                 Session.rewind session root_mark)
-               (List.rev chunks.(idx))
-           with Node_cap -> st.capped <- true);
-          st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine));
-      (* worker domains are fresh, so absolute counters = this worker's *)
-      let h, m = Value.intern_stats () in
-      st.intern_hits <- h;
-      st.intern_misses <- m;
-      st
-    in
-    let handles = Array.init n_workers (fun i -> Domain.spawn (worker i)) in
-    let sts = Array.to_list (Array.map Domain.join handles) in
-    finish ~t0 ~domains_used:n_workers (root :: sts)
-  end
 
 let explore ~mk ~workloads (cfg : config) =
   let t0 = Unix.gettimeofday () in
@@ -1225,9 +977,27 @@ let explore ~mk ~workloads (cfg : config) =
         inst.Obj_inst.id_symmetric
     | `None | `Dpor | `Dpor_sym -> false
   in
-  let domains = max 1 cfg.domains in
-  if domains = 1 then explore_sequential ~t0 ~mk ~workloads ~sym_memo cfg
-  else explore_parallel ~t0 ~mk ~workloads ~sym_memo cfg ~domains
+  (* allocation and intern-table traffic are the calling domain's
+     counter deltas around the whole search *)
+  let st, alloc =
+    Dtc_util.Alloc_stats.measure (fun () ->
+        let h0, m0 = Value.intern_stats () in
+        let machine, inst = mk () in
+        let session =
+          Session.create ~policy:cfg.policy ~undo:true machine inst ~workloads
+        in
+        let st = mk_state ~sym_memo cfg workloads inst.Obj_inst.spec in
+        (try
+           dfs st session machine inst [] ~depth:0 ~hlen:0 ~sleep:[]
+             ~stepped:0 None 0 0
+         with Node_cap -> st.capped <- true);
+        st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine);
+        let h1, m1 = Value.intern_stats () in
+        st.intern_hits <- h1 - h0;
+        st.intern_misses <- m1 - m0;
+        st)
+  in
+  finish ~t0 ~alloc st
 
 let no_metrics ~elapsed_s ~nodes =
   {
@@ -1238,14 +1008,12 @@ let no_metrics ~elapsed_s ~nodes =
     elapsed_s;
     nodes_per_sec = float_of_int nodes /. Float.max elapsed_s 1e-9;
     depth_hist = [];
-    domains_used = 1;
     rewound_cells = 0;
     rewound_cells_per_sec = 0.;
     journal_depth_hist = [];
     intern_hits = 0;
     intern_misses = 0;
     intern_hit_rate = 0.;
-    lin_engine = "batch";
     leaf_checks = 0;
     lin_elapsed_s = 0.;
     lin_checks_per_sec = 0.;

@@ -11,8 +11,11 @@ open Sched
     decision sequence in a bounded family depth-first on one live
     machine and session, backtracking by {!Session.mark}/[rewind] over
     the store's write journal (discarded fibers are rebuilt lazily by
-    ghost replay), and checks every resulting history with
-    {!Lin_check}.
+    ghost replay), and judges every resulting history with one
+    incremental {!Lin_check.Session} kept in step with the decision
+    stack (frontier marked, extended and rewound alongside the DFS), so a
+    leaf verdict costs O(new events since the shared prefix) instead of
+    a whole-history Wing–Gong restart.
 
     Full interleaving exploration explodes combinatorially, so the family
     is {e delay-bounded} (Emmi–Qadeer–Rakamarić style): a run may switch
@@ -23,25 +26,16 @@ open Sched
     switches), and every scheduling bug this repository's ablations plant
     is found with budgets ≤ 3.
 
-    Two search features keep larger budgets affordable (see DESIGN.md,
-    "Scaling the checker"):
-
-    - {b Pruning} ([prune], on by default): each DFS node is keyed by a
-      compact fingerprint of (full memory contents, session state
-      digest, scheduler state) and its subtree summary is memoised.
-      Revisiting an equivalent node adds the cached
-      executions/violations counts instead of re-exploring, so pruning
-      is {e exact}: [executions], [truncated], [total_violations] and
-      [distinct_shared_configs] are identical to the unpruned search's;
-      only [nodes] (physical visits) shrinks.  Commuting interleavings
-      of non-interfering steps all land on the same key, which is where
-      the savings come from.
-    - {b Parallelism} ([domains] > 1): the top-level decision frontier is
-      dealt round-robin to that many OCaml domains, each running the
-      DFS on its share with its own machine, session, memo table and
-      configuration set; outcomes merge at the join.  [mk] must
-      therefore be safe to call concurrently (a pure constructor of
-      fresh machines — which every existing factory already is).
+    {b Pruning} ([prune], on by default) keeps larger budgets affordable
+    (see DESIGN.md, "Scaling the checker"): each DFS node is keyed by a
+    compact fingerprint of (full memory contents, session state digest,
+    scheduler state) and its subtree summary is memoised.  Revisiting an
+    equivalent node adds the cached executions/violations counts instead
+    of re-exploring, so pruning is {e exact}: [executions], [truncated],
+    [total_violations] and [distinct_shared_configs] are identical to the
+    unpruned search's; only [nodes] (physical visits) shrinks.  Commuting
+    interleavings of non-interfering steps all land on the same key,
+    which is where the savings come from.
 
     The explorer also accumulates the set of pairwise
     non-memory-equivalent shared-memory configurations visited, which is
@@ -132,44 +126,29 @@ type config = {
   crash_budget : int;  (** max crashes per execution *)
   max_steps : int;  (** per-execution step bound (safety) *)
   policy : Session.policy;
-  keep : Loc.t -> bool;  (** write-back mask applied at crashes *)
-  wipe : Fault_model.wipe option;
-      (** when [Some w], crashes apply fault-model wipe [w] instead of
-          the [keep] mask (see {!Nvm.Fault_model}); [Seeded] wipes key
-          their randomness on the session's crash counter, which
-          backtracking rewinds, so every revisit of a crash decision
-          sees the same outcome.  Default [None]. *)
+  wipe : Fault_model.wipe;
+      (** what a crash does to dirty cache lines (see
+          {!Nvm.Fault_model}); default {!Nvm.Fault_model.keep_all}.
+          [Seeded] wipes key their randomness on the session's crash
+          counter, which backtracking rewinds, so every revisit of a
+          crash decision sees the same outcome. *)
   max_violations : int;  (** stop collecting after this many samples *)
   prune : bool;  (** memoise subtrees by state fingerprint (exact) *)
-  domains : int;  (** worker domains; 1 = sequential *)
   exact_configs : bool;
       (** audit config-set fingerprints with full snapshots *)
-  lin_engine : Lin_check.engine;
-      (** linearizability-checker engine; default [`Incremental].
-          [`Incremental] keeps one {!Lin_check.Session} synced along
-          the decision stack (frontier marked/extended/rewound in step
-          with the DFS), so a leaf verdict costs O(new events since the
-          shared prefix) instead of a whole-history Wing–Gong restart.
-          [`Batch] re-checks every leaf from scratch with
-          {!Lin_check.check} — the reference the parity tests and the
-          committed lincheck benchmark compare against.  Verdicts (and
-          so all outcome counters and violation messages) are identical
-          under both. *)
   reduction : reduction;  (** see {!reduction}; default [`None] *)
   node_budget : int;
       (** stop after physically visiting this many DFS nodes (0 = no
           bound, the default).  A capped run sets [outcome.capped]; its
-          counters are partial but remain valid lower bounds.  With
-          [domains > 1] the budget applies per worker domain.  The cap
+          counters are partial but remain valid lower bounds.  The cap
           is on {e physical} nodes, which is what makes reduced and
           unreduced searches comparable under the same budget. *)
 }
 
 val default_config : config
 (** switch budget 3, crash budget 1, 2_000 steps, [Retry], keep-all,
-    collect up to 3 violations; pruning on, 1 domain, fingerprint-mode
-    configuration counting, incremental checker, no reduction, no node
-    budget. *)
+    collect up to 3 violations; pruning on, fingerprint-mode
+    configuration counting, no reduction, no node budget. *)
 
 type violation = {
   decisions : decision list;  (** the schedule that exhibits it *)
@@ -182,16 +161,15 @@ type metrics = {
   nodes_saved : int;
       (** logical nodes the memo hits avoided visiting; the unpruned
           search would have visited [nodes + nodes_saved] nodes *)
-  peak_visited : int;  (** total memo-table entries (summed over domains) *)
+  peak_visited : int;  (** memo-table entries *)
   fingerprint_collisions : int;
-      (** {!Config_set.collisions} of the merged set; always 0 unless
-          [exact_configs] *)
+      (** {!Config_set.collisions} of the configuration set; always 0
+          unless [exact_configs] *)
   elapsed_s : float;
   nodes_per_sec : float;  (** physically visited nodes per wall-clock second *)
   depth_hist : (int * int) list;
       (** (decision-sequence length, visited nodes at that depth),
           ascending — the work profile of the search *)
-  domains_used : int;
   rewound_cells : int;
       (** total cell restorations performed by rewinds *)
   rewound_cells_per_sec : float;
@@ -202,24 +180,21 @@ type metrics = {
   intern_hits : int;  (** {!Nvm.Value.intern} table hits during the run *)
   intern_misses : int;
   intern_hit_rate : float;  (** hits / (hits + misses), 0 if no traffic *)
-  lin_engine : string;  (** {!Lin_check.engine_name} of the checker used *)
   leaf_checks : int;  (** leaf histories submitted to the checker *)
   lin_elapsed_s : float;
       (** checker-attributable wall time: event pushes, frontier
-          rewinds and verdicts (incremental), or whole-history checks
-          (batch) *)
+          rewinds and verdicts *)
   lin_checks_per_sec : float;  (** [leaf_checks / lin_elapsed_s] *)
   lin_events_pushed : int;
-      (** events actually fed to the checker; under the incremental
-          engine each shared-prefix event is pushed once, not once per
-          leaf below it *)
+      (** events actually fed to the checker; each shared-prefix event
+          is pushed once, not once per leaf below it *)
   lin_events_total : int;  (** sum of leaf history lengths *)
   lin_reuse_rate : float;
       (** [1 - pushed/total]: the fraction of per-leaf checker work the
-          frontier reuse avoided (0 under batch) *)
+          frontier reuse avoided *)
   frontier_hist : (int * int) list;
-      (** incremental checker: (log2 bucket of frontier size, nodes
-          sampled at that size), ascending; same bucket convention as
+      (** (log2 bucket of checker frontier size, nodes sampled at that
+          size), ascending; same bucket convention as
           [journal_depth_hist] *)
   reduction : string;  (** {!reduction_name} of the reduction that ran *)
   sleep_skips : int;  (** children pruned by the DPOR sleep set *)
@@ -234,8 +209,8 @@ type metrics = {
           expansion.  0 under every other mode (the configuration set
           is then unweighted). *)
   minor_words : float;
-      (** words allocated on the minor heap during the search, summed
-          over worker domains ({!Dtc_util.Alloc_stats}) *)
+      (** words allocated on the minor heap during the search
+          ({!Dtc_util.Alloc_stats}) *)
   promoted_words : float;  (** minor-heap words promoted to the major heap *)
   minor_collections : int;  (** minor GCs triggered by the search *)
   bytes_per_node : float;
@@ -265,8 +240,8 @@ val explore :
   config ->
   outcome
 (** [mk] must build a fresh machine and instance on every call (the
-    explorer builds one per worker domain) and, when [domains > 1], must
-    tolerate concurrent calls from different domains. *)
+    explorer builds one for the search, plus one to read
+    [id_symmetric] under [`Dpor_sym_memo]). *)
 
 val crash_points :
   mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->

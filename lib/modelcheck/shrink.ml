@@ -27,30 +27,27 @@ let free_run session ~max_steps =
         else Session.step session pid
   done
 
-let judge ~lin_engine session (inst : Obj_inst.t) =
-  let verdict =
+(* driver anomalies short-circuit; otherwise [verdict ()] judges the
+   history *)
+let judge session verdict =
+  let v =
     match Session.anomalies session with
     | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-    | [] ->
-        Lin_check.check_with lin_engine inst.Obj_inst.spec
-          (Session.history session)
+    | [] -> verdict ()
   in
-  match verdict with
+  match v with
   | Lin_check.Ok_linearizable _ -> None
   | Lin_check.Violation msg -> Some (Session.history session, msg)
 
 let reproduces ~mk ~workloads ?(policy = Session.Retry)
-    ?(keep = fun (_ : Nvm.Loc.t) -> true) ?wipe ?(max_steps = 5_000)
-    ?(lin_engine = (`Incremental : Lin_check.engine)) decisions =
-  let wipe =
-    match wipe with Some w -> w | None -> Nvm.Fault_model.Keep keep
-  in
+    ?(wipe = Nvm.Fault_model.keep_all) ?(max_steps = 5_000) decisions =
   let machine, inst = mk () in
   let session = Session.create ~policy machine inst ~workloads in
   ignore machine;
   List.iter (apply_decision session ~wipe) decisions;
   free_run session ~max_steps;
-  judge ~lin_engine session inst
+  judge session (fun () ->
+      Lin_check.check inst.Obj_inst.spec (Session.history session))
 
 (* Greedy single-deletion passes until no deletion preserves the
    violation (1-minimality), over ONE undo session for the whole search.
@@ -68,68 +65,31 @@ let reproduces ~mk ~workloads ?(policy = Session.Retry)
    pure function of the decision list, so it is memoised and [attempts]
    counts only physical executions.
 
-   Under the incremental checker a [Lin_check.Session] shadows the undo
-   session mark-for-mark: kept-prefix events are pushed below the
-   candidate mark (so their frontier survives the rewind and is shared by
-   every later candidate of the pass), the candidate's own tail events
-   above it. *)
+   A [Lin_check.Session] shadows the undo session mark-for-mark:
+   kept-prefix events are pushed below the candidate mark (so their
+   frontier survives the rewind and is shared by every later candidate
+   of the pass), the candidate's own tail events above it. *)
 
 let minimise ~mk ~workloads ?(policy = Session.Retry)
-    ?(keep = fun (_ : Nvm.Loc.t) -> true) ?wipe ?(max_steps = 5_000)
-    ?(lin_engine = (`Incremental : Lin_check.engine)) decisions =
-  let wipe =
-    match wipe with Some w -> w | None -> Nvm.Fault_model.Keep keep
-  in
+    ?(wipe = Nvm.Fault_model.keep_all) ?(max_steps = 5_000) decisions =
   let machine, inst = mk () in
   let session = Session.create ~policy ~undo:true machine inst ~workloads in
   ignore machine;
-  let lin =
-    match lin_engine with
-    | `Batch -> None
-    | `Incremental -> Some (Lin_check.Session.create inst.Obj_inst.spec)
-  in
+  let lin = Lin_check.Session.create inst.Obj_inst.spec in
   (* push the sched-session events the checker session has not seen yet
      (the two rewind in lockstep, so the gap is always a suffix) *)
   let sync () =
-    match lin with
-    | None -> ()
-    | Some ls ->
-        let missing =
-          Session.event_count session - Lin_check.Session.events ls
-        in
-        let rec take_rev k acc l =
-          if k = 0 then acc
-          else
-            match l with
-            | [] -> acc
-            | e :: tl -> take_rev (k - 1) (e :: acc) tl
-        in
-        Lin_check.Session.push_history ls
-          (take_rev missing [] (Session.events_rev session))
+    let missing = Session.event_count session - Lin_check.Session.events lin in
+    let rec take_rev k acc l =
+      if k = 0 then acc
+      else match l with [] -> acc | e :: tl -> take_rev (k - 1) (e :: acc) tl
+    in
+    Lin_check.Session.push_history lin
+      (take_rev missing [] (Session.events_rev session))
   in
   let lin_mark () =
     sync ();
-    Option.map (fun ls -> (ls, Lin_check.Session.mark ls)) lin
-  in
-  let lin_rewind = function
-    | None -> ()
-    | Some (ls, m) -> Lin_check.Session.rewind ls m
-  in
-  let judge () =
-    let verdict =
-      match Session.anomalies session with
-      | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-      | [] -> (
-          match lin with
-          | Some ls ->
-              sync ();
-              Lin_check.Session.verdict ls
-          | None ->
-              Lin_check.check inst.Obj_inst.spec (Session.history session))
-    in
-    match verdict with
-    | Lin_check.Ok_linearizable _ -> None
-    | Lin_check.Violation msg -> Some (Session.history session, msg)
+    Lin_check.Session.mark lin
   in
   let root = Session.mark session in
   let lin_root = lin_mark () in
@@ -147,9 +107,13 @@ let minimise ~mk ~workloads ?(policy = Session.Retry)
         let lm = lin_mark () in
         List.iter (apply_decision session ~wipe) tail;
         free_run session ~max_steps;
-        let outcome = judge () in
+        let outcome =
+          judge session (fun () ->
+              sync ();
+              Lin_check.Session.verdict lin)
+        in
         Session.rewind session m;
-        lin_rewind lm;
+        Lin_check.Session.rewind lin lm;
         Hashtbl.replace seen candidate outcome;
         outcome
   in
@@ -174,7 +138,7 @@ let minimise ~mk ~workloads ?(policy = Session.Retry)
         in
         let next = try_deletions 0 in
         Session.rewind session root;
-        lin_rewind lin_root;
+        Lin_check.Session.rewind lin lin_root;
         match next with
         | Some shorter -> shrink shorter
         | None -> (cur, history, msg)

@@ -22,13 +22,12 @@ open Sched
     and evaluates each deletion candidate by mark / run-tail / rewind,
     so a candidate costs O(its tail) instead of O(the whole sequence).
 
-    [?lin_engine] selects the linearizability-checker engine (default
-    [`Incremental]).  Under [`Incremental] a {!Lin_check.Session}
-    shadows the undo session mark-for-mark, so each
-    candidate's verdict reuses the frontier of the kept prefix instead
-    of re-checking the whole history; verdicts are identical to
-    [`Batch]'s, so the search trajectory and result do not depend on the
-    choice. *)
+    A {!Lin_check.Session} shadows the undo session mark-for-mark, so
+    each candidate's verdict reuses the frontier of the kept prefix
+    instead of re-checking the whole history.  {!reproduces}, the
+    one-shot replay, judges with the batch {!Lin_check.check}; the two
+    checkers agree on every verdict, so [minimise]'s result is exactly
+    greedy single deletion over [reproduces]. *)
 
 type result = {
   decisions : Explore.decision list;  (** the minimised prefix *)
@@ -41,26 +40,22 @@ val reproduces :
   mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->
   workloads:Spec.op list array ->
   ?policy:Session.policy ->
-  ?keep:(Nvm.Loc.t -> bool) ->
   ?wipe:Nvm.Fault_model.wipe ->
   ?max_steps:int ->
-  ?lin_engine:Lin_check.engine ->
   Explore.decision list ->
   (Event.t list * string) option
 (** Run "prefix then free run" for a decision sequence; [Some] iff the
-    checker rejects the resulting history.  [wipe] overrides [keep] when
-    given: crashes in the sequence then apply that fault-model wipe
-    (a [Seeded] wipe keys on the crash index, so the exact faulted run
-    that produced the violation is replayed). *)
+    batch checker rejects the resulting history.  Crashes in the
+    sequence apply [wipe] (default {!Nvm.Fault_model.keep_all}; a
+    [Seeded] wipe keys on the crash index, so the exact faulted run that
+    produced the violation is replayed). *)
 
 val minimise :
   mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->
   workloads:Spec.op list array ->
   ?policy:Session.policy ->
-  ?keep:(Nvm.Loc.t -> bool) ->
   ?wipe:Nvm.Fault_model.wipe ->
   ?max_steps:int ->
-  ?lin_engine:Lin_check.engine ->
   Explore.decision list ->
   result option
 (** [None] if the input sequence does not reproduce a violation under

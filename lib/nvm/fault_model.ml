@@ -19,38 +19,34 @@ let to_string = function
 
 let pp fmt f = Format.pp_print_string fmt (to_string f)
 
-(* Accepts both the bare names and the parameterised spellings
-   ("drop:0.5", "torn:2"); [to_string] output parses back too, so the
-   CLI, the checkpoint header and the report config all round-trip. *)
+(* Accepts exactly the bare names, "name:X", "name=X" and [to_string]'s
+   "name(key=X)", so the CLI, the checkpoint header and the report
+   config all round-trip; any other spelling is an error, never a
+   partial parse. *)
 let of_string s =
-  let num_suffix ~prefix s =
-    (* "prefix:X", "prefix=X", "prefix(..=X)" all yield X *)
-    let n = String.length s and p = String.length prefix in
-    if n <= p then None
-    else
-      let rest = String.sub s p (n - p) in
-      let rest =
-        match String.index_opt rest '=' with
-        | Some i -> String.sub rest (i + 1) (String.length rest - i - 1)
-        | None -> rest
-      in
-      let rest =
-        String.concat ""
-          (String.split_on_char ')' (String.concat "" (String.split_on_char ':' rest)))
-      in
-      Some rest
-  in
   let s = String.lowercase_ascii (String.trim s) in
+  let has_prefix prefix = String.starts_with ~prefix s in
+  (* the X of [s = name ^ ":X" | name ^ "=X" | name ^ "(key=X)"] *)
+  let param ~name ~key =
+    let after k = String.sub s k (String.length s - k) in
+    let n = String.length name and paren = name ^ "(" ^ key ^ "=" in
+    if has_prefix (name ^ ":") || has_prefix (name ^ "=") then
+      Some (after (n + 1))
+    else if has_prefix paren && String.ends_with ~suffix:")" s then
+      let x = after (String.length paren) in
+      Some (String.sub x 0 (String.length x - 1))
+    else None
+  in
   if s = "atomic" then Ok Atomic
   else if s = "reorder" then Ok Reorder
   else if s = "drop" then Ok (Drop { keep_prob = 0.5 })
   else if s = "torn" then Ok (Torn { granularity = 1 })
-  else if String.length s >= 4 && String.sub s 0 4 = "drop" then
-    match Option.bind (num_suffix ~prefix:"drop" s) float_of_string_opt with
+  else if has_prefix "drop" then
+    match Option.bind (param ~name:"drop" ~key:"keep") float_of_string_opt with
     | Some p when p >= 0.0 && p <= 1.0 -> Ok (Drop { keep_prob = p })
     | _ -> Error (Printf.sprintf "bad drop keep probability in %S" s)
-  else if String.length s >= 4 && String.sub s 0 4 = "torn" then
-    match Option.bind (num_suffix ~prefix:"torn" s) int_of_string_opt with
+  else if has_prefix "torn" then
+    match Option.bind (param ~name:"torn" ~key:"g") int_of_string_opt with
     | Some g when g >= 1 -> Ok (Torn { granularity = g })
     | _ -> Error (Printf.sprintf "bad torn granularity in %S" s)
   else

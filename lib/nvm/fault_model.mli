@@ -54,7 +54,10 @@ val to_string : t -> string
     {!of_string} parses them back. *)
 
 val of_string : string -> (t, string) result
-(** Parses {!to_string} output as well as the CLI shorthands
-    ["drop"], ["drop:0.7"], ["torn"], ["torn:2"]. *)
+(** Parses {!to_string} output (["drop(keep=0.70)"], ["torn(g=2)"]) as
+    well as the CLI shorthands ["drop"], ["drop:0.7"], ["drop=0.7"],
+    ["torn"], ["torn:2"], ["torn=2"].  Any other spelling — a second
+    separator, a stray parenthesis, a missing number — is an [Error]
+    naming the bad parameter; it never raises. *)
 
 val pp : Format.formatter -> t -> unit

@@ -140,8 +140,8 @@ let set_nth v i x =
    Interning makes same-domain equality a pointer comparison and
    fingerprint folding a single table lookup per cell.
 
-   Tables are domain-local ([Domain.DLS]): the parallel explorer's
-   workers each intern into their own table, so no locking is needed.
+   Tables are domain-local ([Domain.DLS]): the torture engine's worker
+   domains each intern into their own table, so no locking is needed.
    Consequently [==] on [hc] certifies equality only within a domain —
    cross-domain comparisons must fall back to [hc_equal], which is why
    it first compares the cached hashes.  The interned seeds are fixed

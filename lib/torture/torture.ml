@@ -15,10 +15,8 @@ type spec = {
 }
 
 let default_spec_of ?(policy = Session.Retry) ?(crash_prob = 0.05)
-    ?(max_crashes = 2) ?(max_steps = 50_000)
-    ?(lin_engine = (`Incremental : Lin_check.engine))
-    ?(fault = Nvm.Fault_model.Atomic) ?(watchdog = 10_000) ~label ~mk
-    ~workloads_of_seed () =
+    ?(max_crashes = 2) ?(max_steps = 50_000) ?(fault = Nvm.Fault_model.Atomic)
+    ?(watchdog = 10_000) ~label ~mk ~workloads_of_seed () =
   {
     label;
     mk;
@@ -27,7 +25,7 @@ let default_spec_of ?(policy = Session.Retry) ?(crash_prob = 0.05)
     crash_prob;
     max_crashes;
     max_steps;
-    lin_engine;
+    lin_engine = `Incremental;
     fault;
     watchdog;
   }

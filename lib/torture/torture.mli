@@ -86,7 +86,6 @@ val default_spec_of :
   ?crash_prob:float ->
   ?max_crashes:int ->
   ?max_steps:int ->
-  ?lin_engine:Lin_check.engine ->
   ?fault:Nvm.Fault_model.t ->
   ?watchdog:int ->
   label:string ->

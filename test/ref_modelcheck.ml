@@ -44,9 +44,7 @@ let explore ~mk ~workloads (cfg : E.config) =
     List.iter
       (function
         | E.Step pid -> Session.step session pid
-        | E.Crash ->
-            Session.crash_wipe session
-              (match cfg.wipe with Some w -> w | None -> Fault_model.Keep cfg.keep))
+        | E.Crash -> Session.crash_wipe session cfg.wipe)
       (List.rev rev);
     see (Runtime.Machine.mem machine);
     let runnable = Session.runnable session in
@@ -90,8 +88,8 @@ let explore ~mk ~workloads (cfg : E.config) =
    Shrink.reproduces, restarting from the front after every deletion
    that keeps the violation, until none does.  Returns the minimised
    decisions with the history and message of their reproduction. *)
-let minimise ~mk ~workloads ?lin_engine decisions =
-  let repro ds = Modelcheck.Shrink.reproduces ~mk ~workloads ?lin_engine ds in
+let minimise ~mk ~workloads decisions =
+  let repro ds = Modelcheck.Shrink.reproduces ~mk ~workloads ds in
   let rec pass cur found k =
     if k >= List.length cur then Some (cur, found)
     else

@@ -520,6 +520,91 @@ let prop_live_fingerprint_consistent =
       && Mem.live_fingerprint_full m = live_full
       && live_shared = snap_shared)
 
+(* --- fault-spec parser: total, and strict about its spellings --- *)
+
+let test_fault_spellings () =
+  let ok s expected =
+    match Fault_model.of_string s with
+    | Ok f ->
+        Alcotest.(check string) s expected (Fault_model.to_string f)
+    | Error m -> Alcotest.failf "%S rejected: %s" s m
+  in
+  ok "atomic" "atomic";
+  ok " Reorder " "reorder";
+  ok "drop" "drop(keep=0.50)";
+  ok "drop:0.7" "drop(keep=0.70)";
+  ok "drop=0.7" "drop(keep=0.70)";
+  ok "drop(keep=0.25)" "drop(keep=0.25)";
+  ok "torn" "torn(g=1)";
+  ok "torn:3" "torn(g=3)";
+  ok "torn=3" "torn(g=3)";
+  ok "torn(g=2)" "torn(g=2)";
+  let bad s prefix =
+    match Fault_model.of_string s with
+    | Ok f -> Alcotest.failf "%S parsed as %s" s (Fault_model.to_string f)
+    | Error m ->
+        Alcotest.(check bool) (s ^ ": " ^ m) true
+          (String.starts_with ~prefix m)
+  in
+  (* separators are never stripped out of the number *)
+  bad "torn:1:2" "bad torn granularity";
+  bad "torn)3" "bad torn granularity";
+  bad "torn(g=3" "bad torn granularity";
+  bad "torn(k=3)" "bad torn granularity";
+  bad "torn:0" "bad torn granularity";
+  bad "drop:0.:5" "bad drop keep probability";
+  bad "drop(keep=0.5))" "bad drop keep probability";
+  bad "drop:1.5" "bad drop keep probability";
+  bad "drop:" "bad drop keep probability";
+  bad "atomic:1" "unknown fault model";
+  bad "" "unknown fault model"
+
+let gen_fault =
+  QCheck.Gen.(
+    oneof
+      [
+        return Fault_model.Atomic;
+        return Fault_model.Reorder;
+        map (fun k -> Fault_model.Drop { keep_prob = float_of_int k /. 100. })
+          (int_bound 100);
+        map (fun g -> Fault_model.Torn { granularity = g }) (int_range 1 64);
+      ])
+
+(* [to_string] output and the "name:X" shorthand, each followed by a
+   separator character and arbitrary digits: never a valid spelling *)
+let prop_fault_spec_total =
+  QCheck.Test.make ~name:"fault spec: to_string round-trips, garbage errs"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (f, short, sep, tail) ->
+          Printf.sprintf "%s %b %C %S" (Fault_model.to_string f) short sep tail)
+        Gen.(
+          quad gen_fault bool (oneofl [ ':'; ')'; '('; '='; ',' ])
+            (string_size ~gen:numeral (int_bound 3))))
+    (fun (f, short, sep, tail) ->
+      let canon = Fault_model.to_string f in
+      let round =
+        match Fault_model.of_string canon with
+        | Ok f' -> Fault_model.to_string f' = canon
+        | Error _ -> false
+      in
+      let base =
+        match f with
+        | Fault_model.Drop { keep_prob } when short ->
+            Printf.sprintf "drop:%g" keep_prob
+        | Fault_model.Torn { granularity } when short ->
+            Printf.sprintf "torn:%d" granularity
+        | _ -> canon
+      in
+      let garbled = base ^ String.make 1 sep ^ tail in
+      round
+      &&
+      match Fault_model.of_string garbled with
+      | Error _ -> true
+      | Ok _ -> false
+      | exception _ -> false)
+
 let suites =
   [
     ( "nvm.mem",
@@ -567,5 +652,7 @@ let suites =
           test_crash_faulted_deterministic;
         Alcotest.test_case "faulted crash: torn tears tuples" `Quick
           test_crash_faulted_torn_tears_tuples;
+        Alcotest.test_case "fault spec spellings" `Quick test_fault_spellings;
+        QCheck_alcotest.to_alcotest prop_fault_spec_total;
       ] );
   ]

@@ -160,10 +160,6 @@ let check_engines_agree ~mk ~workloads ~switches ~crashes () =
     + pruned.Modelcheck.Explore.metrics.Modelcheck.Explore.nodes_saved);
   Alcotest.(check int) "pruned: no fingerprint collisions" 0
     pruned.Modelcheck.Explore.metrics.Modelcheck.Explore.fingerprint_collisions;
-  let parallel = run { base with prune = true; domains = 2 } in
-  agree "parallel" parallel;
-  Alcotest.(check int) "parallel: ran on 2 domains" 2
-    parallel.Modelcheck.Explore.metrics.Modelcheck.Explore.domains_used;
   pruned
 
 let test_engines_agree_no_vec () =
@@ -189,14 +185,16 @@ let test_engines_agree_reexec () =
    the root, judging leaves with the batch checker and counting
    configurations by pairwise memory-equivalence.  So every
    externally observable count must be identical, with pruning on or
-   off and on any number of domains.  Violation samples come from
-   physically explored leaves, so they are always among the reference's
-   violations; without pruning every violating leaf is explored, and a
-   sequential run must then report exactly the reference's first ones. *)
+   off.  Violation samples come from physically explored leaves, so
+   they are always among the reference's violations; without pruning
+   every violating leaf is explored, and the run must then report
+   exactly the reference's first ones.  Violation messages are part of
+   the compared signature, so this is also the parity check between
+   the explorer's incremental checker and the batch one. *)
 
 let viol_sig (v : Modelcheck.Explore.violation) = (v.decisions, v.msg, v.history)
 
-let matches_reference ?(domains = [ 1 ]) ~mk ~workloads ~switches ~crashes () =
+let matches_reference ~mk ~workloads ~switches ~crashes () =
   let base =
     {
       Modelcheck.Explore.default_config with
@@ -208,37 +206,50 @@ let matches_reference ?(domains = [ 1 ]) ~mk ~workloads ~switches ~crashes () =
   let ref_viols = List.map viol_sig r.violations in
   let n_ref = List.length ref_viols in
   List.for_all
-    (fun domains ->
-      List.for_all
-        (fun prune ->
-          let o =
-            Modelcheck.Explore.explore ~mk ~workloads
-              { base with domains; prune }
-          in
-          let samples = List.map viol_sig o.Modelcheck.Explore.violations in
-          let max_v = base.Modelcheck.Explore.max_violations in
-          o.Modelcheck.Explore.executions = r.executions
-          && o.Modelcheck.Explore.truncated = r.truncated
-          && o.Modelcheck.Explore.total_violations = n_ref
-          && o.Modelcheck.Explore.distinct_shared_configs
-             = r.distinct_shared_configs
-          && List.for_all (fun v -> List.mem v ref_viols) samples
-          && (samples <> [] || n_ref = 0)
-          && (prune || List.length samples = min max_v n_ref)
-          && (prune || domains > 1
-             || samples = List.filteri (fun i _ -> i < max_v) ref_viols))
-        [ true; false ])
-    domains
+    (fun prune ->
+      let o = Modelcheck.Explore.explore ~mk ~workloads { base with prune } in
+      let samples = List.map viol_sig o.Modelcheck.Explore.violations in
+      let max_v = base.Modelcheck.Explore.max_violations in
+      o.Modelcheck.Explore.executions = r.executions
+      && o.Modelcheck.Explore.truncated = r.truncated
+      && o.Modelcheck.Explore.total_violations = n_ref
+      && o.Modelcheck.Explore.distinct_shared_configs
+         = r.distinct_shared_configs
+      && List.for_all (fun v -> List.mem v ref_viols) samples
+      && (samples <> [] || n_ref = 0)
+      && (prune
+         || samples = List.filteri (fun i _ -> i < max_v) ref_viols))
+    [ true; false ]
 
-let check_matches_reference ?domains ~mk ~workloads ~switches ~crashes () =
+let check_matches_reference ~mk ~workloads ~switches ~crashes () =
   Alcotest.(check bool) "product = reference" true
-    (matches_reference ?domains ~mk ~workloads ~switches ~crashes ())
+    (matches_reference ~mk ~workloads ~switches ~crashes ())
+
+(* what only the incremental checker does: each shared-prefix event is
+   pushed once, so fewer events reach it than the leaves hold *)
+let check_frontier_reuse label (o : Modelcheck.Explore.outcome) =
+  let m = o.Modelcheck.Explore.metrics in
+  Alcotest.(check bool) (label ^ ": frontier actually reused") true
+    (m.Modelcheck.Explore.lin_reuse_rate > 0.0);
+  Alcotest.(check bool) (label ^ ": frontier histogram populated") true
+    (m.Modelcheck.Explore.frontier_hist <> []);
+  Alcotest.(check bool) (label ^ ": pushed <= total events") true
+    (m.Modelcheck.Explore.lin_events_pushed
+    <= m.Modelcheck.Explore.lin_events_total)
 
 let test_reference_drw () =
-  check_matches_reference
-    ~mk:(fun () -> Test_support.mk_drw ~n:2 ())
-    ~workloads:[| [ Spec.write_op (i 1); Spec.read_op ]; [ Spec.write_op (i 2) ] |]
-    ~switches:2 ~crashes:1 ()
+  let mk () = Test_support.mk_drw ~n:2 ()
+  and workloads =
+    [| [ Spec.write_op (i 1); Spec.read_op ]; [ Spec.write_op (i 2) ] |]
+  in
+  check_matches_reference ~mk ~workloads ~switches:2 ~crashes:1 ();
+  check_frontier_reuse "drw"
+    (Modelcheck.Explore.explore ~mk ~workloads
+       {
+         Modelcheck.Explore.default_config with
+         switch_budget = 2;
+         crash_budget = 1;
+       })
 
 let test_reference_dcas () =
   check_matches_reference
@@ -258,12 +269,9 @@ let test_reference_broken () =
         (o.Modelcheck.Explore.total_violations > 0);
       Alcotest.(check bool) (name ^ " rewinds") true
         (o.Modelcheck.Explore.metrics.Modelcheck.Explore.rewound_cells > 0);
+      check_frontier_reuse name o;
       check_matches_reference ~mk ~workloads ~switches:2 ~crashes:1 ())
     [ ("no_vec", mk_no_vec, no_vec_workload); ("reexec", mk_reexec, fig2_workload) ]
-
-let test_reference_parallel () =
-  check_matches_reference ~domains:[ 2 ] ~mk:mk_no_vec
-    ~workloads:no_vec_workload ~switches:2 ~crashes:1 ()
 
 (* random cas workloads on the real Dcas or its no-vec ablation; each
    case costs the reference 2-8 s on a 2-vCPU VM at this budget, hence
@@ -280,8 +288,7 @@ let prop_reference_random_workloads =
       let mk () =
         if broken then mk_no_vec () else Test_support.mk_dcas ~n:2 ()
       in
-      matches_reference ~domains:[ 1; 2 ] ~mk ~workloads ~switches:2
-        ~crashes:1 ())
+      matches_reference ~mk ~workloads ~switches:2 ~crashes:1 ())
 
 (* Reductions visit a subset of the unreduced search's nodes, so their
    configuration counts are lower bounds — including the orbit-weighted
@@ -316,72 +323,6 @@ let prop_reduced_configs_bounded =
                 > 0))
         [ `Dpor; `Dpor_sym; `Dpor_sym_memo ])
 
-(* --- the incremental lin-checker agrees with the batch reference ---
-
-   The checker engine must not change ANY externally observable number,
-   only the leaf-check cost. *)
-
-let check_lin_engines_agree ~mk ~workloads ~switches ~crashes () =
-  let cfg lin_engine =
-    {
-      Modelcheck.Explore.default_config with
-      switch_budget = switches;
-      crash_budget = crashes;
-      lin_engine;
-    }
-  in
-  let run e = Modelcheck.Explore.explore ~mk ~workloads (cfg e) in
-  let b = run `Batch and inc = run `Incremental in
-  let ck label f = Alcotest.(check int) label (f b) (f inc) in
-  ck "executions" (fun o -> o.Modelcheck.Explore.executions);
-  ck "truncated" (fun o -> o.Modelcheck.Explore.truncated);
-  ck "nodes" (fun o -> o.Modelcheck.Explore.nodes);
-  ck "total_violations" (fun o -> o.Modelcheck.Explore.total_violations);
-  ck "distinct_shared_configs"
-    (fun o -> o.Modelcheck.Explore.distinct_shared_configs);
-  ck "leaf_checks"
-    (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.leaf_checks);
-  ck "lin_events_total"
-    (fun o -> o.Modelcheck.Explore.metrics.Modelcheck.Explore.lin_events_total);
-  Alcotest.(check bool) "violation samples identical" true
-    (List.map viol_sig b.Modelcheck.Explore.violations
-    = List.map viol_sig inc.Modelcheck.Explore.violations);
-  Alcotest.(check string) "batch run labelled batch" "batch"
-    b.Modelcheck.Explore.metrics.Modelcheck.Explore.lin_engine;
-  Alcotest.(check string) "incremental run labelled incremental" "incremental"
-    inc.Modelcheck.Explore.metrics.Modelcheck.Explore.lin_engine;
-  (* only the incremental engine skips re-pushing shared prefixes *)
-  let pushed (o : Modelcheck.Explore.outcome) =
-    o.Modelcheck.Explore.metrics.Modelcheck.Explore.lin_events_pushed
-  in
-  Alcotest.(check bool) "incremental pushes fewer (or equal) events" true
-    (pushed inc <= pushed b);
-  Alcotest.(check bool) "incremental reuse measured" true
-    (inc.Modelcheck.Explore.metrics.Modelcheck.Explore.lin_reuse_rate >= 0.0);
-  Alcotest.(check bool) "frontier histogram populated" true
-    (inc.Modelcheck.Explore.metrics.Modelcheck.Explore.frontier_hist <> []);
-  inc
-
-let test_lin_engines_agree_drw () =
-  let inc =
-    check_lin_engines_agree
-      ~mk:(fun () -> Test_support.mk_drw ~n:2 ())
-      ~workloads:
-        [| [ Spec.write_op (i 1); Spec.read_op ]; [ Spec.write_op (i 2) ] |]
-      ~switches:2 ~crashes:1 ()
-  in
-  Alcotest.(check bool) "frontier actually reused" true
-    (inc.Modelcheck.Explore.metrics.Modelcheck.Explore.lin_reuse_rate > 0.0)
-
-let test_lin_engines_agree_broken () =
-  (* on a violating object the parity covers real violation messages *)
-  let inc =
-    check_lin_engines_agree ~mk:mk_no_vec ~workloads:no_vec_workload
-      ~switches:2 ~crashes:1 ()
-  in
-  Alcotest.(check bool) "violations present" true
-    (inc.Modelcheck.Explore.total_violations > 0)
-
 let test_metrics_sanity () =
   let out =
     Modelcheck.Explore.explore
@@ -396,8 +337,6 @@ let test_metrics_sanity () =
     (m.Modelcheck.Explore.nodes_per_sec > 0.0);
   Alcotest.(check bool) "elapsed measured" true
     (m.Modelcheck.Explore.elapsed_s >= 0.0);
-  Alcotest.(check int) "sequential run reports one domain" 1
-    m.Modelcheck.Explore.domains_used;
   (* the depth histogram accounts for every replayed node exactly once *)
   Alcotest.(check int) "depth histogram sums to nodes"
     out.Modelcheck.Explore.nodes
@@ -433,12 +372,6 @@ let suites =
         Alcotest.test_case "undo = reference (dcas)" `Quick test_reference_dcas;
         Alcotest.test_case "undo = reference (broken)" `Quick
           test_reference_broken;
-        Alcotest.test_case "undo = reference (domains)" `Quick
-          test_reference_parallel;
-        Alcotest.test_case "lin engines agree (drw)" `Quick
-          test_lin_engines_agree_drw;
-        Alcotest.test_case "lin engines agree (broken, violating)" `Quick
-          test_lin_engines_agree_broken;
         QCheck_alcotest.to_alcotest prop_reference_random_workloads;
         QCheck_alcotest.to_alcotest prop_reduced_configs_bounded;
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;

@@ -289,8 +289,8 @@ let test_lowerbound_growth_small () =
 
 let uniform_cas n = Array.make n [ Spec.cas_op (i 0) (i 1); Spec.cas_op (i 1) (i 2) ]
 
-let explore_full ?(switches = 2) ?(crashes = 0) ?(exact = false) ?(domains = 1)
-    ~mk ~workloads red =
+let explore_full ?(switches = 2) ?(crashes = 0) ?(exact = false) ~mk ~workloads
+    red =
   Modelcheck.Explore.explore ~mk ~workloads
     {
       Modelcheck.Explore.default_config with
@@ -298,7 +298,6 @@ let explore_full ?(switches = 2) ?(crashes = 0) ?(exact = false) ?(domains = 1)
       crash_budget = crashes;
       reduction = red;
       exact_configs = exact;
-      domains;
     }
 
 let test_memo_weighted_count_matches_unreduced () =
@@ -403,32 +402,6 @@ let test_source_skips_fire () =
           ~workloads:(uniform_cas 3) `None)
          .Modelcheck.Explore.executions)
 
-let test_parallel_root_reduction_parity () =
-  (* the parallel explorers now apply sleep/symmetry reduction at the
-     root frontier too: totals must match the sequential search and the
-     root-level symmetry skips must actually fire *)
-  let mk () = Test_support.mk_dcas ~n:3 () in
-  let workloads = uniform_cas 3 in
-  List.iter
-    (fun red ->
-      let seq = explore_full ~mk ~workloads red in
-      let par = explore_full ~mk ~workloads ~domains:2 red in
-      let name what =
-        Printf.sprintf "%s: parallel %s = sequential"
-          (Modelcheck.Explore.reduction_name red)
-          what
-      in
-      Alcotest.(check int) (name "violations")
-        seq.Modelcheck.Explore.total_violations
-        par.Modelcheck.Explore.total_violations;
-      Alcotest.(check int) (name "configs")
-        seq.Modelcheck.Explore.distinct_shared_configs
-        par.Modelcheck.Explore.distinct_shared_configs;
-      if red = `Dpor_sym then
-        Alcotest.(check bool) "root symmetry skips fire in parallel" true
-          (par.Modelcheck.Explore.metrics.Modelcheck.Explore.sym_skips > 0))
-    [ `Dpor; `Dpor_sym ]
-
 let suites =
   [
     ( "reduction",
@@ -466,7 +439,5 @@ let suites =
         Alcotest.test_case "verdict parity under crashes" `Quick
           test_memo_parity_under_crashes;
         Alcotest.test_case "source skips fire" `Quick test_source_skips_fire;
-        Alcotest.test_case "parallel root reduction parity" `Quick
-          test_parallel_root_reduction_parity;
       ] );
   ]

@@ -115,26 +115,6 @@ let test_matches_reference () =
       | _ -> Alcotest.fail "shrinker and reference disagree on reproducibility")
     out.Modelcheck.Explore.violations
 
-let test_lin_engine_parity () =
-  (* the shadowing incremental lin-session must judge every shrink
-     candidate exactly as the batch checker does — rewind-heavy traffic
-     by construction, since the shrinker rewinds the session across
-     every rejected candidate *)
-  let v = find_violation () in
-  let run lin_engine =
-    Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads ~lin_engine
-      v.Modelcheck.Explore.decisions
-  in
-  match (run `Batch, run `Incremental) with
-  | Some b, Some inc ->
-      Alcotest.(check bool) "same minimised decisions" true
-        (b.Modelcheck.Shrink.decisions = inc.Modelcheck.Shrink.decisions);
-      Alcotest.(check string) "same message" b.Modelcheck.Shrink.msg
-        inc.Modelcheck.Shrink.msg;
-      Alcotest.(check int) "same attempts" b.Modelcheck.Shrink.attempts
-        inc.Modelcheck.Shrink.attempts
-  | _ -> Alcotest.fail "lin engines disagree on reproducibility"
-
 let test_undo_refuses_non_repro () =
   (* a longer interleaving with a mid-run crash: the undo session must
      still judge the whole sequence clean before it shrinks anything *)
@@ -164,7 +144,5 @@ let suites =
           test_matches_reference;
         Alcotest.test_case "undo refuses non-repro" `Quick
           test_undo_refuses_non_repro;
-        Alcotest.test_case "lin engine parity" `Quick
-          test_lin_engine_parity;
       ] );
   ]
