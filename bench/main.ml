@@ -5,9 +5,10 @@
    - every experiment table E1-E10 (the paper's figures, theorems and
      complexity claims — see DESIGN.md's per-experiment index);
    - T1a: simulated primitive-steps-per-operation costs (the
-     hardware-independent cost model of each implementation);
-   - T1b: Bechamel wall-clock micro-benchmarks of the same workloads (the
-     cost of implementation + simulator on this machine). *)
+     hardware-independent cost model of each implementation).
+
+   Wall-clock timing lives in the rows' timed metrics and in
+   bench/perf. *)
 
 open Dtc_util
 open Nvm
@@ -142,106 +143,6 @@ let drw_scaling_table () =
       Table.add_row t [ string_of_int n; Printf.sprintf "%.1f" steps ])
     [ 2; 4; 8; 16; 32 ];
   t
-
-(* ------------------------------------------------------------------ *)
-(* T1b: Bechamel wall-clock micro-benchmarks *)
-
-let bech_workload ~mk ~ops () =
-  let machine, inst = mk () in
-  let cfg = { Driver.default_config with max_steps = 1_000_000 } in
-  ignore (Driver.run machine inst ~workloads:[| ops |] cfg)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let mk_test name mk ops =
-    Test.make ~name (Staged.stage (bech_workload ~mk ~ops))
-  in
-  let writes = List.init 50 (fun j -> Spec.write_op (i (j mod 4))) in
-  let cases =
-    List.init 50 (fun j ->
-        if j mod 2 = 0 then Spec.cas_op (i 0) (i 1) else Spec.cas_op (i 1) (i 0))
-  in
-  let qops =
-    List.init 50 (fun j -> if j mod 2 = 0 then Spec.enq_op (i j) else Spec.deq_op)
-  in
-  Test.make_grouped ~name:"bench" ~fmt:"%s.%s"
-    [
-      mk_test "drw.write"
-        (fun () ->
-          let m = Machine.create () in
-          (m, Detectable.Drw.instance (Detectable.Drw.create m ~n:3 ~init:(i 0))))
-        writes;
-      mk_test "urw.write"
-        (fun () ->
-          let m = Machine.create () in
-          (m, Baselines.Urw.instance (Baselines.Urw.create m ~n:3 ~init:(i 0))))
-        writes;
-      mk_test "plain.write"
-        (fun () ->
-          let m = Machine.create () in
-          (m, Baselines.Plain.register m ~init:(i 0)))
-        writes;
-      mk_test "dcas.cas"
-        (fun () ->
-          let m = Machine.create () in
-          (m, Detectable.Dcas.instance (Detectable.Dcas.create m ~n:3 ~init:(i 0))))
-        cases;
-      mk_test "ucas.cas"
-        (fun () ->
-          let m = Machine.create () in
-          (m, Baselines.Ucas.instance (Baselines.Ucas.create m ~n:3 ~init:(i 0))))
-        cases;
-      mk_test "plain.cas"
-        (fun () ->
-          let m = Machine.create () in
-          (m, Baselines.Plain.cas_cell m ~init:(i 0)))
-        cases;
-      mk_test "dqueue.enqdeq"
-        (fun () ->
-          let m = Machine.create () in
-          ( m,
-            Detectable.Dqueue.instance
-              (Detectable.Dqueue.create m ~n:3 ~capacity:128) ))
-        qops;
-      mk_test "plain_queue.enqdeq"
-        (fun () ->
-          let m = Machine.create () in
-          (m, Baselines.Plain.queue m ~capacity:128))
-        qops;
-    ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg [ instance ] (bechamel_tests ()) in
-  let results = Analyze.all ols instance raw in
-  let t =
-    Table.create ~title:"T1b: wall-clock per 50-op solo workload (Bechamel OLS)"
-      [ "benchmark"; "time/run"; "us/op" ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | _ -> ())
-    results;
-  List.iter
-    (fun (name, ns) ->
-      Table.add_row t
-        [
-          name;
-          Printf.sprintf "%.0f ns" ns;
-          Printf.sprintf "%.2f" (ns /. 1000.0 /. 50.0);
-        ])
-    (List.sort compare !rows);
-  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* Committed baselines: `--baseline SUITE|all [--smoke] [--out FILE]`
@@ -572,7 +473,7 @@ let lincheck_histories ~trials ~procs ~ops_per_proc ~seed =
       let cfg =
         {
           Driver.schedule = Schedule.random (Prng.split prng);
-          crash_plan = Crash_plan.random ~max_crashes:2 ~prob:0.002 (Prng.split prng);
+          crash_plan = Crash_plan.faulted ~max_crashes:2 ~prob:0.002 (Prng.split prng);
           policy = Session.Retry;
           max_steps = 1_000_000;
         }
@@ -873,7 +774,7 @@ let compare path =
    --compare FILE
        re-runs FILE's rows and fails (exit 1) on any gate or invariant
    (no flags)
-       the experiment tables E1-E10, T1a and T1b *)
+       the experiment tables E1-E10 and T1a *)
 
 let usage () =
   prerr_endline
@@ -888,7 +789,6 @@ let () =
       print_newline ();
       Table.print (steps_table ());
       Table.print (drw_scaling_table ());
-      run_bechamel ();
       print_endline "done."
   | [ "--compare"; file ] -> compare file
   | "--baseline" :: which :: rest -> (

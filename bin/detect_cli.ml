@@ -813,19 +813,9 @@ let modelcheck_cmd =
     else if out.Modelcheck.Explore.capped then
       print_endline
         "node budget reached: counters are partial lower bounds";
-    Printf.printf
-      "undo: %d cells rewound (%.0f cells/sec), intern hit rate %.1f%% (%d \
-       hits / %d misses)\n"
+    Printf.printf "undo: %d cells rewound, intern hit rate %.1f%%\n"
       m.Modelcheck.Explore.rewound_cells
-      m.Modelcheck.Explore.rewound_cells_per_sec
-      (100.0 *. m.Modelcheck.Explore.intern_hit_rate)
-      m.Modelcheck.Explore.intern_hits m.Modelcheck.Explore.intern_misses;
-    (match m.Modelcheck.Explore.journal_depth_hist with
-    | [] -> ()
-    | hist ->
-        Printf.printf "journal depth (log2 buckets): %s\n"
-          (String.concat " "
-             (List.map (fun (b, n) -> Printf.sprintf "%d:%d" b n) hist)));
+      (100.0 *. m.Modelcheck.Explore.intern_hit_rate);
     Printf.printf
       "checker: %d leaf checks (%.0f checks/sec, %.3fs), %.1f%% event reuse \
        (%d of %d events pushed)\n"

@@ -41,7 +41,7 @@ let () =
     {
       Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
       crash_plan =
-        Crash_plan.random ~max_crashes:3 ~prob:0.06 (Dtc_util.Prng.split prng);
+        Crash_plan.faulted ~max_crashes:3 ~prob:0.06 (Dtc_util.Prng.split prng);
       policy = Session.Retry;
       max_steps = 200_000;
     }

@@ -29,7 +29,7 @@ let run_and_report ~name ~spec ~workloads =
     {
       Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
       crash_plan =
-        Crash_plan.random ~max_crashes:3 ~prob:0.05 (Dtc_util.Prng.split prng);
+        Crash_plan.faulted ~max_crashes:3 ~prob:0.05 (Dtc_util.Prng.split prng);
       policy = Session.Retry;
       max_steps = 500_000;
     }

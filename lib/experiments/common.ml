@@ -37,7 +37,7 @@ let mk_ucas ?(n = 3) () =
   let m = Machine.create () in
   (m, Baselines.Ucas.instance (Baselines.Ucas.create m ~n ~init:(i 0)))
 
-let torture_count ?(policy = Session.Retry) ?(keep_prob = 1.0)
+let torture_count ?(policy = Session.Retry) ?fault
     ?(crash_prob = 0.05) ?(max_crashes = 2) ~trials ~mk ~workloads_of_seed () =
   let violations = ref 0 in
   let crashes = ref 0 in
@@ -48,7 +48,7 @@ let torture_count ?(policy = Session.Retry) ?(keep_prob = 1.0)
       {
         Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
         crash_plan =
-          Crash_plan.random ~max_crashes ~keep_prob ~prob:crash_prob
+          Crash_plan.faulted ~max_crashes ?fault ~prob:crash_prob
             (Dtc_util.Prng.split prng);
         policy;
         max_steps = 50_000;
@@ -77,7 +77,7 @@ let run_steps ~mk ~workloads ~seed =
       schedule = Schedule.random (Dtc_util.Prng.split prng);
       (* inject a couple of crashes so recovery step counts are populated *)
       crash_plan =
-        Crash_plan.random ~max_crashes:2 ~prob:0.03 (Dtc_util.Prng.split prng);
+        Crash_plan.faulted ~max_crashes:2 ~prob:0.03 (Dtc_util.Prng.split prng);
       max_steps = 1_000_000;
     }
   in

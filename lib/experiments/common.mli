@@ -17,7 +17,7 @@ val mk_ucas : ?n:int -> unit -> Runtime.Machine.t * Obj_inst.t
 
 val torture_count :
   ?policy:Session.policy ->
-  ?keep_prob:float ->
+  ?fault:Fault_model.t ->
   ?crash_prob:float ->
   ?max_crashes:int ->
   trials:int ->

@@ -146,7 +146,7 @@ let table () =
           {
             Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
             crash_plan =
-              Crash_plan.random ~max_crashes:2 ~prob:0.03
+              Crash_plan.faulted ~max_crashes:2 ~prob:0.03
                 (Dtc_util.Prng.split prng);
             policy = Session.Retry;
             max_steps = 500_000;

@@ -64,7 +64,7 @@ let aba_directed ~mk () =
   step_until 0 (fun () -> Value.equal (r_value ()) (Value.Int 9));
   step_until 2 (fun () -> rets 2 >= 1);
   step_until 1 (fun () -> Value.equal (r_value ()) (Value.Int 5));
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   let rec drain () =
     match Session.runnable session with
     | [] -> ()

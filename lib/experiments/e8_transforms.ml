@@ -25,7 +25,7 @@ let nrl_run ~trials ~mk ~workloads_of_seed =
       {
         Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
         crash_plan =
-          Crash_plan.random ~max_crashes:2 ~prob:0.08 (Dtc_util.Prng.split prng);
+          Crash_plan.faulted ~max_crashes:2 ~prob:0.08 (Dtc_util.Prng.split prng);
         policy = Session.Retry;
         max_steps = 50_000;
       }
@@ -110,8 +110,9 @@ let table_shared_cache ?(trials = 60) () =
   in
   let row label ~persist ~expect_zero mk wl =
     let violations, _ =
-      Common.torture_count ~keep_prob:0.5 ~crash_prob:0.08 ~trials ~mk
-        ~workloads_of_seed:wl ()
+      Common.torture_count
+        ~fault:(Nvm.Fault_model.Drop { keep_prob = 0.5 })
+        ~crash_prob:0.08 ~trials ~mk ~workloads_of_seed:wl ()
     in
     Table.add_row t
       [

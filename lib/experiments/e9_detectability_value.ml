@@ -19,7 +19,7 @@ let run_one ~mk ~seed stats =
     {
       Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
       crash_plan =
-        Crash_plan.random ~max_crashes:3 ~prob:0.12 (Dtc_util.Prng.split prng);
+        Crash_plan.faulted ~max_crashes:3 ~prob:0.12 (Dtc_util.Prng.split prng);
       policy = Session.Retry;
       max_steps = 200_000;
     }

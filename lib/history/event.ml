@@ -20,11 +20,5 @@ let pp fmt = function
 let pp_history fmt events =
   List.iteri (fun i e -> Format.fprintf fmt "%3d  %a@." i pp e) events
 
-let uid_of = function
-  | Inv { uid; _ } | Ret { uid; _ } | Rec_ret { uid; _ } | Rec_fail { uid; _ }
-    ->
-      Some uid
-  | Crash -> None
-
 let crashes events =
   List.fold_left (fun n e -> match e with Crash -> n + 1 | _ -> n) 0 events

@@ -24,8 +24,5 @@ type t =
 val pp : Format.formatter -> t -> unit
 val pp_history : Format.formatter -> t list -> unit
 
-val uid_of : t -> int option
-(** The operation instance an event belongs to ([None] for [Crash]). *)
-
 val crashes : t list -> int
 (** Number of crash events in a history. *)

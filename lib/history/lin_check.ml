@@ -179,13 +179,6 @@ let check spec events =
       if Array.length records <= word_ops then Dfs_small.run spec records
       else Dfs_big.run spec records
 
-let check_exn spec events =
-  match check spec events with
-  | Ok_linearizable _ -> ()
-  | Violation msg ->
-      failwith
-        (Format.asprintf "%s@.history:@.%a" msg Event.pp_history events)
-
 (* ------------------------------------------------------------------ *)
 (* Incremental engine.
 
@@ -312,10 +305,6 @@ module Session = struct
     mutable malformed : string option;  (* sticky first malformation *)
     mutable frames : frame list;  (* newest-first, one per event *)
     mutable n_events : int;
-    (* monotone statistics — deliberately not rewound *)
-    mutable pushed_total : int;
-    mutable steps_total : int;
-    mutable peak_frontier : int;
   }
 
   let create spec =
@@ -339,9 +328,6 @@ module Session = struct
       malformed = None;
       frames = [];
       n_events = 0;
-      pushed_total = 0;
-      steps_total = 0;
-      peak_frontier = 1;
     }
 
   let add_op t uid op =
@@ -377,7 +363,6 @@ module Session = struct
           if not (Bitset.mem nd.f_lin i) then begin
             let oi = t.ops.(i) in
             let st', resp = t.spec.Spec.step nd.f_state.Value.node oi.oi_op in
-            t.steps_total <- t.steps_total + 1;
             let nd' =
               {
                 f_lin = Bitset.set nd.f_lin i;
@@ -402,9 +387,7 @@ module Session = struct
         done;
         if !n_added > 0 then begin
           t.frontier <- frontier @ List.rev !added;
-          t.n_frontier <- t.n_frontier + !n_added;
-          if t.n_frontier > t.peak_frontier then
-            t.peak_frontier <- t.n_frontier
+          t.n_frontier <- t.n_frontier + !n_added
         end
 
   let set_frontier t frontier n =
@@ -422,7 +405,6 @@ module Session = struct
         fr_malformed = t.malformed;
       }
     in
-    t.pushed_total <- t.pushed_total + 1;
     t.n_events <- t.n_events + 1;
     let push fr = t.frames <- fr :: t.frames in
     let fail fmt =
@@ -547,9 +529,6 @@ module Session = struct
 
   let events t = t.n_events
   let frontier_size t = t.n_frontier
-  let peak_frontier t = t.peak_frontier
-  let events_pushed t = t.pushed_total
-  let spec_steps t = t.steps_total
 end
 
 let check_incremental spec events =

@@ -44,10 +44,6 @@ val check : Spec.t -> Event.t list -> verdict
 
 val is_ok : verdict -> bool
 
-val check_exn : Spec.t -> Event.t list -> unit
-(** Raises [Failure] with the violation message and the pretty-printed
-    history on a violation; for tests. *)
-
 val word_ops : int
 (** Histories of at most this many operation instances (62) run on the
     historical one-word bitmask fast path; longer histories use chunked
@@ -98,13 +94,6 @@ module Session : sig
 
   val frontier_size : t -> int
   (** Configurations currently in the frontier (0 iff violating). *)
-
-  (** Monotone counters over the session's whole life — deliberately not
-      rewound, for metrics. *)
-
-  val peak_frontier : t -> int
-  val events_pushed : t -> int
-  val spec_steps : t -> int
 end
 
 val check_incremental : Spec.t -> Event.t list -> verdict

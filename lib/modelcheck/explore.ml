@@ -162,10 +162,6 @@ type metrics = {
   nodes_per_sec : float;
   depth_hist : (int * int) list;
   rewound_cells : int;
-  rewound_cells_per_sec : float;
-  journal_depth_hist : (int * int) list;
-  intern_hits : int;
-  intern_misses : int;
   intern_hit_rate : float;
   leaf_checks : int;
   lin_elapsed_s : float;
@@ -313,8 +309,6 @@ type state = {
      [depth_hist] grows on demand; the log2-bucketed ones are bounded
      by the word size. *)
   mutable depth_hist : int array;
-  journal_hist : int array;
-      (* log2-bucketed journal depth sampled at each node *)
   frontier_hist : int array;
       (* incremental checker: log2-bucketed frontier size per node *)
   lin : Lin_check.Session.t;
@@ -332,8 +326,7 @@ type state = {
   mutable dedup_hits : int;
   mutable nodes_saved : int;
   mutable rewound : int;  (* cells restored by rewinds *)
-  mutable intern_hits : int;
-  mutable intern_misses : int;
+  mutable intern_hit_rate : float;  (* Value.intern hits / lookups *)
   mutable sleep_skips : int;  (* children pruned by the sleep set *)
   mutable sym_skips : int;  (* children pruned by symmetry *)
   mutable source_skips : int;  (* sibling frontiers cut by source sets *)
@@ -342,10 +335,10 @@ type state = {
       (* per-depth runnable-pid buffers: slot [d] is reused by every
          node at depth [d] (safe — recursion only visits deeper slots
          while a node's buffer is live) *)
-  mutable mbufs : Session.mark_buf array;
+  mutable marks : Session.mark array;
       (* per-depth pooled session marks, same reuse discipline;
-         distinct buffers in slots 0..mbufs_n-1 *)
-  mutable mbufs_n : int;
+         distinct marks in slots 0..marks_n-1 *)
+  mutable marks_n : int;
   n_procs : int;
   wl_class : int array;
       (* wl_class.(p) = least q with workloads.(q) = workloads.(p):
@@ -394,7 +387,6 @@ let mk_state ~sym_memo cfg workloads spec =
         ();
     visited = Memo_tbl.create 65536;
     depth_hist = Array.make 64 0;
-    journal_hist = Array.make 64 0;
     frontier_hist = Array.make 64 0;
     lin = Lin_check.Session.create spec;
     leaf_checks = 0;
@@ -409,15 +401,14 @@ let mk_state ~sym_memo cfg workloads spec =
     dedup_hits = 0;
     nodes_saved = 0;
     rewound = 0;
-    intern_hits = 0;
-    intern_misses = 0;
+    intern_hit_rate = 0.;
     sleep_skips = 0;
     sym_skips = 0;
     source_skips = 0;
     capped = false;
     rbufs = [||];
-    mbufs = [||];
-    mbufs_n = 0;
+    marks = [||];
+    marks_n = 0;
     n_procs;
     wl_class =
       Array.init n_procs (fun p ->
@@ -465,23 +456,23 @@ let get_rbuf st depth =
     st.rbufs.(depth) <- Array.make st.n_procs 0;
   st.rbufs.(depth)
 
-let get_mbuf st session depth =
-  if depth >= Array.length st.mbufs then begin
+let get_mark st session depth =
+  if depth >= Array.length st.marks then begin
     let b =
       Array.make
-        (max (depth + 1) ((2 * Array.length st.mbufs) + 8))
-        (Session.make_mark_buf session)
+        (max (depth + 1) ((2 * Array.length st.marks) + 8))
+        (Session.mark session)
     in
-    Array.blit st.mbufs 0 b 0 st.mbufs_n;
-    st.mbufs <- b
+    Array.blit st.marks 0 b 0 st.marks_n;
+    st.marks <- b
   end;
-  (* slots past [mbufs_n] alias the growth filler: materialise distinct
-     buffers up to [depth] before handing one out *)
-  while st.mbufs_n <= depth do
-    st.mbufs.(st.mbufs_n) <- Session.make_mark_buf session;
-    st.mbufs_n <- st.mbufs_n + 1
+  (* slots past [marks_n] alias the growth filler: materialise distinct
+     marks up to [depth] before handing one out *)
+  while st.marks_n <= depth do
+    st.marks.(st.marks_n) <- Session.mark session;
+    st.marks_n <- st.marks_n + 1
   done;
-  st.mbufs.(depth)
+  st.marks.(depth)
 
 (* ascending-index scan membership over the filled prefix of a runnable
    buffer — the allocation-free [List.mem] of the hot loop *)
@@ -723,7 +714,7 @@ let record_execution st ~decisions ~session ~truncated =
           :: st.violations
 
 (* DFS over decision sequences, on ONE machine/session pair: each child
-   is explored by Session.mark → apply the decision → recurse →
+   is explored by Session.mark_into → apply the decision → recurse →
    Session.rewind, so a node costs O(work in its own subtree edge)
    instead of a replay of the decision prefix.  [cur] is the running
    process (switching away from it costs budget; after a crash any
@@ -741,8 +732,6 @@ let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
     raise Node_cap;
   st.nodes <- st.nodes + 1;
   bump_depth st depth;
-  bump_fixed st.journal_hist
-    (log2_bucket (Mem.journal_depth (Runtime.Machine.mem machine)));
   ignore (Config_set.add_live st.configs (Runtime.Machine.mem machine) : bool);
   let red = st.cfg.reduction in
   let sym_active =
@@ -794,13 +783,13 @@ let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
         (* crash move: dependent with everything, so it is never slept
            and its child starts with an empty sleep set *)
         if crashes < st.cfg.crash_budget then begin
-          let mb = get_mbuf st session depth in
-          Session.mark_into session mb;
-          Session.crash_wipe session st.cfg.wipe;
+          let mk = get_mark st session depth in
+          Session.mark_into session mk;
+          Session.crash session st.cfg.wipe;
           dfs st session machine inst (Crash :: decisions)
             ~depth:(depth + 1) ~hlen:here ~sleep:[] ~stepped None switches
             (crashes + 1);
-          Session.rewind_buf session mb
+          Session.rewind session mk
         end;
         (* step moves *)
         let sleep = ref sleep in
@@ -852,15 +841,15 @@ let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
                 | Some r -> List.filter (fun (_, r') -> independent r r') !sleep
                 | None -> []
               in
-              let mb = get_mbuf st session depth in
-              Session.mark_into session mb;
+              let mk = get_mark st session depth in
+              Session.mark_into session mk;
               Session.step session pid;
               let silent = Session.event_count session = here in
               dfs st session machine inst (Step pid :: decisions)
                 ~depth:(depth + 1) ~hlen:here ~sleep:child_sleep
                 ~stepped:(stepped lor (1 lsl pid))
                 (Some pid) (switches + cost) crashes;
-              Session.rewind_buf session mb;
+              Session.rewind session mk;
               explored := !explored lor (1 lsl pid);
               (* source set: the running process's local silent step is a
                  sufficient singleton — siblings are covered by the child
@@ -889,8 +878,7 @@ let finish ~t0 ~alloc st =
   let nodes = st.nodes
   and lin_pushed = st.lin_pushed
   and lin_total = st.lin_total
-  and lin_elapsed = st.lin_elapsed
-  and rewound = st.rewound in
+  and lin_elapsed = st.lin_elapsed in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   (* (bucket, count) ascending assoc; zero buckets are skipped *)
   let sorted_hist (h : int array) =
@@ -917,15 +905,8 @@ let finish ~t0 ~alloc st =
         elapsed_s;
         nodes_per_sec = float_of_int nodes /. Float.max elapsed_s 1e-9;
         depth_hist = sorted_hist st.depth_hist;
-        rewound_cells = rewound;
-        rewound_cells_per_sec = float_of_int rewound /. Float.max elapsed_s 1e-9;
-        journal_depth_hist = sorted_hist st.journal_hist;
-        intern_hits = st.intern_hits;
-        intern_misses = st.intern_misses;
-        intern_hit_rate =
-          (let total = st.intern_hits + st.intern_misses in
-           if total = 0 then 0.
-           else float_of_int st.intern_hits /. float_of_int total);
+        rewound_cells = st.rewound;
+        intern_hit_rate = st.intern_hit_rate;
         leaf_checks = st.leaf_checks;
         lin_elapsed_s = lin_elapsed;
         lin_checks_per_sec =
@@ -993,8 +974,9 @@ let explore ~mk ~workloads (cfg : config) =
          with Node_cap -> st.capped <- true);
         st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine);
         let h1, m1 = Value.intern_stats () in
-        st.intern_hits <- h1 - h0;
-        st.intern_misses <- m1 - m0;
+        let hits = h1 - h0 and total = h1 - h0 + (m1 - m0) in
+        st.intern_hit_rate <-
+          (if total = 0 then 0. else float_of_int hits /. float_of_int total);
         st)
   in
   finish ~t0 ~alloc st
@@ -1009,10 +991,6 @@ let no_metrics ~elapsed_s ~nodes =
     nodes_per_sec = float_of_int nodes /. Float.max elapsed_s 1e-9;
     depth_hist = [];
     rewound_cells = 0;
-    rewound_cells_per_sec = 0.;
-    journal_depth_hist = [];
-    intern_hits = 0;
-    intern_misses = 0;
     intern_hit_rate = 0.;
     leaf_checks = 0;
     lin_elapsed_s = 0.;
@@ -1060,7 +1038,7 @@ let crash_points ~mk ~workloads ~schedule ?(policy = Session.Retry)
           else if crash_at = Some (step, Session.crashes session = 0) then begin
             (* fire exactly once *)
             decisions := Crash :: !decisions;
-            Session.crash session ~keep
+            Session.crash session (Fault_model.Keep keep)
           end
           else begin
             let pid = sched.Schedule.choose ~runnable ~step in

@@ -172,14 +172,9 @@ type metrics = {
           ascending — the work profile of the search *)
   rewound_cells : int;
       (** total cell restorations performed by rewinds *)
-  rewound_cells_per_sec : float;
-  journal_depth_hist : (int * int) list;
-      (** (log2 bucket of journal depth, nodes sampled at that depth),
-          ascending; bucket [b] covers depths
-          [2^(b-1) .. 2^b - 1] (bucket 0 = empty journal) *)
-  intern_hits : int;  (** {!Nvm.Value.intern} table hits during the run *)
-  intern_misses : int;
-  intern_hit_rate : float;  (** hits / (hits + misses), 0 if no traffic *)
+  intern_hit_rate : float;
+      (** {!Nvm.Value.intern} table hits / lookups during the run, 0 if
+          no traffic *)
   leaf_checks : int;  (** leaf histories submitted to the checker *)
   lin_elapsed_s : float;
       (** checker-attributable wall time: event pushes, frontier
@@ -194,8 +189,8 @@ type metrics = {
           frontier reuse avoided *)
   frontier_hist : (int * int) list;
       (** (log2 bucket of checker frontier size, nodes sampled at that
-          size), ascending; same bucket convention as
-          [journal_depth_hist] *)
+          size), ascending; bucket [b] covers sizes [2^(b-1) .. 2^b - 1]
+          (bucket 0 = empty frontier) *)
   reduction : string;  (** {!reduction_name} of the reduction that ran *)
   sleep_skips : int;  (** children pruned by the DPOR sleep set *)
   sym_skips : int;  (** children pruned by symmetry canonicalisation *)

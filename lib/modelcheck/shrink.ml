@@ -13,7 +13,7 @@ type result = {
 
 let apply_decision session ~wipe d =
   match (d : Explore.decision) with
-  | Explore.Crash -> Session.crash_wipe session wipe
+  | Explore.Crash -> Session.crash session wipe
   | Explore.Step pid ->
       if List.mem pid (Session.runnable session) then Session.step session pid
 

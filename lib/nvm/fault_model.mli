@@ -9,8 +9,7 @@
       (each object field is a single CAS-able word whose persist is
       all-or-nothing).
     - [Drop {keep_prob}] — each dirty line independently persists whole
-      with probability [keep_prob] and is lost otherwise.  Subsumes the
-      old [Crash_plan.random ~keep_prob].
+      with probability [keep_prob] and is lost otherwise.
     - [Torn {granularity}] — a dirty composite {!Value.Tup} persists
       component-wise: contiguous chunks of [granularity] fields each
       independently land as the new or the old value.  Non-tuple values

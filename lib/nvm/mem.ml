@@ -195,29 +195,32 @@ let journaling mem = mem.journal_on
 let journal_depth mem = mem.j_len
 let rewound_cells mem = mem.rewound
 
-type mark = { m_len : int; m_j : int }
+(* A mark is the pair (arena length, journal depth).  It is mutable so
+   that a caller taking one mark per DFS node (the undo explorer) can
+   refill a pooled mark with [mark_into] instead of allocating. *)
+type mark = { mutable m_len : int; mutable m_j : int }
+
+let mark_into mem m =
+  if not mem.journal_on then invalid_arg "Mem.mark: journaling is off";
+  m.m_len <- mem.len;
+  m.m_j <- mem.j_len
 
 let mark mem =
-  if not mem.journal_on then invalid_arg "Mem.mark: journaling is off";
-  { m_len = mem.len; m_j = mem.j_len }
+  let m = { m_len = 0; m_j = 0 } in
+  mark_into mem m;
+  m
 
-(* Raw-coordinate rewind: [mark] is just the pair (len, j_len), and the
-   explorer's pooled mark buffers store those two ints in mutable fields
-   instead of allocating a [mark] record per node.  Same checks, same
-   semantics. *)
-let rewind_to mem ~len ~j =
+let rewind mem { m_len; m_j } =
   if not mem.journal_on then invalid_arg "Mem.rewind: journaling is off";
-  if len <> mem.len then invalid_arg "Mem.rewind: allocations since mark";
-  if j > mem.j_len then invalid_arg "Mem.rewind: stale mark";
-  for k = mem.j_len - 1 downto j do
+  if m_len <> mem.len then invalid_arg "Mem.rewind: allocations since mark";
+  if m_j > mem.j_len then invalid_arg "Mem.rewind: stale mark";
+  for k = mem.j_len - 1 downto m_j do
     let id = mem.j_ids.(k) in
     fp_set mem id mem.j_cells.(k);
     mem.max_bits.(id) <- mem.j_bits.(k)
   done;
-  mem.rewound <- mem.rewound + (mem.j_len - j);
-  mem.j_len <- j
-
-let rewind mem m = rewind_to mem ~len:m.m_len ~j:m.m_j
+  mem.rewound <- mem.rewound + (mem.j_len - m_j);
+  mem.j_len <- m_j
 
 (* ---- mutation ---- *)
 
@@ -423,13 +426,6 @@ let equal_full a b =
     i >= n || (Value.hc_equal a.s_cells.(i) b.s_cells.(i) && go (i + 1))
   in
   go 0
-
-let pp_snapshot fmt snap =
-  Array.iteri
-    (fun i loc ->
-      Format.fprintf fmt "%a = %a@." Loc.pp loc Value.pp
-        snap.s_cells.(i).Value.node)
-    snap.s_locs
 
 let shared_bits mem =
   let total = ref 0 in

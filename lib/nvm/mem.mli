@@ -58,6 +58,9 @@ val loc_by_id : t -> int -> Loc.t
     never allocates mid-exploration). *)
 
 type mark
+(** A journal position: the pair (arena length, journal depth).  Marks
+    are mutable so that a caller checkpointing at every DFS node can
+    refill one pooled mark with {!mark_into} instead of allocating. *)
 
 val set_journal : t -> bool -> unit
 (** Turn journaling on or off.  Turning it off discards the log (and
@@ -66,20 +69,18 @@ val set_journal : t -> bool -> unit
 val journaling : t -> bool
 
 val mark : t -> mark
-(** O(1).  Raises [Invalid_argument] if journaling is off. *)
+(** A fresh mark of the current position: [mark_into] on a new mark.
+    Raises [Invalid_argument] if journaling is off. *)
+
+val mark_into : t -> mark -> unit
+(** O(1).  Overwrite a mark with the current position.  Raises
+    [Invalid_argument] if journaling is off. *)
 
 val rewind : t -> mark -> unit
 (** Pop the journal back to [mark], restoring each logged cell's
     contents and high-water mark.  Raises [Invalid_argument] if
     journaling is off, if allocations happened since the mark, or if
     the mark is stale (deeper than the current log). *)
-
-val rewind_to : t -> len:int -> j:int -> unit
-(** Raw-coordinate {!rewind}: a mark is exactly the pair
-    [(n_locs, journal_depth)] captured while journaling, and callers
-    that pool their own mutable mark buffers (the undo explorer) rewind
-    through this without allocating a [mark].  Same checks and
-    semantics as {!rewind}. *)
 
 val journal_depth : t -> int
 (** Current number of live journal entries. *)
@@ -154,8 +155,6 @@ val live_full_b : t -> int
 (** The halves of {!live_fingerprint_shared} / {!live_fingerprint_full}
     as scalars: the explorer reads them at every DFS node, and the pair
     returns would allocate just to be deconstructed. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit
 
 (** {1 Space accounting} *)
 

@@ -60,19 +60,7 @@ let apply t (req : Prim.request) =
 let peek t l =
   match t.cache with None -> Mem.read t.mem l | Some c -> Cache.read c l
 
-let poke t l v =
-  (match t.cache with
-  | None -> ()
-  | Some c ->
-      (* drop any stale dirty line so NVM and cache agree on [l] *)
-      Cache.write c l v;
-      Cache.persist c l);
-  Mem.write t.mem l v
-
-let crash t ~keep =
-  match t.cache with None -> () | Some c -> Cache.crash c ~keep
-
-let crash_wipe t ~index wipe =
+let crash t ~index wipe =
   match t.cache with
   | None -> ()
   | Some c -> (
@@ -97,18 +85,23 @@ let nvm_snapshot t = Mem.snapshot t.mem
 
 let set_journal t on = Mem.set_journal t.mem on
 
+(* A mark is (store mark, step counter, shared-cache dirty set), all
+   mutable so a pooled mark is refilled in place by [mark_into]. *)
 type mark = {
   k_mem : Mem.mark;
-  k_steps : int;
-  k_dirty : (Loc.t * Value.t) list; (* shared-cache dirty set; [] otherwise *)
+  mutable k_steps : int;
+  mutable k_dirty : (Loc.t * Value.t) list; (* shared-cache dirty set; [] otherwise *)
 }
 
+let mark_into t m =
+  Mem.mark_into t.mem m.k_mem;
+  m.k_steps <- t.steps;
+  m.k_dirty <- (match t.cache with None -> [] | Some c -> Cache.entries c)
+
 let mark t =
-  {
-    k_mem = Mem.mark t.mem;
-    k_steps = t.steps;
-    k_dirty = (match t.cache with None -> [] | Some c -> Cache.entries c);
-  }
+  let m = { k_mem = Mem.mark t.mem; k_steps = 0; k_dirty = [] } in
+  mark_into t m;
+  m
 
 let rewind t m =
   Mem.rewind t.mem m.k_mem;
@@ -116,20 +109,3 @@ let rewind t m =
   match t.cache with
   | None -> ()
   | Some c -> Cache.restore_entries c m.k_dirty
-
-(* Raw mark coordinates, for callers that pool mutable mark buffers
-   (the undo explorer): a [mark] is exactly
-   (Mem.n_locs, Mem.journal_depth, steps, dirty entries). *)
-
-let journal_depth t = Mem.journal_depth t.mem
-let arena_len t = Mem.n_locs t.mem
-
-let dirty_entries t =
-  match t.cache with None -> [] | Some c -> Cache.entries c
-
-let rewind_raw t ~mem_len ~mem_j ~steps ~dirty =
-  Mem.rewind_to t.mem ~len:mem_len ~j:mem_j;
-  t.steps <- steps;
-  match t.cache with
-  | None -> ()
-  | Some c -> Cache.restore_entries c dirty

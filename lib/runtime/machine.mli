@@ -31,25 +31,17 @@ val peek : t -> Loc.t -> Value.t
 (** Read the current (cache-coherent) value without counting a step; for
     drivers, checkers and statistics only. *)
 
-val poke : t -> Loc.t -> Value.t -> unit
-(** Out-of-band write used by driver-level setup (e.g. resetting a
-    process's announcement fields when modelling system-provided auxiliary
-    state).  Writes through to NVM in both models. *)
-
-val crash : t -> keep:(Loc.t -> bool) -> unit
-(** Memory-side effect of a system-wide crash.  In the private-cache model
-    this is a no-op (everything is already persistent); in the
-    shared-cache model each dirty cache line is written back iff [keep]
-    accepts it and the cache is discarded. *)
-
-val crash_wipe : t -> index:int -> Fault_model.wipe -> unit
-(** Fault-model-aware crash.  [crash_wipe t ~index w] behaves like
-    {!crash} when [w] is [Keep keep]; for [Seeded (fault, seed)] it
-    applies [fault] to the dirty set with randomness drawn from
-    [Prng.stream seed ~index], where [index] is the 0-based crash
-    number of the run — so every crash's write-back is independently
-    replayable (the undo engine rewinds crash counters and gets the
-    identical NVM image back).  No-op in the private-cache model. *)
+val crash : t -> index:int -> Fault_model.wipe -> unit
+(** Memory-side effect of a system-wide crash; a no-op in the
+    private-cache model, where everything is already persistent.  In
+    the shared-cache model the dirty cache lines are written back as
+    the wipe dictates and the cache is discarded: [Keep keep] writes
+    back exactly the lines [keep] accepts; [Seeded (fault, seed)]
+    applies [fault] with randomness drawn from [Prng.stream seed
+    ~index], where [index] is the 0-based crash number of the run — so
+    every crash's write-back is independently replayable (the undo
+    engine rewinds crash counters and gets the identical NVM image
+    back). *)
 
 val steps : t -> int
 (** Number of primitive steps applied since creation/reset. *)
@@ -65,10 +57,13 @@ val nvm_snapshot : t -> Mem.snapshot
 (** {1 Incremental checkpointing}
 
     The undo engine's machine-level hooks.  With the store's write
-    journal enabled ({!set_journal}), {!mark} captures the full machine
-    state in O(dirty-cache-lines) — the NVM side is a journal cursor —
-    and {!rewind} restores it in O(writes-since-mark).  Marks are LIFO,
-    inheriting {!Nvm.Mem.rewind}'s discipline. *)
+    journal enabled ({!set_journal}), a mark captures the full machine
+    state in O(dirty-cache-lines) — the NVM side is a journal position
+    ({!Nvm.Mem.mark}) — and {!rewind} restores it in
+    O(writes-since-mark).  Marks are mutable: a caller that checkpoints
+    at every DFS node refills one pooled mark per depth with
+    {!mark_into}.  Marks are LIFO, inheriting {!Nvm.Mem.rewind}'s
+    discipline. *)
 
 val set_journal : t -> bool -> unit
 (** Enable/disable the store's write journal (see {!Nvm.Mem.set_journal}). *)
@@ -76,35 +71,12 @@ val set_journal : t -> bool -> unit
 type mark
 
 val mark : t -> mark
-(** Capture journal cursor, step counter, and (shared-cache model) the
-    volatile dirty set.  Requires the journal to be on. *)
+(** A fresh mark of the current state: [mark_into] on a new mark. *)
+
+val mark_into : t -> mark -> unit
+(** Overwrite a mark with the journal position, step counter and
+    (shared-cache model) the volatile dirty set.  Requires the journal
+    to be on.  Allocation-free in the private-cache model. *)
 
 val rewind : t -> mark -> unit
 (** Roll the store, step counter and cache back to [mark]. *)
-
-(** {2 Raw mark coordinates}
-
-    A {!mark} is exactly the tuple [(arena_len, journal_depth, steps,
-    dirty_entries)].  Callers that pool mutable mark buffers — the undo
-    explorer takes a mark per DFS node — read the coordinates below into
-    reusable fields and roll back through {!rewind_raw} instead of
-    allocating a [mark] per node.  Same LIFO discipline and checks. *)
-
-val arena_len : t -> int
-(** [Nvm.Mem.n_locs] of the store. *)
-
-val journal_depth : t -> int
-(** [Nvm.Mem.journal_depth] of the store. *)
-
-val dirty_entries : t -> (Loc.t * Value.t) list
-(** Shared-cache dirty set ([Cache.entries]); [[]] in the private-cache
-    model (where it allocates nothing). *)
-
-val rewind_raw :
-  t ->
-  mem_len:int ->
-  mem_j:int ->
-  steps:int ->
-  dirty:(Loc.t * Value.t) list ->
-  unit
-(** {!rewind} from raw coordinates previously read off this machine. *)

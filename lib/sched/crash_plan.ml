@@ -28,30 +28,15 @@ let at_steps ?keep ks =
   in
   { should_crash; wipe }
 
-let random ?(max_crashes = 3) ?(keep_prob = 1.0) ~prob prng =
+let faulted ?(max_crashes = 3) ?(fault = Fault_model.Atomic) ~prob prng =
   (* The wipe randomness must not come from [prng]: the schedule PRNG's
      consumption would then depend on the dirty-set size at each crash,
      coupling crash times to memory contents.  A dedicated seed makes
-     the wipe a pure function of (crash index, dirty set).  Nothing is
-     drawn at all for keep_prob >= 1.0, so keep-everything plans (the
-     default) consume exactly as much randomness as before. *)
+     the wipe a pure function of (crash index, dirty set).  [Atomic]
+     draws no seed, so keep-everything plans consume only the crash
+     coin flips. *)
   let wipe =
-    if keep_prob >= 1.0 then Fault_model.keep_all
-    else Fault_model.Seeded (Fault_model.Drop { keep_prob }, draw_seed prng)
-  in
-  let fired = ref 0 in
-  let should_crash ~step:_ =
-    if !fired >= max_crashes then false
-    else if Prng.float prng < prob then (
-      incr fired;
-      true)
-    else false
-  in
-  { should_crash; wipe }
-
-let faulted ?(max_crashes = 3) ~fault ~prob prng =
-  let wipe =
-    match (fault : Fault_model.t) with
+    match fault with
     | Fault_model.Atomic -> Fault_model.keep_all
     | _ -> Fault_model.Seeded (fault, draw_seed prng)
   in
@@ -64,9 +49,6 @@ let faulted ?(max_crashes = 3) ~fault ~prob prng =
     else false
   in
   { should_crash; wipe }
-
-let adversarial_keep_none plan =
-  { plan with wipe = Fault_model.Keep (fun _ -> false) }
 
 let fault_seed plan =
   match plan.wipe with Fault_model.Seeded (_, s) -> s | Fault_model.Keep _ -> 0

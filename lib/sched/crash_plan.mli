@@ -16,7 +16,7 @@ type t = {
       (** write-back behaviour for the dirty lines: a legacy per-location
           [Keep] predicate, or a [Seeded] fault model whose randomness is
           a pure function of the crash index (see
-          {!Runtime.Machine.crash_wipe}) *)
+          {!Runtime.Machine.crash}) *)
 }
 
 val none : t
@@ -28,24 +28,16 @@ val at_steps : ?keep:(Loc.t -> bool) -> int list -> t
     two consecutive consultations once step 4 is reached.  Default wipe
     keeps everything (private-cache semantics). *)
 
-val random : ?max_crashes:int -> ?keep_prob:float -> prob:float -> Prng.t -> t
-(** Crash before each step with probability [prob], at most [max_crashes]
-    times (default 3); each dirty line survives with probability
-    [keep_prob] (default 1.0).  For [keep_prob < 1.0] the survival
-    decisions are drawn from a dedicated fault stream seeded at
-    construction from [prng] ([Seeded (Drop _, seed)]), never from
-    [prng] itself — crash outcomes cannot perturb the crash/schedule
-    stream.  With the default [keep_prob] nothing extra is drawn, so
-    existing keep-everything plans consume identical randomness. *)
-
-val faulted : ?max_crashes:int -> fault:Fault_model.t -> prob:float -> Prng.t -> t
-(** Like {!random} but injecting crashes under an arbitrary
-    {!Fault_model.t}.  A fault seed is drawn from [prng] at construction
-    (except for [Atomic], which needs none); the plan's wipe is
-    [Seeded (fault, seed)]. *)
-
-val adversarial_keep_none : t -> t
-(** Same crash times, but no dirty line ever survives. *)
+val faulted :
+  ?max_crashes:int -> ?fault:Fault_model.t -> prob:float -> Prng.t -> t
+(** Crash before each step with probability [prob], at most
+    [max_crashes] times (default 3), injecting each crash under [fault]
+    (default [Atomic]: every dirty line persists whole).  For any other
+    fault a seed is drawn from [prng] at construction and the plan's
+    wipe is [Seeded (fault, seed)]: the write-back decisions come from
+    that dedicated stream, never from [prng] itself, so crash outcomes
+    cannot perturb the crash/schedule stream.  [Atomic] draws no seed,
+    so keep-everything plans consume only the crash coin flips. *)
 
 val fault_seed : t -> int
 (** The seed inside a [Seeded] wipe, or [0] for a [Keep] wipe — recorded

@@ -53,7 +53,7 @@ let run ?watchdog ?scratch machine inst ~workloads cfg =
           continue := false
         end
         else if cfg.crash_plan.Crash_plan.should_crash ~step then
-          Session.crash_wipe session cfg.crash_plan.Crash_plan.wipe
+          Session.crash session cfg.crash_plan.Crash_plan.wipe
         else
           Session.step session (cfg.schedule.Schedule.choose ~runnable ~step)
   done;

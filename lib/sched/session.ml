@@ -559,7 +559,7 @@ let pending_request s pid =
     | Some _ | None -> None
   end
 
-let crash_wipe s wipe =
+let crash s wipe =
   (* The crash index is the pre-increment counter: crash k of the run
      uses fault stream k, and since rewind restores [s.crashes], a
      re-executed crash replays the identical wipe. *)
@@ -576,7 +576,7 @@ let crash_wipe s wipe =
          step_sig already covers, so keep rolling across the restart *)
       ps.step_sig <- Value.mix ps.step_sig 0xC0FFEE)
     s.procs;
-  Machine.crash_wipe s.machine ~index wipe;
+  Machine.crash s.machine ~index wipe;
   Array.iter
     (fun ps ->
       (* snapshot the driver fields BEFORE the restart program runs: its
@@ -585,8 +585,6 @@ let crash_wipe s wipe =
       ps.fiber <- Some (Fiber.start (restart_prog s ps));
       sync_logical ps)
     s.procs
-
-let crash s ~keep = crash_wipe s (Fault_model.Keep keep)
 
 let steps s = s.steps
 let crashes s = s.crashes
@@ -627,32 +625,105 @@ let rec_steps s = dump s.rec_steps_tbl
    so the maxima stay honest as "over everything tried". *)
 
 type pmark = {
-  pm_todo : Spec.op list;
-  pm_status : op_status;
-  pm_cur_steps : int;
-  pm_in_recovery : bool;
-  pm_rec_started : bool;
-  pm_step_sig : int;
-  pm_stamp : int;
-  pm_runnable : bool;
-  pm_done : bool;
-  pm_incs : incarnation list;
-  pm_log_len : int;
+  mutable pm_todo : Spec.op list;
+  mutable pm_status : op_status;
+  mutable pm_cur_steps : int;
+  mutable pm_in_recovery : bool;
+  mutable pm_rec_started : bool;
+  mutable pm_step_sig : int;
+  mutable pm_stamp : int;
+  mutable pm_runnable : bool;
+  mutable pm_done : bool;
+  mutable pm_incs : incarnation list;
+  mutable pm_log_len : int;
 }
 
+(* Marks are mutable: the undo explorer takes one per DFS node, and
+   refilling one pooled mark per recursion depth with [mark_into] keeps
+   a node's checkpoint allocation-free (in the private-cache model). *)
 type mark = {
   mk_machine : Machine.mark;
-  mk_events : Event.t list;
-  mk_n_events : int;
-  mk_anoms : string list;
-  mk_hist_sig : int;
-  mk_uid : int;
-  mk_steps : int;
-  mk_crashes : int;
-  mk_sym_sig : int;
-  mk_sym_seen : int;
+  mutable mk_events : Event.t list;
+  mutable mk_n_events : int;
+  mutable mk_anoms : string list;
+  mutable mk_hist_sig : int;
+  mutable mk_uid : int;
+  mutable mk_steps : int;
+  mutable mk_crashes : int;
+  mutable mk_sym_sig : int;
+  mutable mk_sym_seen : int;
   mk_procs : pmark array;
 }
+
+let check_undo s fn =
+  if not s.undo then
+    invalid_arg ("Session." ^ fn ^ ": session is not in undo mode")
+
+let mark_into s m =
+  check_undo s "mark";
+  if Array.length m.mk_procs <> Array.length s.procs then
+    invalid_arg "Session.mark_into: mark from a different session shape";
+  Machine.mark_into s.machine m.mk_machine;
+  m.mk_events <- s.events;
+  m.mk_n_events <- s.n_events;
+  m.mk_anoms <- s.anomalies;
+  m.mk_hist_sig <- s.hist_sig;
+  m.mk_uid <- s.uid;
+  m.mk_steps <- s.steps;
+  m.mk_crashes <- s.crashes;
+  m.mk_sym_sig <- s.sym_sig;
+  m.mk_sym_seen <- s.sym_seen;
+  Array.iteri
+    (fun i ps ->
+      let pm = m.mk_procs.(i) in
+      pm.pm_todo <- ps.todo;
+      pm.pm_status <- ps.status;
+      pm.pm_cur_steps <- ps.cur_steps;
+      pm.pm_in_recovery <- ps.in_recovery;
+      pm.pm_rec_started <- ps.rec_started;
+      pm.pm_step_sig <- ps.step_sig;
+      pm.pm_stamp <- ps.stamp;
+      pm.pm_runnable <- ps.l_runnable;
+      pm.pm_done <- ps.l_done;
+      pm.pm_incs <- ps.incs;
+      pm.pm_log_len <- (match ps.incs with inc :: _ -> inc.log_len | [] -> 0))
+    s.procs
+
+let mark s =
+  check_undo s "mark";
+  let m =
+    {
+      mk_machine = Machine.mark s.machine;
+      mk_events = [];
+      mk_n_events = 0;
+      mk_anoms = [];
+      mk_hist_sig = 0;
+      mk_uid = 0;
+      mk_steps = 0;
+      mk_crashes = 0;
+      mk_sym_sig = 0;
+      mk_sym_seen = 0;
+      mk_procs =
+        Array.map
+          (fun _ ->
+            {
+              pm_todo = [];
+              pm_status = Idle;
+              pm_cur_steps = 0;
+              pm_in_recovery = false;
+              pm_rec_started = false;
+              pm_step_sig = 0;
+              pm_stamp = 0;
+              pm_runnable = false;
+              pm_done = false;
+              pm_incs = [];
+              pm_log_len = 0;
+            })
+          s.procs;
+    }
+  in
+  mark_into s m;
+  m
 
 (* First-occurrence ranks are assigned monotonically ([sym_seen] only
    grows, each pid's rank is written once), so restoring them needs no
@@ -668,41 +739,8 @@ let rewind_sym s ~sym_sig ~sym_seen =
     s.sym_seen <- sym_seen
   end
 
-let mark s =
-  if not s.undo then invalid_arg "Session.mark: session is not in undo mode";
-  {
-    mk_machine = Machine.mark s.machine;
-    mk_events = s.events;
-    mk_n_events = s.n_events;
-    mk_anoms = s.anomalies;
-    mk_hist_sig = s.hist_sig;
-    mk_uid = s.uid;
-    mk_steps = s.steps;
-    mk_crashes = s.crashes;
-    mk_sym_sig = s.sym_sig;
-    mk_sym_seen = s.sym_seen;
-    mk_procs =
-      Array.map
-        (fun ps ->
-          {
-            pm_todo = ps.todo;
-            pm_status = ps.status;
-            pm_cur_steps = ps.cur_steps;
-            pm_in_recovery = ps.in_recovery;
-            pm_rec_started = ps.rec_started;
-            pm_step_sig = ps.step_sig;
-            pm_stamp = ps.stamp;
-            pm_runnable = ps.l_runnable;
-            pm_done = ps.l_done;
-            pm_incs = ps.incs;
-            pm_log_len =
-              (match ps.incs with inc :: _ -> inc.log_len | [] -> 0);
-          })
-        s.procs;
-  }
-
 let rewind s m =
-  if not s.undo then invalid_arg "Session.rewind: session is not in undo mode";
+  check_undo s "rewind";
   Machine.rewind s.machine m.mk_machine;
   s.events <- m.mk_events;
   s.n_events <- m.mk_n_events;
@@ -747,159 +785,6 @@ let rewind s m =
         | [] -> ()
       end)
     m.mk_procs
-
-(* ------------------------------------------------------------------ *)
-(* Pooled mark buffers.
-
-   [mark] allocates ~10 words per process per call, and the undo
-   explorer takes one mark per DFS node.  A [mark_buf] is the mutable
-   mirror of [mark]: the caller allocates one per recursion depth and
-   [mark_into]/[rewind_buf] reuse it for every node at that depth.  The
-   semantics (including the LIFO discipline and the fiber-survival
-   check) are identical to [mark]/[rewind] — the machine side goes
-   through [Machine.rewind_raw] on the same raw coordinates a
-   [Machine.mark] would have captured. *)
-
-type pmark_buf = {
-  mutable pb_todo : Spec.op list;
-  mutable pb_status : op_status;
-  mutable pb_cur_steps : int;
-  mutable pb_in_recovery : bool;
-  mutable pb_rec_started : bool;
-  mutable pb_step_sig : int;
-  mutable pb_stamp : int;
-  mutable pb_runnable : bool;
-  mutable pb_done : bool;
-  mutable pb_incs : incarnation list;
-  mutable pb_log_len : int;
-}
-
-type mark_buf = {
-  mutable mb_mem_len : int;
-  mutable mb_mem_j : int;
-  mutable mb_msteps : int;
-  mutable mb_dirty : (Loc.t * Value.t) list;
-  mutable mb_events : Event.t list;
-  mutable mb_n_events : int;
-  mutable mb_anoms : string list;
-  mutable mb_hist_sig : int;
-  mutable mb_uid : int;
-  mutable mb_steps : int;
-  mutable mb_crashes : int;
-  mutable mb_sym_sig : int;
-  mutable mb_sym_seen : int;
-  mb_procs : pmark_buf array;
-}
-
-let make_mark_buf s =
-  {
-    mb_mem_len = 0;
-    mb_mem_j = 0;
-    mb_msteps = 0;
-    mb_dirty = [];
-    mb_events = [];
-    mb_n_events = 0;
-    mb_anoms = [];
-    mb_hist_sig = 0;
-    mb_uid = 0;
-    mb_steps = 0;
-    mb_crashes = 0;
-    mb_sym_sig = 0;
-    mb_sym_seen = 0;
-    mb_procs =
-      Array.map
-        (fun _ ->
-          {
-            pb_todo = [];
-            pb_status = Idle;
-            pb_cur_steps = 0;
-            pb_in_recovery = false;
-            pb_rec_started = false;
-            pb_step_sig = 0;
-            pb_stamp = 0;
-            pb_runnable = false;
-            pb_done = false;
-            pb_incs = [];
-            pb_log_len = 0;
-          })
-        s.procs;
-  }
-
-let mark_into s mb =
-  if not s.undo then invalid_arg "Session.mark: session is not in undo mode";
-  if Array.length mb.mb_procs <> Array.length s.procs then
-    invalid_arg "Session.mark_into: buffer from a different session shape";
-  mb.mb_mem_len <- Machine.arena_len s.machine;
-  mb.mb_mem_j <- Machine.journal_depth s.machine;
-  mb.mb_msteps <- Machine.steps s.machine;
-  mb.mb_dirty <- Machine.dirty_entries s.machine;
-  mb.mb_events <- s.events;
-  mb.mb_n_events <- s.n_events;
-  mb.mb_anoms <- s.anomalies;
-  mb.mb_hist_sig <- s.hist_sig;
-  mb.mb_uid <- s.uid;
-  mb.mb_steps <- s.steps;
-  mb.mb_crashes <- s.crashes;
-  mb.mb_sym_sig <- s.sym_sig;
-  mb.mb_sym_seen <- s.sym_seen;
-  Array.iteri
-    (fun i ps ->
-      let pb = mb.mb_procs.(i) in
-      pb.pb_todo <- ps.todo;
-      pb.pb_status <- ps.status;
-      pb.pb_cur_steps <- ps.cur_steps;
-      pb.pb_in_recovery <- ps.in_recovery;
-      pb.pb_rec_started <- ps.rec_started;
-      pb.pb_step_sig <- ps.step_sig;
-      pb.pb_stamp <- ps.stamp;
-      pb.pb_runnable <- ps.l_runnable;
-      pb.pb_done <- ps.l_done;
-      pb.pb_incs <- ps.incs;
-      pb.pb_log_len <-
-        (match ps.incs with inc :: _ -> inc.log_len | [] -> 0))
-    s.procs
-
-let rewind_buf s mb =
-  if not s.undo then invalid_arg "Session.rewind: session is not in undo mode";
-  Machine.rewind_raw s.machine ~mem_len:mb.mb_mem_len ~mem_j:mb.mb_mem_j
-    ~steps:mb.mb_msteps ~dirty:mb.mb_dirty;
-  s.events <- mb.mb_events;
-  s.n_events <- mb.mb_n_events;
-  s.anomalies <- mb.mb_anoms;
-  s.hist_sig <- mb.mb_hist_sig;
-  s.uid <- mb.mb_uid;
-  s.steps <- mb.mb_steps;
-  s.crashes <- mb.mb_crashes;
-  rewind_sym s ~sym_sig:mb.mb_sym_sig ~sym_seen:mb.mb_sym_seen;
-  Array.iteri
-    (fun i pb ->
-      let ps = s.procs.(i) in
-      let same_pos =
-        ps.incs == pb.pb_incs
-        &&
-        match ps.incs with
-        | inc :: _ -> inc.log_len = pb.pb_log_len
-        | [] -> true
-      in
-      ps.todo <- pb.pb_todo;
-      ps.status <- pb.pb_status;
-      ps.cur_steps <- pb.pb_cur_steps;
-      ps.in_recovery <- pb.pb_in_recovery;
-      ps.rec_started <- pb.pb_rec_started;
-      ps.step_sig <- pb.pb_step_sig;
-      ps.stamp <- pb.pb_stamp;
-      ps.l_runnable <- pb.pb_runnable;
-      ps.l_done <- pb.pb_done;
-      if not same_pos then begin
-        (match ps.fiber with Some f -> Fiber.kill f | None -> ());
-        ps.fiber <- None;
-        ps.stale <- true;
-        ps.incs <- pb.pb_incs;
-        match ps.incs with
-        | inc :: _ -> inc.log_len <- pb.pb_log_len
-        | [] -> ()
-      end)
-    mb.mb_procs
 
 (* Cheap exact digest of the session's future-relevant state.
 
@@ -958,7 +843,6 @@ let state_digest s =
 
 let uids s = s.uid
 let sym_events_sig s = s.sym_sig
-let sym_ranked s = s.sym_seen
 
 let sym_rank s pid =
   if pid < 0 || pid >= Array.length s.procs then

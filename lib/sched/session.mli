@@ -72,17 +72,14 @@ val pending_request : t -> int -> Runtime.Prim.request option
     untouched.  The model checker's DPOR uses the request's cell
     footprint to decide independence between candidate steps. *)
 
-val crash : t -> keep:(Loc.t -> bool) -> unit
+val crash : t -> Nvm.Fault_model.wipe -> unit
 (** System-wide crash: kill all fibers (volatile state lost), apply the
-    memory model's write-back semantics with [keep], then restart every
-    process on its recovery-then-resume program.  Equivalent to
-    [crash_wipe s (Fault_model.Keep keep)]. *)
-
-val crash_wipe : t -> Nvm.Fault_model.wipe -> unit
-(** Fault-model-aware crash.  The crash index passed to
-    {!Runtime.Machine.crash_wipe} is the session's crash counter before
-    the increment, and {!rewind} restores that counter — so a crash
-    re-executed after a rewind replays the identical wipe. *)
+    memory model's write-back semantics with the wipe
+    ({!Runtime.Machine.crash}), then restart every process on its
+    recovery-then-resume program.  The crash index passed to the
+    machine is the session's crash counter before the increment, and
+    {!rewind} restores that counter — so a crash re-executed after a
+    rewind replays the identical wipe. *)
 
 val steps : t -> int
 (** Primitive steps executed so far. *)
@@ -119,53 +116,42 @@ val rec_steps : t -> (string * int) list
 
 (** {1 Undo-mode checkpointing}
 
-    Available only on sessions created with [~undo:true].  {!mark} is
-    O(N) (machine journal cursor + dirty-set snapshot + per-process
-    driver fields and log positions; the event/anomaly lists are
-    immutable cons spines, so their heads are snapshots already).
-    {!rewind} restores memory in O(cells-written-since-mark) and kills
-    only the fibers that actually moved past the mark; a killed fiber
-    is rebuilt lazily, the next time its process is stepped, by
-    {e ghost replay} — re-running its deterministic program against the
-    logged inputs with all session side effects suppressed, at a cost
-    of O(that process's own steps) and no memory traffic.
+    Available only on sessions created with [~undo:true].  A mark is
+    O(N) (machine mark — journal position plus dirty set — and per
+    process the driver fields and log positions; the event/anomaly
+    lists are immutable cons spines, so their heads are snapshots
+    already).  {!rewind} restores memory in O(cells-written-since-mark)
+    and kills only the fibers that actually moved past the mark; a
+    killed fiber is rebuilt lazily, the next time its process is
+    stepped, by {e ghost replay} — re-running its deterministic program
+    against the logged inputs with all session side effects suppressed,
+    at a cost of O(that process's own steps) and no memory traffic.
+
+    Marks are mutable and caller-owned: a DFS that pools one mark per
+    recursion depth refills it with {!mark_into}, so checkpointing a
+    node allocates nothing (the shared-cache dirty-set list is the one
+    exception — it is [[]] in the private-cache model).
 
     Marks are LIFO: rewinding to a mark invalidates every mark taken
-    after it.  The [op_steps]/[rec_steps] max-tables are deliberately
-    not rewound — they are reporting-only monotone maxima over
-    everything actually executed, and the checker's verdicts, digests
-    and histories never read them. *)
+    (or refilled) after it.  The [op_steps]/[rec_steps] max-tables are
+    deliberately not rewound — they are reporting-only monotone maxima
+    over everything actually executed, and the checker's verdicts,
+    digests and histories never read them. *)
 
 type mark
 
 val mark : t -> mark
-(** Checkpoint the full configuration.  Raises [Invalid_argument]
-    outside undo mode. *)
+(** A fresh mark of the full configuration: [mark_into] on a new mark.
+    Raises [Invalid_argument] outside undo mode. *)
+
+val mark_into : t -> mark -> unit
+(** Overwrite a mark with the full configuration.  Raises
+    [Invalid_argument] outside undo mode or on a mark taken from a
+    session with a different process count. *)
 
 val rewind : t -> mark -> unit
 (** Roll the configuration back to [mark].  Raises [Invalid_argument]
     outside undo mode; marks must be used in LIFO order. *)
-
-type mark_buf
-(** A caller-owned mutable {!mark}: {!mark_into} overwrites it in place
-    and {!rewind_buf} restores from it, so a DFS that pools one buffer
-    per recursion depth checkpoints every node allocation-free (the
-    shared-cache dirty-set list is the one exception — it is [[]] in
-    the private-cache model).  Same LIFO discipline as {!mark}: a
-    buffer's contents are invalidated by rewinding to any earlier
-    point, and each fill must be rewound before the buffer is refilled
-    at the same or a shallower position. *)
-
-val make_mark_buf : t -> mark_buf
-(** A fresh buffer shaped for [t]'s process count. *)
-
-val mark_into : t -> mark_buf -> unit
-(** Overwrite [buf] with the current configuration.  Raises
-    [Invalid_argument] outside undo mode or on a buffer of the wrong
-    shape. *)
-
-val rewind_buf : t -> mark_buf -> unit
-(** {!rewind} from the buffer's contents. *)
 
 (** {1 Symmetry-canonical digest ingredients}
 
@@ -177,8 +163,8 @@ val rewind_buf : t -> mark_buf -> unit
     labelling that two executions related by a pid permutation assign
     identically position by position.  Creation-drawn uids relabel
     through the same ranks; later uids are drawn in event order and so
-    are already position-invariant.  {!mark}/{!rewind} (and the buffer
-    forms) checkpoint and restore all of it. *)
+    are already position-invariant.  {!mark}/{!rewind} checkpoint and
+    restore all of it. *)
 
 val uids : t -> int
 (** Operation uids drawn so far (O(1); rewinds restore it). *)
@@ -192,15 +178,12 @@ val sym_rank : t -> int -> int
 (** [sym_rank s pid] — [pid]'s post-creation first-occurrence rank, or
     [-1] if it has emitted no post-creation event yet. *)
 
-val sym_ranked : t -> int
-(** How many processes hold a first-occurrence rank. *)
-
 val mut_stamp : t -> int -> int
 (** [mut_stamp s pid] — [pid]'s mutation stamp.  Stamps are drawn from a
     strictly increasing per-session counter that is {e never} rewound:
     a process's stamp is refreshed whenever its logical state can have
     changed (its own step, any crash) and restored exactly by
-    {!rewind}/{!rewind_buf}, so within one session two observations of
+    {!rewind}, so within one session two observations of
     an equal stamp for [pid] guarantee [pid]'s future-relevant state
     (everything {!proc_sym_sig} digests) is identical.  Distinct
     sessions share no counter — stamp-keyed caches must be per-session.

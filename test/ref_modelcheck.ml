@@ -44,7 +44,7 @@ let explore ~mk ~workloads (cfg : E.config) =
     List.iter
       (function
         | E.Step pid -> Session.step session pid
-        | E.Crash -> Session.crash_wipe session cfg.wipe)
+        | E.Crash -> Session.crash session cfg.wipe)
       (List.rev rev);
     see (Runtime.Machine.mem machine);
     let runnable = Session.runnable session in

@@ -58,14 +58,14 @@ let mk_ucas ?(n = 3) ?(init = i 0) () =
    with a pretty-printed history on the first violation. *)
 
 let run_one ?(policy = Session.Retry) ?(max_crashes = 2) ?(crash_prob = 0.05)
-    ?(keep_prob = 1.0) ?(max_steps = 20_000) ~seed mk workloads =
+    ?fault ?(max_steps = 20_000) ~seed mk workloads =
   let prng = Dtc_util.Prng.create seed in
   let machine, inst = mk () in
   let cfg =
     {
       Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
       crash_plan =
-        Crash_plan.random ~max_crashes ~keep_prob ~prob:crash_prob
+        Crash_plan.faulted ~max_crashes ?fault ~prob:crash_prob
           (Dtc_util.Prng.split prng);
       policy;
       max_steps;
@@ -83,12 +83,12 @@ let assert_ok inst (res : Driver.result) ~ctx =
       Alcotest.failf "%s: %s@.history:@.%a" ctx msg Event.pp_history
         res.history
 
-let torture ?policy ?max_crashes ?crash_prob ?keep_prob ?max_steps ~trials
+let torture ?policy ?max_crashes ?crash_prob ?fault ?max_steps ~trials
     ~name mk workloads_of_seed =
   for seed = 1 to trials do
     let workloads = workloads_of_seed seed in
     let inst, res =
-      run_one ?policy ?max_crashes ?crash_prob ?keep_prob ?max_steps ~seed mk
+      run_one ?policy ?max_crashes ?crash_prob ?fault ?max_steps ~seed mk
         workloads
     in
     assert_ok inst res ~ctx:(Printf.sprintf "%s (seed %d)" name seed)

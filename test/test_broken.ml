@@ -122,7 +122,7 @@ let run_aba_script mk =
   step_until 2 (fun () -> rets 2 >= 1);
   (* p1 re-installs (5, p1) *)
   step_until 1 (fun () -> Value.equal (r_value ()) (i 5));
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   (* drain everyone *)
   let rec drain () =
     match Session.runnable session with

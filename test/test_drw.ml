@@ -145,7 +145,7 @@ let test_idle_crash () =
         drain ()
   in
   drain ();
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   let rec drain2 () =
     match Session.runnable session with
     | [] -> ()

@@ -82,7 +82,7 @@ let test_l1_crash_before_cp1 () =
     done;
     (* only crash if CP is still 0 (we are before line 6) *)
     if Value.equal (Machine.peek machine cp) (i 0) then begin
-      Session.crash session ~keep:(fun _ -> true);
+      Session.crash session Fault_model.keep_all;
       drain session;
       assert_consistent session inst ~ctx:(Printf.sprintf "k=%d" k);
       let r = find_loc machine "R" in
@@ -112,7 +112,7 @@ let test_l1_crash_after_r_write () =
   (* we are past line 7 but before line 8 *)
   Alcotest.(check bool) "CP = 1" true
     (Value.equal (Machine.peek machine cp) (i 1));
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   drain session;
   assert_consistent session inst ~ctx:"after-R crash";
   match outcome_of session 0 with
@@ -135,7 +135,7 @@ let test_l1_crash_between_cp1_and_write () =
   (* line 6 executed, line 7 not yet *)
   Alcotest.(check bool) "R not yet written" true
     (Value.equal (Value.nth (Machine.peek machine r) 0) (i 0));
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   drain session;
   assert_consistent session inst ~ctx:"cp1 crash";
   match outcome_of session 0 with
@@ -205,7 +205,7 @@ let test_l2_crash_before_cp1 () =
       if Session.runnable session <> [] then Session.step session 0
     done;
     if Value.equal (Machine.peek machine cp) (i 0) then begin
-      Session.crash session ~keep:(fun _ -> true);
+      Session.crash session Fault_model.keep_all;
       drain session;
       assert_consistent session inst ~ctx:(Printf.sprintf "k=%d" k);
       match outcome_of session 0 with
@@ -225,7 +225,7 @@ let test_l2_crash_after_successful_cas () =
   let c = find_loc machine "C" in
   step_until session 0 ~ctx:"CAS lands" (fun () ->
       Value.equal (Value.nth (Machine.peek machine c) 0) (i 1));
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   drain session;
   assert_consistent session inst ~ctx:"post-CAS crash";
   (match outcome_of session 0 with
@@ -254,7 +254,7 @@ let test_l2_interfered_cas_recovers_fail () =
       Value.equal (Value.nth (Machine.peek machine c) 0) (i 2));
   (* p0's CAS executes and fails *)
   Session.step session 0;
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   drain session;
   assert_consistent session inst ~ctx:"interfered CAS";
   match outcome_of session 0 with

@@ -258,7 +258,7 @@ let test_long_crash_histories_parity () =
       {
         Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
         crash_plan =
-          Crash_plan.random ~max_crashes:2 ~prob:0.002 (Dtc_util.Prng.split prng);
+          Crash_plan.faulted ~max_crashes:2 ~prob:0.002 (Dtc_util.Prng.split prng);
         policy = Session.Retry;
         max_steps = 1_000_000;
       }

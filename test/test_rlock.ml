@@ -86,7 +86,7 @@ let test_lock_ownership_survives_crash () =
   in
   ignore (drive m f);
   (* a crash only kills fibers; NVM ownership persists *)
-  Machine.crash m ~keep:(fun _ -> true);
+  Machine.crash m ~index:0 Fault_model.keep_all;
   Alcotest.(check bool) "still owned after crash" true
     (Detectable.Rlock.holds m lock ~pid:2)
 
@@ -148,7 +148,7 @@ let test_prot_exactly_once () =
       {
         Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
         crash_plan =
-          Crash_plan.random ~max_crashes:2 ~prob:0.05 (Dtc_util.Prng.split prng);
+          Crash_plan.faulted ~max_crashes:2 ~prob:0.05 (Dtc_util.Prng.split prng);
         policy = Session.Retry;
         max_steps = 50_000;
       }

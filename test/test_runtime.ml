@@ -97,7 +97,7 @@ let test_machine_private_cache_persist_noop () =
   let a = Machine.alloc_shared m "a" (i 0) in
   ignore (Machine.apply m (Prim.Write (a, i 1)));
   (* in the private-cache model writes are immediately durable *)
-  Machine.crash m ~keep:(fun _ -> false);
+  Machine.crash m ~index:0 (Fault_model.Keep (fun _ -> false));
   Alcotest.check v "write survived crash" (i 1) (Mem.read (Machine.mem m) a)
 
 let test_machine_shared_cache_crash () =
@@ -106,7 +106,7 @@ let test_machine_shared_cache_crash () =
   ignore (Machine.apply m (Prim.Write (a, i 1)));
   Alcotest.check v "cache-coherent read" (i 1) (Machine.peek m a);
   Alcotest.check v "NVM still old" (i 0) (Mem.read (Machine.mem m) a);
-  Machine.crash m ~keep:(fun _ -> false);
+  Machine.crash m ~index:0 (Fault_model.Keep (fun _ -> false));
   Alcotest.check v "unpersisted write lost" (i 0) (Machine.peek m a)
 
 let test_machine_shared_cache_persist () =
@@ -114,7 +114,7 @@ let test_machine_shared_cache_persist () =
   let a = Machine.alloc_shared m "a" (i 0) in
   ignore (Machine.apply m (Prim.Write (a, i 1)));
   ignore (Machine.apply m (Prim.Persist a));
-  Machine.crash m ~keep:(fun _ -> false);
+  Machine.crash m ~index:0 (Fault_model.Keep (fun _ -> false));
   Alcotest.check v "persisted write survived" (i 1) (Machine.peek m a)
 
 let test_machine_fence () =
@@ -124,7 +124,7 @@ let test_machine_fence () =
   ignore (Machine.apply m (Prim.Write (a, i 1)));
   ignore (Machine.apply m (Prim.Write (b, i 2)));
   ignore (Machine.apply m Prim.Fence);
-  Machine.crash m ~keep:(fun _ -> false);
+  Machine.crash m ~index:0 (Fault_model.Keep (fun _ -> false));
   Alcotest.check v "a persisted" (i 1) (Machine.peek m a);
   Alcotest.check v "b persisted" (i 2) (Machine.peek m b)
 

@@ -63,7 +63,7 @@ let test_crash_restarts_all () =
   in
   Session.step session 0;
   Session.step session 0;
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   Alcotest.(check int) "one crash" 1 (Session.crashes session);
   Alcotest.(check bool) "crash event recorded" true
     (List.mem Event.Crash (Session.history session));
@@ -85,7 +85,7 @@ let test_verdict_stability () =
       {
         Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
         crash_plan =
-          Crash_plan.random ~max_crashes:4 ~prob:0.1 (Dtc_util.Prng.split prng);
+          Crash_plan.faulted ~max_crashes:4 ~prob:0.1 (Dtc_util.Prng.split prng);
         policy = Session.Retry;
         max_steps = 20_000;
       }
@@ -213,7 +213,7 @@ let test_at_steps_duplicates_fire_twice () =
 
 let test_random_plan_capped () =
   let prng = Dtc_util.Prng.create 9 in
-  let plan = Crash_plan.random ~max_crashes:2 ~prob:1.0 prng in
+  let plan = Crash_plan.faulted ~max_crashes:2 ~prob:1.0 prng in
   let fired = ref 0 in
   for step = 0 to 100 do
     if plan.Crash_plan.should_crash ~step then incr fired
@@ -286,7 +286,7 @@ let test_undo_mark_rewind_roundtrip () =
   (* advance through steps AND a crash (recovery restarts every fiber) *)
   Session.step session 0;
   Session.step session 1;
-  Session.crash session ~keep:(fun _ -> true);
+  Session.crash session Fault_model.keep_all;
   (match Session.runnable session with
   | pid :: _ -> Session.step session pid
   | [] -> ());
@@ -322,7 +322,7 @@ let test_undo_rewind_is_repeatable () =
   let m = Session.mark session in
   let run () =
     Session.step session 0;
-    Session.crash session ~keep:(fun _ -> true);
+    Session.crash session Fault_model.keep_all;
     (match Session.runnable session with
     | pid :: _ -> Session.step session pid
     | [] -> ());
@@ -341,6 +341,184 @@ let test_mark_requires_undo_mode () =
   match Session.mark session with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mark must require undo mode"
+
+(* Property: in undo mode, mark/rewind restores the whole configuration
+   — values, counters, history {e and} the space high-waters — under
+   random step and crash traffic on both memory models, with nested LIFO
+   marks, marks refilled in place and marks recycled after a rewind.
+   After each rewind the same decisions are re-run and must reproduce
+   the same configuration, history included. *)
+
+type mr_action = Mr_step of int | Mr_crash | Mr_mark | Mr_refill | Mr_rewind
+
+type mr_case = {
+  obj : int;  (* 0 drw, 1 dcas, 2 dqueue *)
+  shared : bool;
+  fault : Fault_model.t;
+  seed : int;
+  actions : mr_action list;
+}
+
+type mr_obs = {
+  o_digest : int;
+  o_events : int;
+  o_history : Event.t list;
+  o_steps : int;
+  o_crashes : int;
+  o_uids : int;
+  o_runnable : int list;
+  o_nvm : Mem.snapshot;
+  o_max_bits : int;
+  o_view : Value.t list;  (* cache-coherent contents of every cell *)
+}
+
+let mr_observe machine session =
+  let mem = Runtime.Machine.mem machine in
+  {
+    o_digest = Session.state_digest session;
+    o_events = Session.event_count session;
+    o_history = Session.history session;
+    o_steps = Session.steps session;
+    o_crashes = Session.crashes session;
+    o_uids = Session.uids session;
+    o_runnable = Session.runnable session;
+    o_nvm = Runtime.Machine.nvm_snapshot machine;
+    o_max_bits = Mem.max_shared_bits mem;
+    o_view =
+      List.init (Mem.n_locs mem) (fun id ->
+          Runtime.Machine.peek machine (Mem.loc_by_id mem id));
+  }
+
+let mr_same a b =
+  a.o_digest = b.o_digest && a.o_events = b.o_events
+  && a.o_history = b.o_history && a.o_steps = b.o_steps
+  && a.o_crashes = b.o_crashes && a.o_uids = b.o_uids
+  && a.o_runnable = b.o_runnable
+  && Mem.equal_full a.o_nvm b.o_nvm
+  && a.o_max_bits = b.o_max_bits
+  && List.equal Value.equal a.o_view b.o_view
+
+let mr_run c =
+  let model =
+    if c.shared then Runtime.Machine.Shared_cache else Runtime.Machine.Private_cache
+  in
+  let (machine, inst), workloads =
+    match c.obj with
+    | 0 ->
+        ( Test_support.mk_drw ~persist:true ~model ~n:2 (),
+          [| [ Spec.write_op (i 1); Spec.read_op ];
+             [ Spec.write_op (i 2); Spec.read_op ] |] )
+    | 1 ->
+        ( Test_support.mk_dcas ~persist:true ~model ~n:2 (),
+          [| [ Spec.cas_op (i 0) (i 1); Spec.cas_op (i 1) (i 2) ];
+             [ Spec.cas_op (i 1) (i 0); Spec.cas_op (i 0) (i 2) ] |] )
+    | _ ->
+        ( Test_support.mk_dqueue ~persist:true ~model ~n:2 ~capacity:8 (),
+          [| [ Spec.enq_op (i 1); Spec.deq_op ];
+             [ Spec.enq_op (i 2); Spec.deq_op ] |] )
+  in
+  let session = Session.create ~undo:true machine inst ~workloads in
+  let wipe = Fault_model.Seeded (c.fault, c.seed) in
+  let observe () = mr_observe machine session in
+  (* decisions applied so far, newest first, and their count *)
+  let applied = ref [] and n_applied = ref 0 in
+  let apply d =
+    (match d with
+    | `Step pid -> Session.step session pid
+    | `Crash -> Session.crash session wipe);
+    applied := d :: !applied;
+    incr n_applied
+  in
+  let truncate k =
+    applied := List.filteri (fun j _ -> j >= !n_applied - k) !applied;
+    n_applied := k
+  in
+  (* open marks, newest first: (mark, observation, decisions at mark) *)
+  let frames = ref [] and pool = ref [] and ok = ref true in
+  let rewind () =
+    match !frames with
+    | [] -> ()
+    | (m, o, k) :: rest ->
+        let since = List.rev (List.filteri (fun j _ -> j < !n_applied - k) !applied) in
+        let before = observe () in
+        Session.rewind session m;
+        ok := !ok && mr_same (observe ()) o;
+        truncate k;
+        List.iter apply since;
+        ok := !ok && mr_same (observe ()) before;
+        Session.rewind session m;
+        ok := !ok && mr_same (observe ()) o;
+        truncate k;
+        frames := rest;
+        pool := m :: !pool
+  in
+  List.iter
+    (function
+      | Mr_step k -> (
+          match Session.runnable session with
+          | [] -> ()
+          | r -> apply (`Step (List.nth r (k mod List.length r))))
+      | Mr_crash -> if Session.crashes session < 3 then apply `Crash
+      | Mr_mark ->
+          let m =
+            match !pool with
+            | m :: rest ->
+                pool := rest;
+                Session.mark_into session m;
+                m
+            | [] -> Session.mark session
+          in
+          frames := (m, observe (), !n_applied) :: !frames
+      | Mr_refill -> (
+          match !frames with
+          | (m, _, _) :: rest ->
+              Session.mark_into session m;
+              frames := (m, observe (), !n_applied) :: rest
+          | [] -> ())
+      | Mr_rewind -> rewind ())
+    c.actions;
+  while !frames <> [] do
+    rewind ()
+  done;
+  !ok
+
+let mr_print c =
+  Printf.sprintf "obj=%d shared=%b fault=%s seed=%d actions=[%s]" c.obj c.shared
+    (Fault_model.to_string c.fault) c.seed
+    (String.concat ";"
+       (List.map
+          (function
+            | Mr_step k -> Printf.sprintf "s%d" k
+            | Mr_crash -> "C"
+            | Mr_mark -> "M"
+            | Mr_refill -> "F"
+            | Mr_rewind -> "R")
+          c.actions))
+
+let prop_mark_rewind_restores =
+  let open QCheck.Gen in
+  let action =
+    frequency
+      [
+        (6, map (fun k -> Mr_step k) (int_bound 7));
+        (1, return Mr_crash);
+        (2, return Mr_mark);
+        (1, return Mr_refill);
+        (2, return Mr_rewind);
+      ]
+  in
+  let case =
+    map
+      (fun (obj, shared, fault, seed, actions) ->
+        { obj; shared; fault; seed; actions })
+      (tup5 (int_bound 2) bool
+         (oneofl
+            Fault_model.
+              [ Atomic; Drop { keep_prob = 0.5 }; Torn { granularity = 1 }; Reorder ])
+         (int_bound 1_000_000) (list_size (int_bound 60) action))
+  in
+  QCheck.Test.make ~name:"undo mark/rewind restores the configuration"
+    ~count:Test_support.qcheck_count (QCheck.make ~print:mr_print case) mr_run
 
 let suites =
   [
@@ -364,6 +542,7 @@ let suites =
           test_undo_rewind_is_repeatable;
         Alcotest.test_case "mark requires undo mode" `Quick
           test_mark_requires_undo_mode;
+        QCheck_alcotest.to_alcotest prop_mark_rewind_restores;
       ] );
     ( "sched.schedule",
       [

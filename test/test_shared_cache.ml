@@ -10,7 +10,9 @@ open Sched
 let i n = Value.Int n
 
 let torture_shared_cache ~name ~trials mk workloads_of_seed =
-  Test_support.torture ~keep_prob:0.5 ~trials ~name mk workloads_of_seed
+  Test_support.torture
+    ~fault:(Fault_model.Drop { keep_prob = 0.5 })
+    ~trials ~name mk workloads_of_seed
 
 let test_drw_persist () =
   torture_shared_cache ~name:"drw shared-cache" ~trials:100

@@ -43,7 +43,7 @@ let test_exactly_once_increments () =
       {
         Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
         crash_plan =
-          Crash_plan.random ~max_crashes:2 ~prob:0.05 (Dtc_util.Prng.split prng);
+          Crash_plan.faulted ~max_crashes:2 ~prob:0.05 (Dtc_util.Prng.split prng);
         policy = Session.Retry;
         max_steps = 50_000;
       }

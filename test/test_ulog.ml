@@ -141,7 +141,7 @@ let count_duplicate_consumption ~mk ~seeds =
         {
           Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
           crash_plan =
-            Crash_plan.random ~max_crashes:3 ~prob:0.12
+            Crash_plan.faulted ~max_crashes:3 ~prob:0.12
               (Dtc_util.Prng.split prng);
           policy = Session.Retry;
           max_steps = 100_000;
