@@ -17,6 +17,7 @@ open History
 open Sched
 
 let i n = Value.Int n
+let mk ?capacity name = Objects.mk ?capacity (Objects.find name)
 
 (* ------------------------------------------------------------------ *)
 (* T1a: simulated steps per operation *)
@@ -47,80 +48,32 @@ let steps_table () =
     List.init k (fun j ->
         if j mod 2 = 0 then Spec.cas_op (i 0) (i 1) else Spec.cas_op (i 1) (i 0))
   in
-  row "drw (Alg.1, N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Detectable.Drw.instance (Detectable.Drw.create m ~n:3 ~init:(i 0))))
+  let plain build () =
+    let m = Machine.create () in
+    (m, build m)
+  in
+  let queue_ops () =
+    List.init k (fun j -> if j mod 2 = 0 then Spec.enq_op (i j) else Spec.deq_op)
+  in
+  let incs () = List.init k (fun _ -> Spec.inc_op) in
+  row "drw (Alg.1, N=3)" (mk "drw" ~n:3) writes;
+  row "urw (unbounded tags, N=3)" (mk "urw" ~n:3) writes;
+  row "plain register (not recoverable)" (plain (Baselines.Plain.register ~init:(i 0)))
     writes;
-  row "urw (unbounded tags, N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Baselines.Urw.instance (Baselines.Urw.create m ~n:3 ~init:(i 0))))
-    writes;
-  row "plain register (not recoverable)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Baselines.Plain.register m ~init:(i 0)))
-    writes;
-  row "dcas (Alg.2, N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Detectable.Dcas.instance (Detectable.Dcas.create m ~n:3 ~init:(i 0))))
-    cases;
-  row "ucas (unbounded tags, N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Baselines.Ucas.instance (Baselines.Ucas.create m ~n:3 ~init:(i 0))))
-    cases;
-  row "plain cas (not recoverable)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Baselines.Plain.cas_cell m ~init:(i 0)))
-    cases;
-  row "dmax (Alg.3, N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Detectable.Dmax.instance (Detectable.Dmax.create m ~n:3 ~init:0)))
-    (fun () ->
+  row "dcas (Alg.2, N=3)" (mk "dcas" ~n:3) cases;
+  row "ucas (unbounded tags, N=3)" (mk "ucas" ~n:3) cases;
+  row "plain cas (not recoverable)" (plain (Baselines.Plain.cas_cell ~init:(i 0))) cases;
+  row "dmax (Alg.3, N=3)" (mk "dmax" ~n:3) (fun () ->
       List.init k (fun j -> if j mod 2 = 0 then Spec.write_max_op j else Spec.read_op));
-  row "dcounter (capsule, N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      ( m,
-        Detectable.Transform.instance
-          (Detectable.Transform.counter m ~n:3 ~init:0) ))
-    (fun () -> List.init k (fun _ -> Spec.inc_op));
-  row "plain counter (not recoverable)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Baselines.Plain.counter m ~init:0))
-    (fun () -> List.init k (fun _ -> Spec.inc_op));
-  row "dqueue (N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      ( m,
-        Detectable.Dqueue.instance (Detectable.Dqueue.create m ~n:3 ~capacity:128)
-      ))
-    (fun () ->
-      List.init k (fun j -> if j mod 2 = 0 then Spec.enq_op (i j) else Spec.deq_op));
-  row "plain queue (not recoverable)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Baselines.Plain.queue m ~capacity:128))
-    (fun () ->
-      List.init k (fun j -> if j mod 2 = 0 then Spec.enq_op (i j) else Spec.deq_op));
-  row "dprotected (lock-based, N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      (m, Detectable.Dprotected.instance (Detectable.Dprotected.create m ~n:3 ~init:0)))
-    (fun () -> List.init k (fun _ -> Spec.inc_op));
+  row "dcounter (capsule, N=3)" (mk "dcounter" ~n:3) incs;
+  row "plain counter (not recoverable)" (plain (Baselines.Plain.counter ~init:0)) incs;
+  row "dqueue (N=3)" (mk ~capacity:128 "dqueue" ~n:3) queue_ops;
+  row "plain queue (not recoverable)" (plain (Baselines.Plain.queue ~capacity:128)) queue_ops;
+  row "dprotected (lock-based, N=3)" (mk "dprotected" ~n:3) incs;
   row "ulog register (universal, N=3)"
-    (fun () ->
-      let m = Machine.create () in
-      ( m,
-        Detectable.Ulog.instance
-          (Detectable.Ulog.create m ~n:3 ~capacity:(k + 4)
-             ~spec:(Spec.register (i 0))) ))
+    (plain (fun m ->
+         Detectable.Ulog.instance
+           (Detectable.Ulog.create m ~n:3 ~capacity:(k + 4) ~spec:(Spec.register (i 0)))))
     writes;
   t
 
@@ -134,10 +87,7 @@ let drw_scaling_table () =
   List.iter
     (fun n ->
       let steps =
-        solo_steps
-          ~mk:(fun () ->
-            let m = Machine.create () in
-            (m, Detectable.Drw.instance (Detectable.Drw.create m ~n ~init:(i 0))))
+        solo_steps ~mk:(mk "drw" ~n)
           ~ops_of:(fun () -> List.init 50 (fun j -> Spec.write_op (i (j mod 3))))
       in
       Table.add_row t [ string_of_int n; Printf.sprintf "%.1f" steps ])
@@ -159,14 +109,6 @@ let drw_scaling_table () =
    same ones json_check runs on recorded rows).  Floors and ceilings are
    declared here, per row; `dune build @bench-check` runs the comparison
    against every committed file. *)
-
-let mk_dcas_n3 () =
-  let m = Machine.create () in
-  (m, Detectable.Dcas.instance (Detectable.Dcas.create m ~n:3 ~init:(i 0)))
-
-let mk_drw_n2 () =
-  let m = Machine.create () in
-  (m, Detectable.Drw.instance (Detectable.Drw.create m ~n:2 ~init:(i 0)))
 
 let cas a b = Spec.cas_op (i a) (i b)
 
@@ -225,58 +167,29 @@ let explore ~mk ~workloads ?(reduction = `None)
    model, and torn — outside the paper's per-word-atomic model — also
    tears Dcas's composite words. *)
 
-let torture_object name =
-  let dcas ~persist m =
-    Detectable.Dcas.instance (Detectable.Dcas.create ~persist m ~n:3 ~init:(i 0))
-  and drw ~persist m =
-    Detectable.Drw.instance (Detectable.Drw.create ~persist m ~n:3 ~init:(i 0))
-  in
-  match name with
-  | "dcas_n3_mix" -> (dcas, Workload.cas, 2)
-  | "dcas" -> (dcas, Workload.cas, 3)
-  | "drw_n3_mix" -> (drw, Workload.register, 2)
-  | "drw" -> (drw, Workload.register, 3)
-  | "dqueue_n3_mix" ->
-      ( (fun ~persist m ->
-          Detectable.Dqueue.instance
-            (Detectable.Dqueue.create ~persist m ~n:3 ~capacity:64)),
-        Workload.queue,
-        3 )
-  | "dmax" ->
-      ( (fun ~persist m ->
-          Detectable.Dmax.instance (Detectable.Dmax.create ~persist m ~n:3 ~init:0)),
-        Workload.max_register,
-        8 )
-  | "broken_drw_no_toggle" ->
-      ( (fun ~persist m -> Baselines.Broken.drw_no_toggle ~persist m ~n:3 ~init:(i 0)),
-        Workload.register,
-        3 )
-  | "broken_dcas_no_vec" ->
-      ( (fun ~persist m -> Baselines.Broken.dcas_no_vec ~persist m ~n:3 ~init:(i 0)),
-        Workload.cas,
-        3 )
-  | o -> failwith ("unknown torture object " ^ o)
-
 let torture_run params =
   let label = p_str "object" params in
-  let obj, workload, values = torture_object label in
+  (* "<obj>_n3_mix" rows run the catalog object on a narrower value
+     domain; every other id is a catalog name spelled with underscores *)
+  let name, values =
+    match label with
+    | "dcas_n3_mix" -> ("dcas", Some 2)
+    | "drw_n3_mix" -> ("drw", Some 2)
+    | "dqueue_n3_mix" -> ("dqueue", Some 3)
+    | o -> (String.map (function '_' -> '-' | c -> c) o, None)
+  in
+  let obj = Objects.find name in
   let fault =
     match Fault_model.of_string (p_str "fault" params) with
     | Ok f -> f
     | Error m -> failwith m
   in
-  let model, persist =
-    match fault with
-    | Fault_model.Atomic -> (Machine.Private_cache, false)
-    | _ -> (Machine.Shared_cache, true)
-  in
+  let model, persist = Objects.machine_for fault in
   let spec =
     Torture.default_spec_of ~label ~fault
-      ~mk:(fun () ->
-        let m = Machine.create ~model () in
-        (m, obj ~persist m))
+      ~mk:(Objects.mk ~model ~persist ~capacity:64 obj ~n:3)
       ~workloads_of_seed:(fun s ->
-        workload (Prng.create s) ~procs:3 ~ops_per_proc:3 ~values)
+        Objects.workloads ?values obj (Prng.create s) ~procs:3 ~ops_per_proc:3)
       ()
   in
   let r =
@@ -365,14 +278,11 @@ let torture_suite =
 
 let modelcheck_object = function
   | "drw_n2_write_read" ->
-      (mk_drw_n2, [| [ Spec.write_op (i 1); Spec.read_op ]; [ Spec.write_op (i 2) ] |])
-  | "dcas_n3_one_cas_each" -> (mk_dcas_n3, [| [ cas 0 1 ]; [ cas 1 2 ]; [ cas 0 2 ] |])
-  | "dcas_n3_uniform_cas" -> (mk_dcas_n3, Array.make 3 [ cas 0 1; cas 1 2 ])
+      (mk "drw" ~n:2, [| [ Spec.write_op (i 1); Spec.read_op ]; [ Spec.write_op (i 2) ] |])
+  | "dcas_n3_one_cas_each" -> (mk "dcas" ~n:3, [| [ cas 0 1 ]; [ cas 1 2 ]; [ cas 0 2 ] |])
+  | "dcas_n3_uniform_cas" -> (mk "dcas" ~n:3, Array.make 3 [ cas 0 1; cas 1 2 ])
   | "dcas_no_vec_n2_cas_race" ->
-      ( (fun () ->
-          let m = Machine.create () in
-          (m, Baselines.Broken.dcas_no_vec m ~n:2 ~init:(i 0))),
-        [| [ cas 0 1 ]; [ cas 1 0 ] |] )
+      (mk "broken-dcas-no-vec" ~n:2, [| [ cas 0 1 ]; [ cas 1 0 ] |])
   | o -> failwith ("unknown modelcheck object " ^ o)
 
 let modelcheck_run params =
@@ -467,8 +377,7 @@ let lincheck_histories ~trials ~procs ~ops_per_proc ~seed =
   List.init trials (fun index ->
       let prng = Prng.stream seed ~index in
       let wseed = Int64.to_int (Int64.shift_right_logical (Prng.next_int64 prng) 2) in
-      let m = Machine.create () in
-      let inst = Detectable.Drw.instance (Detectable.Drw.create m ~n:procs ~init:(i 0)) in
+      let m, inst = mk "drw" ~n:procs () in
       let workloads = Workload.register (Prng.create wseed) ~procs ~ops_per_proc ~values:3 in
       let cfg =
         {
@@ -484,7 +393,7 @@ let lincheck_run params =
   match p_str "kind" params with
   | "modelcheck_leaves" ->
       let o =
-        explore ~mk:mk_drw_n2
+        explore ~mk:(mk "drw" ~n:2)
           ~workloads:
             [|
               [ Spec.write_op (i 1); Spec.read_op ];
@@ -589,10 +498,7 @@ let lincheck_suite =
 let lowerbound_run params =
   let n = p_int "n" params in
   let bound = 1 lsl (n - 1) in
-  let mk () =
-    let m = Machine.create () in
-    (m, Detectable.Dcas.instance (Detectable.Dcas.create m ~n ~init:(i 0)))
-  in
+  let mk = mk "dcas" ~n in
   let chain k = List.init k (fun j -> cas j (j + 1)) in
   let workloads =
     match p_str "workload" params with
@@ -745,7 +651,7 @@ let compare path =
         end
         else
           match measure suite r with
-          | exception (Failure m | Tiny_json.Error m) ->
+          | exception (Failure m | Invalid_argument m | Tiny_json.Error m) ->
               report r.id ("RUN FAILED: " ^ m);
               r
           | f ->

@@ -9,122 +9,28 @@
 
 open Cmdliner
 open Nvm
-open Runtime
 open History
 open Sched
-
-(* ------------------------------------------------------------------ *)
-(* object selection *)
-
-type obj_kind =
-  | Drw
-  | Dcas
-  | Dmax
-  | Dcounter
-  | Dfaa
-  | Dswap
-  | Dtas
-  | Dbounded
-  | Dqueue
-  | Dprotected
-  | Urw
-  | Ucas
-  | Broken_rw_refail
-  | Broken_rw_reexec
-  | Broken_drw_no_toggle
-  | Broken_dcas_no_vec
-
-let obj_choices =
-  [
-    ("drw", Drw);
-    ("dcas", Dcas);
-    ("dmax", Dmax);
-    ("dcounter", Dcounter);
-    ("dfaa", Dfaa);
-    ("dswap", Dswap);
-    ("dtas", Dtas);
-    ("dbounded", Dbounded);
-    ("dqueue", Dqueue);
-    ("dprotected", Dprotected);
-    ("urw", Urw);
-    ("ucas", Ucas);
-    ("broken-rw-refail", Broken_rw_refail);
-    ("broken-rw-reexec", Broken_rw_reexec);
-    ("broken-drw-no-toggle", Broken_drw_no_toggle);
-    ("broken-dcas-no-vec", Broken_dcas_no_vec);
-  ]
-
-let i n = Value.Int n
-
-(* [model]/[persist] select the memory model the instance runs on:
-   non-atomic fault models only bite when crashes can lose volatile
-   state, so faulted torture builds Shared_cache machines whose objects
-   persist every shared access (the Section 6 transformation). *)
-let mk_of_kind ?(model = Machine.Private_cache) ?(persist = false) kind ~n () =
-  let m = Machine.create ~model () in
-  let inst =
-    match kind with
-    | Drw ->
-        Detectable.Drw.instance (Detectable.Drw.create ~persist m ~n ~init:(i 0))
-    | Dcas ->
-        Detectable.Dcas.instance
-          (Detectable.Dcas.create ~persist m ~n ~init:(i 0))
-    | Dmax ->
-        Detectable.Dmax.instance (Detectable.Dmax.create ~persist m ~n ~init:0)
-    | Dcounter ->
-        Detectable.Transform.instance
-          (Detectable.Transform.counter ~persist m ~n ~init:0)
-    | Dfaa ->
-        Detectable.Transform.instance
-          (Detectable.Transform.faa ~persist m ~n ~init:0)
-    | Dswap ->
-        Detectable.Transform.instance
-          (Detectable.Transform.swap ~persist m ~n ~init:(i 0))
-    | Dtas -> Detectable.Transform.instance (Detectable.Transform.tas ~persist m ~n)
-    | Dbounded ->
-        Detectable.Transform.instance
-          (Detectable.Transform.bounded_counter ~persist m ~n ~lo:0 ~hi:3 ~init:0)
-    | Dprotected ->
-        Detectable.Dprotected.instance
-          (Detectable.Dprotected.create ~persist m ~n ~init:0)
-    | Dqueue ->
-        Detectable.Dqueue.instance
-          (Detectable.Dqueue.create ~persist m ~n ~capacity:256)
-    | Urw -> Baselines.Urw.instance (Baselines.Urw.create ~persist m ~n ~init:(i 0))
-    | Ucas ->
-        Baselines.Ucas.instance (Baselines.Ucas.create ~persist m ~n ~init:(i 0))
-    | Broken_rw_refail -> Baselines.Broken.rw_no_aux_refail ~persist m ~n ~init:(i 0)
-    | Broken_rw_reexec -> Baselines.Broken.rw_no_aux_reexec ~persist m ~n ~init:(i 0)
-    | Broken_drw_no_toggle -> Baselines.Broken.drw_no_toggle ~persist m ~n ~init:(i 0)
-    | Broken_dcas_no_vec -> Baselines.Broken.dcas_no_vec ~persist m ~n ~init:(i 0)
-  in
-  (m, inst)
-
-let workloads_of_kind kind ~seed ~procs ~ops =
-  let prng = Dtc_util.Prng.create seed in
-  match kind with
-  | Drw | Urw | Broken_rw_refail | Broken_rw_reexec | Broken_drw_no_toggle ->
-      Workload.register prng ~procs ~ops_per_proc:ops ~values:3
-  | Dcas | Ucas | Broken_dcas_no_vec ->
-      Workload.cas prng ~procs ~ops_per_proc:ops ~values:3
-  | Dmax -> Workload.max_register prng ~procs ~ops_per_proc:ops ~values:8
-  | Dcounter | Dbounded | Dprotected -> Workload.counter prng ~procs ~ops_per_proc:ops
-  | Dfaa -> Workload.faa prng ~procs ~ops_per_proc:ops ~max_delta:4
-  | Dswap -> Workload.swap prng ~procs ~ops_per_proc:ops ~values:3
-  | Dtas -> Workload.tas prng ~procs ~ops_per_proc:ops
-  | Dqueue -> Workload.queue prng ~procs ~ops_per_proc:ops ~values:5
 
 (* ------------------------------------------------------------------ *)
 (* common options *)
 
 let obj_arg =
+  let choices = List.map (fun o -> (Objects.name o, o)) Objects.all in
   let doc =
-    "Object under test: " ^ String.concat ", " (List.map fst obj_choices) ^ "."
+    "Object under test: " ^ String.concat ", " (List.map fst choices) ^ "."
   in
   Arg.(
     required
-    & opt (some (enum obj_choices)) None
+    & opt (some (enum choices)) None
     & info [ "o"; "object" ] ~docv:"OBJECT" ~doc)
+
+(* [k] gets the object's constructor; Objects.mk's rejection of --procs
+   becomes a one-line usage error *)
+let with_mk obj ~procs k =
+  match Objects.mk obj ~n:procs with
+  | exception Invalid_argument m -> `Error (false, m)
+  | mk -> k mk
 
 let procs_arg =
   Arg.(value & opt int 3 & info [ "p"; "procs" ] ~docv:"N" ~doc:"Process count.")
@@ -198,19 +104,15 @@ let fault_conv =
   let print ppf f = Format.pp_print_string ppf (Fault_model.to_string f) in
   Arg.conv ~docv:"FAULT" (parse, print)
 
-let kind_name kind =
-  List.assoc kind (List.map (fun (k, v) -> (v, k)) obj_choices)
-
-let torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes ~fault
+(* Objects.mk (on --procs) and Torture.default_spec_of (on --crash-prob)
+   raise Invalid_argument here, before any trial runs *)
+let torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes ~fault
     ~watchdog =
-  let model, persist =
-    match (fault : Fault_model.t) with
-    | Fault_model.Atomic -> (Machine.Private_cache, false)
-    | _ -> (Machine.Shared_cache, true)
-  in
-  Torture.default_spec_of ~label:(kind_name kind)
-    ~mk:(mk_of_kind ~model ~persist kind ~n:procs)
-    ~workloads_of_seed:(fun s -> workloads_of_kind kind ~seed:s ~procs ~ops)
+  let model, persist = Objects.machine_for fault in
+  Torture.default_spec_of ~label:(Objects.name obj)
+    ~mk:(Objects.mk ~model ~persist obj ~n:procs)
+    ~workloads_of_seed:(fun s ->
+      Objects.workloads obj (Dtc_util.Prng.create s) ~procs ~ops_per_proc:ops)
     ~policy ~crash_prob ~max_crashes ~max_steps:100_000 ~fault ~watchdog ()
 
 (* SIGINT/SIGTERM flip an atomic stop flag the engines poll between
@@ -367,19 +269,17 @@ let torture_cmd =
              The merged report is bit-identical for any value: trial i always \
              runs on the child seed stream derived from (seed, i).")
   in
-  let run kind procs ops trials crash_prob max_crashes policy seed domains
+  let run obj procs ops trials crash_prob max_crashes policy seed domains
       fault watchdog checkpoint resume json no_timing report_file no_shrink =
     if resume && checkpoint = None then
       `Error (false, "--resume requires --checkpoint FILE")
     else begin
-      let spec =
-        torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes
-          ~fault ~watchdog
-      in
       let should_stop = install_stop_flag () in
       match
         Torture.run ~domains ~root_seed:seed ~trials ~shrink:(not no_shrink)
-          ?checkpoint ~resume ~should_stop spec
+          ?checkpoint ~resume ~should_stop
+          (torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes
+             ~fault ~watchdog)
       with
       | exception Torture.Interrupted { completed; total } ->
           interrupted_exit ~completed ~total
@@ -477,17 +377,13 @@ let campaign_cmd =
              undisturbed run — only the timing block's supervision \
              counters change.")
   in
-  let run kind procs ops trials crash_prob max_crashes policy seed workers
+  let run obj procs ops trials crash_prob max_crashes policy seed workers
       fault watchdog chaos heartbeat_every heartbeat_timeout
       retry_budget backoff_base backoff_cap checkpoint resume json no_timing
       report_file no_shrink =
     if resume && checkpoint = None then
       `Error (false, "--resume requires --checkpoint FILE")
     else begin
-      let spec =
-        torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes
-          ~fault ~watchdog
-      in
       let config =
         {
           Campaign.default_config with
@@ -506,7 +402,7 @@ let campaign_cmd =
             Sys.executable_name;
             "torture-worker";
             "-o";
-            kind_name kind;
+            Objects.name obj;
             "-p";
             string_of_int procs;
             "-k";
@@ -544,7 +440,9 @@ let campaign_cmd =
       let should_stop = install_stop_flag () in
       match
         Campaign.run ?checkpoint ~resume ~shrink:(not no_shrink) ~should_stop
-          ~config ~worker_argv ~root_seed:seed ~trials spec
+          ~config ~worker_argv ~root_seed:seed ~trials
+          (torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes
+             ~fault ~watchdog)
       with
       | exception Torture.Interrupted { completed; total } ->
           interrupted_exit ~completed ~total
@@ -613,21 +511,23 @@ let torture_worker_cmd =
       & info [ "chaos-hang-after" ] ~docv:"K"
           ~doc:"Chaos injection: stop emitting after K trials.")
   in
-  let run kind procs ops crash_prob max_crashes policy seed fault watchdog lo
+  let run obj procs ops crash_prob max_crashes policy seed fault watchdog lo
       hi heartbeat_every kill_after hang_after =
-    let spec =
-      torture_spec_of ~kind ~procs ~ops ~policy ~crash_prob ~max_crashes
-        ~fault ~watchdog
-    in
-    let fault_plan =
-      match (kill_after, hang_after) with
-      | Some k, _ -> Campaign.Kill_after k
-      | None, Some k -> Campaign.Hang_after k
-      | None, None -> Campaign.No_fault
-    in
-    Campaign.worker_main ~fault:fault_plan ~heartbeat_every ~root_seed:seed ~lo
-      ~hi spec;
-    `Ok ()
+    match
+      torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes ~fault
+        ~watchdog
+    with
+    | exception Invalid_argument m -> `Error (false, m)
+    | spec ->
+        let fault_plan =
+          match (kill_after, hang_after) with
+          | Some k, _ -> Campaign.Kill_after k
+          | None, Some k -> Campaign.Hang_after k
+          | None, None -> Campaign.No_fault
+        in
+        Campaign.worker_main ~fault:fault_plan ~heartbeat_every ~root_seed:seed
+          ~lo ~hi spec;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "torture-worker"
@@ -653,8 +553,9 @@ let trace_cmd =
       & info [ "crash-at" ] ~docv:"STEP"
           ~doc:"Inject a system-wide crash just before this global step.")
   in
-  let run kind procs ops seed crash_at policy =
-    let machine, inst = mk_of_kind kind ~n:procs () in
+  let run obj procs ops seed crash_at policy =
+    with_mk obj ~procs @@ fun mk ->
+    let machine, inst = mk () in
     let prng = Dtc_util.Prng.create seed in
     let cfg =
       {
@@ -667,7 +568,9 @@ let trace_cmd =
         max_steps = 100_000;
       }
     in
-    let workloads = workloads_of_kind kind ~seed ~procs ~ops in
+    let workloads =
+      Objects.workloads obj (Dtc_util.Prng.create seed) ~procs ~ops_per_proc:ops
+    in
     let res = Driver.run machine inst ~workloads cfg in
     Printf.printf "object:  %s\nsteps:   %d\ncrashes: %d\n"
       inst.Obj_inst.descr res.Driver.steps res.Driver.crashes;
@@ -751,9 +654,12 @@ let modelcheck_cmd =
              A capped run reports partial counters — valid lower bounds \
              over what was visited.")
   in
-  let run kind procs ops switches crashes no_prune exact_configs reduction
+  let run obj procs ops switches crashes no_prune exact_configs reduction
       node_budget policy seed =
-    let workloads = workloads_of_kind kind ~seed ~procs ~ops in
+    with_mk obj ~procs @@ fun mk ->
+    let workloads =
+      Objects.workloads obj (Dtc_util.Prng.create seed) ~procs ~ops_per_proc:ops
+    in
     let cfg =
       {
         Modelcheck.Explore.default_config with
@@ -767,7 +673,7 @@ let modelcheck_cmd =
       }
     in
     let out =
-      Modelcheck.Explore.explore ~mk:(mk_of_kind kind ~n:procs) ~workloads cfg
+      Modelcheck.Explore.explore ~mk ~workloads cfg
     in
     let m = out.Modelcheck.Explore.metrics in
     Printf.printf
@@ -852,9 +758,7 @@ let modelcheck_cmd =
         Format.printf "%a@." Event.pp_history v.history;
         (* shrink to a minimal reproduction *)
         match
-          Modelcheck.Shrink.minimise
-            ~mk:(mk_of_kind kind ~n:procs)
-            ~workloads ~policy v.decisions
+          Modelcheck.Shrink.minimise ~mk ~workloads ~policy v.decisions
         with
         | Some r ->
             Printf.printf
@@ -918,35 +822,12 @@ let attack_cmd =
       value & opt int 2
       & info [ "switches" ] ~docv:"D" ~doc:"Context-switch budget.")
   in
-  let run kind procs switches =
-    let e =
-      match kind with
-      | Drw | Urw | Broken_rw_refail | Broken_rw_reexec | Broken_drw_no_toggle
-        ->
-          Perturb.Witnesses.register
-      | Dcas | Ucas | Broken_dcas_no_vec -> Perturb.Witnesses.cas
-      | Dcounter | Dbounded | Dprotected -> Perturb.Witnesses.counter
-      | Dfaa -> Perturb.Witnesses.faa
-      | Dswap -> Perturb.Witnesses.swap
-      | Dtas -> Perturb.Witnesses.tas
-      | Dqueue -> Perturb.Witnesses.queue
-      | Dmax ->
-          (* not doubly-perturbing; attack with a max-register workload *)
-          {
-            Perturb.Witnesses.obj_name = "max_register";
-            spec = Spec.max_register 0;
-            witness = Perturb.Witnesses.register.Perturb.Witnesses.witness;
-            attack =
-              [|
-                [ Spec.write_max_op 1 ];
-                [ Spec.read_op; Spec.write_max_op 2; Spec.read_op ];
-              |];
-          }
-    in
+  let run obj procs switches =
+    with_mk obj ~procs @@ fun mk ->
     let reports =
-      Perturb.Adversary.attack
-        ~mk:(mk_of_kind kind ~n:procs)
-        ~workloads:e.Perturb.Witnesses.attack ~switch_budget:switches ()
+      Perturb.Adversary.attack ~mk
+        ~workloads:(Objects.attack obj).Perturb.Witnesses.attack
+        ~switch_budget:switches ()
     in
     List.iter
       (fun (r : Perturb.Adversary.report) ->

@@ -1,41 +1,8 @@
 open Nvm
-open Runtime
 open History
 open Sched
 
 let i n = Value.Int n
-
-let mk_drw ?(n = 3) () =
-  let m = Machine.create () in
-  (m, Detectable.Drw.instance (Detectable.Drw.create m ~n ~init:(i 0)))
-
-let mk_dcas ?(n = 3) () =
-  let m = Machine.create () in
-  (m, Detectable.Dcas.instance (Detectable.Dcas.create m ~n ~init:(i 0)))
-
-let mk_dmax ?(n = 3) () =
-  let m = Machine.create () in
-  (m, Detectable.Dmax.instance (Detectable.Dmax.create m ~n ~init:0))
-
-let mk_dcounter ?(n = 3) () =
-  let m = Machine.create () in
-  (m, Detectable.Transform.instance (Detectable.Transform.counter m ~n ~init:0))
-
-let mk_dfaa ?(n = 3) () =
-  let m = Machine.create () in
-  (m, Detectable.Transform.instance (Detectable.Transform.faa m ~n ~init:0))
-
-let mk_dqueue ?(n = 3) ?(capacity = 64) () =
-  let m = Machine.create () in
-  (m, Detectable.Dqueue.instance (Detectable.Dqueue.create m ~n ~capacity))
-
-let mk_urw ?(n = 3) () =
-  let m = Machine.create () in
-  (m, Baselines.Urw.instance (Baselines.Urw.create m ~n ~init:(i 0)))
-
-let mk_ucas ?(n = 3) () =
-  let m = Machine.create () in
-  (m, Baselines.Ucas.instance (Baselines.Ucas.create m ~n ~init:(i 0)))
 
 let torture_count ?(policy = Session.Retry) ?fault
     ?(crash_prob = 0.05) ?(max_crashes = 2) ~trials ~mk ~workloads_of_seed () =

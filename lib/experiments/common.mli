@@ -6,15 +6,6 @@ open Sched
 
 val i : int -> Value.t
 
-val mk_drw : ?n:int -> unit -> Runtime.Machine.t * Obj_inst.t
-val mk_dcas : ?n:int -> unit -> Runtime.Machine.t * Obj_inst.t
-val mk_dmax : ?n:int -> unit -> Runtime.Machine.t * Obj_inst.t
-val mk_dcounter : ?n:int -> unit -> Runtime.Machine.t * Obj_inst.t
-val mk_dfaa : ?n:int -> unit -> Runtime.Machine.t * Obj_inst.t
-val mk_dqueue : ?n:int -> ?capacity:int -> unit -> Runtime.Machine.t * Obj_inst.t
-val mk_urw : ?n:int -> unit -> Runtime.Machine.t * Obj_inst.t
-val mk_ucas : ?n:int -> unit -> Runtime.Machine.t * Obj_inst.t
-
 val torture_count :
   ?policy:Session.policy ->
   ?fault:Fault_model.t ->

@@ -28,76 +28,50 @@ let counter_wl seed =
 
 let all_shared machine = Mem.max_shared_bits (Machine.mem machine)
 
+let with_shared_bits name () =
+  let m, inst = Objects.mk (Objects.find name) ~n () in
+  (m, inst, all_shared)
+
 let rows () =
   [
     {
       label = "drw (Alg.1)";
-      mk =
-        (fun () ->
-          let m = Machine.create () in
-          ( m,
-            Detectable.Drw.instance (Detectable.Drw.create m ~n ~init:(Value.Int 0)),
-            all_shared ));
+      mk = with_shared_bits "drw";
       workloads = reg_wl;
       space_class = "bounded (O(N^2) bits)";
       progress = "wait-free, O(N) write";
     };
     {
       label = "urw (unbounded tags)";
-      mk =
-        (fun () ->
-          let m = Machine.create () in
-          ( m,
-            Baselines.Urw.instance (Baselines.Urw.create m ~n ~init:(Value.Int 0)),
-            all_shared ));
+      mk = with_shared_bits "urw";
       workloads = reg_wl;
       space_class = "unbounded (grows with ops)";
       progress = "wait-free, O(1)";
     };
     {
       label = "dcas (Alg.2)";
-      mk =
-        (fun () ->
-          let m = Machine.create () in
-          ( m,
-            Detectable.Dcas.instance (Detectable.Dcas.create m ~n ~init:(Value.Int 0)),
-            all_shared ));
+      mk = with_shared_bits "dcas";
       workloads = cas_wl;
       space_class = "bounded (Theta(N) bits)";
       progress = "wait-free, O(1)";
     };
     {
       label = "ucas (unbounded tags)";
-      mk =
-        (fun () ->
-          let m = Machine.create () in
-          ( m,
-            Baselines.Ucas.instance (Baselines.Ucas.create m ~n ~init:(Value.Int 0)),
-            all_shared ));
+      mk = with_shared_bits "ucas";
       workloads = cas_wl;
       space_class = "unbounded (grows with ops)";
       progress = "lock-free";
     };
     {
       label = "dcounter (capsule)";
-      mk =
-        (fun () ->
-          let m = Machine.create () in
-          ( m,
-            Detectable.Transform.instance (Detectable.Transform.counter m ~n ~init:0),
-            all_shared ));
+      mk = with_shared_bits "dcounter";
       workloads = counter_wl;
       space_class = "bounded (Theta(N) bits)";
       progress = "lock-free";
     };
     {
       label = "dprotected (lock)";
-      mk =
-        (fun () ->
-          let m = Machine.create () in
-          ( m,
-            Detectable.Dprotected.instance (Detectable.Dprotected.create m ~n ~init:0),
-            all_shared ));
+      mk = with_shared_bits "dprotected";
       workloads = counter_wl;
       space_class = "bounded (O(log N) bits)";
       progress = "blocking (deadlock-free)";

@@ -5,9 +5,7 @@ open Sched
 (* Drive the processes of subset [s] (bitmask) through one successful CAS
    each, sequentially, and return the final NVM snapshot. *)
 let drive_subset ~n s =
-  let machine = Runtime.Machine.create () in
-  let dcas = Detectable.Dcas.create machine ~n ~init:(Common.i 0) in
-  let inst = Detectable.Dcas.instance dcas in
+  let machine, inst = Objects.(mk (find "dcas")) ~n () in
   (* values 0, 1, 2, …: process k (k-th member of S) swaps the current
      value v for v+1, so every CAS succeeds; the domain has size ≥ N as
      Theorem 1 assumes *)
@@ -40,7 +38,7 @@ let exhaustive_configs ~n =
   in
   let out =
     Modelcheck.Explore.explore
-      ~mk:(fun () -> Common.mk_dcas ~n ())
+      ~mk:(Objects.(mk (find "dcas")) ~n)
       ~workloads
       {
         Modelcheck.Explore.default_config with

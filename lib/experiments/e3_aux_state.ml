@@ -11,52 +11,41 @@ type row = {
 let rows () =
   let reg_attack = Perturb.Witnesses.register.Perturb.Witnesses.attack in
   let cas_attack = Perturb.Witnesses.cas.Perturb.Witnesses.attack in
-  let max_attack =
-    [|
-      [ Spec.write_max_op 1 ];
-      [ Spec.read_op; Spec.write_max_op 2; Spec.read_op ];
-    |]
-  in
+  let max_attack = (Objects.attack (Objects.find "dmax")).Perturb.Witnesses.attack in
   [
     {
       label = "register, no aux state, recovery=fail";
-      mk =
-        (fun () ->
-          let m = Runtime.Machine.create () in
-          (m, Baselines.Broken.rw_no_aux_refail m ~n:2 ~init:(Common.i 0)));
+      mk = Objects.(mk (find "broken-rw-refail")) ~n:2;
       workloads = reg_attack;
       expect_violation = true;
     };
     {
       label = "register, no aux state, recovery=re-execute";
-      mk =
-        (fun () ->
-          let m = Runtime.Machine.create () in
-          (m, Baselines.Broken.rw_no_aux_reexec m ~n:2 ~init:(Common.i 0)));
+      mk = Objects.(mk (find "broken-rw-reexec")) ~n:2;
       workloads = reg_attack;
       expect_violation = true;
     };
     {
       label = "register, Algorithm 1 (aux via Ann)";
-      mk = (fun () -> Common.mk_drw ~n:2 ());
+      mk = Objects.(mk (find "drw")) ~n:2;
       workloads = reg_attack;
       expect_violation = false;
     };
     {
       label = "register, unbounded tags (aux via Ann)";
-      mk = (fun () -> Common.mk_urw ~n:2 ());
+      mk = Objects.(mk (find "urw")) ~n:2;
       workloads = reg_attack;
       expect_violation = false;
     };
     {
       label = "cas, Algorithm 2 (aux via Ann)";
-      mk = (fun () -> Common.mk_dcas ~n:2 ());
+      mk = Objects.(mk (find "dcas")) ~n:2;
       workloads = cas_attack;
       expect_violation = false;
     };
     {
       label = "max register, Algorithm 3 (NO aux state)";
-      mk = (fun () -> Common.mk_dmax ~n:2 ());
+      mk = Objects.(mk (find "dmax")) ~n:2;
       workloads = max_attack;
       expect_violation = false;
     };

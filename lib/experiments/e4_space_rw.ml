@@ -13,11 +13,11 @@ let run_writes ~mk ~n ~ops =
   machine
 
 let drw_bits ~n ~ops =
-  let machine = run_writes ~mk:(fun () -> Common.mk_drw ~n ()) ~n ~ops in
+  let machine = run_writes ~mk:(Objects.(mk (find "drw")) ~n) ~n ~ops in
   Mem.max_shared_bits (Runtime.Machine.mem machine)
 
 let urw_bits ~n ~ops =
-  let machine = run_writes ~mk:(fun () -> Common.mk_urw ~n ()) ~n ~ops in
+  let machine = run_writes ~mk:(Objects.(mk (find "urw")) ~n) ~n ~ops in
   Mem.max_shared_bits (Runtime.Machine.mem machine)
 
 let table () =

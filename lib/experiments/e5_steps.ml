@@ -12,57 +12,30 @@ type subject = {
 
 let subjects =
   let n = 5 in
+  let subject label ?capacity ?values name bound =
+    let obj = Objects.find name in
+    {
+      label;
+      mk = Objects.mk ?capacity obj ~n;
+      workloads =
+        (fun seed ->
+          Objects.workloads ?values obj (Dtc_util.Prng.create seed) ~procs:n
+            ~ops_per_proc:5);
+      bound;
+      n;
+    }
+  in
   [
-    {
-      label = "drw (Alg.1)";
-      mk = (fun () -> Common.mk_drw ~n ());
-      workloads =
-        (fun seed ->
-          Workload.register (Dtc_util.Prng.create seed) ~procs:n
-            ~ops_per_proc:5 ~values:3);
-      bound = ("write <= N+15 incl. protocol (wait-free)", "recover <= N+9 (wait-free)");
-      n;
-    };
-    {
-      label = "dcas (Alg.2)";
-      mk = (fun () -> Common.mk_dcas ~n ());
-      workloads =
-        (fun seed ->
-          Workload.cas (Dtc_util.Prng.create seed) ~procs:n ~ops_per_proc:5
-            ~values:3);
-      bound = ("cas: O(1) (wait-free)", "recover: O(1) (wait-free)");
-      n;
-    };
-    {
-      label = "dmax (Alg.3)";
-      mk = (fun () -> Common.mk_dmax ~n ());
-      workloads =
-        (fun seed ->
-          Workload.max_register (Dtc_util.Prng.create seed) ~procs:n
-            ~ops_per_proc:5 ~values:6);
-      bound = ("write-max: O(1); read: O(N) solo (obstr.-free)", "re-invoke");
-      n;
-    };
-    {
-      label = "dfaa (capsule)";
-      mk = (fun () -> Common.mk_dfaa ~n ());
-      workloads =
-        (fun seed ->
-          Workload.faa (Dtc_util.Prng.create seed) ~procs:n ~ops_per_proc:5
-            ~max_delta:3);
-      bound = ("faa: lock-free (O(1) solo)", "recover: O(1)");
-      n;
-    };
-    {
-      label = "dqueue";
-      mk = (fun () -> Common.mk_dqueue ~n ~capacity:128 ());
-      workloads =
-        (fun seed ->
-          Workload.queue (Dtc_util.Prng.create seed) ~procs:n ~ops_per_proc:5
-            ~values:4);
-      bound = ("enq/deq: lock-free (O(1) solo)", "recover: O(1)");
-      n;
-    };
+    subject "drw (Alg.1)" "drw"
+      ("write <= N+15 incl. protocol (wait-free)", "recover <= N+9 (wait-free)");
+    subject "dcas (Alg.2)" "dcas"
+      ("cas: O(1) (wait-free)", "recover: O(1) (wait-free)");
+    subject "dmax (Alg.3)" "dmax" ~values:6
+      ("write-max: O(1); read: O(N) solo (obstr.-free)", "re-invoke");
+    subject "dfaa (capsule)" "dfaa" ~values:3
+      ("faa: lock-free (O(1) solo)", "recover: O(1)");
+    subject "dqueue" "dqueue" ~capacity:128 ~values:4
+      ("enq/deq: lock-free (O(1) solo)", "recover: O(1)");
   ]
 
 let table () =

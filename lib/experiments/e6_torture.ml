@@ -90,7 +90,7 @@ let rows =
   [
     {
       label = "drw (Alg.1), retry";
-      mk = (fun () -> Common.mk_drw ());
+      mk = Objects.(mk (find "drw")) ~n:3;
       workloads = reg_workloads 0;
       policy = Session.Retry;
       expect_zero = true;
@@ -100,7 +100,7 @@ let rows =
     };
     {
       label = "drw (Alg.1), give-up";
-      mk = (fun () -> Common.mk_drw ());
+      mk = Objects.(mk (find "drw")) ~n:3;
       workloads = reg_workloads 10_000;
       policy = Session.Give_up;
       expect_zero = true;
@@ -110,7 +110,7 @@ let rows =
     };
     {
       label = "dcas (Alg.2), retry";
-      mk = (fun () -> Common.mk_dcas ());
+      mk = Objects.(mk (find "dcas")) ~n:3;
       workloads =
         (fun seed ->
           Workload.cas (Dtc_util.Prng.create seed) ~procs:3 ~ops_per_proc:3
@@ -123,7 +123,7 @@ let rows =
     };
     {
       label = "dmax (Alg.3), retry";
-      mk = (fun () -> Common.mk_dmax ());
+      mk = Objects.(mk (find "dmax")) ~n:3;
       workloads =
         (fun seed ->
           Workload.max_register (Dtc_util.Prng.create seed) ~procs:3
@@ -136,7 +136,7 @@ let rows =
     };
     {
       label = "dcounter (capsule), retry";
-      mk = (fun () -> Common.mk_dcounter ());
+      mk = Objects.(mk (find "dcounter")) ~n:3;
       workloads =
         (fun seed ->
           Workload.counter (Dtc_util.Prng.create seed) ~procs:3 ~ops_per_proc:3);
@@ -148,7 +148,7 @@ let rows =
     };
     {
       label = "dfaa (capsule), retry";
-      mk = (fun () -> Common.mk_dfaa ());
+      mk = Objects.(mk (find "dfaa")) ~n:3;
       workloads =
         (fun seed ->
           Workload.faa (Dtc_util.Prng.create seed) ~procs:3 ~ops_per_proc:3
@@ -161,7 +161,7 @@ let rows =
     };
     {
       label = "dqueue, retry";
-      mk = (fun () -> Common.mk_dqueue ());
+      mk = Objects.(mk ~capacity:64 (find "dqueue")) ~n:3;
       workloads =
         (fun seed ->
           Workload.queue (Dtc_util.Prng.create seed) ~procs:3 ~ops_per_proc:3
@@ -174,7 +174,7 @@ let rows =
     };
     {
       label = "urw (unbounded), retry";
-      mk = (fun () -> Common.mk_urw ());
+      mk = Objects.(mk (find "urw")) ~n:3;
       workloads = reg_workloads 20_000;
       policy = Session.Retry;
       expect_zero = true;
@@ -184,7 +184,7 @@ let rows =
     };
     {
       label = "ucas (unbounded), retry";
-      mk = (fun () -> Common.mk_ucas ());
+      mk = Objects.(mk (find "ucas")) ~n:3;
       workloads =
         (fun seed ->
           Workload.cas (Dtc_util.Prng.create (30_000 + seed)) ~procs:3
@@ -197,10 +197,7 @@ let rows =
     };
     {
       label = "ABLATION drw without toggle bits (directed ABA)";
-      mk =
-        (fun () ->
-          let m = Runtime.Machine.create () in
-          (m, Baselines.Broken.drw_no_toggle m ~n:3 ~init:(Value.Int 0)));
+      mk = Objects.(mk (find "broken-drw-no-toggle")) ~n:3;
       workloads = reg_workloads 40_000;
       policy = Session.Give_up;
       expect_zero = false;
@@ -209,18 +206,11 @@ let rows =
       directed =
         Some
           (fun () ->
-            aba_directed
-              ~mk:(fun () ->
-                let m = Runtime.Machine.create () in
-                (m, Baselines.Broken.drw_no_toggle m ~n:3 ~init:(Value.Int 0)))
-              ());
+            aba_directed ~mk:(Objects.(mk (find "broken-drw-no-toggle")) ~n:3) ());
     };
     {
       label = "ABLATION dcas without flip vector";
-      mk =
-        (fun () ->
-          let m = Runtime.Machine.create () in
-          (m, Baselines.Broken.dcas_no_vec m ~n:3 ~init:(Value.Int 0)));
+      mk = Objects.(mk (find "broken-dcas-no-vec")) ~n:3;
       workloads =
         (fun seed ->
           Workload.cas (Dtc_util.Prng.create (50_000 + seed)) ~procs:3
@@ -233,13 +223,13 @@ let rows =
     };
     {
       label = "drw (Alg.1) under the same directed ABA";
-      mk = (fun () -> Common.mk_drw ());
+      mk = Objects.(mk (find "drw")) ~n:3;
       workloads = reg_workloads 45_000;
       policy = Session.Give_up;
       expect_zero = true;
       crash_prob = 0.15;
       max_crashes = 3;
-      directed = Some (fun () -> aba_directed ~mk:(fun () -> Common.mk_drw ()) ());
+      directed = Some (fun () -> aba_directed ~mk:(Objects.(mk (find "drw")) ~n:3) ());
     };
     {
       (* the plain register's single-step write is crash-atomic in the

@@ -77,7 +77,7 @@ let table_nrl ?(trials = 60) () =
           Workload.cas (Dtc_util.Prng.create seed) ~procs:3 ~ops_per_proc:3
             ~values:2 );
       ( "dcas (unwrapped, for contrast)",
-        (fun () -> Common.mk_dcas ()),
+        Objects.(mk (find "dcas")) ~n:3,
         fun seed ->
           Workload.cas (Dtc_util.Prng.create (77 + seed)) ~procs:3 ~ops_per_proc:3
             ~values:2 );
@@ -108,7 +108,11 @@ let table_shared_cache ?(trials = 60) () =
            trials)
       [ "implementation"; "persist instrumented"; "violations"; "expected" ]
   in
-  let row label ~persist ~expect_zero mk wl =
+  let row label ~persist ~expect_zero ?capacity name wl =
+    let mk =
+      Objects.mk ~model:Machine.Shared_cache ~persist ?capacity
+        (Objects.find name) ~n:3
+    in
     let violations, _ =
       Common.torture_count
         ~fault:(Nvm.Fault_model.Drop { keep_prob = 0.5 })
@@ -126,34 +130,17 @@ let table_shared_cache ?(trials = 60) () =
     Workload.register (Dtc_util.Prng.create (base + seed)) ~procs:3
       ~ops_per_proc:3 ~values:2
   in
-  row "drw" ~persist:true ~expect_zero:true
-    (fun () ->
-      let m = Machine.create ~model:Machine.Shared_cache () in
-      (m, Detectable.Drw.instance (Detectable.Drw.create ~persist:true m ~n:3 ~init:(i 0))))
-    (reg_wl 0);
-  row "drw (untransformed)" ~persist:false ~expect_zero:false
-    (fun () ->
-      let m = Machine.create ~model:Machine.Shared_cache () in
-      (m, Detectable.Drw.instance (Detectable.Drw.create ~persist:false m ~n:3 ~init:(i 0))))
-    (reg_wl 1000);
-  row "dcas" ~persist:true ~expect_zero:true
-    (fun () ->
-      let m = Machine.create ~model:Machine.Shared_cache () in
-      (m, Detectable.Dcas.instance (Detectable.Dcas.create ~persist:true m ~n:3 ~init:(i 0))))
+  row "drw" ~persist:true ~expect_zero:true "drw" (reg_wl 0);
+  row "drw (untransformed)" ~persist:false ~expect_zero:false "drw" (reg_wl 1000);
+  row "dcas" ~persist:true ~expect_zero:true "dcas"
     (fun seed ->
       Workload.cas (Dtc_util.Prng.create (2000 + seed)) ~procs:3 ~ops_per_proc:3
         ~values:2);
-  row "dmax" ~persist:true ~expect_zero:true
-    (fun () ->
-      let m = Machine.create ~model:Machine.Shared_cache () in
-      (m, Detectable.Dmax.instance (Detectable.Dmax.create ~persist:true m ~n:3 ~init:0)))
+  row "dmax" ~persist:true ~expect_zero:true "dmax"
     (fun seed ->
       Workload.max_register (Dtc_util.Prng.create (3000 + seed)) ~procs:3
         ~ops_per_proc:3 ~values:5);
-  row "dqueue" ~persist:true ~expect_zero:true
-    (fun () ->
-      let m = Machine.create ~model:Machine.Shared_cache () in
-      (m, Detectable.Dqueue.instance (Detectable.Dqueue.create ~persist:true m ~n:3 ~capacity:64)))
+  row "dqueue" ~persist:true ~expect_zero:true ~capacity:64 "dqueue"
     (fun seed ->
       Workload.queue (Dtc_util.Prng.create (4000 + seed)) ~procs:3
         ~ops_per_proc:3 ~values:3);

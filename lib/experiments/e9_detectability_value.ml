@@ -92,10 +92,7 @@ let table ?(trials = 60) () =
   in
   let rows =
     [
-      ( "dqueue (detectable)",
-        fun () ->
-          let m = Machine.create () in
-          (m, Detectable.Dqueue.instance (Detectable.Dqueue.create m ~n:3 ~capacity:64)) );
+      ("dqueue (detectable)", Objects.(mk ~capacity:64 (find "dqueue")) ~n:3);
       ( "dur_queue (durable only)",
         fun () ->
           let m = Machine.create () in

@@ -1011,7 +1011,7 @@ let no_metrics ~elapsed_s ~nodes =
   }
 
 let crash_points ~mk ~workloads ~schedule ?(policy = Session.Retry)
-    ?(keep = fun (_ : Loc.t) -> true) ?(max_steps = 2_000) () =
+    ?(wipe = Fault_model.keep_all) ?(max_steps = 2_000) () =
   let t0 = Unix.gettimeofday () in
   let configs = Config_set.create () in
   let executions = ref 0 in
@@ -1038,7 +1038,7 @@ let crash_points ~mk ~workloads ~schedule ?(policy = Session.Retry)
           else if crash_at = Some (step, Session.crashes session = 0) then begin
             (* fire exactly once *)
             decisions := Crash :: !decisions;
-            Session.crash session (Fault_model.Keep keep)
+            Session.crash session wipe
           end
           else begin
             let pid = sched.Schedule.choose ~runnable ~step in

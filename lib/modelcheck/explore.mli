@@ -243,13 +243,15 @@ val crash_points :
   workloads:Spec.op list array ->
   schedule:(unit -> Schedule.t) ->
   ?policy:Session.policy ->
-  ?keep:(Loc.t -> bool) ->
+  ?wipe:Fault_model.wipe ->
   ?max_steps:int ->
   unit ->
   outcome
 (** One crash at every possible step of the given deterministic schedule
     (including "no crash"), recovery run to completion under the same
-    schedule.  The schedule factory is invoked once per run, so stateful
+    schedule; the crash applies [wipe] (default
+    {!Fault_model.keep_all}), as {!config.wipe} does in {!explore}.
+    The schedule factory is invoked once per run, so stateful
     schedules like round-robin start fresh each time.  Cheap — linear in
     the schedule length — and exactly the shape of the Figure 2
     construction: it is how experiment E3 exhibits the auxiliary-state

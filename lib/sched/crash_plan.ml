@@ -28,7 +28,13 @@ let at_steps ?keep ks =
   in
   { should_crash; wipe }
 
+let check_prob prob =
+  if not (prob >= 0. && prob <= 1.) then
+    invalid_arg
+      (Printf.sprintf "crash probability must be in [0, 1] (got %g)" prob)
+
 let faulted ?(max_crashes = 3) ?(fault = Fault_model.Atomic) ~prob prng =
+  check_prob prob;
   (* The wipe randomness must not come from [prng]: the schedule PRNG's
      consumption would then depend on the dirty-set size at each crash,
      coupling crash times to memory contents.  A dedicated seed makes

@@ -28,9 +28,14 @@ val at_steps : ?keep:(Loc.t -> bool) -> int list -> t
     two consecutive consultations once step 4 is reached.  Default wipe
     keeps everything (private-cache semantics). *)
 
+val check_prob : float -> unit
+(** Raises [Invalid_argument] unless the crash probability is in
+    [\[0, 1\]] (NaN included). *)
+
 val faulted :
   ?max_crashes:int -> ?fault:Fault_model.t -> prob:float -> Prng.t -> t
-(** Crash before each step with probability [prob], at most
+(** Raises [Invalid_argument] when [prob] fails {!check_prob}.
+    Otherwise: crash before each step with probability [prob], at most
     [max_crashes] times (default 3), injecting each crash under [fault]
     (default [Atomic]: every dirty line persists whole).  For any other
     fault a seed is drawn from [prng] at construction and the plan's

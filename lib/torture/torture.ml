@@ -17,6 +17,7 @@ type spec = {
 let default_spec_of ?(policy = Session.Retry) ?(crash_prob = 0.05)
     ?(max_crashes = 2) ?(max_steps = 50_000) ?(fault = Nvm.Fault_model.Atomic)
     ?(watchdog = 10_000) ~label ~mk ~workloads_of_seed () =
+  Crash_plan.check_prob crash_prob;
   {
     label;
     mk;
@@ -337,6 +338,30 @@ let trial_of_json j =
           (Tiny_json.get_list (Tiny_json.member "trace" j));
     } )
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A journal's header line and the lines after it, or [None] when it
+   holds no header yet and starts afresh: no complete first line (no
+   bytes, or a header torn mid-write) or nothing but blank lines.  A
+   blank first line with records after it is no header at all. *)
+let split_journal contents =
+  match String.index_opt contents '\n' with
+  | None -> None
+  | Some i ->
+      let header = String.sub contents 0 i in
+      let rest =
+        String.split_on_char '\n'
+          (String.sub contents (i + 1) (String.length contents - i - 1))
+      in
+      if String.trim header <> "" then Some (header, rest)
+      else if List.for_all (fun l -> String.trim l = "") rest then None
+      else
+        invalid_arg "Torture.run: unreadable checkpoint header: blank first line"
+
 (* Completed trials recorded in a (possibly interrupted) journal.  The
    header must match this campaign exactly — resuming under different
    parameters would silently mix incompatible seed streams.  A torn
@@ -348,16 +373,9 @@ let trial_of_json j =
    trial is a hard error naming the line — overlapping shard ranges
    must never silently double-count or mix results. *)
 let read_checkpoint path (spec : spec) ~root_seed ~trials =
-  let contents =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  match String.split_on_char '\n' contents with
-  | [] -> []
-  | header :: rest when String.trim header <> "" ->
+  match split_journal (read_file path) with
+  | None -> []
+  | Some (header, rest) ->
       let unreadable m =
         invalid_arg ("Torture.run: unreadable checkpoint header: " ^ m)
       in
@@ -445,7 +463,6 @@ let read_checkpoint path (spec : spec) ~root_seed ~trials =
                           acc := (i, tr) :: !acc)))
         rest;
       List.rev !acc
-  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* journal writer *)
@@ -454,7 +471,8 @@ module Journal = struct
   type t = { mu : Mutex.t; oc : out_channel }
 
   let create ~path ~resume (spec : spec) ~root_seed ~trials =
-    let fresh = not (resume && Sys.file_exists path) in
+    let existing = if resume && Sys.file_exists path then read_file path else "" in
+    let fresh = Option.is_none (split_journal existing) in
     let oc =
       if fresh then
         open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path
@@ -464,11 +482,7 @@ module Journal = struct
            writes start at a line boundary and the journal stays
            parseable on the next resume *)
         let keep =
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          match String.rindex_opt s '\n' with Some i -> i + 1 | None -> 0
+          match String.rindex_opt existing '\n' with Some i -> i + 1 | None -> 0
         in
         let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
         Unix.ftruncate fd keep;

@@ -95,7 +95,9 @@ val default_spec_of :
   spec
 (** Spec with the E6 torture defaults: [Retry], crash probability 0.05,
     at most 2 crashes, 50_000 steps, incremental checker, [Atomic]
-    fault model, watchdog 10_000. *)
+    fault model, watchdog 10_000.  Raises [Invalid_argument] when
+    [crash_prob] is outside [\[0, 1\]] ({!Sched.Crash_plan.check_prob}),
+    so no trial ever runs with it. *)
 
 type dist = {
   d_min : int;
@@ -241,9 +243,12 @@ val read_checkpoint :
 (** Completed trials recorded in a (possibly interrupted) journal, in
     file order with duplicates removed.  Skips lifecycle event lines
     (objects with an ["event"] key); tolerates one torn {e trailing}
-    line (a writer died mid-write).  Raises [Invalid_argument]: an
-    ["unreadable checkpoint header: …"] one when the header does not
-    parse or lacks or mistypes a key, otherwise one naming the offending
+    line (a writer died mid-write).  A journal with no complete first
+    line (no bytes, or a torn header) or only blank lines records
+    nothing and is fresh.  Raises [Invalid_argument]: an
+    ["unreadable checkpoint header: …"] one when the first line is blank
+    but records follow, or the header does not parse or lacks or
+    mistypes a key, otherwise one naming the offending
     line(s) when the header parameters mismatch, a non-trailing line is
     unreadable, a
     trial index is out of range, or two lines record {e different}
@@ -259,7 +264,8 @@ module Journal : sig
 
   val create : path:string -> resume:bool -> spec -> root_seed:int ->
     trials:int -> t
-  (** Fresh journals ([resume = false], or the path does not exist) are
+  (** Fresh journals ([resume = false], the path does not exist, or the
+      file holds no complete first line or only blank lines) are
       truncated and start with {!header_line}.  Resumed journals are
       opened for append after truncating any torn trailing line, so the
       next write always starts at a line boundary. *)

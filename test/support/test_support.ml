@@ -1,7 +1,6 @@
 (* Shared helpers for the test suites. *)
 
 open Nvm
-open Runtime
 open History
 open Sched
 
@@ -15,43 +14,19 @@ let i n = Value.Int n
    machine.  [mk_*] return (machine, instance) as the model checker
    expects. *)
 
-let mk_drw ?persist ?(model = Machine.Private_cache) ?(n = 3) ?(init = i 0) ()
-    =
-  let m = Machine.create ~model () in
-  (m, Detectable.Drw.instance (Detectable.Drw.create ?persist m ~n ~init))
+let mk name ?persist ?model ?capacity ?(n = 3) () =
+  Objects.mk ?persist ?model ?capacity (Objects.find name) ~n ()
 
-let mk_dcas ?persist ?(model = Machine.Private_cache) ?(n = 3) ?(init = i 0) ()
-    =
-  let m = Machine.create ~model () in
-  (m, Detectable.Dcas.instance (Detectable.Dcas.create ?persist m ~n ~init))
+let mk_drw = mk "drw"
+let mk_dcas = mk "dcas"
+let mk_dmax = mk "dmax"
+let mk_dcounter = mk "dcounter"
+let mk_dfaa = mk "dfaa"
+let mk_urw = mk "urw"
+let mk_ucas = mk "ucas"
 
-let mk_dmax ?persist ?(model = Machine.Private_cache) ?(n = 3) ?(init = 0) () =
-  let m = Machine.create ~model () in
-  (m, Detectable.Dmax.instance (Detectable.Dmax.create ?persist m ~n ~init))
-
-let mk_dcounter ?persist ?(model = Machine.Private_cache) ?(n = 3) ?(init = 0)
-    () =
-  let m = Machine.create ~model () in
-  ( m,
-    Detectable.Transform.instance
-      (Detectable.Transform.counter ?persist m ~n ~init) )
-
-let mk_dfaa ?persist ?(model = Machine.Private_cache) ?(n = 3) ?(init = 0) () =
-  let m = Machine.create ~model () in
-  (m, Detectable.Transform.instance (Detectable.Transform.faa ?persist m ~n ~init))
-
-let mk_dqueue ?persist ?(model = Machine.Private_cache) ?(n = 3)
-    ?(capacity = 32) () =
-  let m = Machine.create ~model () in
-  (m, Detectable.Dqueue.instance (Detectable.Dqueue.create ?persist m ~n ~capacity))
-
-let mk_urw ?(n = 3) ?(init = i 0) () =
-  let m = Machine.create () in
-  (m, Baselines.Urw.instance (Baselines.Urw.create m ~n ~init))
-
-let mk_ucas ?(n = 3) ?(init = i 0) () =
-  let m = Machine.create () in
-  (m, Baselines.Ucas.instance (Baselines.Ucas.create m ~n ~init))
+let mk_dqueue ?persist ?model ?(capacity = 32) ?n () =
+  mk "dqueue" ?persist ?model ~capacity ?n ()
 
 (* ---------------------------------------------------------------- *)
 (* Torture runner: many seeded random runs with crashes; fails the test

@@ -41,4 +41,5 @@ let () =
          Test_shrink.suites;
          Test_torture.suites;
          Test_campaign.suites;
+         Test_objects.suites;
        ])

@@ -81,7 +81,7 @@ let test_dcas_keep_none_exhaustive () =
       ~mk:(Test_support.mk_dcas ~persist:true ~model:Machine.Shared_cache ~n:2)
       ~workloads:[| [ Spec.cas_op (i 0) (i 1) ]; [ Spec.cas_op (i 1) (i 0) ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
-      ~keep:(fun _ -> false)
+      ~wipe:(Fault_model.Keep (fun _ -> false))
       ()
   in
   Alcotest.(check int) "no violations with keep-none" 0
@@ -100,7 +100,7 @@ let test_uninstrumented_drw_breaks () =
     Modelcheck.Explore.crash_points ~mk
       ~workloads:[| [ Spec.write_op (i 1) ]; [ Spec.read_op; Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.scripted (List.init 40 (fun _ -> 0)))
-      ~keep:(fun _ -> false)
+      ~wipe:(Fault_model.Keep (fun _ -> false))
       ~policy:Session.Give_up ()
   in
   Alcotest.(check bool) "uninstrumented algorithm violated" true

@@ -564,6 +564,49 @@ let test_checkpoint_torn_tail_healed () =
                   (k + 1) m)
         (read_lines path))
 
+(* a journal with no bytes or no complete first line holds no header
+   yet: a resume starts it afresh with a header (so a second resume reads
+   it back), through both Torture.run and Campaign.run; a blank first
+   line with records after it is a named header error *)
+let test_checkpoint_headerless_journal () =
+  let spec = dcas_spec () in
+  let expected =
+    Torture.to_json ~timing:false (Torture.run ~root_seed:21 ~trials:10 spec)
+  in
+  let runners =
+    [
+      ( "torture",
+        fun path ->
+          Torture.run ~root_seed:21 ~trials:10 ~checkpoint:path ~resume:true
+            spec );
+      ( "campaign",
+        fun path ->
+          fst
+            (Test_campaign.run_campaign ~checkpoint:path ~resume:true
+               ~config:(Test_campaign.fast ~workers:1 ())
+               ~root_seed:21 ~trials:10 spec) );
+    ]
+  in
+  List.iter
+    (fun (runner, run) ->
+      List.iter
+        (fun (what, contents) ->
+          with_temp_journal (fun path ->
+              Out_channel.with_open_bin path (fun oc ->
+                  output_string oc contents);
+              let ctx = Printf.sprintf "%s, %s" runner what in
+              Alcotest.(check string) (ctx ^ ": fresh run") expected
+                (Torture.to_json ~timing:false (run path));
+              Alcotest.(check string) (ctx ^ ": resumed") expected
+                (Torture.to_json ~timing:false (run path))))
+        [ ("no bytes", ""); ("torn header", {|{ "schema": "detectable-tor|}) ];
+      with_temp_journal (fun path ->
+          ignore (Torture.run ~root_seed:21 ~trials:10 ~checkpoint:path spec);
+          write_lines path ("" :: List.tl (read_lines path));
+          expect_invalid (runner ^ ", a blank first line")
+            "unreadable checkpoint header" (fun () -> run path)))
+    runners
+
 (* --- cooperative interruption --- *)
 
 (* a should_stop that trips mid-campaign must raise Interrupted with the
@@ -643,6 +686,8 @@ let suites =
           test_checkpoint_midfile_corruption_rejected;
         Alcotest.test_case "torn tail healed on resume" `Quick
           test_checkpoint_torn_tail_healed;
+        Alcotest.test_case "headerless journal starts fresh" `Quick
+          test_checkpoint_headerless_journal;
         Alcotest.test_case "should_stop interrupts, resume completes" `Quick
           test_should_stop_interrupts_and_resumes;
       ] );
