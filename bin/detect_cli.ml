@@ -241,21 +241,34 @@ let no_shrink_arg =
     & info [ "no-shrink" ]
         ~doc:"Skip minimising the first failing trial's schedule.")
 
-let report_outputs ~json ~no_timing ~supervision ~report_file report =
-  let timing = not no_timing in
-  if json then print_string (Torture.to_json ~timing ~supervision report)
-  else Format.printf "%a" (Torture.pp_report ~timing ~supervision ()) report;
-  (match report_file with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Torture.to_json ~supervision report);
-      close_out oc;
-      if not json then Printf.printf "report written to %s\n" path
-  | None -> ());
-  if report.Torture.not_linearized > 0 then `Error (false, "violations found")
-  else if report.Torture.engine_faults > 0 then
-    `Error (false, "engine faults recorded (object code raised)")
-  else `Ok ()
+(* The shared tail of torture and campaign: the --resume guard, the
+   SIGINT/SIGTERM flag, the exits and the report outputs.  [go] runs the
+   campaign and returns its report with any supervision counters. *)
+let run_campaign ~checkpoint ~resume ~json ~no_timing ~report_file go =
+  if resume && checkpoint = None then
+    `Error (false, "--resume requires --checkpoint FILE")
+  else
+    match go (install_stop_flag ()) with
+    | exception Torture.Interrupted { completed; total } ->
+        interrupted_exit ~completed ~total
+    | exception (Invalid_argument m | Sys_error m) -> `Error (false, m)
+    | report, supervision ->
+        let timing = not no_timing in
+        if json then print_string (Torture.to_json ~timing ?supervision report)
+        else
+          Format.printf "%a" (Torture.pp_report ~timing ?supervision ()) report;
+        (match report_file with
+        | Some path ->
+            let oc = open_out path in
+            output_string oc (Torture.to_json ?supervision report);
+            close_out oc;
+            if not json then Printf.printf "report written to %s\n" path
+        | None -> ());
+        if report.Torture.not_linearized > 0 then
+          `Error (false, "violations found")
+        else if report.Torture.engine_faults > 0 then
+          `Error (false, "engine faults recorded (object code raised)")
+        else `Ok ()
 
 (* torture *)
 
@@ -271,23 +284,13 @@ let torture_cmd =
   in
   let run obj procs ops trials crash_prob max_crashes policy seed domains
       fault watchdog checkpoint resume json no_timing report_file no_shrink =
-    if resume && checkpoint = None then
-      `Error (false, "--resume requires --checkpoint FILE")
-    else begin
-      let should_stop = install_stop_flag () in
-      match
-        Torture.run ~domains ~root_seed:seed ~trials ~shrink:(not no_shrink)
-          ?checkpoint ~resume ~should_stop
-          (torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes
-             ~fault ~watchdog)
-      with
-      | exception Torture.Interrupted { completed; total } ->
-          interrupted_exit ~completed ~total
-      | exception (Invalid_argument m | Sys_error m) -> `Error (false, m)
-      | report ->
-          report_outputs ~json ~no_timing ~supervision:Torture.no_supervision
-            ~report_file report
-    end
+    run_campaign ~checkpoint ~resume ~json ~no_timing ~report_file
+    @@ fun should_stop ->
+    ( Torture.run ~domains ~root_seed:seed ~trials ~shrink:(not no_shrink)
+        ?checkpoint ~resume ~should_stop
+        (torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes
+           ~fault ~watchdog),
+      None )
   in
   Cmd.v
     (Cmd.info "torture"
@@ -381,77 +384,68 @@ let campaign_cmd =
       fault watchdog chaos heartbeat_every heartbeat_timeout
       retry_budget backoff_base backoff_cap checkpoint resume json no_timing
       report_file no_shrink =
-    if resume && checkpoint = None then
-      `Error (false, "--resume requires --checkpoint FILE")
-    else begin
-      let config =
-        {
-          Campaign.default_config with
-          workers;
-          heartbeat_every;
-          heartbeat_timeout;
-          retry_budget;
-          backoff_base;
-          backoff_cap;
-          chaos;
-        }
+    let config =
+      {
+        Campaign.default_config with
+        workers;
+        heartbeat_every;
+        heartbeat_timeout;
+        retry_budget;
+        backoff_base;
+        backoff_cap;
+        chaos;
+      }
+    in
+    let worker_argv ~lo ~hi ~fault:fault_plan =
+      let base =
+        [
+          Sys.executable_name;
+          "torture-worker";
+          "-o";
+          Objects.name obj;
+          "-p";
+          string_of_int procs;
+          "-k";
+          string_of_int ops;
+          "--policy";
+          (match policy with
+          | Session.Retry -> "retry"
+          | Session.Give_up -> "giveup");
+          "--crash-prob";
+          Printf.sprintf "%h" crash_prob;
+          "--max-crashes";
+          string_of_int max_crashes;
+          "--fault";
+          fault_exact_arg fault;
+          "--watchdog";
+          string_of_int watchdog;
+          "-s";
+          string_of_int seed;
+          "--lo";
+          string_of_int lo;
+          "--hi";
+          string_of_int hi;
+          "--heartbeat-every";
+          string_of_int heartbeat_every;
+        ]
       in
-      let worker_argv ~lo ~hi ~fault:fault_plan =
-        let base =
-          [
-            Sys.executable_name;
-            "torture-worker";
-            "-o";
-            Objects.name obj;
-            "-p";
-            string_of_int procs;
-            "-k";
-            string_of_int ops;
-            "--policy";
-            (match policy with
-            | Session.Retry -> "retry"
-            | Session.Give_up -> "giveup");
-            "--crash-prob";
-            Printf.sprintf "%h" crash_prob;
-            "--max-crashes";
-            string_of_int max_crashes;
-            "--fault";
-            fault_exact_arg fault;
-            "--watchdog";
-            string_of_int watchdog;
-            "-s";
-            string_of_int seed;
-            "--lo";
-            string_of_int lo;
-            "--hi";
-            string_of_int hi;
-            "--heartbeat-every";
-            string_of_int heartbeat_every;
-          ]
-        in
-        let chaos_args =
-          match fault_plan with
-          | Campaign.No_fault -> []
-          | Campaign.Kill_after k -> [ "--chaos-kill-after"; string_of_int k ]
-          | Campaign.Hang_after k -> [ "--chaos-hang-after"; string_of_int k ]
-        in
-        Array.of_list (base @ chaos_args)
+      let chaos_args =
+        match fault_plan with
+        | Campaign.No_fault -> []
+        | Campaign.Kill_after k -> [ "--chaos-kill-after"; string_of_int k ]
+        | Campaign.Hang_after k -> [ "--chaos-hang-after"; string_of_int k ]
       in
-      let should_stop = install_stop_flag () in
-      match
-        Campaign.run ?checkpoint ~resume ~shrink:(not no_shrink) ~should_stop
-          ~config ~worker_argv ~root_seed:seed ~trials
-          (torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes
-             ~fault ~watchdog)
-      with
-      | exception Torture.Interrupted { completed; total } ->
-          interrupted_exit ~completed ~total
-      | exception (Invalid_argument m | Sys_error m) -> `Error (false, m)
-      | report, counters ->
-          report_outputs ~json ~no_timing
-            ~supervision:(Campaign.supervision counters chaos)
-            ~report_file report
-    end
+      Array.of_list (base @ chaos_args)
+    in
+    run_campaign ~checkpoint ~resume ~json ~no_timing ~report_file
+    @@ fun should_stop ->
+    let report, counters =
+      Campaign.run ?checkpoint ~resume ~shrink:(not no_shrink) ~should_stop
+        ~config ~worker_argv ~root_seed:seed ~trials
+        (torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes
+           ~fault ~watchdog)
+    in
+    (report, Some counters)
   in
   Cmd.v
     (Cmd.info "campaign"

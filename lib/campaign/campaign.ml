@@ -2,9 +2,13 @@ open Sched
 
 type fault_plan = No_fault | Kill_after of int | Hang_after of int
 
-type chaos = { kill_prob : float; hang_prob : float; chaos_seed : int }
+type chaos = Torture.chaos = {
+  kill_prob : float;
+  hang_prob : float;
+  chaos_seed : int;
+}
 
-let no_chaos = { kill_prob = 0.0; hang_prob = 0.0; chaos_seed = 0 }
+let no_chaos = Torture.no_supervision.chaos
 
 let chaos_to_string c =
   Printf.sprintf "kill=%g,hang=%g,seed=%d" c.kill_prob c.hang_prob c.chaos_seed
@@ -67,7 +71,7 @@ let default_config =
     chaos_plan = None;
   }
 
-type counters = {
+type counters = Torture.supervision = {
   workers_spawned : int;
   worker_deaths : int;
   worker_hangs : int;
@@ -75,21 +79,8 @@ type counters = {
   retries : int;
   degradations : int;
   inproc_trials : int;
+  chaos : chaos;
 }
-
-let supervision (c : counters) (chaos : chaos) : Torture.supervision =
-  {
-    Torture.s_workers_spawned = c.workers_spawned;
-    s_worker_deaths = c.worker_deaths;
-    s_worker_hangs = c.worker_hangs;
-    s_rescues = c.rescues;
-    s_retries = c.retries;
-    s_degradations = c.degradations;
-    s_inproc_trials = c.inproc_trials;
-    s_chaos_kill = chaos.kill_prob;
-    s_chaos_hang = chaos.hang_prob;
-    s_chaos_seed = chaos.chaos_seed;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* worker side *)
@@ -140,7 +131,6 @@ type worker = {
   mutable w_last : float;  (* last byte seen (heartbeat or trial) *)
   w_lo : int;
   w_hi : int;
-  mutable w_next : int;  (* first index not yet streamed by this worker *)
   w_attempt : int;
 }
 
@@ -166,30 +156,18 @@ let split_run (lo, hi) target =
       if b > a then Some (a, b) else None)
     (List.init pieces Fun.id)
 
-let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
-    ?(config = default_config) ~worker_argv ~root_seed ~trials spec =
-  if trials < 0 then invalid_arg "Campaign.run: trials must be non-negative";
-  if resume && checkpoint = None then
-    invalid_arg "Campaign.run: resume requires a checkpoint path";
+let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
+    ~worker_argv ~root_seed ~trials spec =
   if config.workers < 1 then invalid_arg "Campaign.run: workers must be >= 1";
-  let should_stop = Option.value should_stop ~default:(fun () -> false) in
+  Torture.run_with ?shrink ?checkpoint ?resume ?should_stop ~root_seed ~trials
+    spec
+  @@ fun (l : Torture.ledger) ->
   let now () = Unix.gettimeofday () in
-  let t0 = now () in
-  let by_index = Array.make (max 1 trials) None in
-  (match checkpoint with
-  | Some path when resume && Sys.file_exists path ->
-      List.iter
-        (fun (i, tr) -> by_index.(i) <- Some tr)
-        (Torture.read_checkpoint path spec ~root_seed ~trials)
-  | _ -> ());
-  let journal =
-    match checkpoint with
-    | None -> None
-    | Some path ->
-        Some (Torture.Journal.create ~path ~resume spec ~root_seed ~trials)
+  let jevent fmt = Printf.ksprintf l.event fmt in
+  let record i tr =
+    l.keep i tr;
+    l.journal i tr
   in
-  let jline l = Option.iter (fun j -> Torture.Journal.write j l) journal in
-  let jevent fmt = Printf.ksprintf jline fmt in
   (* counters *)
   let spawned = ref 0
   and deaths = ref 0
@@ -226,20 +204,16 @@ let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
   in
   (* initial ranges: contiguous runs of missing indices, split so a clean
      run hands one chunk to each worker *)
-  let missing =
-    List.filter (fun i -> by_index.(i) = None) (List.init trials Fun.id)
+  let target =
+    max 1 ((Array.length l.missing + config.workers - 1) / config.workers)
   in
-  let total_missing = List.length missing in
-  if total_missing > 0 then begin
-    let target = max 1 ((total_missing + config.workers - 1) / config.workers) in
-    List.iter
-      (fun run ->
-        List.iter
-          (fun (lo, hi) ->
-            enqueue { r_lo = lo; r_hi = hi; r_attempt = 1; r_not_before = 0.0 })
-          (split_run run target))
-      (coalesce missing)
-  end;
+  List.iter
+    (fun run ->
+      List.iter
+        (fun (lo, hi) ->
+          enqueue { r_lo = lo; r_hi = hi; r_attempt = 1; r_not_before = 0.0 })
+        (split_run run target))
+    (coalesce (Array.to_list l.missing));
   let chaos_draw =
     match config.chaos_plan with
     | Some plan -> plan
@@ -277,7 +251,6 @@ let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
         w_last = now ();
         w_lo = r.r_lo;
         w_hi = r.r_hi;
-        w_next = r.r_lo;
         w_attempt = r.r_attempt;
       }
       :: !workers
@@ -294,11 +267,7 @@ let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
             match Torture.trial_of_json j with
             | exception _ -> ()
             | i, tr ->
-                if i >= 0 && i < trials && by_index.(i) = None then begin
-                  by_index.(i) <- Some tr;
-                  jline (Torture.trial_line i tr)
-                end;
-                if i >= w.w_next then w.w_next <- i + 1)
+                if i >= 0 && i < trials && not (l.has i) then record i tr)
     end
   in
   let rdbuf = Bytes.create 65536 in
@@ -326,10 +295,9 @@ let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
       (config.backoff_base *. (2.0 ** float_of_int (max 0 (attempt - 1))))
   in
   let first_missing lo hi =
-    let rec go i = if i >= hi || by_index.(i) = None then i else go (i + 1) in
+    let rec go i = if i >= hi || not (l.has i) then i else go (i + 1) in
     go lo
   in
-  let range_complete lo hi = first_missing lo hi >= hi in
   let kill_worker w =
     try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ()
   in
@@ -339,24 +307,27 @@ let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
     let rec go () = match read_worker w with `Eof -> () | `More -> go () in
     try go () with Unix.Unix_error _ -> ()
   in
+  let close_and_wait w =
+    (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
+    try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()
+  in
   let inproc_scratch = lazy (Session.make_scratch ()) in
   let reap w ~hung =
-    (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
+    close_and_wait w;
     workers := List.filter (fun x -> x != w) !workers;
-    if range_complete w.w_lo w.w_hi then
+    let rem_lo = first_missing w.w_lo w.w_hi in
+    if rem_lo >= w.w_hi then
       jevent {|{ "event": "exit", "pid": %d, "lo": %d, "hi": %d }|} w.w_pid
         w.w_lo w.w_hi
     else begin
       if hung then incr hangs else incr deaths;
       incr rescues;
-      let rem_lo = first_missing w.w_lo w.w_hi in
       jevent
         {|{ "event": %S, "pid": %d, "lo": %d, "hi": %d, "remaining_lo": %d, "attempt": %d }|}
         (if hung then "hang" else "death")
         w.w_pid w.w_lo w.w_hi rem_lo w.w_attempt;
       let a = w.w_attempt in
-      if a <= config.retry_budget then
+      let retry () =
         enqueue
           {
             r_lo = rem_lo;
@@ -364,19 +335,15 @@ let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
             r_attempt = a + 1;
             r_not_before = now () +. backoff a;
           }
+      in
+      if a <= config.retry_budget then retry ()
       else if !parallelism > 1 then begin
         (* the range keeps failing: assume resource pressure and halve
            the process parallelism before trying again *)
         parallelism := max 1 (!parallelism / 2);
         incr degradations;
         jevent {|{ "event": "degrade", "parallelism": %d }|} !parallelism;
-        enqueue
-          {
-            r_lo = rem_lo;
-            r_hi = w.w_hi;
-            r_attempt = a + 1;
-            r_not_before = now () +. backoff a;
-          }
+        retry ()
       end
       else begin
         (* last resort: run the remainder in-process (no chaos, no
@@ -384,108 +351,79 @@ let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
         jevent {|{ "event": "inproc", "lo": %d, "hi": %d }|} rem_lo w.w_hi;
         let scratch = Lazy.force inproc_scratch in
         for i = rem_lo to w.w_hi - 1 do
-          if by_index.(i) = None then begin
-            let tr = Torture.run_trial spec ~scratch ~root:root_seed ~index:i in
-            by_index.(i) <- Some tr;
-            jline (Torture.trial_line i tr);
+          if not (l.has i) then begin
+            record i (Torture.run_trial spec ~scratch ~root:root_seed ~index:i);
             incr inproc
           end
         done
       end
     end
   in
-  let interrupted = ref false in
-  while (not !interrupted) && (!workers <> [] || !queue <> []) do
-    if should_stop () then interrupted := true
+  while (!workers <> [] || !queue <> []) && not (l.stop ()) do
+    let rec fill () =
+      if List.length !workers < !parallelism then
+        match take_ready () with
+        | Some r ->
+            spawn_range r;
+            fill ()
+        | None -> ()
+    in
+    fill ();
+    if !workers = [] then (
+      (* every pending range is in backoff: sleep toward the earliest
+         deadline (capped so should_stop stays responsive) *)
+      match earliest_not_before () with
+      | Some t ->
+          let d = t -. now () in
+          if d > 0.0 then Unix.sleepf (Float.min d 0.2)
+      | None -> ())
     else begin
-      let rec fill () =
-        if List.length !workers < !parallelism then
-          match take_ready () with
-          | Some r ->
-              spawn_range r;
-              fill ()
-          | None -> ()
+      let fds = List.map (fun w -> w.w_fd) !workers in
+      let timeout =
+        let hb_deadline =
+          List.fold_left
+            (fun acc w -> Float.min acc (w.w_last +. config.heartbeat_timeout))
+            infinity !workers
+        in
+        let d = hb_deadline -. now () in
+        let d =
+          match earliest_not_before () with
+          | Some t -> Float.min d (t -. now ())
+          | None -> d
+        in
+        Float.max 0.01 (Float.min d 0.25)
       in
-      fill ();
-      if !workers = [] then (
-        (* every pending range is in backoff: sleep toward the earliest
-           deadline (capped so should_stop stays responsive) *)
-        match earliest_not_before () with
-        | Some t ->
-            let d = t -. now () in
-            if d > 0.0 then Unix.sleepf (Float.min d 0.2)
-        | None -> ())
-      else begin
-        let fds = List.map (fun w -> w.w_fd) !workers in
-        let timeout =
-          let hb_deadline =
-            List.fold_left
-              (fun acc w -> Float.min acc (w.w_last +. config.heartbeat_timeout))
-              infinity !workers
-          in
-          let d = hb_deadline -. now () in
-          let d =
-            match earliest_not_before () with
-            | Some t -> Float.min d (t -. now ())
-            | None -> d
-          in
-          Float.max 0.01 (Float.min d 0.25)
-        in
-        let readable =
-          match Unix.select fds [] [] timeout with
-          | r, _, _ -> r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-        in
-        List.iter
-          (fun w ->
-            if List.mem w.w_fd readable then
-              match read_worker w with
-              | `Eof -> reap w ~hung:false
-              | `More -> ())
-          !workers;
-        let t = now () in
-        List.iter
-          (fun w ->
-            if t -. w.w_last > config.heartbeat_timeout then begin
-              kill_worker w;
-              drain w;
-              reap w ~hung:true
-            end)
-          !workers
-      end
+      let readable =
+        match Unix.select fds [] [] timeout with
+        | r, _, _ -> r
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+      in
+      List.iter
+        (fun w ->
+          if List.mem w.w_fd readable then
+            match read_worker w with
+            | `Eof -> reap w ~hung:false
+            | `More -> ())
+        !workers;
+      let t = now () in
+      List.iter
+        (fun w ->
+          if t -. w.w_last > config.heartbeat_timeout then begin
+            kill_worker w;
+            drain w;
+            reap w ~hung:true
+          end)
+        !workers
     end
   done;
-  let completed = ref 0 in
-  for i = 0 to trials - 1 do
-    if by_index.(i) <> None then incr completed
-  done;
-  if !interrupted then begin
-    List.iter
-      (fun w ->
-        kill_worker w;
-        (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
-      !workers;
-    jevent {|{ "event": "interrupted", "completed": %d, "total": %d }|}
-      !completed trials;
-    (match journal with Some j -> Torture.Journal.close j | None -> ());
-    raise (Torture.Interrupted { completed = !completed; total = trials })
-  end;
-  (match journal with Some j -> Torture.Journal.close j | None -> ());
-  if !completed < trials then
-    invalid_arg "Campaign.run: supervisor lost a trial";
-  let ordered = Array.init trials (fun i -> Option.get by_index.(i)) in
-  let report = Torture.merge spec ~root_seed ~trials ~shrink ordered in
-  let elapsed_s = now () -. t0 in
-  let report =
-    {
-      report with
-      Torture.elapsed_s;
-      trials_per_sec = float_of_int trials /. Float.max elapsed_s 1e-9;
-      domains_used = config.workers;
-    }
-  in
-  ( report,
+  (* interrupted: stop the workers still running; the core journals the
+     event and raises *)
+  List.iter
+    (fun w ->
+      kill_worker w;
+      close_and_wait w)
+    !workers;
+  ( config.workers,
     {
       workers_spawned = !spawned;
       worker_deaths = !deaths;
@@ -494,4 +432,5 @@ let run ?checkpoint ?(resume = false) ?(shrink = true) ?should_stop
       retries = !retries;
       degradations = !degradations;
       inproc_trials = !inproc;
+      chaos = config.chaos;
     } )

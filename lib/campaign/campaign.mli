@@ -1,8 +1,9 @@
 (** Multi-process torture campaign supervisor.
 
     {!Torture.run} shards a campaign over OCaml domains inside one
-    process; this module promotes the same deterministic trial streams
-    to OS {e processes}.  A supervisor forks workers (normally
+    process; this module runs the same deterministic trial streams in
+    OS {e processes}.  Both are executors for one campaign core,
+    {!Torture.run_with}.  A supervisor forks workers (normally
     [detect_cli torture-worker]), hands each a contiguous
     [(root_seed, lo, hi)] slice, and reads per-trial JSONL records plus
     periodic heartbeats from each worker's pipe.
@@ -27,9 +28,9 @@
 
     Because trial [i] is a pure function of [(spec, root_seed, i)], the
     merged report's deterministic fields are byte-identical to
-    {!Torture.run}'s whatever the failure schedule; only the
-    {!Torture.supervision} counters (rendered in the report's timing
-    block) reflect what the supervisor had to do.
+    {!Torture.run}'s whatever the failure schedule; only the {!counters}
+    (rendered in the report's timing block) reflect what the supervisor
+    had to do.
 
     {2 Chaos}
 
@@ -43,19 +44,18 @@
 
     {2 Checkpointing}
 
-    With [~checkpoint] the supervisor journals every streamed trial line
-    {e and} every lifecycle event (spawn / exit / death / hang / rescue /
-    degrade / inproc / interrupted) to the
-    [detectable-torture-checkpoint/v2] stream; [~resume] reloads
-    completed trials exactly like {!Torture.run}, so a campaign resumed
-    after a supervisor crash still produces a byte-identical report. *)
+    This module runs inside {!Torture.run_with}, which owns the
+    checkpoint journal, resume, the interrupt and the merge, exactly as
+    for {!Torture.run}; either engine resumes the other's journal.  The
+    supervisor adds its lifecycle events (spawn / exit / death / hang /
+    degrade / inproc) to the journal between the trial lines. *)
 
 type fault_plan =
   | No_fault
   | Kill_after of int  (** self-kill (exit 70) after this many trials *)
   | Hang_after of int  (** stop emitting after this many trials *)
 
-type chaos = {
+type chaos = Torture.chaos = {
   kill_prob : float;
   hang_prob : float;
   chaos_seed : int;
@@ -85,7 +85,7 @@ val default_config : config
 (** 4 workers, heartbeat every 16 trials / 30 s timeout, retry budget 3,
     backoff 0.05 s capped at 2 s, no chaos. *)
 
-type counters = {
+type counters = Torture.supervision = {
   workers_spawned : int;
   worker_deaths : int;
   worker_hangs : int;
@@ -93,11 +93,11 @@ type counters = {
   retries : int;
   degradations : int;
   inproc_trials : int;
+  chaos : chaos;
 }
-
-val supervision : counters -> chaos -> Torture.supervision
-(** Package the counters (plus the chaos parameters) for
-    {!Torture.to_json}'s [timing.supervision] block. *)
+(** What the supervisor had to do, plus the chaos it ran under: the
+    report's [timing.supervision] block ({!Torture.to_json}
+    [~supervision]). *)
 
 val worker_main :
   ?fault:fault_plan ->
@@ -127,15 +127,15 @@ val run :
   trials:int ->
   Torture.spec ->
   Torture.report * counters
-(** Supervise a campaign: split the missing trial indices into
-    contiguous ranges (one per worker), spawn [worker_argv ~lo ~hi
-    ~fault] for each ([argv.(0)] is the executable path; [fault] is the
-    chaos plan drawn for that spawn — encode it into the child's
-    command line), and merge the streamed trials into a report exactly
-    as {!Torture.run} would.  The report's timing block carries
-    wall-clock/throughput; its deterministic fields are byte-identical
-    to a single-process run's.  [should_stop] is polled in the event
-    loop; when it turns true the supervisor kills its workers, journals
-    an interrupted event, and raises {!Torture.Interrupted}.  Raises
-    [Invalid_argument] on a checkpoint header mismatch, like
-    {!Torture.run}. *)
+(** Supervise a campaign inside {!Torture.run_with}: split the missing
+    trial indices into contiguous ranges (one per worker), spawn
+    [worker_argv ~lo ~hi ~fault] for each ([argv.(0)] is the executable
+    path; [fault] is the chaos plan drawn for that spawn — encode it
+    into the child's command line), and record each streamed trial.
+    The report's deterministic fields are byte-identical to a
+    single-process run's; its [domains_used] is [config.workers].
+    [should_stop] is polled in the event loop; when it turns true the
+    supervisor kills its workers and {!Torture.run_with} journals the
+    interrupt and raises {!Torture.Interrupted}.  Raises
+    [Invalid_argument] when [config.workers < 1] and wherever
+    {!Torture.run_with} does. *)

@@ -5,7 +5,6 @@
 
 type t = {
   mutable cells : Value.hc array;
-  mutable inits : Value.hc array;
   mutable locs : Loc.t array;
   mutable max_bits : int array;
   mutable len : int;
@@ -43,7 +42,6 @@ let create ?(capacity = initial_capacity) () =
   let b = bot () in
   {
     cells = Array.make capacity b;
-    inits = Array.make capacity b;
     locs = Array.make capacity (Loc.make ~id:(-1) ~name:"" ~kind:Loc.Shared);
     max_bits = Array.make capacity 0;
     len = 0;
@@ -69,7 +67,6 @@ let grow mem =
   in
   let b = bot () in
   mem.cells <- extend mem.cells b;
-  mem.inits <- extend mem.inits b;
   mem.locs <- extend mem.locs (Loc.make ~id:(-1) ~name:"" ~kind:Loc.Shared);
   mem.max_bits <- extend mem.max_bits 0
 
@@ -112,7 +109,6 @@ let alloc mem ~name ~kind init =
   let loc = Loc.make ~id ~name ~kind in
   let init = Value.intern init in
   mem.cells.(id) <- init;
-  mem.inits.(id) <- init;
   mem.locs.(id) <- loc;
   mem.max_bits.(id) <- init.Value.bits;
   mem.len <- id + 1;
@@ -258,13 +254,6 @@ let faa mem (loc : Loc.t) delta =
   fp_set mem loc.Loc.id c;
   note_hc_bits mem loc.Loc.id c;
   old
-
-let reset mem =
-  for i = 0 to mem.len - 1 do
-    journal mem i;
-    fp_set mem i mem.inits.(i);
-    mem.max_bits.(i) <- mem.inits.(i).Value.bits
-  done
 
 let n_locs mem = mem.len
 

@@ -18,8 +18,7 @@ val create : ?capacity:int -> unit -> t
     pre-sizing knob. *)
 
 val alloc : t -> name:string -> kind:Loc.kind -> Value.t -> Loc.t
-(** [alloc mem ~name ~kind init] allocates a fresh cell holding [init].
-    The initial value is remembered so {!reset} can restore it. *)
+(** [alloc mem ~name ~kind init] allocates a fresh cell holding [init]. *)
 
 val read : t -> Loc.t -> Value.t
 val write : t -> Loc.t -> Value.t -> unit
@@ -33,11 +32,6 @@ val faa : t -> Loc.t -> int -> int
 (** [faa mem loc delta] fetch-and-adds on an integer cell, returning the
     previous value. *)
 
-val reset : t -> unit
-(** Restore every cell to its initial value and clear statistics.  Used by
-    the model checker to re-execute programs from the initial
-    configuration. *)
-
 val n_locs : t -> int
 
 val loc_by_id : t -> int -> Loc.t
@@ -48,7 +42,7 @@ val loc_by_id : t -> int -> Loc.t
 
     The undo-engine's backtracking substrate.  While journaling is on,
     every mutation ([write], successful [cas], [faa], and the cells
-    changed by [reset]/[restore]) pushes [(cell id, old contents, old
+    changed by [restore]) pushes [(cell id, old contents, old
     max_bits)] onto a log; {!rewind} pops back to a {!mark} in
     O(writes-since-mark), restoring contents {e and} the [max_bits]
     high-water marks (the bf9564b stale-accounting class of bug).
@@ -163,7 +157,7 @@ val shared_bits : t -> int
 
 val max_shared_bits : t -> int
 (** High-water mark of per-cell maxima: sum over shared cells of the
-    largest size each has held since creation/{!reset}.  This is the
+    largest size each has held since creation.  This is the
     honest measure of how much NVM the implementation must provision. *)
 
 val max_bits_of : t -> Loc.t -> int

@@ -166,8 +166,8 @@ let mk_hc v h =
 (* Tiny immediate values dominate cell traffic (counters, toggles,
    process ids), so they get a table-free constant-time path: one
    preallocated node each, shared by every [intern] call on the domain.
-   They are never entered in [tbl] and survive [intern_reset], which
-   keeps them canonical for the domain's whole lifetime. *)
+   They are never entered in [tbl], which keeps them canonical for the
+   domain's whole lifetime. *)
 let small_int_cache_size = 256
 
 type intern_state = {
@@ -230,9 +230,3 @@ let hc_equal a b = a == b || (a.h = b.h && equal a.node b.node)
 let intern_stats () =
   let st = Domain.DLS.get intern_key in
   (st.hits, st.misses)
-
-let intern_reset () =
-  let st = Domain.DLS.get intern_key in
-  Hashtbl.reset st.tbl;
-  st.hits <- 0;
-  st.misses <- 0

@@ -98,10 +98,4 @@ val hc_equal : hc -> hc -> bool
 
 val intern_stats : unit -> int * int
 (** [(hits, misses)] of the calling domain's intern table since domain
-    start (or the last {!intern_reset}). *)
-
-val intern_reset : unit -> unit
-(** Clear the calling domain's intern table and zero its counters.
-    Existing [hc] nodes stay valid (they just stop being canonical), so
-    this is only safe between explorations, e.g. to bound table growth
-    in a long-lived process. *)
+    start. *)

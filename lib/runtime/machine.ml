@@ -74,11 +74,6 @@ let crash t ~index wipe =
 
 let steps t = t.steps
 
-let reset t =
-  Mem.reset t.mem;
-  (match t.cache with Some c -> Cache.crash c ~keep:(fun _ -> false) | None -> ());
-  t.steps <- 0
-
 let nvm_snapshot t = Mem.snapshot t.mem
 
 (* ---- incremental checkpointing (undo engine) ---- *)

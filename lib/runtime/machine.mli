@@ -44,11 +44,7 @@ val crash : t -> index:int -> Fault_model.wipe -> unit
     back). *)
 
 val steps : t -> int
-(** Number of primitive steps applied since creation/reset. *)
-
-val reset : t -> unit
-(** Restore all cells to their initial values, drop the cache and zero the
-    step counter (for the model checker's re-executions). *)
+(** Number of primitive steps applied since creation. *)
 
 val nvm_snapshot : t -> Mem.snapshot
 (** Snapshot of the {e non-volatile} state only — what survives a crash.

@@ -338,12 +338,6 @@ let trial_of_json j =
           (Tiny_json.get_list (Tiny_json.member "trace" j));
     } )
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* A journal's header line and the lines after it, or [None] when it
    holds no header yet and starts afresh: no complete first line (no
    bytes, or a header torn mid-write) or nothing but blank lines.  A
@@ -362,158 +356,139 @@ let split_journal contents =
       else
         invalid_arg "Torture.run: unreadable checkpoint header: blank first line"
 
-(* Completed trials recorded in a (possibly interrupted) journal.  The
-   header must match this campaign exactly — resuming under different
-   parameters would silently mix incompatible seed streams.  A torn
-   trailing line (the writer died mid-write) is ignored; any complete
-   trial line is trusted because trials are pure functions of their
-   index.  Supervisor lifecycle events (v2 journals) are skipped.  A
-   line that is unreadable anywhere but the tail, records an
-   out-of-range index, or conflicts with an earlier record of the same
-   trial is a hard error naming the line — overlapping shard ranges
-   must never silently double-count or mix results. *)
-let read_checkpoint path (spec : spec) ~root_seed ~trials =
-  match split_journal (read_file path) with
-  | None -> []
-  | Some (header, rest) ->
-      let unreadable m =
-        invalid_arg ("Torture.run: unreadable checkpoint header: " ^ m)
-      in
-      let h = try Tiny_json.parse header with Tiny_json.Error m -> unreadable m in
-      let field get k =
-        try get (Tiny_json.member k h)
-        with Tiny_json.Error m -> unreadable (Printf.sprintf "%S: %s" k m)
-      in
-      let str = field Tiny_json.get_str in
-      let int = field Tiny_json.get_int in
-      let num = field Tiny_json.get_num in
-      let mismatch what =
-        invalid_arg
-          (Printf.sprintf
-             "Torture.run: checkpoint %s was written by a different campaign \
-              (%s differs)"
-             path what)
-      in
-      let schema = str "schema" in
-      if schema <> checkpoint_schema then mismatch "schema";
-      if str "object" <> spec.label then mismatch "object";
-      if int "root_seed" <> root_seed then mismatch "root_seed";
-      if int "trials" <> trials then mismatch "trials";
-      if str "policy" <> policy_string spec.policy then mismatch "policy";
-      if abs_float (num "crash_prob" -. spec.crash_prob) > 1e-9 then
-        mismatch "crash_prob";
-      if int "max_crashes" <> spec.max_crashes then mismatch "max_crashes";
-      if int "max_steps" <> spec.max_steps then mismatch "max_steps";
-      if str "fault" <> Nvm.Fault_model.to_string spec.fault then
-        mismatch "fault";
-      if int "watchdog" <> spec.watchdog then mismatch "watchdog";
-      (* the header is line 1; line numbers below are file line numbers *)
-      let last_content =
-        let r = ref 1 in
-        List.iteri (fun k l -> if String.trim l <> "" then r := k + 2) rest;
-        !r
-      in
-      let bad lineno what =
-        invalid_arg
-          (Printf.sprintf "Torture.run: checkpoint %s line %d: %s" path lineno
-             what)
-      in
-      let seen = Hashtbl.create 64 in
-      let acc = ref [] in
-      List.iteri
-        (fun k line ->
-          let lineno = k + 2 in
-          if String.trim line = "" then ()
-          else
-            match Tiny_json.parse line with
-            | exception Tiny_json.Error m ->
-                (* only the final line may be torn — the writer flushes
-                   line-atomically, so mid-file garbage means real
-                   corruption, not an interrupted write *)
-                if lineno <> last_content then
-                  bad lineno ("unreadable record (" ^ m ^ ")")
-            | j ->
-                if Tiny_json.mem "event" j then ()
-                else (
-                  match trial_of_json j with
-                  | exception _ ->
-                      if lineno <> last_content then
-                        bad lineno "malformed trial record"
-                  | i, tr ->
-                      if i < 0 || i >= trials then
+(* Completed trials recorded in a (possibly interrupted) journal at
+   [path], split by [split_journal].  The header must match this
+   campaign exactly — resuming under different parameters would silently
+   mix incompatible seed streams.  A torn trailing line (the writer died
+   mid-write) is ignored; any complete trial line is trusted because
+   trials are pure functions of their index.  Supervisor lifecycle
+   events are skipped.  A line that is unreadable anywhere but the tail,
+   records an out-of-range index, or conflicts with an earlier record of
+   the same trial is a hard error naming the line — overlapping shard
+   ranges must never silently double-count or mix results. *)
+let journaled_trials path (spec : spec) ~root_seed ~trials (header, rest) =
+  let unreadable m =
+    invalid_arg ("Torture.run: unreadable checkpoint header: " ^ m)
+  in
+  let h = try Tiny_json.parse header with Tiny_json.Error m -> unreadable m in
+  let field get k =
+    try get (Tiny_json.member k h)
+    with Tiny_json.Error m -> unreadable (Printf.sprintf "%S: %s" k m)
+  in
+  let str = field Tiny_json.get_str in
+  let int = field Tiny_json.get_int in
+  let num = field Tiny_json.get_num in
+  let mismatch what =
+    invalid_arg
+      (Printf.sprintf
+         "Torture.run: checkpoint %s was written by a different campaign (%s \
+          differs)"
+         path what)
+  in
+  let schema = str "schema" in
+  if schema <> checkpoint_schema then mismatch "schema";
+  if str "object" <> spec.label then mismatch "object";
+  if int "root_seed" <> root_seed then mismatch "root_seed";
+  if int "trials" <> trials then mismatch "trials";
+  if str "policy" <> policy_string spec.policy then mismatch "policy";
+  if abs_float (num "crash_prob" -. spec.crash_prob) > 1e-9 then
+    mismatch "crash_prob";
+  if int "max_crashes" <> spec.max_crashes then mismatch "max_crashes";
+  if int "max_steps" <> spec.max_steps then mismatch "max_steps";
+  if str "fault" <> Nvm.Fault_model.to_string spec.fault then mismatch "fault";
+  if int "watchdog" <> spec.watchdog then mismatch "watchdog";
+  (* the header is line 1; line numbers below are file line numbers *)
+  let last_content =
+    let r = ref 1 in
+    List.iteri (fun k l -> if String.trim l <> "" then r := k + 2) rest;
+    !r
+  in
+  let bad lineno what =
+    invalid_arg
+      (Printf.sprintf "Torture.run: checkpoint %s line %d: %s" path lineno what)
+  in
+  let seen = Hashtbl.create 64 in
+  let acc = ref [] in
+  List.iteri
+    (fun k line ->
+      let lineno = k + 2 in
+      if String.trim line = "" then ()
+      else
+        match Tiny_json.parse line with
+        | exception Tiny_json.Error m ->
+            (* only the final line may be torn — the writer flushes
+               line-atomically, so mid-file garbage means real
+               corruption, not an interrupted write *)
+            if lineno <> last_content then
+              bad lineno ("unreadable record (" ^ m ^ ")")
+        | j ->
+            if Tiny_json.mem "event" j then ()
+            else (
+              match trial_of_json j with
+              | exception _ ->
+                  if lineno <> last_content then
+                    bad lineno "malformed trial record"
+              | i, tr ->
+                  if i < 0 || i >= trials then
+                    bad lineno
+                      (Printf.sprintf "trial index %d out of range [0, %d)" i
+                         trials);
+                  (match Hashtbl.find_opt seen i with
+                  | Some (lineno0, tr0) ->
+                      (* identical duplicates are idempotent replays
+                         (e.g. two shards raced on the same range) — keep
+                         the first; conflicting duplicates mean
+                         overlapping shard ranges wrote different results
+                         and the journal cannot be trusted *)
+                      if tr0 <> tr then
                         bad lineno
                           (Printf.sprintf
-                             "trial index %d out of range [0, %d)" i trials);
-                      (match Hashtbl.find_opt seen i with
-                      | Some (lineno0, tr0) ->
-                          (* identical duplicates are idempotent replays
-                             (e.g. two shards raced on the same range) —
-                             keep the first; conflicting duplicates mean
-                             overlapping shard ranges wrote different
-                             results and the journal cannot be trusted *)
-                          if tr0 <> tr then
-                            bad lineno
-                              (Printf.sprintf
-                                 "trial %d conflicts with the record on \
-                                  line %d (overlapping shard ranges wrote \
-                                  different results)"
-                                 i lineno0)
-                      | None ->
-                          Hashtbl.add seen i (lineno, tr);
-                          acc := (i, tr) :: !acc)))
-        rest;
-      List.rev !acc
+                             "trial %d conflicts with the record on line %d \
+                              (overlapping shard ranges wrote different \
+                              results)"
+                             i lineno0)
+                  | None ->
+                      Hashtbl.add seen i (lineno, tr);
+                      acc := (i, tr) :: !acc)))
+    rest;
+  List.rev !acc
+
+(* The append-only journal stream.  A fresh journal is truncated and
+   starts with [header]; a resumed one ([existing] holds its bytes) is
+   opened for append after truncating any torn trailing line (a writer
+   died mid-write), so the new writes start at a line boundary and the
+   journal stays parseable on the next resume.  Every line is flushed
+   under the mutex as written, so any domain may write and a crash loses
+   at most the line in flight. *)
+type journal = { mu : Mutex.t; oc : out_channel }
+
+let journal_write j line =
+  Mutex.lock j.mu;
+  output_string j.oc line;
+  output_char j.oc '\n';
+  flush j.oc;
+  Mutex.unlock j.mu
+
+let open_journal path ~fresh ~existing ~header =
+  let oc =
+    if fresh then
+      open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path
+    else begin
+      let keep =
+        match String.rindex_opt existing '\n' with Some i -> i + 1 | None -> 0
+      in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+      Unix.ftruncate fd keep;
+      ignore (Unix.lseek fd keep Unix.SEEK_SET);
+      Unix.out_channel_of_descr fd
+    end
+  in
+  let j = { mu = Mutex.create (); oc } in
+  if fresh then journal_write j header;
+  j
 
 (* ------------------------------------------------------------------ *)
-(* journal writer *)
-
-module Journal = struct
-  type t = { mu : Mutex.t; oc : out_channel }
-
-  let create ~path ~resume (spec : spec) ~root_seed ~trials =
-    let existing = if resume && Sys.file_exists path then read_file path else "" in
-    let fresh = Option.is_none (split_journal existing) in
-    let oc =
-      if fresh then
-        open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path
-      else begin
-        (* heal a torn trailing line (a writer died mid-write) before
-           appending: truncate back to the last complete line so the new
-           writes start at a line boundary and the journal stays
-           parseable on the next resume *)
-        let keep =
-          match String.rindex_opt existing '\n' with Some i -> i + 1 | None -> 0
-        in
-        let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-        Unix.ftruncate fd keep;
-        ignore (Unix.lseek fd keep Unix.SEEK_SET);
-        Unix.out_channel_of_descr fd
-      end
-    in
-    if fresh then begin
-      output_string oc (header_line spec ~root_seed ~trials);
-      output_char oc '\n';
-      flush oc
-    end;
-    { mu = Mutex.create (); oc }
-
-  let write t line =
-    Mutex.lock t.mu;
-    output_string t.oc line;
-    output_char t.oc '\n';
-    flush t.oc;
-    Mutex.unlock t.mu
-
-  let close t =
-    Mutex.lock t.mu;
-    close_out t.oc;
-    Mutex.unlock t.mu
-end
-
-exception Interrupted of { completed : int; total : int }
-
-(* ------------------------------------------------------------------ *)
-(* campaign = shard + merge *)
+(* merge *)
 
 let dist_of xs =
   match xs with
@@ -579,13 +554,8 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
     go 0 ordered
   in
   let first_failure =
-    match
-      find_first (function
-        | { t_verdict = V_violation msg; _ } -> Some msg
-        | _ -> None)
-    with
-    | None -> None
-    | Some (i, tr, msg) ->
+    Option.map
+      (fun (i, tr, msg) ->
         let minimised, shrink_attempts =
           if not shrink then (None, 0)
           else
@@ -611,24 +581,24 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
                 (Some r.Modelcheck.Shrink.decisions, r.Modelcheck.Shrink.attempts)
             | None -> (None, 0)
         in
-        Some
-          {
-            trial = i;
-            seed = tr.t_seed;
-            msg;
-            schedule = tr.t_trace;
-            minimised;
-            shrink_attempts;
-          }
+        {
+          trial = i;
+          seed = tr.t_seed;
+          msg;
+          schedule = tr.t_trace;
+          minimised;
+          shrink_attempts;
+        })
+      (find_first (function
+        | { t_verdict = V_violation msg; _ } -> Some msg
+        | _ -> None))
   in
   let first_engine_fault =
-    match
-      find_first (function
+    Option.map
+      (fun (i, tr, msg) -> { ef_trial = i; ef_seed = tr.t_seed; ef_msg = msg })
+      (find_first (function
         | { t_verdict = V_engine_fault msg; _ } -> Some msg
-        | _ -> None)
-    with
-    | None -> None
-    | Some (i, tr, msg) -> Some { ef_trial = i; ef_seed = tr.t_seed; ef_msg = msg }
+        | _ -> None))
   in
   {
     label = spec.label;
@@ -664,169 +634,207 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
     bytes_per_trial = 0.0;
   }
 
-let run ?(domains = 1) ?(root_seed = 1) ?(trials = 200) ?(shrink = true)
-    ?checkpoint ?(resume = false) ?(should_stop = fun () -> false) spec =
+(* ------------------------------------------------------------------ *)
+(* campaign core: the bookkeeping every executor shares *)
+
+exception Interrupted of { completed : int; total : int }
+
+type ledger = {
+  missing : int array;
+  stop : unit -> bool;
+  has : int -> bool;
+  keep : int -> trial -> unit;
+  journal : int -> trial -> unit;
+  event : string -> unit;
+}
+
+(* Check the arguments, preload a resumed journal's trials, open the
+   journal, let [execute] run the missing indices, then either journal
+   the interrupt and raise, or merge.  The clock stops when [execute]
+   returns, so [elapsed_s] never includes shrinking. *)
+let run_with ?(shrink = true) ?checkpoint ?(resume = false)
+    ?(should_stop = fun () -> false) ~root_seed ~trials spec execute =
   if trials < 0 then invalid_arg "Torture.run: trials must be non-negative";
   if resume && checkpoint = None then
     invalid_arg "Torture.run: resume requires a checkpoint path";
   let t0 = Unix.gettimeofday () in
   let by_index = Array.make (max 1 trials) None in
-  (match checkpoint with
-  | Some path when resume && Sys.file_exists path ->
-      List.iter
-        (fun (i, tr) -> by_index.(i) <- Some tr)
-        (read_checkpoint path spec ~root_seed ~trials)
-  | _ -> ());
-  let missing =
-    Array.of_list
-      (List.filter (fun i -> by_index.(i) = None) (List.init trials Fun.id))
-  in
-  let n_missing = Array.length missing in
   let journal =
     match checkpoint with
     | None -> None
-    | Some path -> Some (Journal.create ~path ~resume spec ~root_seed ~trials)
+    | Some path ->
+        let existing =
+          if resume && Sys.file_exists path then
+            In_channel.with_open_bin path In_channel.input_all
+          else ""
+        in
+        let held = split_journal existing in
+        Option.iter
+          (fun h ->
+            List.iter
+              (fun (i, tr) -> by_index.(i) <- Some tr)
+              (journaled_trials path spec ~root_seed ~trials h))
+          held;
+        Some
+          (open_journal path ~fresh:(Option.is_none held) ~existing
+             ~header:(header_line spec ~root_seed ~trials))
   in
-  let record i tr =
-    match journal with
-    | None -> ()
-    | Some j -> Journal.write j (trial_line i tr)
+  let write line =
+    match journal with None -> () | Some j -> journal_write j line
   in
-  let domains = max 1 (min domains (max 1 n_missing)) in
-  (* shard d owns the missing positions { k | k mod domains = d }; trials
-     share nothing, so the only cross-domain traffic is the join.  Each
-     worker builds one {!Session.scratch} and reuses it across its whole
-     trial range, and meters its own allocation: [Gc.quick_stat]
-     counters are per-domain, so the snapshots bracket the loop inside
-     the worker and the
-     shard deltas are summed after the join.  [should_stop] is polled
-     between trials, so an interrupt loses at most the trials in
-     flight — everything completed is already journaled. *)
-  let worker d () =
-    let scratch = Session.make_scratch () in
-    let a0 = Dtc_util.Alloc_stats.snap () in
-    let acc = ref [] in
-    let k = ref d in
-    while !k < n_missing && not (should_stop ()) do
-      let i = missing.(!k) in
-      let tr = run_trial spec ~scratch ~root:root_seed ~index:i in
-      record i tr;
-      acc := (i, tr) :: !acc;
-      k := !k + domains
-    done;
-    let alloc =
-      Dtc_util.Alloc_stats.delta ~before:a0 ~after:(Dtc_util.Alloc_stats.snap ())
-    in
-    (!acc, alloc)
-  in
-  let rescued = ref 0 in
-  let shards =
-    if domains = 1 then [ worker 0 () ]
-    else
-      (* a shard whose domain dies (spawn failure or an escaped
-         exception — run_trial contains per-trial faults, so this is a
-         last line of defence) is re-run on the joining domain: trials
-         are pure functions of their index, so the re-run is
-         bit-identical to what the lost domain would have produced *)
-      let spawned =
-        Array.init domains (fun d ->
-            match Domain.spawn (worker d) with
-            | h -> Some h
-            | exception _ -> None)
-      in
-      Array.to_list
-        (Array.mapi
-           (fun d h ->
-             match h with
-             | None ->
-                 incr rescued;
-                 worker d ()
-             | Some h -> (
-                 match Domain.join h with
-                 | shard -> shard
-                 | exception _ ->
-                     incr rescued;
-                     worker d ()))
-           spawned)
+  let used, measured =
+    execute
+      {
+        missing =
+          Array.of_list
+            (List.filter
+               (fun i -> by_index.(i) = None)
+               (List.init trials Fun.id));
+        stop = should_stop;
+        has = (fun i -> by_index.(i) <> None);
+        keep = (fun i tr -> by_index.(i) <- Some tr);
+        journal =
+          (fun i tr ->
+            match journal with
+            | None -> ()
+            | Some j -> journal_write j (trial_line i tr));
+        event = write;
+      }
   in
   let elapsed_s = Unix.gettimeofday () -. t0 in
-  let alloc =
-    List.fold_left
-      (fun acc (_, d) -> Dtc_util.Alloc_stats.add acc d)
-      Dtc_util.Alloc_stats.zero shards
+  let completed =
+    Array.fold_left (fun n t -> if t = None then n else n + 1) 0 by_index
   in
-  List.iter
-    (fun (shard, _) -> List.iter (fun (i, tr) -> by_index.(i) <- Some tr) shard)
-    shards;
-  let completed = ref 0 in
-  for i = 0 to trials - 1 do
-    if by_index.(i) <> None then incr completed
-  done;
-  if !completed < trials && should_stop () then begin
-    (match journal with
-    | Some j ->
-        Journal.write j
-          (Printf.sprintf
-             {|{ "event": "interrupted", "completed": %d, "total": %d }|}
-             !completed trials);
-        Journal.close j
-    | None -> ());
-    raise (Interrupted { completed = !completed; total = trials })
-  end;
-  (match journal with Some j -> Journal.close j | None -> ());
-  if !completed < trials then invalid_arg "Torture.run: shard lost a trial";
-  let ordered = Array.init trials (fun i -> Option.get by_index.(i)) in
-  let report = merge spec ~root_seed ~trials ~shrink ordered in
+  let interrupted = completed < trials && should_stop () in
+  if interrupted then
+    write
+      (Printf.sprintf
+         {|{ "event": "interrupted", "completed": %d, "total": %d }|}
+         completed trials);
+  Option.iter (fun j -> close_out j.oc) journal;
+  if interrupted then raise (Interrupted { completed; total = trials });
+  if completed < trials then invalid_arg "Torture.run: a trial was lost";
+  let report =
+    merge spec ~root_seed ~trials ~shrink
+      (Array.init trials (fun i -> Option.get by_index.(i)))
+  in
+  ( {
+      report with
+      elapsed_s;
+      trials_per_sec = float_of_int trials /. Float.max elapsed_s 1e-9;
+      domains_used = used;
+    },
+    measured )
+
+let run ?(domains = 1) ?(root_seed = 1) ?(trials = 200) ?shrink ?checkpoint
+    ?resume ?should_stop spec =
+  let report, (rescued, alloc, executed) =
+    run_with ?shrink ?checkpoint ?resume ?should_stop ~root_seed ~trials spec
+    @@ fun l ->
+    let n_missing = Array.length l.missing in
+    let domains = max 1 (min domains (max 1 n_missing)) in
+    (* shard d owns the missing positions { k | k mod domains = d };
+       trials share nothing, so the only cross-domain traffic is the
+       journal and the join.  Each worker builds one {!Session.scratch}
+       and reuses it across its whole trial range, and meters its own
+       allocation: [Gc.quick_stat] counters are per-domain, so the
+       snapshots bracket the loop inside the worker and the shard deltas
+       are summed after the join.  [stop] is polled between trials, so
+       an interrupt loses at most the trials in flight — everything
+       completed is already journaled. *)
+    let worker d () =
+      let scratch = Session.make_scratch () in
+      let a0 = Dtc_util.Alloc_stats.snap () in
+      let acc = ref [] in
+      let k = ref d in
+      while !k < n_missing && not (l.stop ()) do
+        let i = l.missing.(!k) in
+        let tr = run_trial spec ~scratch ~root:root_seed ~index:i in
+        l.journal i tr;
+        acc := (i, tr) :: !acc;
+        k := !k + domains
+      done;
+      let alloc =
+        Dtc_util.Alloc_stats.delta ~before:a0
+          ~after:(Dtc_util.Alloc_stats.snap ())
+      in
+      (!acc, alloc)
+    in
+    let rescued = ref 0 in
+    let rescue d =
+      incr rescued;
+      worker d ()
+    in
+    let shards =
+      if domains = 1 then [ worker 0 () ]
+      else
+        (* a shard whose domain dies (spawn failure or an escaped
+           exception — run_trial contains per-trial faults, so this is a
+           last line of defence) is re-run on the joining domain: trials
+           are pure functions of their index, so the re-run is
+           bit-identical to what the lost domain would have produced *)
+        List.init domains (fun d ->
+            try Some (Domain.spawn (worker d)) with _ -> None)
+        |> List.mapi (fun d h ->
+               match Option.map Domain.join h with
+               | Some shard -> shard
+               | None | (exception _) -> rescue d)
+    in
+    List.iter
+      (fun (shard, _) -> List.iter (fun (i, tr) -> l.keep i tr) shard)
+      shards;
+    let alloc =
+      List.fold_left
+        (fun acc (_, d) -> Dtc_util.Alloc_stats.add acc d)
+        Dtc_util.Alloc_stats.zero shards
+    in
+    (domains, (!rescued, alloc, n_missing))
+  in
   {
     report with
-    elapsed_s;
-    trials_per_sec = float_of_int trials /. Float.max elapsed_s 1e-9;
-    domains_used = domains;
-    shards_rescued = !rescued;
+    shards_rescued = rescued;
     alloc_minor_words = alloc.Dtc_util.Alloc_stats.d_minor_words;
     alloc_promoted_words = alloc.Dtc_util.Alloc_stats.d_promoted_words;
     alloc_minor_collections = alloc.Dtc_util.Alloc_stats.d_minor_collections;
     (* per trial actually executed this run: preloaded checkpoint trials
        allocate nothing, so dividing by [trials] would flatter resumes *)
-    bytes_per_trial = Dtc_util.Alloc_stats.bytes_per alloc n_missing;
+    bytes_per_trial = Dtc_util.Alloc_stats.bytes_per alloc executed;
   }
 
 (* ------------------------------------------------------------------ *)
 (* rendering *)
 
+type chaos = { kill_prob : float; hang_prob : float; chaos_seed : int }
+
 type supervision = {
-  s_workers_spawned : int;
-  s_worker_deaths : int;
-  s_worker_hangs : int;
-  s_rescues : int;
-  s_retries : int;
-  s_degradations : int;
-  s_inproc_trials : int;
-  s_chaos_kill : float;
-  s_chaos_hang : float;
-  s_chaos_seed : int;
+  workers_spawned : int;
+  worker_deaths : int;
+  worker_hangs : int;
+  rescues : int;
+  retries : int;
+  degradations : int;
+  inproc_trials : int;
+  chaos : chaos;
 }
 
 let no_supervision =
   {
-    s_workers_spawned = 0;
-    s_worker_deaths = 0;
-    s_worker_hangs = 0;
-    s_rescues = 0;
-    s_retries = 0;
-    s_degradations = 0;
-    s_inproc_trials = 0;
-    s_chaos_kill = 0.0;
-    s_chaos_hang = 0.0;
-    s_chaos_seed = 0;
+    workers_spawned = 0;
+    worker_deaths = 0;
+    worker_hangs = 0;
+    rescues = 0;
+    retries = 0;
+    degradations = 0;
+    inproc_trials = 0;
+    chaos = { kill_prob = 0.0; hang_prob = 0.0; chaos_seed = 0 };
   }
 
 let supervision_json s =
   Printf.sprintf
     {|{ "workers_spawned": %d, "worker_deaths": %d, "worker_hangs": %d, "rescues": %d, "retries": %d, "degradations": %d, "inproc_trials": %d, "chaos": { "kill": %.4f, "hang": %.4f, "seed": %d } }|}
-    s.s_workers_spawned s.s_worker_deaths s.s_worker_hangs s.s_rescues
-    s.s_retries s.s_degradations s.s_inproc_trials s.s_chaos_kill s.s_chaos_hang
-    s.s_chaos_seed
+    s.workers_spawned s.worker_deaths s.worker_hangs s.rescues s.retries
+    s.degradations s.inproc_trials s.chaos.kill_prob s.chaos.hang_prob
+    s.chaos.chaos_seed
 
 let to_json ?(timing = true) ?(supervision = no_supervision) r =
   let b = Buffer.create 1024 in
@@ -933,13 +941,13 @@ let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
        minor GCs)@."
       r.bytes_per_trial r.alloc_minor_words r.alloc_promoted_words
       r.alloc_minor_collections;
-    if supervision.s_workers_spawned > 0 then
+    let s = supervision in
+    if s.workers_spawned > 0 then
       Format.fprintf fmt
         "supervise:  %d worker(s) spawned, %d death(s), %d hang(s), %d \
          rescue(s), %d retry(ies), %d degradation(s), %d in-process trial(s)@."
-        supervision.s_workers_spawned supervision.s_worker_deaths
-        supervision.s_worker_hangs supervision.s_rescues supervision.s_retries
-        supervision.s_degradations supervision.s_inproc_trials
+        s.workers_spawned s.worker_deaths s.worker_hangs s.rescues s.retries
+        s.degradations s.inproc_trials
   end;
   (match r.crash_hist with
   | [] -> ()
@@ -977,5 +985,3 @@ let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
           Format.fprintf fmt
             "  (no minimisation: failure did not reproduce under tolerant \
              replay)@.")
-
-let pp fmt r = pp_report () fmt r

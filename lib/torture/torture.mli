@@ -44,16 +44,21 @@ open Sched
     {2 Checkpointing}
 
     With [~checkpoint:path] the campaign journals one JSONL line per
-    completed trial (schema [detectable-torture-checkpoint/v2]: a header
-    echoing the campaign parameters, then per-trial records, optionally
-    interleaved with supervisor lifecycle event lines).  With
-    [~resume:true] an existing journal's completed trials are loaded and
-    only the missing indices run; the merged report is byte-identical to
-    an uninterrupted campaign's.  The journal validates the header
-    against the current parameters and rejects mismatches; duplicate
-    trial records are deduplicated when identical and rejected (naming
-    the offending lines) when they conflict, so overlapping shard ranges
-    can never silently double-count a trial.
+    completed trial, flushed as it finishes (schema
+    [detectable-torture-checkpoint/v2]: a header echoing the campaign
+    parameters, then per-trial records, optionally interleaved with
+    supervisor lifecycle event lines).  With [~resume:true] an existing
+    journal's completed trials are loaded and only the missing indices
+    run; the merged report is byte-identical to an uninterrupted
+    campaign's.  A journal with no complete first line, or only blank
+    lines, is fresh; one torn trailing line is dropped and healed.  A
+    header that mismatches the parameters, does not parse, or lacks or
+    mistypes a key is rejected, as are a blank first line followed by
+    records, an unreadable line before the tail, an out-of-range trial
+    index and two {e different} records of one trial (overlapping shard
+    ranges); identical duplicates are deduplicated.  The format and
+    these rules are private to this module: {!run} and {!Campaign.run}
+    both go through {!run_with}, so either resumes the other's journal.
 
     The full JSON schemas are documented field-by-field in
     [docs/TORTURE.md]. *)
@@ -188,10 +193,9 @@ val crash_bucket : int
 
 (** {2 Per-trial interface}
 
-    These are the building blocks {!run} composes, exposed so external
-    schedulers — most importantly the multi-process {!Campaign}
-    supervisor — can run, serialise and merge trials themselves while
-    keeping the determinism contract. *)
+    The building blocks {!run} composes, exposed so other executors —
+    the multi-process {!Campaign} supervisor and its workers — run and
+    serialise trials while keeping the determinism contract. *)
 
 type verdict =
   | V_ok
@@ -226,63 +230,59 @@ val merge :
     [alloc_*], [bytes_per_trial]) are zeroed; callers that measured them
     record-update the result. *)
 
-(** {2 Checkpoint journal} *)
+(** {2 Pipe protocol} *)
 
-val checkpoint_schema : string
-(** Schema written to fresh journals ([detectable-torture-checkpoint/v2]). *)
-
-val header_line : spec -> root_seed:int -> trials:int -> string
 val trial_line : int -> trial -> string
+(** One trial as a single JSON line: the record a journal stores and a
+    {!Campaign} worker streams. *)
 
 val trial_of_json : Tiny_json.t -> int * trial
 (** Inverse of {!trial_line} ∘ [Tiny_json.parse]; raises on records that
     are not trial lines. *)
 
-val read_checkpoint :
-  string -> spec -> root_seed:int -> trials:int -> (int * trial) list
-(** Completed trials recorded in a (possibly interrupted) journal, in
-    file order with duplicates removed.  Skips lifecycle event lines
-    (objects with an ["event"] key); tolerates one torn {e trailing}
-    line (a writer died mid-write).  A journal with no complete first
-    line (no bytes, or a torn header) or only blank lines records
-    nothing and is fresh.  Raises [Invalid_argument]: an
-    ["unreadable checkpoint header: …"] one when the first line is blank
-    but records follow, or the header does not parse or lacks or
-    mistypes a key, otherwise one naming the offending
-    line(s) when the header parameters mismatch, a non-trailing line is
-    unreadable, a
-    trial index is out of range, or two lines record {e different}
-    results for the same trial (overlapping shard ranges) — identical
-    duplicates are deduplicated silently, so replayed writes stay
-    idempotent. *)
-
-module Journal : sig
-  type t
-  (** An append-only JSONL checkpoint stream.  Thread-safe; every line
-      is flushed as written, so a crash loses at most the line in
-      flight. *)
-
-  val create : path:string -> resume:bool -> spec -> root_seed:int ->
-    trials:int -> t
-  (** Fresh journals ([resume = false], the path does not exist, or the
-      file holds no complete first line or only blank lines) are
-      truncated and start with {!header_line}.  Resumed journals are
-      opened for append after truncating any torn trailing line, so the
-      next write always starts at a line boundary. *)
-
-  val write : t -> string -> unit
-  (** Append one line (the newline is added). *)
-
-  val close : t -> unit
-end
-
 (** {2 Campaign driver} *)
 
 exception Interrupted of { completed : int; total : int }
-(** Raised by {!run} (and by {!Campaign.run}) when [should_stop] turned
-    true before every trial completed.  All completed trials are already
-    journaled and an ["interrupted"] event line has been flushed, so a
-    later [~resume:true] run finishes the campaign byte-identically. *)
+(** Raised by {!run_with} (so by {!run} and {!Campaign.run}) when
+    [should_stop] turned true before every trial completed.  All
+    completed trials are already journaled and an ["interrupted"] event
+    line has been flushed, so a later [~resume:true] run finishes the
+    campaign byte-identically. *)
+
+type ledger = {
+  missing : int array;  (** trial indices not yet held, ascending *)
+  stop : unit -> bool;  (** the campaign's [should_stop] *)
+  has : int -> bool;  (** whether trial [i] is held; calling domain only *)
+  keep : int -> trial -> unit;
+      (** hold trial [i] for the merge; calling domain only *)
+  journal : int -> trial -> unit;
+      (** append trial [i] to the journal as it finishes; any domain, and
+          a no-op without a checkpoint *)
+  event : string -> unit;  (** append one lifecycle event line; any domain *)
+}
+(** What {!run_with} hands an executor. *)
+
+val run_with :
+  ?shrink:bool ->
+  ?checkpoint:string ->
+  ?resume:bool ->
+  ?should_stop:(unit -> bool) ->
+  root_seed:int ->
+  trials:int ->
+  spec ->
+  (ledger -> int * 'a) ->
+  report * 'a
+(** The campaign core behind {!run} and {!Campaign.run}: check the
+    arguments, preload a resumed journal, open the journal, call the
+    executor, which runs every [missing] index, then either journal an
+    ["interrupted"] event and raise {!Interrupted} (trials missing and
+    [should_stop ()] true) or merge.  The executor returns its
+    parallelism ([domains_used]) and whatever else it measured.
+    [elapsed_s] and [trials_per_sec] time the executor alone, never the
+    shrinking; the other timing fields stay zero.  Raises
+    [Invalid_argument] on negative [trials], on [resume] without
+    [checkpoint], and on a journal written by a different campaign or
+    not readable as one (see Checkpointing above). *)
 
 val run :
   ?domains:int ->
@@ -294,15 +294,14 @@ val run :
   ?should_stop:(unit -> bool) ->
   spec ->
   report
-(** Run a campaign.  [domains] (default 1) shards the trial indices
-    round-robin over that many OCaml domains; [shrink] (default [true])
-    minimises the first failing trial's schedule after the merge.
-    [checkpoint] journals completed trials to that path as they finish;
-    [resume] (default [false], requires [checkpoint]) first loads the
-    journal's completed trials and runs only the missing indices —
-    producing a report byte-identical ({!to_json} [~timing:false]) to an
-    uninterrupted campaign.  Raises [Invalid_argument] if the journal
-    was written by a campaign with different parameters.
+(** Run a campaign through {!run_with}, sharding the missing trial
+    indices round-robin over [domains] (default 1) OCaml domains.
+    [shrink] (default [true]) minimises the first failing trial's
+    schedule after the merge.  [checkpoint] journals completed trials to
+    that path as they finish; [resume] (default [false], requires
+    [checkpoint]) first loads the journal's completed trials and runs
+    only the missing indices — producing a report byte-identical
+    ({!to_json} [~timing:false]) to an uninterrupted campaign.
     [should_stop] (default [fun () -> false]) is polled between trials
     on every worker domain (it must therefore be thread-safe — an
     [Atomic.t] flag flipped by a signal handler is the intended use);
@@ -322,17 +321,21 @@ val run :
     because — unlike every other report field — they depend on the
     failure schedule, not on [(spec, root_seed, trials)]. *)
 
+type chaos = {
+  kill_prob : float;  (** injected kill probability (0 = no chaos) *)
+  hang_prob : float;  (** injected hang probability *)
+  chaos_seed : int;  (** chaos plan seed *)
+}
+
 type supervision = {
-  s_workers_spawned : int;  (** worker processes forked, incl. respawns *)
-  s_worker_deaths : int;  (** workers that exited before finishing *)
-  s_worker_hangs : int;  (** workers killed after a heartbeat timeout *)
-  s_rescues : int;  (** range reassignments after a death/hang *)
-  s_retries : int;  (** respawns of a previously-failed range *)
-  s_degradations : int;  (** parallelism halvings after budget exhaustion *)
-  s_inproc_trials : int;  (** trials run in-process as the final fallback *)
-  s_chaos_kill : float;  (** injected kill probability (0 = no chaos) *)
-  s_chaos_hang : float;  (** injected hang probability *)
-  s_chaos_seed : int;  (** chaos plan seed *)
+  workers_spawned : int;  (** worker processes forked, incl. respawns *)
+  worker_deaths : int;  (** workers that exited before finishing *)
+  worker_hangs : int;  (** workers killed after a heartbeat timeout *)
+  rescues : int;  (** range reassignments after a death/hang *)
+  retries : int;  (** respawns of a previously-failed range *)
+  degradations : int;  (** parallelism halvings after budget exhaustion *)
+  inproc_trials : int;  (** trials run in-process as the final fallback *)
+  chaos : chaos;  (** the chaos parameters the campaign ran under *)
 }
 
 val no_supervision : supervision
@@ -357,6 +360,3 @@ val pp_report :
     throughput/alloc/supervision lines, leaving exactly the
     deterministic fields (the text analogue of
     {!to_json}[ ~timing:false]). *)
-
-val pp : Format.formatter -> report -> unit
-(** [pp_report ()] — the historical full rendering. *)

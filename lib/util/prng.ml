@@ -46,10 +46,6 @@ let pick g = function
   | [] -> invalid_arg "Prng.pick: empty list"
   | xs -> List.nth xs (int g (List.length xs))
 
-let pick_arr g xs =
-  if Array.length xs = 0 then invalid_arg "Prng.pick_arr: empty array";
-  xs.(int g (Array.length xs))
-
 let shuffle g xs =
   for i = Array.length xs - 1 downto 1 do
     let j = int g (i + 1) in

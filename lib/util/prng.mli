@@ -35,10 +35,6 @@ val pick : t -> 'a list -> 'a
 (** [pick g xs] is a uniformly chosen element of [xs].
     Requires [xs] non-empty. *)
 
-val pick_arr : t -> 'a array -> 'a
-(** [pick_arr g xs] is a uniformly chosen element of array [xs].
-    Requires [xs] non-empty. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -68,8 +68,8 @@ let worker_mode () =
     (spec_of_name obj);
   exit 0
 
-let run_campaign ?checkpoint ?resume ?(config = Campaign.default_config)
-    ~root_seed ~trials spec =
+let run_campaign ?checkpoint ?resume ?should_stop
+    ?(config = Campaign.default_config) ~root_seed ~trials spec =
   let obj = name_of_spec spec in
   let worker_argv ~lo ~hi ~fault =
     [|
@@ -78,7 +78,8 @@ let run_campaign ?checkpoint ?resume ?(config = Campaign.default_config)
       string_of_int config.Campaign.heartbeat_every; fault_to_string fault;
     |]
   in
-  Campaign.run ?checkpoint ?resume ~config ~worker_argv ~root_seed ~trials spec
+  Campaign.run ?checkpoint ?resume ?should_stop ~config ~worker_argv ~root_seed
+    ~trials spec
 
 (* fast supervisor settings: no backoff waits, tight heartbeats *)
 let fast ?(workers = 2) ?chaos_plan ?(retry_budget = 3)
@@ -277,6 +278,51 @@ let test_campaign_resumes_torture_journal () =
       Alcotest.(check bool) "remaining range ran in workers" true
         (c.Campaign.workers_spawned >= 1))
 
+(* a should_stop that trips mid-campaign stops the supervisor through the
+   same interrupt path as Torture.run: Interrupted carries the journaled
+   progress, the journal ends with the matching "interrupted" event, and
+   a single-process resume finishes byte-identically.  The second worker
+   hangs after 3 trials, so the campaign cannot finish on its own, and
+   the stop trips once both workers' streamed trials (the first range
+   whole, 3 of the second) are journaled: the interrupt lands at exactly
+   23 of 40. *)
+let test_should_stop_interrupts_and_torture_resumes () =
+  let spec = dcas_spec () in
+  let trials = 40 in
+  let base = body (Torture.run ~root_seed:61 ~trials spec) in
+  with_temp_journal (fun path ->
+      let journaled () =
+        List.length
+          (List.filter
+             (fun l -> String.starts_with ~prefix:{|{ "i": |} l)
+             (read_lines path))
+      in
+      let should_stop () = journaled () >= 23 in
+      let plan ~spawn ~range_len:_ =
+        if spawn = 1 then Campaign.Hang_after 3 else Campaign.No_fault
+      in
+      (match
+         run_campaign ~checkpoint:path ~should_stop
+           ~config:(fast ~workers:2 ~chaos_plan:plan ())
+           ~root_seed:61 ~trials spec
+       with
+      | _ -> Alcotest.fail "campaign completed despite should_stop"
+      | exception Torture.Interrupted { completed; total } ->
+          Alcotest.(check int) "total = trials" trials total;
+          Alcotest.(check int) "completed = journaled trials" 23 completed;
+          let lines = read_lines path in
+          let last = List.nth lines (List.length lines - 1) in
+          Alcotest.(check string) "journal ends with the interrupted event"
+            (Printf.sprintf
+               {|{ "event": "interrupted", "completed": %d, "total": %d }|}
+               completed trials)
+            last);
+      let resumed =
+        Torture.run ~root_seed:61 ~trials ~checkpoint:path ~resume:true spec
+      in
+      Alcotest.(check string) "torture resume after campaign interrupt" base
+        (body resumed))
+
 (* --- chaos spec parsing (the --chaos CLI surface) --- *)
 
 let test_chaos_of_string () =
@@ -320,6 +366,8 @@ let suites =
           test_campaign_checkpoint_resume;
         Alcotest.test_case "campaign resumes a torture journal" `Quick
           test_campaign_resumes_torture_journal;
+        Alcotest.test_case "should_stop interrupts, torture resumes" `Quick
+          test_should_stop_interrupts_and_torture_resumes;
       ] );
     ( "campaign.chaos-spec",
       [ Alcotest.test_case "chaos spec parsing" `Quick test_chaos_of_string ] );

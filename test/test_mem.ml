@@ -42,13 +42,6 @@ let test_faa () =
   Alcotest.(check int) "negative delta" 15 (Mem.faa m a (-3));
   Alcotest.(check int) "subtracted" 12 (Value.to_int (Mem.read m a))
 
-let test_reset () =
-  let m = Mem.create () in
-  let a = Mem.alloc m ~name:"a" ~kind:Loc.Shared (i 1) in
-  Mem.write m a (i 99);
-  Mem.reset m;
-  Alcotest.check v "back to init" (i 1) (Mem.read m a)
-
 let test_snapshot_restore () =
   let m = Mem.create () in
   let a = Mem.alloc m ~name:"a" ~kind:Loc.Shared (i 1) in
@@ -448,10 +441,6 @@ let test_arena_growth_from_one () =
     (fun k loc ->
       Alcotest.check v "kept value" (i k) (Mem.read m loc);
       Alcotest.(check bool) "loc_by_id inverse" true (Mem.loc_by_id m k == loc))
-    locs;
-  Mem.reset m;
-  List.iteri
-    (fun k loc -> Alcotest.check v "reset to init" (i k) (Mem.read m loc))
     locs
 
 (* mark/rewind round-trips byte-identically across the journal's
@@ -613,7 +602,6 @@ let suites =
         Alcotest.test_case "growth" `Quick test_many_allocs;
         Alcotest.test_case "cas" `Quick test_cas;
         Alcotest.test_case "faa" `Quick test_faa;
-        Alcotest.test_case "reset" `Quick test_reset;
         Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
         Alcotest.test_case "restore rolls back footprint high-water" `Quick
           test_restore_rolls_back_max_bits;
