@@ -14,15 +14,13 @@ let drive_subset ~n s =
   List.iteri
     (fun k p -> workloads.(p) <- [ Spec.cas_op (Common.i k) (Common.i (k + 1)) ])
     members;
-  let session = Session.create machine inst ~workloads in
-  (* run members one at a time, in order: each to completion *)
-  List.iter
-    (fun p ->
-      while List.mem p (Session.runnable session) do
-        Session.step session p
-      done)
-    members;
-  if not (Session.finished session) then failwith "E1: session did not finish";
+  (* lowest runnable pid first runs the members one at a time, in
+     order, each to completion *)
+  let r =
+    Driver.run machine inst ~workloads
+      { Driver.default_config with schedule = Schedule.scripted [] }
+  in
+  if r.Driver.incomplete then failwith "E1: session did not finish";
   Runtime.Machine.nvm_snapshot machine
 
 let subset_configs ~n =

@@ -13,3 +13,19 @@ open Dtc_util
 
 val table : ?trials:int -> unit -> Table.t
 (** Default 60 trials per row. *)
+
+val aba_directed :
+  mk:(unit -> Runtime.Machine.t * Sched.Obj_inst.t) -> History.Lin_check.verdict
+(** The directed ABA attack (the toggle bits' raison d'être) on a
+    3-process register whose only shared location named "R" holds the
+    (value, writer) pair, under [Give_up]: p1 writes 5 and completes;
+    p0's write of 9 runs exactly until its store to R; p2 reads 9; p1
+    re-installs (5, p1); crash; everyone recovers and drains.  A
+    recovery that compares only R against its pre-write snapshot
+    answers fail, abandoning a write p2 already read: a violation.  The
+    real Algorithm 1 survives, because p1's completed write raised the
+    toggle bit p0 lowered.  Raises [Failure] if the script does not
+    converge. *)
+
+val all_as_predicted : ?trials:int -> unit -> bool
+(** Every row of {!table} meets its expectation (default 60 trials). *)

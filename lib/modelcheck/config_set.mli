@@ -57,8 +57,7 @@ val add_live : t -> Mem.t -> bool
 
 val cardinal : t -> int
 (** Number of distinct configurations.  O(1): a running count is
-    maintained so per-step callers (e.g. {!Explore.crash_points}) never
-    pay a table fold.  Canonical sets return the orbit-size-weighted
+    maintained so per-node callers never pay a table fold.  Canonical sets return the orbit-size-weighted
     total (see {!create}); plain sets count members. *)
 
 val orbits : t -> int

@@ -686,9 +686,9 @@ let lin_leave st m =
 (* Leaf verdict: driver anomalies short-circuit; otherwise the synced
    incremental session answers in O(frontier). *)
 let leaf_verdict st ~session =
-  match Session.anomalies session with
-  | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-  | [] ->
+  match Driver.anomaly_verdict (Session.anomalies session) with
+  | Some v -> v
+  | None ->
       st.leaf_checks <- st.leaf_checks + 1;
       st.lin_total <- st.lin_total + Session.event_count session;
       let t0 = Unix.gettimeofday () in
@@ -980,103 +980,3 @@ let explore ~mk ~workloads (cfg : config) =
         st)
   in
   finish ~t0 ~alloc st
-
-let no_metrics ~elapsed_s ~nodes =
-  {
-    dedup_hits = 0;
-    nodes_saved = 0;
-    peak_visited = 0;
-    fingerprint_collisions = 0;
-    elapsed_s;
-    nodes_per_sec = float_of_int nodes /. Float.max elapsed_s 1e-9;
-    depth_hist = [];
-    rewound_cells = 0;
-    intern_hit_rate = 0.;
-    leaf_checks = 0;
-    lin_elapsed_s = 0.;
-    lin_checks_per_sec = 0.;
-    lin_events_pushed = 0;
-    lin_events_total = 0;
-    lin_reuse_rate = 0.;
-    frontier_hist = [];
-    reduction = "none";
-    sleep_skips = 0;
-    sym_skips = 0;
-    source_skips = 0;
-    canonical_orbits = 0;
-    minor_words = 0.;
-    promoted_words = 0.;
-    minor_collections = 0;
-    bytes_per_node = 0.;
-  }
-
-let crash_points ~mk ~workloads ~schedule ?(policy = Session.Retry)
-    ?(wipe = Fault_model.keep_all) ?(max_steps = 2_000) () =
-  let t0 = Unix.gettimeofday () in
-  let configs = Config_set.create () in
-  let executions = ref 0 in
-  let truncated = ref 0 in
-  let violations = ref [] in
-  (* [run_with_crash (Some k)] crashes just before global step k *)
-  let run_with_crash crash_at =
-    let machine, inst = mk () in
-    let sched = schedule () in
-    let session = Session.create ~policy machine inst ~workloads in
-    let decisions = ref [] in
-    let cut = ref false in
-    let continue = ref true in
-    while !continue do
-      ignore (Config_set.add_live configs (Runtime.Machine.mem machine) : bool);
-      match Session.runnable session with
-      | [] -> continue := false
-      | runnable ->
-          let step = Session.steps session in
-          if step >= max_steps then begin
-            cut := true;
-            continue := false
-          end
-          else if crash_at = Some (step, Session.crashes session = 0) then begin
-            (* fire exactly once *)
-            decisions := Crash :: !decisions;
-            Session.crash session wipe
-          end
-          else begin
-            let pid = sched.Schedule.choose ~runnable ~step in
-            decisions := Step pid :: !decisions;
-            Session.step session pid
-          end
-    done;
-    if !cut then incr truncated else incr executions;
-    let verdict =
-      match Session.anomalies session with
-      | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-      | [] -> Lin_check.check inst.Obj_inst.spec (Session.history session)
-    in
-    (match verdict with
-    | Lin_check.Ok_linearizable _ -> ()
-    | Lin_check.Violation msg ->
-        violations :=
-          {
-            decisions = List.rev !decisions;
-            history = Session.history session;
-            msg;
-          }
-          :: !violations);
-    Session.steps session
-  in
-  (* dry run without crash to learn the step count, checking it too *)
-  let total = run_with_crash None in
-  for k = 0 to total - 1 do
-    ignore (run_with_crash (Some (k, true)))
-  done;
-  let nodes = !executions + !truncated in
-  {
-    executions = !executions;
-    truncated = !truncated;
-    nodes;
-    violations = List.rev !violations;
-    total_violations = List.length !violations;
-    distinct_shared_configs = Config_set.cardinal configs;
-    capped = false;
-    metrics = no_metrics ~elapsed_s:(Unix.gettimeofday () -. t0) ~nodes;
-  }

@@ -237,23 +237,3 @@ val explore :
 (** [mk] must build a fresh machine and instance on every call (the
     explorer builds one for the search, plus one to read
     [id_symmetric] under [`Dpor_sym_memo]). *)
-
-val crash_points :
-  mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->
-  workloads:Spec.op list array ->
-  schedule:(unit -> Schedule.t) ->
-  ?policy:Session.policy ->
-  ?wipe:Fault_model.wipe ->
-  ?max_steps:int ->
-  unit ->
-  outcome
-(** One crash at every possible step of the given deterministic schedule
-    (including "no crash"), recovery run to completion under the same
-    schedule; the crash applies [wipe] (default
-    {!Fault_model.keep_all}), as {!config.wipe} does in {!explore}.
-    The schedule factory is invoked once per run, so stateful
-    schedules like round-robin start fresh each time.  Cheap — linear in
-    the schedule length — and exactly the shape of the Figure 2
-    construction: it is how experiment E3 exhibits the auxiliary-state
-    impossibility on the ablated objects.  Its [metrics] carry timing
-    only (no pruning happens here). *)

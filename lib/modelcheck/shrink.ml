@@ -8,8 +8,9 @@ type result = {
   attempts : int;
 }
 
-(* "prefix then free run": tolerantly apply the decisions, then round-robin
-   until done or budget, then judge the closed history *)
+(* "prefix then free run": tolerantly apply the decisions, then let the
+   driver finish the run lowest-runnable-pid first, then judge the closed
+   history *)
 
 let apply_decision session ~wipe d =
   match (d : Explore.decision) with
@@ -17,37 +18,29 @@ let apply_decision session ~wipe d =
   | Explore.Step pid ->
       if List.mem pid (Session.runnable session) then Session.step session pid
 
-let free_run session ~max_steps =
-  let continue = ref true in
-  while !continue do
-    match Session.runnable session with
-    | [] -> continue := false
-    | pid :: _ ->
-        if Session.steps session >= max_steps then continue := false
-        else Session.step session pid
-  done
+let finish_run session ~max_steps =
+  Driver.run_session session ~schedule:(Schedule.scripted [])
+    ~crash_plan:Crash_plan.none ~max_steps
 
 (* driver anomalies short-circuit; otherwise [verdict ()] judges the
    history *)
-let judge session verdict =
+let judge (r : Driver.result) verdict =
   let v =
-    match Session.anomalies session with
-    | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-    | [] -> verdict ()
+    match Driver.anomaly_verdict r.anomalies with
+    | Some v -> v
+    | None -> verdict ()
   in
   match v with
   | Lin_check.Ok_linearizable _ -> None
-  | Lin_check.Violation msg -> Some (Session.history session, msg)
+  | Lin_check.Violation msg -> Some (r.history, msg)
 
 let reproduces ~mk ~workloads ?(policy = Session.Retry)
     ?(wipe = Nvm.Fault_model.keep_all) ?(max_steps = 5_000) decisions =
   let machine, inst = mk () in
   let session = Session.create ~policy machine inst ~workloads in
-  ignore machine;
   List.iter (apply_decision session ~wipe) decisions;
-  free_run session ~max_steps;
-  judge session (fun () ->
-      Lin_check.check inst.Obj_inst.spec (Session.history session))
+  let r = finish_run session ~max_steps in
+  judge r (fun () -> Lin_check.check inst.Obj_inst.spec r.history)
 
 (* Greedy single-deletion passes until no deletion preserves the
    violation (1-minimality), over ONE undo session for the whole search.
@@ -74,7 +67,6 @@ let minimise ~mk ~workloads ?(policy = Session.Retry)
     ?(wipe = Nvm.Fault_model.keep_all) ?(max_steps = 5_000) decisions =
   let machine, inst = mk () in
   let session = Session.create ~policy ~undo:true machine inst ~workloads in
-  ignore machine;
   let lin = Lin_check.Session.create inst.Obj_inst.spec in
   (* push the sched-session events the checker session has not seen yet
      (the two rewind in lockstep, so the gap is always a suffix) *)
@@ -106,9 +98,8 @@ let minimise ~mk ~workloads ?(policy = Session.Retry)
         let m = Session.mark session in
         let lm = lin_mark () in
         List.iter (apply_decision session ~wipe) tail;
-        free_run session ~max_steps;
         let outcome =
-          judge session (fun () ->
+          judge (finish_run session ~max_steps) (fun () ->
               sync ();
               Lin_check.Session.verdict lin)
         in

@@ -13,8 +13,8 @@ open Sched
     Replay of a candidate sequence is {e tolerant}: a [Step pid] whose
     process is not currently runnable is skipped rather than an error
     (deleting an early decision shifts everything after it), and the
-    run is completed after the prefix by round-robin so the history is
-    closed.  The result therefore reproduces a violation under "prefix
+    run is completed after the prefix by {!Driver.run_session}, lowest
+    runnable pid first, so the history is closed.  The result therefore reproduces a violation under "prefix
     then free run", which is how the minimised schedule should be read.
 
     Like {!Explore.explore}, the shrinker keeps one session in undo

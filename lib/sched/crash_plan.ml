@@ -10,12 +10,7 @@ let none =
    plan's own PRNG at construction time. *)
 let draw_seed prng = Int64.to_int (Int64.shift_right_logical (Prng.next_int64 prng) 2)
 
-let at_steps ?keep ks =
-  let wipe =
-    match keep with
-    | None -> Fault_model.keep_all
-    | Some k -> Fault_model.Keep k
-  in
+let at_steps ks =
   (* plain sort, not sort_uniq: two crashes requested at the same step
      must both fire (on consecutive consultations) *)
   let remaining = ref (List.sort Int.compare ks) in
@@ -26,7 +21,7 @@ let at_steps ?keep ks =
         true
     | _ -> false
   in
-  { should_crash; wipe }
+  { should_crash; wipe = Fault_model.keep_all }
 
 let check_prob prob =
   if not (prob >= 0. && prob <= 1.) then

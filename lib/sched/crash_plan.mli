@@ -22,11 +22,12 @@ type t = {
 val none : t
 (** Never crash. *)
 
-val at_steps : ?keep:(Loc.t -> bool) -> int list -> t
+val at_steps : int list -> t
 (** Crash immediately before global steps [ks].  Each listed step fires
     exactly once, including duplicates — [at_steps [4; 4]] crashes on
-    two consecutive consultations once step 4 is reached.  Default wipe
-    keeps everything (private-cache semantics). *)
+    two consecutive consultations once step 4 is reached.  The wipe
+    keeps everything (private-cache semantics); override the [wipe]
+    field for another. *)
 
 val check_prob : float -> unit
 (** Raises [Invalid_argument] unless the crash probability is in

@@ -26,8 +26,7 @@ type result = {
   budget_exhausted : bool;
 }
 
-let run ?watchdog ?scratch machine inst ~workloads cfg =
-  let session = Session.create ~policy:cfg.policy ?scratch machine inst ~workloads in
+let run_session ?watchdog session ~schedule ~crash_plan ~max_steps =
   let incomplete = ref false in
   let budget_exhausted = ref false in
   let continue = ref true in
@@ -36,7 +35,7 @@ let run ?watchdog ?scratch machine inst ~workloads cfg =
     | [] -> continue := false
     | runnable ->
         let step = Session.steps session in
-        if step >= cfg.max_steps then begin
+        if step >= max_steps then begin
           incomplete := true;
           continue := false
         end
@@ -52,10 +51,9 @@ let run ?watchdog ?scratch machine inst ~workloads cfg =
           incomplete := true;
           continue := false
         end
-        else if cfg.crash_plan.Crash_plan.should_crash ~step then
-          Session.crash session cfg.crash_plan.Crash_plan.wipe
-        else
-          Session.step session (cfg.schedule.Schedule.choose ~runnable ~step)
+        else if crash_plan.Crash_plan.should_crash ~step then
+          Session.crash session crash_plan.Crash_plan.wipe
+        else Session.step session (schedule.Schedule.choose ~runnable ~step)
   done;
   {
     history = Session.history session;
@@ -68,8 +66,45 @@ let run ?watchdog ?scratch machine inst ~workloads cfg =
     budget_exhausted = !budget_exhausted;
   }
 
+let run ?watchdog ?scratch machine inst ~workloads cfg =
+  run_session ?watchdog
+    (Session.create ~policy:cfg.policy ?scratch machine inst ~workloads)
+    ~schedule:cfg.schedule ~crash_plan:cfg.crash_plan ~max_steps:cfg.max_steps
+
+let anomaly_verdict = function
+  | a :: _ -> Some (Lin_check.Violation ("driver anomaly: " ^ a))
+  | [] -> None
+
 let check ?(lin_engine = (`Incremental : Lin_check.engine)) inst
     (result : result) =
-  match result.anomalies with
-  | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-  | [] -> Lin_check.check_with lin_engine inst.Obj_inst.spec result.history
+  match anomaly_verdict result.anomalies with
+  | Some v -> v
+  | None -> Lin_check.check_with lin_engine inst.Obj_inst.spec result.history
+
+type sweep = { executions : int; truncated : int; total_violations : int }
+
+let crash_points ~mk ~workloads ~schedule ?(policy = Session.Retry)
+    ?(wipe = Nvm.Fault_model.keep_all) ?(max_steps = 2_000) () =
+  let executions = ref 0 and truncated = ref 0 and violations = ref 0 in
+  let run_with crash_plan =
+    let machine, inst = mk () in
+    let r =
+      run machine inst ~workloads
+        { schedule = schedule (); crash_plan; policy; max_steps }
+    in
+    incr (if r.incomplete then truncated else executions);
+    (match check inst r with
+    | Lin_check.Violation _ -> incr violations
+    | Lin_check.Ok_linearizable _ -> ());
+    r.steps
+  in
+  (* the crash-free run also learns how many steps there are to crash at *)
+  let total = run_with Crash_plan.none in
+  for k = 0 to total - 1 do
+    ignore (run_with { (Crash_plan.at_steps [ k ]) with wipe } : int)
+  done;
+  {
+    executions = !executions;
+    truncated = !truncated;
+    total_violations = !violations;
+  }

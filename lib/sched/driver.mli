@@ -7,7 +7,14 @@ open History
     consults the crash plan, then asks the schedule which runnable process
     moves.  The resulting event list is exactly what {!Lin_check.check}
     consumes, so a full run-and-check round trip is two calls.  See
-    {!Session} for the caller/recovery protocol semantics. *)
+    {!Session} for the caller/recovery protocol semantics.
+
+    This module owns the two halves of the act every engine repeats:
+    {!run_session} is the one loop that free-runs a session to
+    completion (torture trials, crash sweeps, shrink replays and
+    directed scripts all end in it), and {!anomaly_verdict} is the one
+    statement of the verdict rule: an anomaly the driver saw is a
+    violation before any checker runs. *)
 
 type config = {
   schedule : Schedule.t;
@@ -40,6 +47,24 @@ type result = {
           [incomplete]. *)
 }
 
+val run_session :
+  ?watchdog:int ->
+  Session.t ->
+  schedule:Schedule.t ->
+  crash_plan:Crash_plan.t ->
+  max_steps:int ->
+  result
+(** Run an existing session until no process is runnable or the
+    session's global step count reaches [max_steps] ([incomplete]).
+    Before each step the crash plan may crash the system instead; else
+    the schedule picks the process.  The policy is the session's own.
+    [watchdog] bounds the steps any single operation/recovery may take
+    ({!Session.max_cur_steps}); exceeding it stops the run with
+    [budget_exhausted] set instead of spinning until [max_steps].  A
+    session already advanced by hand (a script, a decision prefix)
+    continues from where it stands; {!Schedule.scripted} [[]] finishes
+    it lowest-runnable-pid first. *)
+
 val run :
   ?watchdog:int ->
   ?scratch:Session.scratch ->
@@ -49,17 +74,46 @@ val run :
   config ->
   result
 (** [run machine inst ~workloads config] — [workloads.(p)] is the sequence
-    of abstract operations process [p] performs.  The machine must be the
-    one the instance allocated its locations in.  [watchdog] bounds the
-    steps any single operation/recovery may take
-    ({!Session.max_cur_steps}); exceeding it stops the run with
-    [budget_exhausted] set instead of spinning until [max_steps].
-    [scratch] lets a trial loop reuse one {!Session.scratch} across many
-    runs on the same domain (see {!Session.create}). *)
+    of abstract operations process [p] performs: {!Session.create} under
+    [config.policy], then {!run_session}.  The machine must be the one
+    the instance allocated its locations in.  [scratch] lets a trial
+    loop reuse one {!Session.scratch} across many runs on the same
+    domain (see {!Session.create}). *)
+
+val anomaly_verdict : string list -> Lin_check.verdict option
+(** The verdict rule's first half: given a run's driver anomalies, the
+    violation they make ([Some], from the first anomaly), or [None] when
+    there are none and the caller's checker decides.  Allocates nothing
+    on a clean run, so the explorer calls it at every leaf. *)
 
 val check :
   ?lin_engine:Lin_check.engine -> Obj_inst.t -> result -> Lin_check.verdict
-(** Check the run's history against the instance's specification; driver
-    anomalies are reported as violations too.  [lin_engine] (default
-    [`Incremental]) selects the checker engine; both agree on every
-    verdict. *)
+(** Check the run's history against the instance's specification after
+    {!anomaly_verdict}.  [lin_engine] (default [`Incremental]) selects
+    the checker engine; both agree on every verdict. *)
+
+type sweep = {
+  executions : int;  (** runs that finished *)
+  truncated : int;  (** runs cut by [max_steps] *)
+  total_violations : int;  (** runs {!check} rejects *)
+}
+
+val crash_points :
+  mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->
+  workloads:Spec.op list array ->
+  schedule:(unit -> Schedule.t) ->
+  ?policy:Session.policy ->
+  ?wipe:Nvm.Fault_model.wipe ->
+  ?max_steps:int ->
+  unit ->
+  sweep
+(** The exhaustive single-crash sweep: one crash-free {!run} of the
+    given deterministic schedule, then one run per step [k] of it with
+    {!Crash_plan.at_steps} [[k]], each judged by {!check}.  The crash
+    applies [wipe] (default {!Nvm.Fault_model.keep_all}); recovery runs
+    to completion under the same schedule.  The schedule factory is
+    invoked once per run, so stateful schedules like round-robin start
+    fresh each time.  Default policy [Retry], [max_steps] 2000.  Linear
+    in the schedule length, and exactly the shape of the Figure 2
+    construction; the tests use it to sweep every crash point of small
+    scripted runs. *)

@@ -25,12 +25,12 @@ let test_urw_torture () =
 
 let test_urw_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(Test_support.mk_urw ~n:2)
+    Sched.Driver.crash_points ~mk:(Test_support.mk_urw ~n:2)
       ~workloads:[| [ Spec.write_op (i 5); Spec.read_op ]; [ Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
 
 (* The defining property of the baseline: the register's footprint grows
    with the number of operations (unbounded tags). *)
@@ -74,12 +74,12 @@ let test_ucas_torture () =
 
 let test_ucas_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(Test_support.mk_ucas ~n:2)
+    Sched.Driver.crash_points ~mk:(Test_support.mk_ucas ~n:2)
       ~workloads:[| [ Spec.cas_op (i 0) (i 1) ]; [ Spec.cas_op (i 1) (i 0) ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
 
 let test_ucas_aba_with_crashes () =
   (* small domains force value reuse; unique tags must keep recovery
@@ -160,25 +160,25 @@ let test_plain_counter_crash_free () =
    already see the element. *)
 let test_plain_queue_not_detectable () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:mk_plain_queue
+    Sched.Driver.crash_points ~mk:mk_plain_queue
       ~workloads:[| [ Spec.enq_op (i 1) ]; [ Spec.deq_op; Spec.deq_op ] |]
       ~schedule:(fun () ->
         Schedule.scripted (List.init 20 (fun _ -> 0)))
       ~policy:Session.Give_up ()
   in
   Alcotest.(check bool) "some crash point violates" true
-    (out.Modelcheck.Explore.total_violations > 0)
+    (out.Sched.Driver.total_violations > 0)
 
 (* For contrast, the single-step plain register happens to be crash-atomic
    in this simulation: effect and return cannot be separated. *)
 let test_plain_register_crash_atomic () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:mk_plain_reg
+    Sched.Driver.crash_points ~mk:mk_plain_reg
       ~workloads:[| [ Spec.write_op (i 1) ]; [ Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.scripted (List.init 10 (fun _ -> 0)))
       ~policy:Session.Give_up ()
   in
-  Alcotest.(check int) "crash-atomic" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "crash-atomic" 0 out.Sched.Driver.total_violations
 
 let suites =
   [

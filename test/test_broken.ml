@@ -31,12 +31,16 @@ let fig2_workload =
 let test_refail_violates () =
   (* the fail verdict denies a write a concurrent read already saw *)
   let out =
-    Modelcheck.Explore.crash_points ~mk:mk_refail ~workloads:fig2_workload
+    Sched.Driver.crash_points ~mk:mk_refail ~workloads:fig2_workload
       ~schedule:(fun () -> Schedule.scripted (List.init 40 (fun _ -> 0)))
       ~policy:Session.Give_up ()
   in
   Alcotest.(check bool) "violation found" true
-    (out.Modelcheck.Explore.total_violations > 0)
+    (out.Sched.Driver.total_violations > 0);
+  (* pinned: the crash-free run plus 24 crash points, one of which violates *)
+  Alcotest.(check (triple int int int)) "executions, truncated, violations"
+    (25, 0, 1)
+    Sched.Driver.(out.executions, out.truncated, out.total_violations)
 
 let test_reexec_violates () =
   (* re-execution gives the write two linearization points around q's
@@ -52,100 +56,29 @@ let test_reexec_violates () =
 let test_real_drw_survives_both () =
   let mk () = Test_support.mk_drw ~n:2 () in
   let out1 =
-    Modelcheck.Explore.crash_points ~mk ~workloads:fig2_workload
+    Sched.Driver.crash_points ~mk ~workloads:fig2_workload
       ~schedule:(fun () -> Schedule.scripted (List.init 40 (fun _ -> 0)))
       ~policy:Session.Give_up ()
   in
   Alcotest.(check int) "crash_points clean" 0
-    out1.Modelcheck.Explore.total_violations;
+    out1.Sched.Driver.total_violations;
   let cfg = { Modelcheck.Explore.default_config with switch_budget = 2 } in
   let out2 = Modelcheck.Explore.explore ~mk ~workloads:fig2_workload cfg in
   Alcotest.(check int) "explore clean" 0 out2.Modelcheck.Explore.total_violations
 
 (* ABA kills the toggle-free Algorithm 1: q re-installs the very value p
    read, p's recovery wrongly concludes its write never happened, but a
-   reader observed it.  The scenario is driven deterministically, guided
-   by the observed register contents rather than hard-coded step counts:
-
-     p1 writes 5 (completes) — p0 starts write 9, runs until its store to
-     R lands — p2 reads (sees 9) — p1 writes 5 again (re-installing the
-     exact pair (5, p1)) — CRASH — everyone recovers and drains.
-
-   The toggle-free recovery sees R unchanged since p0's pre-write read
-   and answers fail; with Give_up the write is abandoned, leaving p2's
-   read of 9 inexplicable.  The real Algorithm 1 runs the identical
-   script and survives: the toggle bit p0 lowered has been raised again
-   by p1's completed intervening write, so recovery completes the
-   operation instead. *)
-let run_aba_script mk =
-  let machine, inst = mk () in
-  let workloads =
-    [|
-      [ Spec.write_op (i 9) ];
-      [ Spec.write_op (i 5); Spec.write_op (i 5) ];
-      [ Spec.read_op ];
-    |]
-  in
-  let session = Session.create ~policy:Session.Give_up machine inst ~workloads in
-  let mem = Runtime.Machine.mem machine in
-  (* both variants allocate exactly one shared location named "R" *)
-  let r =
-    let rec find k =
-      if k >= Mem.n_locs mem then Alcotest.fail "no R location"
-      else
-        let loc = Mem.loc_by_id mem k in
-        if loc.Nvm.Loc.name = "R" then loc else find (k + 1)
-    in
-    find 0
-  in
-  let r_value () = Value.nth (Mem.read mem r) 0 in
-  let guard = ref 0 in
-  let step_until pid pred =
-    while not (pred ()) do
-      incr guard;
-      if !guard > 10_000 then Alcotest.fail "ABA script did not converge";
-      Session.step session pid
-    done
-  in
-  let rets pid =
-    List.length
-      (List.filter
-         (function Event.Ret { pid = p; _ } -> p = pid | _ -> false)
-         (Session.history session))
-  in
-  (* p1's first write lands and completes *)
-  step_until 1 (fun () -> Value.equal (r_value ()) (i 5));
-  step_until 1 (fun () -> rets 1 >= 1);
-  (* p0 runs exactly until its store to R *)
-  step_until 0 (fun () -> Value.equal (r_value ()) (i 9));
-  (* p2 observes p0's value *)
-  step_until 2 (fun () -> rets 2 >= 1);
-  (* p1 re-installs (5, p1) *)
-  step_until 1 (fun () -> Value.equal (r_value ()) (i 5));
-  Session.crash session Fault_model.keep_all;
-  (* drain everyone *)
-  let rec drain () =
-    match Session.runnable session with
-    | [] -> ()
-    | pid :: _ ->
-        incr guard;
-        if !guard > 20_000 then Alcotest.fail "drain did not converge";
-        Session.step session pid;
-        drain ()
-  in
-  drain ();
-  match Session.anomalies session with
-  | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-  | [] -> Lin_check.check inst.Obj_inst.spec (Session.history session)
-
+   reader observed it.  E6's directed script drives the scenario,
+   guided by the observed register contents rather than hard-coded step
+   counts; the real Algorithm 1 runs the identical script and survives. *)
 let test_no_toggle_violates () =
-  match run_aba_script (mk_no_toggle ~n:3) with
+  match Experiments.E6_torture.aba_directed ~mk:(mk_no_toggle ~n:3) with
   | Lin_check.Violation _ -> ()
   | Lin_check.Ok_linearizable _ ->
       Alcotest.fail "toggle-free ablation survived the ABA script"
 
 let test_real_drw_survives_aba () =
-  match run_aba_script (fun () -> Test_support.mk_drw ~n:3 ()) with
+  match Experiments.E6_torture.aba_directed ~mk:(Test_support.mk_drw ~n:3) with
   | Lin_check.Ok_linearizable _ -> ()
   | Lin_check.Violation msg -> Alcotest.failf "real drw violated: %s" msg
 

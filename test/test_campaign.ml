@@ -346,6 +346,34 @@ let test_chaos_of_string () =
   | Ok c -> Alcotest.(check bool) "round-trip" true (c = Campaign.no_chaos)
   | Error m -> Alcotest.failf "round-trip failed: %s" m
 
+(* random "k=v,…" specs over the known keys, stray keys and junk
+   values: the parser answers Ok or Error, never raises *)
+let prop_chaos_total =
+  QCheck.Test.make ~name:"chaos spec: random k=v lists never raise"
+    ~count:2000
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          let key = oneofl [ "kill"; "hang"; "seed"; " kill "; "frob"; ""; "=" ] in
+          let value =
+            oneof
+              [
+                map string_of_float float;
+                map string_of_int int;
+                string_size ~gen:printable (int_bound 6);
+              ]
+          in
+          let part =
+            oneof
+              [
+                map2 (fun k v -> k ^ "=" ^ v) key value;
+                string_size ~gen:printable (int_bound 6);
+              ]
+          in
+          map (String.concat ",") (list_size (int_bound 4) part)))
+    (fun s ->
+      match Campaign.chaos_of_string s with Ok _ | Error _ -> true)
+
 let suites =
   [
     ( "campaign.supervisor",
@@ -370,5 +398,8 @@ let suites =
           test_should_stop_interrupts_and_torture_resumes;
       ] );
     ( "campaign.chaos-spec",
-      [ Alcotest.test_case "chaos spec parsing" `Quick test_chaos_of_string ] );
+      [
+        Alcotest.test_case "chaos spec parsing" `Quick test_chaos_of_string;
+        QCheck_alcotest.to_alcotest prop_chaos_total;
+      ] );
   ]

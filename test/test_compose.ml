@@ -102,7 +102,7 @@ let test_composite_torture_giveup () =
 
 let test_composite_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(mk_pair ~n:2)
+    Sched.Driver.crash_points ~mk:(mk_pair ~n:2)
       ~workloads:
         [|
           [ lift "acct" (Spec.cas_op (i 0) (i 1)); lift "log" (Spec.enq_op (i 9)) ];
@@ -111,7 +111,7 @@ let test_composite_crash_at_every_step () =
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
 
 (* recovery resolves exactly the component that was in flight *)
 let test_recovery_routes_to_component () =

@@ -39,13 +39,13 @@ let test_crash_torture () =
 
 let test_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(Test_support.mk_dmax ~n:2)
+    Sched.Driver.crash_points ~mk:(Test_support.mk_dmax ~n:2)
       ~workloads:
         [| [ Spec.write_max_op 4; Spec.read_op ]; [ Spec.write_max_op 2 ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
 
 (* Recovery is pure re-invocation: the operation itself never reads the
    announcement fields.  We verify behaviourally: recovery after a crash

@@ -45,14 +45,14 @@ let test_many_processes () =
    out, and recovery must be decisive. *)
 let test_crash_at_every_step_solo () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(Test_support.mk_drw ~n:2)
+    Sched.Driver.crash_points ~mk:(Test_support.mk_drw ~n:2)
       ~workloads:[| [ Spec.write_op (i 5); Spec.read_op ]; [ Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations;
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations;
   Alcotest.(check bool) "explored all crash points" true
-    (out.Modelcheck.Explore.executions > 10)
+    (out.Sched.Driver.executions > 10)
 
 (* The double-crash case: recovery itself is crashed and re-run. *)
 let test_double_crash () =

@@ -62,6 +62,10 @@ let test_e3_all_as_predicted () =
   Alcotest.(check bool) "Theorem 2 dichotomy" true
     (Experiments.E3_aux_state.all_as_predicted ())
 
+let test_e6_all_as_predicted () =
+  Alcotest.(check bool) "Lemmas 1-2 torture + ablations" true
+    (Experiments.E6_torture.all_as_predicted ())
+
 let test_tables_render () =
   (* the cheap tables must render without raising *)
   List.iter
@@ -82,6 +86,8 @@ let suites =
         Alcotest.test_case "E4 flat vs growing" `Quick test_e4_drw_flat_urw_grows;
         Alcotest.test_case "E3 as predicted (Thm 2)" `Slow
           test_e3_all_as_predicted;
+        Alcotest.test_case "E6 as predicted (Lemmas 1-2)" `Quick
+          test_e6_all_as_predicted;
         Alcotest.test_case "tables render" `Quick test_tables_render;
       ] );
   ]

@@ -79,12 +79,12 @@ let test_tas_torture () =
 
 let test_tas_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(mk_dtas ~n:2)
+    Sched.Driver.crash_points ~mk:(mk_dtas ~n:2)
       ~workloads:[| [ Spec.tas_op ]; [ Spec.tas_op; Spec.reset_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
 
 let test_tas_adversary () =
   (* its own doubly-perturbing witness attack must come back clean; the
@@ -105,12 +105,12 @@ let test_tas_adversary () =
       List.iter
         (fun policy ->
           let out =
-            Modelcheck.Explore.crash_points
+            Sched.Driver.crash_points
               ~mk:(fun () -> mk_dtas ~n:2 ())
               ~workloads:e.Perturb.Witnesses.attack ~schedule ~policy ()
           in
           Alcotest.(check int) "dtas survives" 0
-            out.Modelcheck.Explore.total_violations)
+            out.Sched.Driver.total_violations)
         [ Session.Retry; Session.Give_up ])
     schedules
 
@@ -153,12 +153,12 @@ let test_swap_torture () =
 
 let test_swap_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(mk_dswap ~n:2)
+    Sched.Driver.crash_points ~mk:(mk_dswap ~n:2)
       ~workloads:[| [ Spec.swap_op (i 1) ]; [ Spec.swap_op (i 2); Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
 
 (* identity swap (same value) exercises the read-only identity path *)
 let test_swap_identity () =

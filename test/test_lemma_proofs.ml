@@ -28,23 +28,18 @@ let step_until session pid pred ~ctx =
     Session.step session pid
   done
 
+(* finish the run lowest runnable pid first, at most 20 000 more steps *)
 let drain session =
-  let guard = ref 0 in
-  let rec go () =
-    match Session.runnable session with
-    | [] -> ()
-    | pid :: _ ->
-        incr guard;
-        if !guard > 20_000 then Alcotest.fail "drain did not converge";
-        Session.step session pid;
-        go ()
+  let r =
+    Driver.run_session session ~schedule:(Schedule.scripted [])
+      ~crash_plan:Crash_plan.none ~max_steps:(Session.steps session + 20_000)
   in
-  go ()
+  if r.Driver.incomplete then Alcotest.fail "drain did not converge"
 
 let verdict session (inst : Obj_inst.t) =
-  match Session.anomalies session with
-  | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-  | [] -> Lin_check.check inst.Obj_inst.spec (Session.history session)
+  match Driver.anomaly_verdict (Session.anomalies session) with
+  | Some v -> v
+  | None -> Lin_check.check inst.Obj_inst.spec (Session.history session)
 
 let assert_consistent session inst ~ctx =
   match verdict session inst with

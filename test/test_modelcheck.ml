@@ -72,7 +72,7 @@ let test_configs_counted_up_to_equivalence () =
 
 let test_crash_points_covers_all () =
   let out =
-    Modelcheck.Explore.crash_points
+    Sched.Driver.crash_points
       ~mk:(fun () -> Test_support.mk_dcas ~n:1 ())
       ~workloads:[| [ Spec.cas_op (i 0) (i 1) ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
@@ -80,7 +80,7 @@ let test_crash_points_covers_all () =
   in
   (* one crash-free run + one run per step of the crash-free run *)
   Alcotest.(check bool) "several executions" true
-    (out.Modelcheck.Explore.executions > 5)
+    (out.Sched.Driver.executions > 5)
 
 let test_violation_reports_schedule () =
   let out =

@@ -180,12 +180,12 @@ let test_adversary_queue_witness () =
       List.iter
         (fun policy ->
           let out =
-            Modelcheck.Explore.crash_points
+            Sched.Driver.crash_points
               ~mk:(fun () -> Test_support.mk_dqueue ~n:2 ~capacity:16 ())
               ~workloads:e.attack ~schedule ~policy ()
           in
           Alcotest.(check int) "dqueue survives" 0
-            out.Modelcheck.Explore.total_violations)
+            out.Sched.Driver.total_violations)
         [ Sched.Session.Retry; Sched.Session.Give_up ])
     schedules
 

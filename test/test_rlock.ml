@@ -118,23 +118,23 @@ let test_prot_torture_giveup () =
 
 let test_prot_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(mk_prot ~n:2)
+    Sched.Driver.crash_points ~mk:(mk_prot ~n:2)
       ~workloads:[| [ Spec.inc_op ]; [ Spec.inc_op; Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations;
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations;
   (* and crash points under Give_up: an abandoned inc must not have
      leaked the lock (the run would hang and be cut off) *)
   let out =
-    Modelcheck.Explore.crash_points ~mk:(mk_prot ~n:2)
+    Sched.Driver.crash_points ~mk:(mk_prot ~n:2)
       ~workloads:[| [ Spec.inc_op ]; [ Spec.inc_op; Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ~policy:Session.Give_up ()
   in
   Alcotest.(check int) "no violations (giveup)" 0
-    out.Modelcheck.Explore.total_violations;
-  Alcotest.(check int) "no truncated runs" 0 out.Modelcheck.Explore.truncated
+    out.Sched.Driver.total_violations;
+  Alcotest.(check int) "no truncated runs" 0 out.Sched.Driver.truncated
 
 (* exactly-once: with Retry, the final counter equals the increments, and
    the mirror cell caught up *)

@@ -635,6 +635,67 @@ let test_should_stop_interrupts_and_resumes () =
         (Torture.to_json ~timing:false uninterrupted)
         (Torture.to_json ~timing:false resumed))
 
+(* --- total parsers: Tiny_json.parse fails only with Tiny_json.Error --- *)
+
+(* the first violating trial of a broken-object campaign, as a journal
+   line: every JSON shape the journal uses (strings with escapes,
+   nested lists, 63-bit ints) in one real record *)
+let violating_line =
+  lazy
+    (let spec = broken_spec () in
+     let scratch = Session.make_scratch () in
+     let rec find index =
+       let tr = Torture.run_trial spec ~scratch ~root:3 ~index in
+       match tr.Torture.t_verdict with
+       | Torture.V_violation _ -> Torture.trial_line index tr
+       | _ -> find (index + 1)
+     in
+     find 0)
+
+let parses_or_errs s =
+  match Tiny_json.parse s with
+  | (_ : Tiny_json.t) -> true
+  | exception Tiny_json.Error _ -> true
+
+let test_json_prefixes_total () =
+  let line = Lazy.force violating_line in
+  for k = 0 to String.length line do
+    if not (parses_or_errs (String.sub line 0 k)) then
+      Alcotest.failf "prefix of length %d escaped" k
+  done;
+  Alcotest.(check bool) "100k nested [" true
+    (parses_or_errs (String.make 100_000 '['))
+
+(* any byte, weighted towards JSON's own punctuation and lexeme starts *)
+let json_char =
+  QCheck.Gen.(
+    oneof [ char; oneofl (List.of_seq (String.to_seq "{}[]\\\",:-+.eE019tfnu ")) ])
+
+let prop_json_random_total =
+  QCheck.Test.make ~name:"Tiny_json.parse: random strings fail only with Error"
+    ~count:2000
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(string_size ~gen:json_char (int_bound 40)))
+    parses_or_errs
+
+let prop_json_garbled_total =
+  QCheck.Test.make
+    ~name:"Tiny_json.parse: a trial line with 1-3 bytes replaced fails only with Error"
+    ~count:2000
+    QCheck.(
+      make
+        ~print:(fun subs ->
+          String.concat "; "
+            (List.map (fun (pos, c) -> Printf.sprintf "%d:%C" pos c) subs))
+        Gen.(list_size (int_range 1 3) (pair nat char)))
+    (fun subs ->
+      let b = Bytes.of_string (Lazy.force violating_line) in
+      List.iter
+        (fun (pos, c) -> Bytes.set b (pos mod Bytes.length b) c)
+        subs;
+      parses_or_errs (Bytes.to_string b))
+
 let suites =
   [
     ( "torture.engine",
@@ -690,5 +751,12 @@ let suites =
           test_checkpoint_headerless_journal;
         Alcotest.test_case "should_stop interrupts, resume completes" `Quick
           test_should_stop_interrupts_and_resumes;
+      ] );
+    ( "torture.parsers",
+      [
+        Alcotest.test_case "every prefix of a trial line parses or errs"
+          `Quick test_json_prefixes_total;
+        QCheck_alcotest.to_alcotest prop_json_random_total;
+        QCheck_alcotest.to_alcotest prop_json_garbled_total;
       ] );
   ]

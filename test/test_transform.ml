@@ -82,12 +82,12 @@ let test_faa_giveup_torture () =
 
 let test_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(Test_support.mk_dfaa ~n:2)
+    Sched.Driver.crash_points ~mk:(Test_support.mk_dfaa ~n:2)
       ~workloads:[| [ Spec.faa_op 2 ]; [ Spec.faa_op 5; Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
 
 (* A crashed read that never persisted a response must recover as fail,
    never inventing a value. *)

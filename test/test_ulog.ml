@@ -66,12 +66,12 @@ let test_ulog_detectable_queue_torture () =
 
 let test_ulog_crash_at_every_step () =
   let out =
-    Modelcheck.Explore.crash_points ~mk:(mk_ulog_reg ~n:2)
+    Sched.Driver.crash_points ~mk:(mk_ulog_reg ~n:2)
       ~workloads:[| [ Spec.write_op (i 5) ]; [ Spec.read_op; Spec.write_op (i 2) ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Modelcheck.Explore.total_violations
+  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
 
 (* the log grows with operations: the unbounded-space trade *)
 let test_ulog_log_grows () =
