@@ -164,9 +164,9 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
   @@ fun (l : Torture.ledger) ->
   let now () = Unix.gettimeofday () in
   let jevent fmt = Printf.ksprintf l.event fmt in
-  let record i tr =
+  let record ?line i tr =
     l.keep i tr;
-    l.journal i tr
+    l.journal ?line i tr
   in
   (* counters *)
   let spawned = ref 0
@@ -267,7 +267,10 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
             match Torture.trial_of_json j with
             | exception _ -> ()
             | i, tr ->
-                if i >= 0 && i < trials && not (l.has i) then record i tr)
+                (* the worker's line is the journal record: write it as
+                   read rather than re-render the same bytes *)
+                if i >= 0 && i < trials && not (l.has i) then
+                  record ~line i tr)
     end
   in
   let rdbuf = Bytes.create 65536 in

@@ -148,7 +148,7 @@ type trial = {
   t_rec_failed : int;
   t_bits : int;
   t_verdict : verdict;
-  t_trace : Modelcheck.Explore.decision list;  (* oldest first *)
+  t_trace : Modelcheck.Explore.decision list;  (* oldest first; [] when ok *)
 }
 
 (* Everything random in a trial — workload, schedule, crash points, and
@@ -205,6 +205,10 @@ let run_trial spec ~scratch ~root ~index =
       max_steps = spec.max_steps;
     }
   in
+  (* the verdict comes last, so the trace is recorded for every trial;
+     only a failing one keeps it (the first violation is what the merge
+     shrinks), and an ok trial — a pure function of (spec, root, index)
+     anyway — carries none into the journal, the pipe or memory *)
   let finish ~steps ~crashes ~rec_returned ~rec_failed ~verdict =
     {
       t_seed = wseed;
@@ -216,7 +220,7 @@ let run_trial spec ~scratch ~root ~index =
       t_rec_failed = rec_failed;
       t_bits = Nvm.Mem.max_shared_bits (Runtime.Machine.mem machine);
       t_verdict = verdict;
-      t_trace = List.rev !trace;
+      t_trace = (if verdict = V_ok then [] else List.rev !trace);
     }
   in
   let trace_steps () =
@@ -333,9 +337,14 @@ let trial_of_json j =
       t_bits = int "bits";
       t_verdict = verdict;
       t_trace =
-        List.map
-          (fun d -> decision_of_string (Tiny_json.get_str d))
-          (Tiny_json.get_list (Tiny_json.member "trace" j));
+        (* journals written before ok trials dropped their trace still
+           carry one: checked, then dropped like run_trial does *)
+        (let trace =
+           List.map
+             (fun d -> decision_of_string (Tiny_json.get_str d))
+             (Tiny_json.get_list (Tiny_json.member "trace" j))
+         in
+         if verdict = V_ok then [] else trace);
     } )
 
 (* A journal's header line and the lines after it, or [None] when it
@@ -644,7 +653,7 @@ type ledger = {
   stop : unit -> bool;
   has : int -> bool;
   keep : int -> trial -> unit;
-  journal : int -> trial -> unit;
+  journal : ?line:string -> int -> trial -> unit;
   event : string -> unit;
 }
 
@@ -694,10 +703,12 @@ let run_with ?(shrink = true) ?checkpoint ?(resume = false)
         has = (fun i -> by_index.(i) <> None);
         keep = (fun i tr -> by_index.(i) <- Some tr);
         journal =
-          (fun i tr ->
+          (fun ?line i tr ->
             match journal with
             | None -> ()
-            | Some j -> journal_write j (trial_line i tr));
+            | Some j ->
+                journal_write j
+                  (match line with Some l -> l | None -> trial_line i tr));
         event = write;
       }
   in

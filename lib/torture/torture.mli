@@ -214,13 +214,19 @@ type trial = {
   t_rec_failed : int;
   t_bits : int;
   t_verdict : verdict;
-  t_trace : Modelcheck.Explore.decision list;  (** oldest first *)
+  t_trace : Modelcheck.Explore.decision list;
+      (** the trial's decisions, oldest first, when [t_verdict] is not
+          [V_ok]; [[]] for an ok trial, whose schedule is already a pure
+          function of [(spec, root, index)] and which the merge never
+          shrinks *)
 }
 
 val run_trial :
   spec -> scratch:Session.scratch -> root:int -> index:int -> trial
 (** Run trial [index] of the campaign seeded by [root].  A pure function
-    of [(spec, root, index)]; [scratch] is reusable across calls. *)
+    of [(spec, root, index)]; [scratch] is reusable across calls.  The
+    decision trace is recorded while the trial runs and dropped once the
+    verdict is [V_ok]. *)
 
 val merge :
   spec -> root_seed:int -> trials:int -> shrink:bool -> trial array -> report
@@ -234,11 +240,15 @@ val merge :
 
 val trial_line : int -> trial -> string
 (** One trial as a single JSON line: the record a journal stores and a
-    {!Campaign} worker streams. *)
+    {!Campaign} worker streams.  An ok trial's line carries
+    ["trace": [  ]], so a passing trial costs the pipe, the journal and
+    the supervisor a short record. *)
 
 val trial_of_json : Tiny_json.t -> int * trial
 (** Inverse of {!trial_line} ∘ [Tiny_json.parse]; raises on records that
-    are not trial lines. *)
+    are not trial lines.  The trace of an ok record (which journals
+    written before ok trials dropped theirs still hold) is checked, then
+    dropped, as {!run_trial} drops it. *)
 
 (** {2 Campaign driver} *)
 
@@ -255,9 +265,11 @@ type ledger = {
   has : int -> bool;  (** whether trial [i] is held; calling domain only *)
   keep : int -> trial -> unit;
       (** hold trial [i] for the merge; calling domain only *)
-  journal : int -> trial -> unit;
+  journal : ?line:string -> int -> trial -> unit;
       (** append trial [i] to the journal as it finishes; any domain, and
-          a no-op without a checkpoint *)
+          a no-op without a checkpoint (nothing is serialised then).
+          [line], when given, is [trial_line i tr] as already received
+          from a worker, and is written verbatim instead of re-rendered *)
   event : string -> unit;  (** append one lifecycle event line; any domain *)
 }
 (** What {!run_with} hands an executor. *)

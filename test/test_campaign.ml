@@ -278,6 +278,39 @@ let test_campaign_resumes_torture_journal () =
       Alcotest.(check bool) "remaining range ran in workers" true
         (c.Campaign.workers_spawned >= 1))
 
+(* the supervisor journals each worker's trial line as it read it: a
+   campaign journal holds byte-for-byte the trial records a torture
+   journal holds, in completion order between lifecycle events.  Root 21
+   violates at trial 2, so one record carries a trace; the ok ones carry
+   none. *)
+let test_campaign_journal_records_verbatim () =
+  let spec = broken_spec () in
+  let trials = 24 in
+  let records path =
+    match read_lines path with
+    | header :: rest ->
+        ( header,
+          List.sort compare
+            (List.filter (fun l -> not (string_contains l {|"event"|})) rest) )
+    | [] -> Alcotest.fail "empty journal"
+  in
+  with_temp_journal (fun tpath ->
+      with_temp_journal (fun cpath ->
+          ignore (Torture.run ~root_seed:21 ~trials ~checkpoint:tpath spec);
+          ignore
+            (run_campaign ~checkpoint:cpath ~config:(fast ~workers:2 ())
+               ~root_seed:21 ~trials spec);
+          let t_header, t_records = records tpath in
+          let c_header, c_records = records cpath in
+          Alcotest.(check string) "same header" t_header c_header;
+          Alcotest.(check (list string)) "same trial records" t_records
+            c_records;
+          Alcotest.(check int) "only the violation carries a trace" 1
+            (List.length
+               (List.filter
+                  (fun l -> not (string_contains l {|"trace": [  ]|}))
+                  c_records))))
+
 (* a should_stop that trips mid-campaign stops the supervisor through the
    same interrupt path as Torture.run: Interrupted carries the journaled
    progress, the journal ends with the matching "interrupted" event, and
@@ -394,6 +427,8 @@ let suites =
           test_campaign_checkpoint_resume;
         Alcotest.test_case "campaign resumes a torture journal" `Quick
           test_campaign_resumes_torture_journal;
+        Alcotest.test_case "journal records = torture's, byte for byte" `Quick
+          test_campaign_journal_records_verbatim;
         Alcotest.test_case "should_stop interrupts, torture resumes" `Quick
           test_should_stop_interrupts_and_torture_resumes;
       ] );

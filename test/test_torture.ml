@@ -421,6 +421,17 @@ let string_contains hay needle =
 let has_prefix p l =
   String.length l >= String.length p && String.sub l 0 (String.length p) = p
 
+(* [s] with its first [sub] replaced by [by] *)
+let replace_once ~sub ~by s =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not found in %S" sub s
+    else if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
 (* the journal line for trial [i], rewritten to claim index [j] — the
    forgery overlapping shard ranges would produce *)
 let reindexed_line lines ~from_i ~to_i =
@@ -465,16 +476,6 @@ let test_checkpoint_header_keys_named () =
       let header, trials =
         match read_lines path with h :: t -> (h, t) | [] -> Alcotest.fail "empty journal"
       in
-      let replace ~sub ~by s =
-        let n = String.length sub in
-        let rec go i =
-          if i + n > String.length s then Alcotest.failf "header lacks %S" sub
-          else if String.sub s i n = sub then
-            String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
-          else go (i + 1)
-        in
-        go 0
-      in
       List.iter
         (fun (what, header, sub) ->
           write_lines path (header :: trials);
@@ -486,10 +487,10 @@ let test_checkpoint_header_keys_named () =
             {|{ "schema": "detectable-torture-checkpoint/v2" }|},
             {|unreadable checkpoint header: "object": missing key|} );
           ( "a mistyped key",
-            replace ~sub:{|"crash_prob": 0.0500|} ~by:{|"crash_prob": "0.05"|} header,
+            replace_once ~sub:{|"crash_prob": 0.0500|} ~by:{|"crash_prob": "0.05"|} header,
             {|unreadable checkpoint header: "crash_prob": expected a number|} );
           ( "a v1 header",
-            replace ~sub:"checkpoint/v2" ~by:"checkpoint/v1" header,
+            replace_once ~sub:"checkpoint/v2" ~by:"checkpoint/v1" header,
             "schema differs" );
         ])
 
@@ -637,20 +638,28 @@ let test_should_stop_interrupts_and_resumes () =
 
 (* --- total parsers: Tiny_json.parse fails only with Tiny_json.Error --- *)
 
-(* the first violating trial of a broken-object campaign, as a journal
-   line: every JSON shape the journal uses (strings with escapes,
-   nested lists, 63-bit ints) in one real record *)
+(* the first violating trial of the broken-object campaign seeded
+   [root], with its index *)
+let first_violation_of root =
+  let spec = broken_spec () in
+  let scratch = Session.make_scratch () in
+  let rec find index =
+    let tr = Torture.run_trial spec ~scratch ~root ~index in
+    match tr.Torture.t_verdict with
+    | Torture.V_violation _ -> (index, tr)
+    | _ -> find (index + 1)
+  in
+  find 0
+
+let first_violation = lazy (first_violation_of 3)
+
+(* that trial as a journal line: every JSON shape the journal uses
+   (strings with escapes, nested lists, 63-bit ints) in one real
+   record *)
 let violating_line =
   lazy
-    (let spec = broken_spec () in
-     let scratch = Session.make_scratch () in
-     let rec find index =
-       let tr = Torture.run_trial spec ~scratch ~root:3 ~index in
-       match tr.Torture.t_verdict with
-       | Torture.V_violation _ -> Torture.trial_line index tr
-       | _ -> find (index + 1)
-     in
-     find 0)
+    (let i, tr = Lazy.force first_violation in
+     Torture.trial_line i tr)
 
 let parses_or_errs s =
   match Tiny_json.parse s with
@@ -696,6 +705,125 @@ let prop_json_garbled_total =
         subs;
       parses_or_errs (Bytes.to_string b))
 
+(* --- trace retention: only a failing trial keeps its schedule --- *)
+
+(* an ok trial carries no trace; the first violation keeps one that
+   accounts for every step and crash the trial ran, and its journal line
+   decodes back to the same record.  An ok line that still holds a trace
+   (a journal written before ok trials dropped theirs) decodes to the
+   record run_trial returns today. *)
+let test_trace_kept_only_on_failure () =
+  let spec = dcas_spec () in
+  let scratch = Session.make_scratch () in
+  let ok = ref None in
+  for index = 0 to 49 do
+    let tr = Torture.run_trial spec ~scratch ~root:1 ~index in
+    if tr.Torture.t_verdict = Torture.V_ok then begin
+      if tr.t_trace <> [] then Alcotest.failf "ok trial %d kept its trace" index;
+      if !ok = None then ok := Some (index, tr)
+    end
+  done;
+  let ok_i, ok_tr =
+    match !ok with Some o -> o | None -> Alcotest.fail "no ok dcas trial"
+  in
+  let i, tr = Lazy.force first_violation in
+  let count p = List.length (List.filter p tr.Torture.t_trace) in
+  Alcotest.(check int) "#Step = t_steps" tr.t_steps
+    (count (function Modelcheck.Explore.Step _ -> true | _ -> false));
+  Alcotest.(check int) "#Crash = t_crashes" tr.t_crashes
+    (count (( = ) Modelcheck.Explore.Crash));
+  Alcotest.(check bool) "the violation crashed" true (tr.t_crashes > 0);
+  let decode line = Torture.trial_of_json (Tiny_json.parse line) in
+  Alcotest.(check bool) "violating trial_line round-trips" true
+    (decode (Torture.trial_line i tr) = (i, tr));
+  let ok_line = Torture.trial_line ok_i ok_tr in
+  Alcotest.(check bool) "ok line carries an empty trace" true
+    (string_contains ok_line {|"trace": [  ]|});
+  Alcotest.(check bool) "ok trial_line round-trips" true
+    (decode ok_line = (ok_i, ok_tr));
+  Alcotest.(check bool) "an old ok line's trace is dropped" true
+    (decode
+       (replace_once ~sub:{|"trace": [  ]|} ~by:{|"trace": [ "p0", "CRASH" ]|}
+          ok_line)
+    = (ok_i, ok_tr))
+
+(* --- the checkpoint loader is total --- *)
+
+(* a real journal of the broken campaign seeded [fuzz_root] up to and
+   including its first violation: the header, ok lines, the violating
+   line with its trace, and a lifecycle event line among them.  Root 21
+   violates at trial 2, so the journal is short and a resume that has to
+   re-run what a garble lost stays cheap. *)
+let fuzz_root = 21
+let fuzz_trials = lazy (fst (first_violation_of fuzz_root) + 1)
+
+let fuzz_journal =
+  lazy
+    (with_temp_journal (fun path ->
+         ignore
+           (Torture.run ~root_seed:fuzz_root ~trials:(Lazy.force fuzz_trials)
+              ~shrink:false ~checkpoint:path (broken_spec ()));
+         match read_lines path with
+         | header :: first :: rest ->
+             if not (string_contains first {|"verdict": "ok"|}) then
+               Alcotest.fail "the fuzzed journal starts without an ok line";
+             String.concat "\n"
+               ((header :: first
+                 :: {|{ "event": "spawn", "pid": 7, "lo": 0, "hi": 2, "attempt": 1 }|}
+                 :: rest)
+               @ [ "" ])
+         | _ -> Alcotest.fail "journal has fewer than two lines"))
+
+(* resuming from [contents] yields a report or the loader's named
+   [Invalid_argument], never any other exception.  Shrinking is off: it
+   runs after the load, behind its own catch-all, and would cost ~15 ms
+   a case *)
+let resumes_or_names contents =
+  with_temp_journal (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      match
+        Torture.run ~root_seed:fuzz_root ~trials:(Lazy.force fuzz_trials)
+          ~shrink:false ~checkpoint:path ~resume:true (broken_spec ())
+      with
+      | (_ : Torture.report) -> true
+      | exception Invalid_argument m ->
+          String.starts_with ~prefix:"Torture.run: " m
+          || QCheck.Test.fail_reportf "unnamed Invalid_argument %S" m)
+
+type garble = Truncate of int | Replace of (int * char) list
+
+let prop_checkpoint_loader_total =
+  QCheck.Test.make
+    ~name:
+      "checkpoint loader: a truncated or 1-3 byte garbled journal resumes or \
+       fails as Invalid_argument \"Torture.run: ...\""
+    ~count:1000
+    QCheck.(
+      make
+        ~print:(function
+          | Truncate n -> Printf.sprintf "truncate at %d" n
+          | Replace subs ->
+              String.concat "; "
+                (List.map (fun (pos, c) -> Printf.sprintf "%d:%C" pos c) subs))
+        Gen.(
+          oneof
+            [
+              map (fun n -> Truncate n) nat;
+              map
+                (fun subs -> Replace subs)
+                (list_size (int_range 1 3) (pair nat json_char));
+            ]))
+    (fun g ->
+      let j = Lazy.force fuzz_journal in
+      let n = String.length j in
+      resumes_or_names
+        (match g with
+        | Truncate k -> String.sub j 0 (k mod (n + 1))
+        | Replace subs ->
+            let b = Bytes.of_string j in
+            List.iter (fun (pos, c) -> Bytes.set b (pos mod n) c) subs;
+            Bytes.to_string b))
+
 let suites =
   [
     ( "torture.engine",
@@ -714,6 +842,8 @@ let suites =
         Alcotest.test_case "give-up policy" `Quick test_give_up_policy_runs;
         Alcotest.test_case "lin engine parity (clean + violating)" `Quick
           test_lin_engine_parity;
+        Alcotest.test_case "only a failing trial keeps its trace" `Quick
+          test_trace_kept_only_on_failure;
       ] );
     ( "torture.faults",
       [
@@ -758,5 +888,6 @@ let suites =
           `Quick test_json_prefixes_total;
         QCheck_alcotest.to_alcotest prop_json_random_total;
         QCheck_alcotest.to_alcotest prop_json_garbled_total;
+        QCheck_alcotest.to_alcotest prop_checkpoint_loader_total;
       ] );
   ]
