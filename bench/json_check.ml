@@ -82,8 +82,7 @@ let check_torture_report j =
     let timing = member "timing" j in
     require_keys "torture timing" timing
       [
-        "elapsed_s"; "trials_per_sec"; "domains"; "shards_rescued"; "alloc";
-        "supervision";
+        "elapsed_s"; "trials_per_sec"; "domains"; "alloc"; "supervision";
       ];
     require_keys "torture timing alloc" (member "alloc" timing)
       [ "minor_words"; "promoted_words"; "minor_collections"; "bytes_per_trial" ];

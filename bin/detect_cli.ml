@@ -224,8 +224,8 @@ let no_timing_arg =
         ~doc:
           "Omit the timing block (throughput, allocation, supervision) \
            from the report, leaving exactly the deterministic fields — \
-           byte-identical across domain counts, worker schedules, chaos \
-           and resume splits.")
+           byte-identical across torture and campaign, worker counts and \
+           schedules, chaos and resume splits.")
 
 let report_arg =
   Arg.(
@@ -273,20 +273,11 @@ let run_campaign ~checkpoint ~resume ~json ~no_timing ~report_file go =
 (* torture *)
 
 let torture_cmd =
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"W"
-          ~doc:
-            "Shard the trials over this many OCaml domains (1 = sequential). \
-             The merged report is bit-identical for any value: trial i always \
-             runs on the child seed stream derived from (seed, i).")
-  in
-  let run obj procs ops trials crash_prob max_crashes policy seed domains
-      fault watchdog checkpoint resume json no_timing report_file no_shrink =
+  let run obj procs ops trials crash_prob max_crashes policy seed fault
+      watchdog checkpoint resume json no_timing report_file no_shrink =
     run_campaign ~checkpoint ~resume ~json ~no_timing ~report_file
     @@ fun should_stop ->
-    ( Torture.run ~domains ~root_seed:seed ~trials ~shrink:(not no_shrink)
+    ( Torture.run ~root_seed:seed ~trials ~shrink:(not no_shrink)
         ?checkpoint ~resume ~should_stop
         (torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes
            ~fault ~watchdog),
@@ -299,16 +290,17 @@ let torture_cmd =
          "Randomized crash-torture: many seeded runs, random schedules and \
           crash points, every history checked for durable linearizability + \
           detectability.  A configurable fault model ($(b,--fault)) decides \
-          what a crash does to dirty cache lines.  Trials shard \
-          deterministically over OCaml domains ($(b,--domains)), journal to \
-          a resumable checkpoint ($(b,--checkpoint), $(b,--resume)) and \
-          merge into a structured run report ($(b,--json), $(b,--report)) \
-          with verdict counts, a crash-point histogram, step and space \
-          distributions, and the first failing trial's minimised schedule.")
+          what a crash does to dirty cache lines.  Trials run one after \
+          another in this process (run them side by side with \
+          $(b,campaign --workers)), journal to a resumable checkpoint \
+          ($(b,--checkpoint), $(b,--resume)) and merge into a structured \
+          run report ($(b,--json), $(b,--report)) with verdict counts, a \
+          crash-point histogram, step and space distributions, and the \
+          first failing trial's minimised schedule.")
     Term.(
       ret
         (const run $ obj_arg $ procs_arg $ ops_arg $ trials_arg
-       $ crash_prob_arg $ max_crashes_arg $ policy_arg $ seed_arg $ domains
+       $ crash_prob_arg $ max_crashes_arg $ policy_arg $ seed_arg
        $ fault_arg $ watchdog_arg $ checkpoint_arg
        $ resume_arg $ json_arg $ no_timing_arg $ report_arg $ no_shrink_arg))
 
@@ -329,9 +321,10 @@ let campaign_cmd =
       value & opt int 4
       & info [ "workers" ] ~docv:"W"
           ~doc:
-            "Initial worker-process parallelism.  The merged report's \
-             deterministic fields are bit-identical for any value — and to \
-             the equivalent $(b,torture --domains) run.")
+            "Initial worker-process parallelism: the number of trial \
+             ranges run side by side, one process each.  The merged \
+             report's deterministic fields are bit-identical for any value \
+             — and to the equivalent in-process $(b,torture) run.")
   in
   let heartbeat_every =
     Arg.(

@@ -1,9 +1,9 @@
 (** Multi-process torture campaign supervisor.
 
-    {!Torture.run} shards a campaign over OCaml domains inside one
-    process; this module runs the same deterministic trial streams in
-    OS {e processes}.  Both are executors for one campaign core,
-    {!Torture.run_with}.  A supervisor forks workers (normally
+    {!Torture.run} runs a campaign's trials one after another inside one
+    process; this module runs the same deterministic trial streams side
+    by side in OS {e processes}, and is the only parallel executor.  Both
+    are executors for one campaign core, {!Torture.run_with}.  A supervisor forks workers (normally
     [detect_cli torture-worker]), hands each a contiguous
     [(root_seed, lo, hi)] slice, and reads per-trial JSONL records plus
     periodic heartbeats from each worker's pipe.

@@ -12,6 +12,9 @@ type t = {
   apply : Spec.op -> Value.t -> (Value.t * Value.t) option;
 }
 
+(* [rmw … ~apply] builds an object whose update operations are defined by
+   [apply op current = Some (new_value, response)]; [apply op _ = None]
+   marks [op] as a plain read (returns the current value). *)
 let rmw ?persist machine ~n ~init ~spec ~descr ~apply =
   let ctx = Base.make_ctx ?persist machine ~n in
   let cells =

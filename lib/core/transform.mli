@@ -1,6 +1,5 @@
 open Nvm
 open Runtime
-open History
 
 (** Detectable read-modify-write objects built from the detectable CAS
     core — the capsule construction sketched in Section 6 (after
@@ -19,19 +18,6 @@ open History
     run solo; a CAS loop can starve under contention). *)
 
 type t
-
-val rmw :
-  ?persist:bool ->
-  Machine.t ->
-  n:int ->
-  init:Value.t ->
-  spec:Spec.t ->
-  descr:string ->
-  apply:(Spec.op -> Value.t -> (Value.t * Value.t) option) ->
-  t
-(** [rmw … ~apply] builds an object whose update operations are defined by
-    [apply op current = Some (new_value, response)]; [apply op _ = None]
-    marks [op] as a plain read (returns the current value). *)
 
 val instance : t -> Sched.Obj_inst.t
 val shared_locs : t -> Loc.t list

@@ -48,9 +48,6 @@ val canonical : t -> int option
 val add : t -> Mem.snapshot -> unit
 (** No-op if a memory-equivalent snapshot is already present. *)
 
-val insert : t -> Mem.snapshot -> bool
-(** Like {!add}, but reports whether the configuration was new. *)
-
 val add_live : t -> Mem.t -> bool
 (** Insert the store's current shared configuration.  In [Fingerprint]
     mode this allocates nothing; in [Exact] mode it snapshots. *)

@@ -135,17 +135,20 @@ let set_nth v i x =
    The undo-engine's hot loop fingerprints whole configurations and
    compares cell contents on every [cas], so values that live in
    memory cells are interned: one canonical [hc] node per structural
-   value (per domain), carrying its bucketing hash and the two
-   fixed-seed fingerprint half-digests used by [Mem.fingerprint_*].
-   Interning makes same-domain equality a pointer comparison and
-   fingerprint folding a single table lookup per cell.
+   value, carrying its bucketing hash and the two fixed-seed fingerprint
+   half-digests used by [Mem.fingerprint_*].  Interning makes equality a
+   pointer comparison and fingerprint folding a single table lookup per
+   cell.
 
-   Tables are domain-local ([Domain.DLS]): the torture engine's worker
-   domains each intern into their own table, so no locking is needed.
-   Consequently [==] on [hc] certifies equality only within a domain —
-   cross-domain comparisons must fall back to [hc_equal], which is why
-   it first compares the cached hashes.  The interned seeds are fixed
-   (below) so the cached digests agree across domains. *)
+   The table is domain-local ([Domain.DLS]), so it needs no lock.  The
+   engines run on one domain (parallel torture uses worker processes),
+   so in practice there is one table per process.  It is never emptied:
+   it holds every distinct value interned since the process started,
+   and a long in-process torture run keeps all of them live.
+   [hc_equal] still falls back to the cached hash and a structural
+   comparison, so nodes from two tables (two domains) compare correctly,
+   and the digest seeds are fixed (below) so the cached digests agree
+   across tables. *)
 
 type hc = { node : t; h : int; da : int; db : int; bits : int }
 
@@ -167,7 +170,7 @@ let mk_hc v h =
    process ids), so they get a table-free constant-time path: one
    preallocated node each, shared by every [intern] call on the domain.
    They are never entered in [tbl], which keeps them canonical for the
-   domain's whole lifetime. *)
+   table's whole lifetime. *)
 let small_int_cache_size = 256
 
 type intern_state = {

@@ -69,12 +69,13 @@ val set_nth : t -> int -> t -> t
 
     Memory cells store interned values so that equality (the [cas] hot
     path) and configuration fingerprinting become O(1) per cell.  The
-    intern table is domain-local: within one domain, [intern] returns
-    the same physical node for structurally equal inputs, so [==]
-    certifies equality; across domains use {!hc_equal}, which falls
-    back to a (hash-gated) structural comparison.  The cached digests
-    [da]/[db] are computed with fixed seeds, hence identical for the
-    same structural value in every domain. *)
+    intern table is domain-local and never emptied, so it lives as long
+    as the process (the engines run on one domain): [intern] returns the
+    same physical node for structurally equal inputs, so [==] certifies
+    equality; {!hc_equal} also compares nodes from different domains' tables
+    by a (hash-gated) structural comparison.  The cached digests [da]/[db]
+    are computed with fixed seeds, hence identical for the same
+    structural value in every table. *)
 
 type hc = private {
   node : t;  (** the underlying structural value *)

@@ -347,7 +347,7 @@ let push_incarnation ps ~restart =
     }
     :: ps.incs
 
-(* Reusable per-domain scratch: the reporting tables are the only
+(* Reusable scratch: the reporting tables are the only
    session-owned hash tables, and a torture campaign creates one session
    per trial — resetting two pre-sized tables beats allocating fresh
    ones millions of times. *)

@@ -15,10 +15,10 @@ type policy = Retry | Give_up
 type t
 
 type scratch
-(** Reusable per-domain session scratch: the two reporting hash tables
+(** Reusable session scratch: the two reporting hash tables
     ([op_steps]/[rec_steps]), pre-sized once and [Hashtbl.reset] between
-    trials.  A torture worker makes one per domain and threads it
-    through every trial's session, so per-trial table allocation
+    trials.  [Torture.run] and each campaign worker make one and thread
+    it through every trial's session, so per-trial table allocation
     disappears.  A scratch must not be shared by two live sessions. *)
 
 val make_scratch : unit -> scratch

@@ -70,7 +70,6 @@ type report = {
   elapsed_s : float;
   trials_per_sec : float;
   domains_used : int;
-  shards_rescued : int;
   alloc_minor_words : float;
   alloc_promoted_words : float;
   alloc_minor_collections : int;
@@ -154,9 +153,10 @@ type trial = {
 (* Everything random in a trial — workload, schedule, crash points, and
    (via the fault seed recorded in the crash plan) every crash's
    write-back — derives from [Prng.stream root ~index], so the trial is
-   a pure function of (spec, root, index) no matter which domain runs
-   it.  For [fault = Atomic] the draws are identical to the historical
-   engine, so atomic campaigns reproduce pre-fault-model reports. *)
+   a pure function of (spec, root, index) whichever process runs it, and
+   whenever.  For [fault = Atomic] the draws are identical to the
+   historical engine, so atomic campaigns reproduce pre-fault-model
+   reports. *)
 let run_trial spec ~scratch ~root ~index =
   let prng = Dtc_util.Prng.stream root ~index in
   let wseed =
@@ -373,7 +373,7 @@ let split_journal contents =
    trials are pure functions of their index.  Supervisor lifecycle
    events are skipped.  A line that is unreadable anywhere but the tail,
    records an out-of-range index, or conflicts with an earlier record of
-   the same trial is a hard error naming the line — overlapping shard
+   the same trial is a hard error naming the line — overlapping worker
    ranges must never silently double-count or mix results. *)
 let journaled_trials path (spec : spec) ~root_seed ~trials (header, rest) =
   let unreadable m =
@@ -445,10 +445,10 @@ let journaled_trials path (spec : spec) ~root_seed ~trials (header, rest) =
                   (match Hashtbl.find_opt seen i with
                   | Some (lineno0, tr0) ->
                       (* identical duplicates are idempotent replays
-                         (e.g. two shards raced on the same range) — keep
+                         (e.g. two workers raced on the same range) — keep
                          the first; conflicting duplicates mean
-                         overlapping shard ranges wrote different results
-                         and the journal cannot be trusted *)
+                         overlapping ranges wrote different results and
+                         the journal cannot be trusted *)
                       if tr0 <> tr then
                         bad lineno
                           (Printf.sprintf
@@ -466,17 +466,12 @@ let journaled_trials path (spec : spec) ~root_seed ~trials (header, rest) =
    starts with [header]; a resumed one ([existing] holds its bytes) is
    opened for append after truncating any torn trailing line (a writer
    died mid-write), so the new writes start at a line boundary and the
-   journal stays parseable on the next resume.  Every line is flushed
-   under the mutex as written, so any domain may write and a crash loses
-   at most the line in flight. *)
-type journal = { mu : Mutex.t; oc : out_channel }
-
-let journal_write j line =
-  Mutex.lock j.mu;
-  output_string j.oc line;
-  output_char j.oc '\n';
-  flush j.oc;
-  Mutex.unlock j.mu
+   journal stays parseable on the next resume.  Every line is flushed as
+   written, so a crash loses at most the line in flight. *)
+let journal_write oc line =
+  output_string oc line;
+  output_char oc '\n';
+  flush oc
 
 let open_journal path ~fresh ~existing ~header =
   let oc =
@@ -492,9 +487,8 @@ let open_journal path ~fresh ~existing ~header =
       Unix.out_channel_of_descr fd
     end
   in
-  let j = { mu = Mutex.create (); oc } in
-  if fresh then journal_write j header;
-  j
+  if fresh then journal_write oc header;
+  oc
 
 (* ------------------------------------------------------------------ *)
 (* merge *)
@@ -516,9 +510,9 @@ let dist_of xs =
       }
 
 (* merge in trial-index order: every aggregate below is a fold over
-   [ordered], so the report is independent of shard layout — and of
-   which trials were preloaded from a checkpoint, rescued from a dead
-   domain, or replayed by a respawned worker process *)
+   [ordered], so the report is independent of the order the trials ran
+   in — and of which trials were preloaded from a checkpoint or replayed
+   by a respawned worker process *)
 let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
   if Array.length by_trial <> trials then
     invalid_arg "Torture.merge: need exactly one record per trial";
@@ -636,7 +630,6 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
     elapsed_s = 0.0;
     trials_per_sec = 0.0;
     domains_used = 0;
-    shards_rescued = 0;
     alloc_minor_words = 0.0;
     alloc_promoted_words = 0.0;
     alloc_minor_collections = 0;
@@ -722,7 +715,7 @@ let run_with ?(shrink = true) ?checkpoint ?(resume = false)
       (Printf.sprintf
          {|{ "event": "interrupted", "completed": %d, "total": %d }|}
          completed trials);
-  Option.iter (fun j -> close_out j.oc) journal;
+  Option.iter close_out journal;
   if interrupted then raise (Interrupted { completed; total = trials });
   if completed < trials then invalid_arg "Torture.run: a trial was lost";
   let report =
@@ -737,73 +730,33 @@ let run_with ?(shrink = true) ?checkpoint ?(resume = false)
     },
     measured )
 
-let run ?(domains = 1) ?(root_seed = 1) ?(trials = 200) ?shrink ?checkpoint
-    ?resume ?should_stop spec =
-  let report, (rescued, alloc, executed) =
+let run ?(root_seed = 1) ?(trials = 200) ?shrink ?checkpoint ?resume
+    ?should_stop spec =
+  let report, (alloc, executed) =
     run_with ?shrink ?checkpoint ?resume ?should_stop ~root_seed ~trials spec
     @@ fun l ->
-    let n_missing = Array.length l.missing in
-    let domains = max 1 (min domains (max 1 n_missing)) in
-    (* shard d owns the missing positions { k | k mod domains = d };
-       trials share nothing, so the only cross-domain traffic is the
-       journal and the join.  Each worker builds one {!Session.scratch}
-       and reuses it across its whole trial range, and meters its own
-       allocation: [Gc.quick_stat] counters are per-domain, so the
-       snapshots bracket the loop inside the worker and the shard deltas
-       are summed after the join.  [stop] is polled between trials, so
-       an interrupt loses at most the trials in flight — everything
-       completed is already journaled. *)
-    let worker d () =
-      let scratch = Session.make_scratch () in
-      let a0 = Dtc_util.Alloc_stats.snap () in
-      let acc = ref [] in
-      let k = ref d in
-      while !k < n_missing && not (l.stop ()) do
-        let i = l.missing.(!k) in
-        let tr = run_trial spec ~scratch ~root:root_seed ~index:i in
-        l.journal i tr;
-        acc := (i, tr) :: !acc;
-        k := !k + domains
-      done;
-      let alloc =
-        Dtc_util.Alloc_stats.delta ~before:a0
-          ~after:(Dtc_util.Alloc_stats.snap ())
-      in
-      (!acc, alloc)
-    in
-    let rescued = ref 0 in
-    let rescue d =
-      incr rescued;
-      worker d ()
-    in
-    let shards =
-      if domains = 1 then [ worker 0 () ]
-      else
-        (* a shard whose domain dies (spawn failure or an escaped
-           exception — run_trial contains per-trial faults, so this is a
-           last line of defence) is re-run on the joining domain: trials
-           are pure functions of their index, so the re-run is
-           bit-identical to what the lost domain would have produced *)
-        List.init domains (fun d ->
-            try Some (Domain.spawn (worker d)) with _ -> None)
-        |> List.mapi (fun d h ->
-               match Option.map Domain.join h with
-               | Some shard -> shard
-               | None | (exception _) -> rescue d)
-    in
-    List.iter
-      (fun (shard, _) -> List.iter (fun (i, tr) -> l.keep i tr) shard)
-      shards;
+    (* one {!Session.scratch} serves every trial, and one allocation
+       snapshot pair brackets the whole loop.  [stop] is polled between
+       trials, so an interrupt loses at most the trial in flight —
+       everything completed is already journaled. *)
+    let scratch = Session.make_scratch () in
+    let a0 = Dtc_util.Alloc_stats.snap () in
+    let executed = ref 0 in
+    while !executed < Array.length l.missing && not (l.stop ()) do
+      let i = l.missing.(!executed) in
+      let tr = run_trial spec ~scratch ~root:root_seed ~index:i in
+      l.journal i tr;
+      l.keep i tr;
+      incr executed
+    done;
     let alloc =
-      List.fold_left
-        (fun acc (_, d) -> Dtc_util.Alloc_stats.add acc d)
-        Dtc_util.Alloc_stats.zero shards
+      Dtc_util.Alloc_stats.delta ~before:a0
+        ~after:(Dtc_util.Alloc_stats.snap ())
     in
-    (domains, (!rescued, alloc, n_missing))
+    (1, (alloc, !executed))
   in
   {
     report with
-    shards_rescued = rescued;
     alloc_minor_words = alloc.Dtc_util.Alloc_stats.d_minor_words;
     alloc_promoted_words = alloc.Dtc_util.Alloc_stats.d_promoted_words;
     alloc_minor_collections = alloc.Dtc_util.Alloc_stats.d_minor_collections;
@@ -902,10 +855,10 @@ let to_json ?(timing = true) ?(supervision = no_supervision) r =
   if timing then
     add
       ",\n  \"timing\": { \"elapsed_s\": %.6f, \"trials_per_sec\": %.1f, \
-       \"domains\": %d, \"shards_rescued\": %d, \"alloc\": { \"minor_words\": \
-       %.0f, \"promoted_words\": %.0f, \"minor_collections\": %d, \
+       \"domains\": %d, \"alloc\": { \"minor_words\": %.0f, \
+       \"promoted_words\": %.0f, \"minor_collections\": %d, \
        \"bytes_per_trial\": %.1f }, \"supervision\": %s }\n"
-      r.elapsed_s r.trials_per_sec r.domains_used r.shards_rescued
+      r.elapsed_s r.trials_per_sec r.domains_used
       r.alloc_minor_words r.alloc_promoted_words r.alloc_minor_collections
       r.bytes_per_trial (supervision_json supervision)
   else add "\n";
@@ -915,12 +868,12 @@ let to_json ?(timing = true) ?(supervision = no_supervision) r =
 let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
   (* the non-timing lines below are pure functions of the deterministic
      report fields — with [~timing:false] this rendering is the text
-     analogue of [to_json ~timing:false], byte-identical across domain
+     analogue of [to_json ~timing:false], byte-identical across worker
      counts, resume splits and supervision schedules *)
   if timing then
     Format.fprintf fmt
-      "torture: %s — %d trials, root seed %d, policy %s, fault %s, %d \
-       domain(s)@."
+      "torture: %s — %d trials, root seed %d, policy %s, fault %s, \
+       parallelism %d@."
       r.label r.trials r.root_seed (policy_string r.policy)
       (Nvm.Fault_model.to_string r.fault)
       r.domains_used
@@ -942,11 +895,8 @@ let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
   Format.fprintf fmt "space:      max_shared_bits min %d, mean %.1f, max %d@."
     r.max_shared_bits.d_min r.max_shared_bits.d_mean r.max_shared_bits.d_max;
   if timing then begin
-    Format.fprintf fmt "throughput: %.1f trials/sec (%.3fs elapsed%s)@."
-      r.trials_per_sec r.elapsed_s
-      (if r.shards_rescued > 0 then
-         Printf.sprintf ", %d shard(s) rescued" r.shards_rescued
-       else "");
+    Format.fprintf fmt "throughput: %.1f trials/sec (%.3fs elapsed)@."
+      r.trials_per_sec r.elapsed_s;
     Format.fprintf fmt
       "alloc:      %.0f bytes/trial (%.0f minor words, %.0f promoted, %d \
        minor GCs)@."

@@ -1,7 +1,7 @@
 open History
 open Sched
 
-(** The sharded, deterministic, fault-model-aware crash-torture engine.
+(** The deterministic, fault-model-aware crash-torture engine.
 
     A torture {e campaign} runs [trials] independent seeded executions of
     one object under random schedules and random crash injection — with
@@ -20,13 +20,13 @@ open Sched
     child generator [Dtc_util.Prng.stream r ~index:i], computed in O(1)
     from [(r, i)] alone; the trial's fault stream is seeded from that
     same generator, and each crash's write-back keys on the crash index
-    within the trial.  Shards own disjoint trial-index sets and every
-    trial builds its own machine, so no state crosses trials; the merge
-    folds per-trial records in trial-index order.  Hence the merged
-    report — every field except the [timing] block — is a pure function
-    of [(spec, root_seed, trials)]: bit-identical for any [domains],
-    including 1, for any interruption/resume split, and for any
-    process-level supervision schedule ({!Campaign}).  {!to_json} with
+    within the trial.  Every trial builds its own machine, so no state
+    crosses trials whatever order they run in; the merge folds per-trial
+    records in trial-index order.  Hence the merged report — every field
+    except the [timing] block — is a pure function of
+    [(spec, root_seed, trials)]: bit-identical for any interruption/resume
+    split and for any number of worker processes and any supervision
+    schedule ({!Campaign}).  {!to_json} with
     [~timing:false] renders exactly the deterministic fields, which is
     what the determinism regression tests and the bench baseline
     comparison rely on.
@@ -35,11 +35,10 @@ open Sched
 
     The engine survives the object under test: a raise out of object
     code becomes that trial's [engine_fault] verdict (message +
-    backtrace, campaign continues), a spinning operation or recovery is
-    cut by the [watchdog] step budget into a [budget_exhausted] verdict,
-    and a shard whose domain dies has its trial range re-run on the
-    joining domain from the same seed stream (reported as
-    [shards_rescued] in the timing block).
+    backtrace, campaign continues), and a spinning operation or recovery
+    is cut by the [watchdog] step budget into a [budget_exhausted]
+    verdict.  Surviving a worker process that dies is {!Campaign}'s
+    job.
 
     {2 Checkpointing}
 
@@ -55,7 +54,7 @@ open Sched
     header that mismatches the parameters, does not parse, or lacks or
     mistypes a key is rejected, as are a blank first line followed by
     records, an unreadable line before the tail, an out-of-range trial
-    index and two {e different} records of one trial (overlapping shard
+    index and two {e different} records of one trial (overlapping worker
     ranges); identical duplicates are deduplicated.  The format and
     these rules are private to this module: {!run} and {!Campaign.run}
     both go through {!run_with}, so either resumes the other's journal.
@@ -156,8 +155,8 @@ type report = {
   crashes_injected : int;  (** total crash events across all trials *)
   crash_hist : (int * int) list;
       (** crash-point histogram: [(bucket_lo, count)], ascending, bucket
-          width {!crash_bucket}; a crash at global step [s] lands in the
-          bucket [s / crash_bucket * crash_bucket] *)
+          width 16; a crash at global step [s] lands in the bucket
+          [s / 16 * 16] *)
   rec_returned : int;
       (** recovery verdicts "was linearized, here is the response"
           ([Event.Rec_ret]) across all trials *)
@@ -171,15 +170,14 @@ type report = {
   elapsed_s : float;  (** wall-clock of the trial phase (shrinking excluded) *)
   trials_per_sec : float;
   domains_used : int;
-  shards_rescued : int;
-      (** shard domains that died and had their range re-run on the
-          joining domain (0 in a healthy campaign) *)
+      (** the executor's parallelism: 1 for {!run}, the initial worker
+          count for {!Campaign.run} *)
   alloc_minor_words : float;
-      (** words allocated on the minor heaps of the trial loops, summed
-          over worker domains ({!Dtc_util.Alloc_stats}); measured around
-          each worker's whole trial range, so the per-trial machine and
-          session construction is included, the merge/shrink phases are
-          not *)
+      (** words allocated on the minor heap by {!run}'s trial loop
+          ({!Dtc_util.Alloc_stats}); measured around the whole loop, so
+          the per-trial machine and session construction is included,
+          the merge/shrink phases are not.  Zero for {!Campaign.run},
+          whose trials allocate in the workers *)
   alloc_promoted_words : float;
   alloc_minor_collections : int;
   bytes_per_trial : float;
@@ -187,9 +185,6 @@ type report = {
           preloaded from a resumed checkpoint are excluded from the
           denominator since they never ran *)
 }
-
-val crash_bucket : int
-(** Width of the crash-point histogram buckets (16 steps). *)
 
 (** {2 Per-trial interface}
 
@@ -232,8 +227,8 @@ val merge :
   spec -> root_seed:int -> trials:int -> shrink:bool -> trial array -> report
 (** Fold the per-trial records (element [i] = trial [i]) into a report,
     shrinking the first failure when [shrink].  The timing-block fields
-    ([elapsed_s], [trials_per_sec], [domains_used], [shards_rescued],
-    [alloc_*], [bytes_per_trial]) are zeroed; callers that measured them
+    ([elapsed_s], [trials_per_sec], [domains_used], [alloc_*],
+    [bytes_per_trial]) are zeroed; callers that measured them
     record-update the result. *)
 
 (** {2 Pipe protocol} *)
@@ -262,17 +257,17 @@ exception Interrupted of { completed : int; total : int }
 type ledger = {
   missing : int array;  (** trial indices not yet held, ascending *)
   stop : unit -> bool;  (** the campaign's [should_stop] *)
-  has : int -> bool;  (** whether trial [i] is held; calling domain only *)
-  keep : int -> trial -> unit;
-      (** hold trial [i] for the merge; calling domain only *)
+  has : int -> bool;  (** whether trial [i] is held *)
+  keep : int -> trial -> unit;  (** hold trial [i] for the merge *)
   journal : ?line:string -> int -> trial -> unit;
-      (** append trial [i] to the journal as it finishes; any domain, and
-          a no-op without a checkpoint (nothing is serialised then).
+      (** append trial [i] to the journal as it finishes, flushed; a
+          no-op without a checkpoint (nothing is serialised then).
           [line], when given, is [trial_line i tr] as already received
           from a worker, and is written verbatim instead of re-rendered *)
-  event : string -> unit;  (** append one lifecycle event line; any domain *)
+  event : string -> unit;  (** append one lifecycle event line *)
 }
-(** What {!run_with} hands an executor. *)
+(** What {!run_with} hands an executor.  Not thread-safe: the executor
+    calls it from the one thread that called {!run_with}. *)
 
 val run_with :
   ?shrink:bool ->
@@ -297,7 +292,6 @@ val run_with :
     not readable as one (see Checkpointing above). *)
 
 val run :
-  ?domains:int ->
   ?root_seed:int ->
   ?trials:int ->
   ?shrink:bool ->
@@ -306,8 +300,10 @@ val run :
   ?should_stop:(unit -> bool) ->
   spec ->
   report
-(** Run a campaign through {!run_with}, sharding the missing trial
-    indices round-robin over [domains] (default 1) OCaml domains.
+(** Run a campaign through {!run_with}, in this process: the missing
+    trial indices run one after another, in ascending order.  For more
+    than one core, run the same campaign with {!Campaign.run}'s worker
+    processes; its report is byte-identical ({!to_json} [~timing:false]).
     [shrink] (default [true]) minimises the first failing trial's
     schedule after the merge.  [checkpoint] journals completed trials to
     that path as they finish; [resume] (default [false], requires
@@ -315,13 +311,11 @@ val run :
     only the missing indices — producing a report byte-identical
     ({!to_json} [~timing:false]) to an uninterrupted campaign.
     [should_stop] (default [fun () -> false]) is polled between trials
-    on every worker domain (it must therefore be thread-safe — an
-    [Atomic.t] flag flipped by a signal handler is the intended use);
-    once it turns true the campaign stops issuing trials and raises
+    (a flag flipped by a signal handler is the intended use); once it
+    turns true the campaign stops issuing trials and raises
     {!Interrupted} after journaling what completed.
-    Each worker reuses one {!Sched.Session.scratch} across its whole
-    trial range and meters its own allocation; the report's
-    [alloc_*]/[bytes_per_trial] fields are the per-domain sums.
+    One {!Sched.Session.scratch} serves every trial, and the report's
+    [alloc_*]/[bytes_per_trial] fields meter the whole trial loop.
     Defaults: [root_seed = 1], [trials = 200]. *)
 
 (** {2 Supervision metadata}

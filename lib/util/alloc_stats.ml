@@ -1,11 +1,9 @@
-(* Per-domain allocation accounting for the hot loops.
+(* Allocation accounting for the hot loops.
 
    Everything here is a thin veneer over [Gc.quick_stat], which reads the
-   *current domain's* counters without forcing a collection.  A [snap] is
+   calling domain's counters without forcing a collection.  A [snap] is
    taken before and after a region of interest; the [delta] is the
-   allocation attributable to that region on that domain.  Deltas from
-   several domains can be [add]ed because the underlying counters are
-   per-domain monotone.
+   allocation attributable to that region.
 
    [allocated_words] follows the standard OCaml accounting identity:
    minor_words + major_words - promoted_words (promoted words would
@@ -34,14 +32,6 @@ type delta = {
   d_minor_collections : int;
 }
 
-let zero =
-  {
-    d_minor_words = 0.;
-    d_promoted_words = 0.;
-    d_major_words = 0.;
-    d_minor_collections = 0;
-  }
-
 let delta ~before ~after =
   {
     d_minor_words = after.minor_words -. before.minor_words;
@@ -50,17 +40,8 @@ let delta ~before ~after =
     d_minor_collections = after.minor_collections - before.minor_collections;
   }
 
-let add a b =
-  {
-    d_minor_words = a.d_minor_words +. b.d_minor_words;
-    d_promoted_words = a.d_promoted_words +. b.d_promoted_words;
-    d_major_words = a.d_major_words +. b.d_major_words;
-    d_minor_collections = a.d_minor_collections + b.d_minor_collections;
-  }
-
 let allocated_words d = d.d_minor_words +. d.d_major_words -. d.d_promoted_words
-let word_bytes = Sys.word_size / 8
-let allocated_bytes d = allocated_words d *. float_of_int word_bytes
+let allocated_bytes d = allocated_words d *. float_of_int (Sys.word_size / 8)
 
 let bytes_per d n =
   if n <= 0 then 0. else allocated_bytes d /. float_of_int n

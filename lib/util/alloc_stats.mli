@@ -1,16 +1,15 @@
-(** Per-domain allocation accounting via [Gc.quick_stat] deltas.
+(** Allocation accounting via [Gc.quick_stat] deltas.
 
     Used by the torture and model-checking hot loops to make their
     allocation behaviour observable ([bytes_per_trial] /
     [bytes_per_node] in reports, CLI output and bench JSON) without
     perturbing it: [snap] never forces a collection.
 
-    Counters are per-domain: take snapshots on the domain that runs the
-    loop (inside the worker, not around [Domain.join]).  Deltas from
-    different domains can be summed with [add]. *)
+    [Gc.quick_stat] reads the calling domain's counters, so a snapshot
+    pair meters the code that ran on that domain between them. *)
 
 type snap
-(** The current domain's GC counters at one instant. *)
+(** The calling domain's GC counters at one instant. *)
 
 val snap : unit -> snap
 
@@ -22,16 +21,11 @@ type delta = {
 }
 (** Counter differences over a region of one domain's execution. *)
 
-val zero : delta
 val delta : before:snap -> after:snap -> delta
-val add : delta -> delta -> delta
 
 val allocated_words : delta -> float
 (** [minor + major - promoted]: total words allocated, counting each
     word once regardless of promotion. *)
-
-val word_bytes : int
-(** Bytes per OCaml word on this platform (8 on 64-bit). *)
 
 val allocated_bytes : delta -> float
 

@@ -61,8 +61,8 @@ let split g =
 (* The [index]-th raw output of a generator with counter state [root] is
    [mix (root + (index+1) * gamma)], so any child stream of a root seed
    can be derived in O(1) without advancing a shared generator.  This is
-   the determinism backbone of the sharded torture engine: shard layout
-   never touches the per-trial streams. *)
+   the determinism backbone of the torture engine: which worker runs a
+   trial, and when, never touches the per-trial streams. *)
 let stream root ~index =
   if index < 0 then invalid_arg "Prng.stream: index must be non-negative";
   let raw =

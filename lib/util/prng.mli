@@ -50,9 +50,9 @@ val stream : int -> index:int -> t
     like the generator obtained by calling {!split} on [create root]
     [i+1] times and keeping the last result — but any worker can compute
     any stream directly.  This is the determinism contract of the
-    sharded torture engine: trial [i] always runs on
-    [stream root ~index:i], no matter which domain executes it or how
-    many domains exist.  Requires [index >= 0]. *)
+    torture engine: trial [i] always runs on [stream root ~index:i], no
+    matter which worker process executes it or how many exist.
+    Requires [index >= 0]. *)
 
 val stream_seed : int -> index:int -> int
 (** [stream_seed root ~index] is a non-negative integer seed (62 bits)

@@ -1,7 +1,7 @@
-(* Tests for the sharded, deterministic parallel crash-torture engine
-   (lib/torture): the determinism contract (merged reports bit-identical
-   across domain counts), report aggregation sanity, failure capture +
-   schedule minimisation on a broken object, and the JSON rendering. *)
+(* Tests for the deterministic crash-torture engine (lib/torture): the
+   determinism contract (merged reports bit-identical whatever order the
+   trials ran in), report aggregation sanity, failure capture + schedule
+   minimisation on a broken object, and the JSON rendering. *)
 
 open Sched
 
@@ -22,20 +22,6 @@ let broken_spec () =
       Workload.cas (Dtc_util.Prng.create s) ~procs:3 ~ops_per_proc:3 ~values:2)
     ()
 
-(* The acceptance criterion: for a fixed root seed, the merged report is
-   bit-identical whether the trials ran on 1 domain or 4.  [to_json
-   ~timing:false] renders exactly the fields the contract covers, so
-   string equality is the strongest possible check. *)
-let test_domains_deterministic () =
-  let spec = dcas_spec () in
-  let r1 = Torture.run ~domains:1 ~root_seed:42 ~trials:60 spec in
-  let r4 = Torture.run ~domains:4 ~root_seed:42 ~trials:60 spec in
-  Alcotest.(check string)
-    "domains 1 vs 4: identical merged reports"
-    (Torture.to_json ~timing:false r1)
-    (Torture.to_json ~timing:false r4);
-  Alcotest.(check int) "domains recorded" 4 r4.Torture.domains_used
-
 let test_rerun_deterministic () =
   let spec = dcas_spec () in
   let a = Torture.run ~root_seed:7 ~trials:40 spec in
@@ -46,28 +32,6 @@ let test_rerun_deterministic () =
   let c = Torture.run ~root_seed:8 ~trials:40 spec in
   Alcotest.(check bool) "different seed, different report" true
     (Torture.to_json ~timing:false a <> Torture.to_json ~timing:false c)
-
-(* Scratch-reuse regression (ISSUE 8): each worker domain now creates
-   one [Session.make_scratch] and recycles it across every trial of its
-   shard.  At [domains = trials] each scratch serves exactly one trial
-   (effectively the old fresh-tables-per-trial behaviour); at
-   [domains = 1] a single scratch is reused for all of them.  Byte-equal
-   reports prove the recycled hash tables leak no state between trials —
-   on a clean object and on a violating one (where failure capture and
-   shrinking also run through the scratch). *)
-let test_scratch_reuse_deterministic () =
-  List.iter
-    (fun mkspec ->
-      let spec = mkspec () in
-      let fresh = Torture.run ~domains:24 ~root_seed:13 ~trials:24 spec in
-      let reused = Torture.run ~domains:1 ~root_seed:13 ~trials:24 spec in
-      Alcotest.(check string)
-        "one scratch per trial vs one scratch for all: identical reports"
-        (Torture.to_json ~timing:false fresh)
-        (Torture.to_json ~timing:false reused);
-      Alcotest.(check bool) "allocation metered" true
-        (reused.Torture.bytes_per_trial > 0.0))
-    [ (fun () -> dcas_spec ()); broken_spec ]
 
 let classified (r : Torture.report) =
   r.Torture.linearized + r.Torture.not_linearized + r.Torture.incomplete
@@ -152,7 +116,7 @@ let test_json_shape () =
       {|"crashes"|}; {|"histogram"|}; {|"steps"|}; {|"max_shared_bits"|};
       {|"first_failure"|}; {|"first_engine_fault"|}; {|"timing"|};
       {|"fault": "atomic"|}; {|"watchdog"|}; {|"budget_exhausted"|};
-      {|"engine_faults"|}; {|"shards_rescued"|}; {|"alloc"|};
+      {|"engine_faults"|}; {|"domains"|}; {|"alloc"|};
       {|"bytes_per_trial"|}; {|"supervision"|}; {|"workers_spawned"|};
       {|"rescues"|}; {|"degradations"|}; {|"inproc_trials"|};
     ];
@@ -209,19 +173,54 @@ let faulted_dcas_spec fault =
       Workload.cas (Dtc_util.Prng.create s) ~procs:3 ~ops_per_proc:3 ~values:2)
     ()
 
-(* the acceptance criterion extended to every fault model: for random
-   (seed, trials, fault), the merged report is bit-identical whether the
-   trials ran on 1 domain or 4 *)
-let prop_fault_models_domain_deterministic =
+(* the no-vec ablation on the same faulted machine: a violating spec,
+   so the first failure is captured and shrunk *)
+let faulted_broken_spec fault =
+  Torture.default_spec_of
+    ~label:("broken-dcas-no-vec+" ^ Nvm.Fault_model.to_string fault)
+    ~crash_prob:0.15 ~max_crashes:3 ~fault
+    ~mk:(fun () ->
+      let m = Runtime.Machine.create ~model:Runtime.Machine.Shared_cache () in
+      (m, Baselines.Broken.dcas_no_vec ~persist:true m ~n:3 ~init:(Nvm.Value.Int 0)))
+    ~workloads_of_seed:(fun s ->
+      Workload.cas (Dtc_util.Prng.create s) ~procs:3 ~ops_per_proc:3 ~values:2)
+    ()
+
+(* The determinism contract, for every fault model, on a clean and a
+   violating object: trials run one by one in a shuffled index order,
+   each on a fresh scratch, then merged, give byte for byte the report
+   [Torture.run] gives by running them in ascending order on one reused
+   scratch.  So neither the order trials run in (what lets a campaign
+   split them over worker processes) nor the scratch a trial inherits
+   from the one before it shows in the report. *)
+let prop_order_and_scratch_invisible =
   QCheck.Test.make
-    ~name:"fault models: domains 1 = domains 4 (bit-identical)" ~count:8
+    ~name:"fault models: shuffled fresh-scratch trials merge = run" ~count:8
     QCheck.(
-      triple (int_range 1 1_000_000) (int_range 5 20) (int_range 0 3))
-    (fun (seed, trials, fi) ->
-      let spec = faulted_dcas_spec (List.nth fault_choices fi) in
-      let r1 = Torture.run ~domains:1 ~root_seed:seed ~trials spec in
-      let r4 = Torture.run ~domains:4 ~root_seed:seed ~trials spec in
-      Torture.to_json ~timing:false r1 = Torture.to_json ~timing:false r4)
+      quad (int_range 1 1_000_000) (int_range 5 20) (int_range 0 3) bool)
+    (fun (seed, trials, fi, broken) ->
+      let fault = List.nth fault_choices fi in
+      let spec =
+        if broken then faulted_broken_spec fault else faulted_dcas_spec fault
+      in
+      let order = Array.init trials Fun.id in
+      Dtc_util.Prng.shuffle (Dtc_util.Prng.create seed) order;
+      let by_trial = Array.make trials None in
+      Array.iter
+        (fun index ->
+          by_trial.(index) <-
+            Some
+              (Torture.run_trial spec ~scratch:(Session.make_scratch ())
+                 ~root:seed ~index))
+        order;
+      let merged =
+        Torture.merge spec ~root_seed:seed ~trials ~shrink:true
+          (Array.map Option.get by_trial)
+      in
+      let r = Torture.run ~root_seed:seed ~trials spec in
+      r.Torture.domains_used = 1
+      && r.Torture.bytes_per_trial > 0.0
+      && Torture.to_json ~timing:false merged = Torture.to_json ~timing:false r)
 
 (* Drop loses unpersisted lines an instrumented algorithm never depends
    on, so the paper's detectable CAS survives it by design *)
@@ -238,17 +237,7 @@ let test_dcas_survives_drop () =
    enough trials — here the ablated CAS, whose recovery guesses from a
    word that can now tear *)
 let test_faulted_broken_flagged () =
-  let spec =
-    Torture.default_spec_of ~label:"broken-dcas-no-vec+torn" ~crash_prob:0.15
-      ~max_crashes:3
-      ~fault:(Nvm.Fault_model.Torn { granularity = 1 })
-      ~mk:(fun () ->
-        let m = Runtime.Machine.create ~model:Runtime.Machine.Shared_cache () in
-        (m, Baselines.Broken.dcas_no_vec ~persist:true m ~n:3 ~init:(Nvm.Value.Int 0)))
-      ~workloads_of_seed:(fun s ->
-        Workload.cas (Dtc_util.Prng.create s) ~procs:3 ~ops_per_proc:3 ~values:2)
-      ()
-  in
+  let spec = faulted_broken_spec (Nvm.Fault_model.Torn { granularity = 1 }) in
   let r = Torture.run ~root_seed:1 ~trials:150 spec in
   Alcotest.(check bool) "ablation flagged under torn" true
     (r.Torture.not_linearized > 0);
@@ -433,7 +422,7 @@ let replace_once ~sub ~by s =
   go 0
 
 (* the journal line for trial [i], rewritten to claim index [j] — the
-   forgery overlapping shard ranges would produce *)
+   forgery overlapping worker ranges would produce *)
 let reindexed_line lines ~from_i ~to_i =
   let old_p = Printf.sprintf {|{ "i": %d,|} from_i in
   let new_p = Printf.sprintf {|{ "i": %d,|} to_i in
@@ -450,7 +439,7 @@ let expect_invalid what sub run =
       if not (string_contains m sub) then
         Alcotest.failf "%s diagnostic %S does not mention %S" what m sub
 
-(* replaying trial lines verbatim (two shards raced on the same range)
+(* replaying trial lines verbatim (two workers raced on the same range)
    must dedupe idempotently and change nothing *)
 let test_checkpoint_duplicates_deduped () =
   let spec = dcas_spec () in
@@ -495,7 +484,7 @@ let test_checkpoint_header_keys_named () =
         ])
 
 (* a duplicate trial index carrying a different result means overlapping
-   shard ranges disagreed — hard error naming both lines *)
+   worker ranges disagreed — hard error naming both lines *)
 let test_checkpoint_conflict_rejected () =
   let spec = dcas_spec () in
   with_temp_journal (fun path ->
@@ -620,7 +609,7 @@ let test_should_stop_interrupts_and_resumes () =
       let calls = Atomic.make 0 in
       let should_stop () = Atomic.fetch_and_add calls 1 >= 12 in
       (match
-         Torture.run ~domains:2 ~root_seed:33 ~trials:40 ~checkpoint:path
+         Torture.run ~root_seed:33 ~trials:40 ~checkpoint:path
            ~should_stop spec
        with
       | (_ : Torture.report) ->
@@ -828,12 +817,8 @@ let suites =
   [
     ( "torture.engine",
       [
-        Alcotest.test_case "domains 1 = domains 4 (bit-identical)" `Quick
-          test_domains_deterministic;
         Alcotest.test_case "rerun deterministic, seed-sensitive" `Quick
           test_rerun_deterministic;
-        Alcotest.test_case "scratch reuse leaks no state across trials" `Quick
-          test_scratch_reuse_deterministic;
         Alcotest.test_case "aggregation sane" `Quick test_aggregation_sane;
         Alcotest.test_case "broken object fails and shrinks" `Quick
           test_broken_object_fails_and_shrinks;
@@ -847,7 +832,7 @@ let suites =
       ] );
     ( "torture.faults",
       [
-        QCheck_alcotest.to_alcotest prop_fault_models_domain_deterministic;
+        QCheck_alcotest.to_alcotest prop_order_and_scratch_invisible;
         Alcotest.test_case "dcas survives drop" `Quick test_dcas_survives_drop;
         Alcotest.test_case "torn flags the no-vec ablation" `Quick
           test_faulted_broken_flagged;

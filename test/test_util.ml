@@ -110,7 +110,7 @@ let test_int_large_bound_unbiased_tail () =
   Alcotest.(check bool) "upper half populated" true (!high > 800)
 
 let test_stream_matches_split_chain () =
-  (* the determinism backbone of the sharded torture engine:
+  (* the determinism backbone of the torture engine:
      [stream root ~index:i] equals the i-th successive [split] of
      [create root], but is derived in O(1) without advancing a shared
      generator — so any worker can reconstruct any trial's stream *)
