@@ -380,12 +380,8 @@ let lincheck_histories ~trials ~procs ~ops_per_proc ~seed =
       let m, inst = mk "drw" ~n:procs () in
       let workloads = Workload.register (Prng.create wseed) ~procs ~ops_per_proc ~values:3 in
       let cfg =
-        {
-          Driver.schedule = Schedule.random (Prng.split prng);
-          crash_plan = Crash_plan.faulted ~max_crashes:2 ~prob:0.002 (Prng.split prng);
-          policy = Session.Retry;
-          max_steps = 1_000_000;
-        }
+        Driver.seeded_config ~max_steps:1_000_000 ~max_crashes:2
+          ~crash_prob:0.002 prng
       in
       (inst.Obj_inst.spec, (Driver.run m inst ~workloads cfg).Driver.history))
 

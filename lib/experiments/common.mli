@@ -6,18 +6,16 @@ open Sched
 
 val i : int -> Value.t
 
-val torture_count :
-  ?policy:Session.policy ->
-  ?fault:Fault_model.t ->
-  ?crash_prob:float ->
-  ?max_crashes:int ->
-  trials:int ->
-  mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->
-  workloads_of_seed:(int -> Spec.op list array) ->
-  unit ->
-  int * int
-(** [(violations, crashes_injected)] over the given number of seeded
-    random runs with random crash injection. *)
+val predicted_table :
+  title:string -> string list -> (string list * bool) list -> Dtc_util.Table.t
+(** [predicted_table ~title columns rows]: each row is its cells and
+    whether it came out as predicted, rendered as a last "as predicted"
+    column reading [yes] or [NO] (CI fails on any [NO]). *)
+
+val violations : Torture.report -> int
+(** The trials of a torture campaign that count against an
+    implementation: not linearized, cut by the step budget or the
+    watchdog, or raising out of object code. *)
 
 val run_steps :
   mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->

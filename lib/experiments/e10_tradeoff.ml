@@ -115,16 +115,10 @@ let table () =
       let rec_steps = ref 0 in
       for seed = 1 to 10 do
         let machine, inst, probe = r.mk () in
-        let prng = Dtc_util.Prng.create (100 * seed) in
         let cfg =
-          {
-            Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
-            crash_plan =
-              Crash_plan.faulted ~max_crashes:2 ~prob:0.03
-                (Dtc_util.Prng.split prng);
-            policy = Session.Retry;
-            max_steps = 500_000;
-          }
+          Driver.seeded_config ~max_steps:500_000 ~max_crashes:2
+            ~crash_prob:0.03
+            (Dtc_util.Prng.create (100 * seed))
         in
         let res = Driver.run machine inst ~workloads:(r.workloads seed) cfg in
         bits := max !bits (probe machine);

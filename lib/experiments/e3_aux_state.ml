@@ -1,4 +1,3 @@
-open Dtc_util
 open History
 
 type row = {
@@ -51,30 +50,19 @@ let rows () =
     };
   ]
 
+(* the cells of a row and whether it is as predicted *)
 let run_row r =
   let reports =
     Perturb.Adversary.attack ~mk:r.mk ~workloads:r.workloads ~switch_budget:2 ()
   in
-  not (Perturb.Adversary.survives reports)
+  let violated = not (Perturb.Adversary.survives reports) in
+  let verdict v = if v then "violation" else "clean" in
+  ( [ r.label; verdict r.expect_violation; verdict violated ],
+    violated = r.expect_violation )
 
 let table () =
-  let t =
-    Table.create
-      ~title:"E3 (Fig.2/Thm.2): the auxiliary-state adversary"
-      [ "implementation"; "theory predicts"; "adversary found"; "as predicted" ]
-  in
-  List.iter
-    (fun r ->
-      let violated = run_row r in
-      Table.add_row t
-        [
-          r.label;
-          (if r.expect_violation then "violation" else "clean");
-          (if violated then "violation" else "clean");
-          (if violated = r.expect_violation then "yes" else "NO");
-        ])
-    (rows ());
-  t
+  Common.predicted_table ~title:"E3 (Fig.2/Thm.2): the auxiliary-state adversary"
+    [ "implementation"; "theory predicts"; "adversary found" ]
+    (List.map run_row (rows ()))
 
-let all_as_predicted () =
-  List.for_all (fun r -> run_row r = r.expect_violation) (rows ())
+let all_as_predicted () = List.for_all snd (List.map run_row (rows ()))

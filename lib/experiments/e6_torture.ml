@@ -4,12 +4,11 @@ open History
 open Sched
 
 type run =
-  | Torture of {
-      workloads : int -> Spec.op list array;
-      policy : Session.policy;
-      crash_prob : float;
-      max_crashes : int;
-    }
+  | Torture of Session.policy * (int -> Spec.op list array)
+  | Exhaustive of Session.policy * Spec.op list array
+      (* a calibration row's verdict must not rest on a random sample
+         finding its window, so it explores every schedule with at most
+         one context switch and one crash *)
   | Directed_aba
       (* random torture rarely produces the ABA re-installation race, so
          the row runs [aba_directed] once instead *)
@@ -78,105 +77,97 @@ let aba_directed ~mk =
   if res.Driver.incomplete then failwith "drain did not converge";
   Driver.check inst res
 
-let reg_workloads base seed =
-  Workload.register (Prng.create (base + seed)) ~procs:3 ~ops_per_proc:3
-    ~values:2
+let reg_workloads seed =
+  Workload.register (Prng.create seed) ~procs:3 ~ops_per_proc:3 ~values:2
 
-let cas_workloads base seed =
-  Workload.cas (Prng.create (base + seed)) ~procs:3 ~ops_per_proc:3 ~values:2
+let cas_workloads seed =
+  Workload.cas (Prng.create seed) ~procs:3 ~ops_per_proc:3 ~values:2
 
-let queue_workloads base seed =
-  Workload.queue (Prng.create (base + seed)) ~procs:3 ~ops_per_proc:3
-    ~values:3
+let queue_workloads seed =
+  Workload.queue (Prng.create seed) ~procs:3 ~ops_per_proc:3 ~values:3
 
-(* the paper's algorithms face mild torture and must score zero; the
-   ablations face harsher torture and must score above zero *)
-let correct ?(policy = Session.Retry) workloads =
-  Torture { workloads; policy; crash_prob = 0.05; max_crashes = 2 }
-
-let ablation ~policy workloads =
-  Torture { workloads; policy; crash_prob = 0.15; max_crashes = 3 }
+(* the paper's algorithms face crash torture and must score zero *)
+let torture ?(policy = Session.Retry) workloads = Torture (policy, workloads)
 
 let obj ?capacity name = Objects.mk ?capacity (Objects.find name) ~n:3
 
 let row label mk run = { label; mk; expect_zero = true; run }
 let broken label mk run = { label; mk; expect_zero = false; run }
+let cas a b = Spec.cas_op (Value.Int a) (Value.Int b)
+let enq v = Spec.enq_op (Value.Int v)
 
 let rows =
   [
-    row "drw (Alg.1), retry" (obj "drw") (correct (reg_workloads 0));
+    row "drw (Alg.1), retry" (obj "drw") (torture reg_workloads);
     row "drw (Alg.1), give-up" (obj "drw")
-      (correct ~policy:Session.Give_up (reg_workloads 10_000));
-    row "dcas (Alg.2), retry" (obj "dcas") (correct (cas_workloads 0));
+      (torture ~policy:Session.Give_up reg_workloads);
+    row "dcas (Alg.2), retry" (obj "dcas") (torture cas_workloads);
     row "dmax (Alg.3), retry" (obj "dmax")
-      (correct (fun seed ->
+      (torture (fun seed ->
            Workload.max_register (Prng.create seed) ~procs:3 ~ops_per_proc:3
              ~values:5));
     row "dcounter (capsule), retry" (obj "dcounter")
-      (correct (fun seed ->
+      (torture (fun seed ->
            Workload.counter (Prng.create seed) ~procs:3 ~ops_per_proc:3));
     row "dfaa (capsule), retry" (obj "dfaa")
-      (correct (fun seed ->
+      (torture (fun seed ->
            Workload.faa (Prng.create seed) ~procs:3 ~ops_per_proc:3
              ~max_delta:3));
-    row "dqueue, retry" (obj ~capacity:64 "dqueue") (correct (queue_workloads 0));
-    row "urw (unbounded), retry" (obj "urw") (correct (reg_workloads 20_000));
-    row "ucas (unbounded), retry" (obj "ucas") (correct (cas_workloads 30_000));
+    row "dqueue, retry" (obj ~capacity:64 "dqueue") (torture queue_workloads);
+    row "urw (unbounded), retry" (obj "urw") (torture reg_workloads);
+    row "ucas (unbounded), retry" (obj "ucas") (torture cas_workloads);
     broken "ABLATION drw without toggle bits (directed ABA)"
       (obj "broken-drw-no-toggle") Directed_aba;
-    broken "ABLATION dcas without flip vector" (obj "broken-dcas-no-vec")
-      (ablation ~policy:Session.Retry (cas_workloads 50_000));
+    broken "ABLATION dcas without flip vector (exhaustive)"
+      (obj "broken-dcas-no-vec")
+      (Exhaustive
+         (Session.Retry, [| [ cas 0 1; cas 1 0 ]; [ cas 0 1 ]; [ Spec.read_op ] |]));
     row "drw (Alg.1) under the same directed ABA" (obj "drw") Directed_aba;
     (* the plain register's single-step write is crash-atomic in the
        simulation, so the queue — whose enqueue has a window between its
        link CAS and its return — is the not-recoverable exhibit *)
-    broken "ABLATION plain queue (not recoverable)"
+    broken "ABLATION plain queue (not recoverable, exhaustive)"
       (fun () ->
         let m = Runtime.Machine.create () in
         (m, Baselines.Plain.queue m ~capacity:64))
-      (ablation ~policy:Session.Give_up (queue_workloads 60_000));
+      (Exhaustive
+         (Session.Give_up, [| [ enq 1; Spec.deq_op ]; [ enq 2 ]; [ Spec.deq_op ] |]));
   ]
 
-(* (runs, violations, crashes, as predicted) of one row *)
-let run_row ~trials r =
-  let runs, violations, crashes =
+(* the cells of the row at [index] and whether it is as predicted; a
+   torture row runs on root seed [index + 1], fixed before any result *)
+let run_row ~trials index r =
+  let runs, crashes, violations =
     match r.run with
-    | Directed_aba -> (
-        match aba_directed ~mk:r.mk with
-        | Lin_check.Violation _ -> (1, 1, 1)
-        | Lin_check.Ok_linearizable _ -> (1, 0, 1))
-    | Torture { workloads; policy; crash_prob; max_crashes } ->
-        let violations, crashes =
-          Common.torture_count ~policy ~crash_prob ~max_crashes ~trials
-            ~mk:r.mk ~workloads_of_seed:workloads ()
+    | Directed_aba ->
+        (1, "1", if Lin_check.is_ok (aba_directed ~mk:r.mk) then 0 else 1)
+    | Exhaustive (policy, workloads) ->
+        let o =
+          Modelcheck.Explore.explore ~mk:r.mk ~workloads
+            { Modelcheck.Explore.default_config with
+              switch_budget = 1; crash_budget = 1; policy }
         in
-        (trials, violations, crashes)
+        (o.executions, "<=1 each", o.total_violations)
+    | Torture (policy, workloads_of_seed) ->
+        let report =
+          Torture.run ~root_seed:(index + 1) ~trials ~shrink:false
+            (Torture.default_spec_of ~policy ~label:r.label ~mk:r.mk
+               ~workloads_of_seed ())
+        in
+        (trials, string_of_int report.crashes_injected, Common.violations report)
   in
-  (runs, violations, crashes, if r.expect_zero then violations = 0 else violations > 0)
+  ( [ r.label; string_of_int runs; crashes; string_of_int violations;
+      (if r.expect_zero then "0" else ">0") ],
+    r.expect_zero = (violations = 0) )
 
 let table ?(trials = 60) () =
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "E6 (Lemmas 1-2): crash torture, %d random runs per row (3 procs, random schedules, <=2 crashes)"
-           trials)
-      [ "implementation"; "runs"; "crashes"; "violations"; "expected"; "as predicted" ]
-  in
-  List.iter
-    (fun r ->
-      let runs, violations, crashes, ok = run_row ~trials r in
-      Table.add_row t
-        [
-          r.label;
-          string_of_int runs;
-          string_of_int crashes;
-          string_of_int violations;
-          (if r.expect_zero then "0" else ">0");
-          (if ok then "yes" else "NO");
-        ])
-    rows;
-  t
+  Common.predicted_table
+    ~title:
+      (Printf.sprintf
+         "E6 (Lemmas 1-2): crash torture, %d random runs per row (3 procs, random schedules, <=2 crashes); ablations run a directed script or every schedule with <=1 switch, <=1 crash"
+         trials)
+    [ "implementation"; "runs"; "crashes"; "violations"; "expected" ]
+    (List.mapi (run_row ~trials) rows)
 
 let all_as_predicted ?(trials = 60) () =
-  List.for_all (fun r -> let _, _, _, ok = run_row ~trials r in ok) rows
+  List.for_all snd (List.mapi (run_row ~trials) rows)

@@ -4,15 +4,20 @@ open Dtc_util
     torture (Lemmas 1-2 as a statistical test, plus exhaustive small
     cases).
 
-    Every object runs many seeded random schedules with random crash
-    injection and every history goes through the checker; the paper's
-    algorithms must score zero violations.  The ablation rows (toggle
-    bits removed, flip vector removed, plain non-recoverable objects)
-    must score nonzero — they calibrate the oracle: the same harness that
-    passes the real algorithms does catch broken ones. *)
+    Every object runs one {!Torture.run} campaign (row [k] on root seed
+    [k + 1]) and every history goes through the checker; the paper's
+    algorithms must score zero violations, counting trials that are not
+    linearized, cut by a step budget or raise out of object code
+    ({!Common.violations}).  The ablation rows (toggle bits removed,
+    flip vector removed, a plain non-recoverable queue) must score
+    nonzero — they calibrate the oracle: the same harness that passes
+    the real algorithms does catch broken ones.  So that no calibration
+    rests on sampling luck, the toggle-free register runs the directed
+    ABA script and the other two are explored exhaustively (every
+    schedule with at most one context switch and one crash). *)
 
 val table : ?trials:int -> unit -> Table.t
-(** Default 60 trials per row. *)
+(** Default 60 trials per torture row. *)
 
 val aba_directed :
   mk:(unit -> Runtime.Machine.t * Sched.Obj_inst.t) -> History.Lin_check.verdict

@@ -13,4 +13,14 @@ open Dtc_util
     in the same model does not. *)
 
 val table_nrl : ?trials:int -> unit -> Table.t
+(** Default 60 runs per row.  A row is as predicted when it has no
+    violation and its recovery answers [fail] never (the NRL-wrapped
+    rows) or at least once (the unwrapped contrast row). *)
+
 val table_shared_cache : ?trials:int -> unit -> Table.t
+(** Default 60 torture trials per row ({!Torture.run}, row [k] on root
+    seed [k + 1]).  A persist-instrumented row is as predicted with zero
+    violations, the untransformed one with more than zero. *)
+
+val all_as_predicted : ?trials:int -> unit -> bool
+(** Every row of both tables is as predicted (default 60 runs). *)

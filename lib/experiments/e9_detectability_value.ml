@@ -13,16 +13,10 @@ type stats = {
 }
 
 let run_one ~mk ~seed stats =
-  let prng = Dtc_util.Prng.create seed in
   let machine, inst = mk () in
   let cfg =
-    {
-      Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
-      crash_plan =
-        Crash_plan.faulted ~max_crashes:3 ~prob:0.12 (Dtc_util.Prng.split prng);
-      policy = Session.Retry;
-      max_steps = 200_000;
-    }
+    Driver.seeded_config ~max_steps:200_000 ~max_crashes:3 ~crash_prob:0.12
+      (Dtc_util.Prng.create seed)
   in
   (* unique values so duplicates are identifiable; consumers over-poll so
      everything can drain in the crash-free suffix *)

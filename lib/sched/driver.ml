@@ -15,6 +15,15 @@ let default_config =
     max_steps = 100_000;
   }
 
+let seeded_config ?(policy = Session.Retry) ?fault ~max_steps ~max_crashes
+    ~crash_prob prng =
+  let schedule = Schedule.random (Dtc_util.Prng.split prng) in
+  let crash_plan =
+    Crash_plan.faulted ~max_crashes ?fault ~prob:crash_prob
+      (Dtc_util.Prng.split prng)
+  in
+  { schedule; crash_plan; policy; max_steps }
+
 type result = {
   history : Event.t list;
   steps : int;

@@ -26,6 +26,25 @@ type config = {
 val default_config : config
 (** Round-robin, no crashes, [Retry], 100_000 steps. *)
 
+val seeded_config :
+  ?policy:Session.policy ->
+  ?fault:Nvm.Fault_model.t ->
+  max_steps:int ->
+  max_crashes:int ->
+  crash_prob:float ->
+  Dtc_util.Prng.t ->
+  config
+(** The one seeding rule of a random run: split the schedule's stream
+    from [prng] first ({!Schedule.random}), then the crash plan's
+    ({!Crash_plan.faulted} [?fault] with at most [max_crashes] crashes,
+    each step crashing with probability [crash_prob]).  Both splits are
+    [let]-bound, so the order is this statement's, not the compiler's
+    choice of record-field evaluation order.  [policy] defaults to
+    [Retry].  Every seeded random run (torture trials, experiments,
+    bench and tests) builds its config here; [tools/check_seeding.sh]
+    rejects a {!Crash_plan.faulted} that splits its stream inline
+    anywhere else. *)
+
 type result = {
   history : Event.t list;
   steps : int;  (** primitive steps executed *)

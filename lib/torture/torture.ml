@@ -152,11 +152,12 @@ type trial = {
 
 (* Everything random in a trial — workload, schedule, crash points, and
    (via the fault seed recorded in the crash plan) every crash's
-   write-back — derives from [Prng.stream root ~index], so the trial is
-   a pure function of (spec, root, index) whichever process runs it, and
-   whenever.  For [fault = Atomic] the draws are identical to the
-   historical engine, so atomic campaigns reproduce pre-fault-model
-   reports. *)
+   write-back — derives from [Prng.stream root ~index], in one order:
+   the workload seed, then the schedule's stream and the crash plan's,
+   split by [Driver.seeded_config].  So the trial is a pure function of
+   (spec, root, index) whichever process runs it, and whenever.  For
+   [fault = Atomic] the draws are identical to the historical engine, so
+   atomic campaigns reproduce pre-fault-model reports. *)
 let run_trial spec ~scratch ~root ~index =
   let prng = Dtc_util.Prng.stream root ~index in
   let wseed =
@@ -168,21 +169,21 @@ let run_trial spec ~scratch ~root ~index =
      the histogram) by wrapping the schedule and the crash plan *)
   let trace = ref [] in
   let crash_steps = ref [] in
-  let random_sched = Schedule.random (Dtc_util.Prng.split prng) in
+  let base =
+    Driver.seeded_config ~policy:spec.policy ~fault:spec.fault
+      ~max_steps:spec.max_steps ~max_crashes:spec.max_crashes
+      ~crash_prob:spec.crash_prob prng
+  in
   let sched =
     {
       Schedule.choose =
         (fun ~runnable ~step ->
-          let pid = random_sched.Schedule.choose ~runnable ~step in
+          let pid = base.Driver.schedule.Schedule.choose ~runnable ~step in
           trace := Modelcheck.Explore.Step pid :: !trace;
           pid);
     }
   in
-  let base_plan =
-    Crash_plan.faulted ~max_crashes:spec.max_crashes ~fault:spec.fault
-      ~prob:spec.crash_prob
-      (Dtc_util.Prng.split prng)
-  in
+  let base_plan = base.Driver.crash_plan in
   let fault_seed = Crash_plan.fault_seed base_plan in
   let plan =
     {
@@ -197,14 +198,7 @@ let run_trial spec ~scratch ~root ~index =
           fire);
     }
   in
-  let cfg =
-    {
-      Driver.schedule = sched;
-      crash_plan = plan;
-      policy = spec.policy;
-      max_steps = spec.max_steps;
-    }
-  in
+  let cfg = { base with Driver.schedule = sched; crash_plan = plan } in
   (* the verdict comes last, so the trace is recorded for every trial;
      only a failing one keeps it (the first violation is what the merge
      shrinks), and an ok trial — a pure function of (spec, root, index)

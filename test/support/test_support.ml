@@ -34,17 +34,10 @@ let mk_dqueue ?persist ?model ?(capacity = 32) ?n () =
 
 let run_one ?(policy = Session.Retry) ?(max_crashes = 2) ?(crash_prob = 0.05)
     ?fault ?(max_steps = 20_000) ~seed mk workloads =
-  let prng = Dtc_util.Prng.create seed in
   let machine, inst = mk () in
   let cfg =
-    {
-      Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
-      crash_plan =
-        Crash_plan.faulted ~max_crashes ?fault ~prob:crash_prob
-          (Dtc_util.Prng.split prng);
-      policy;
-      max_steps;
-    }
+    Driver.seeded_config ~policy ?fault ~max_steps ~max_crashes ~crash_prob
+      (Dtc_util.Prng.create seed)
   in
   let res = Driver.run machine inst ~workloads cfg in
   (inst, res)

@@ -126,10 +126,7 @@ let test_step_bounds () =
     Workload.cas (Dtc_util.Prng.split prng) ~procs:8 ~ops_per_proc:4 ~values:3
   in
   let cfg =
-    {
-      Driver.default_config with
-      schedule = Schedule.random (Dtc_util.Prng.split prng);
-    }
+    Driver.seeded_config ~max_steps:100_000 ~max_crashes:0 ~crash_prob:0. prng
   in
   let res = Driver.run machine inst ~workloads cfg in
   Test_support.assert_ok inst res ~ctx:"step bounds";

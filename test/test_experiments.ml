@@ -66,6 +66,10 @@ let test_e6_all_as_predicted () =
   Alcotest.(check bool) "Lemmas 1-2 torture + ablations" true
     (Experiments.E6_torture.all_as_predicted ())
 
+let test_e8_all_as_predicted () =
+  Alcotest.(check bool) "Sec.6 NRL wrapper + shared-cache transform" true
+    (Experiments.E8_transforms.all_as_predicted ())
+
 let test_tables_render () =
   (* the cheap tables must render without raising *)
   List.iter
@@ -88,6 +92,8 @@ let suites =
           test_e3_all_as_predicted;
         Alcotest.test_case "E6 as predicted (Lemmas 1-2)" `Quick
           test_e6_all_as_predicted;
+        Alcotest.test_case "E8 as predicted (Sec.6)" `Quick
+          test_e8_all_as_predicted;
         Alcotest.test_case "tables render" `Quick test_tables_render;
       ] );
   ]

@@ -255,13 +255,8 @@ let test_long_crash_histories_parity () =
         ~values:3
     in
     let cfg =
-      {
-        Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
-        crash_plan =
-          Crash_plan.faulted ~max_crashes:2 ~prob:0.002 (Dtc_util.Prng.split prng);
-        policy = Session.Retry;
-        max_steps = 1_000_000;
-      }
+      Driver.seeded_config ~max_steps:1_000_000 ~max_crashes:2
+        ~crash_prob:0.002 prng
     in
     let h = (Driver.run m inst ~workloads cfg).Driver.history in
     let ops =
@@ -271,7 +266,7 @@ let test_long_crash_histories_parity () =
     events := !events + List.length h;
     ignore (both inst.Obj_inst.spec h)
   done;
-  Alcotest.(check int) "the committed row's event total" 7410 !events
+  Alcotest.(check int) "the committed row's event total" 7426 !events
 
 (* ------------------------------------------------------------------ *)
 (* the incremental session: mark/rewind semantics *)

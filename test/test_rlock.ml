@@ -143,15 +143,9 @@ let test_prot_exactly_once () =
     let machine = Machine.create () in
     let prot = Detectable.Dprotected.create machine ~n:2 ~init:0 in
     let inst = Detectable.Dprotected.instance prot in
-    let prng = Dtc_util.Prng.create (31 * seed) in
     let cfg =
-      {
-        Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
-        crash_plan =
-          Crash_plan.faulted ~max_crashes:2 ~prob:0.05 (Dtc_util.Prng.split prng);
-        policy = Session.Retry;
-        max_steps = 50_000;
-      }
+      Driver.seeded_config ~max_steps:50_000 ~max_crashes:2 ~crash_prob:0.05
+        (Dtc_util.Prng.create (31 * seed))
     in
     let workloads = [| [ Spec.inc_op; Spec.inc_op ]; [ Spec.inc_op ] |] in
     let res = Driver.run machine inst ~workloads cfg in

@@ -82,13 +82,8 @@ let test_verdict_stability () =
         ~values:3
     in
     let cfg =
-      {
-        Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
-        crash_plan =
-          Crash_plan.faulted ~max_crashes:4 ~prob:0.1 (Dtc_util.Prng.split prng);
-        policy = Session.Retry;
-        max_steps = 20_000;
-      }
+      Driver.seeded_config ~max_steps:20_000 ~max_crashes:4 ~crash_prob:0.1
+        prng
     in
     let res = Driver.run machine inst ~workloads cfg in
     Hashtbl.iter
@@ -520,6 +515,48 @@ let prop_mark_rewind_restores =
   QCheck.Test.make ~name:"undo mark/rewind restores the configuration"
     ~count:Test_support.qcheck_count (QCheck.make ~print:mr_print case) mr_run
 
+(* The one seeding rule: [Driver.seeded_config] splits the schedule's
+   stream first and the crash plan's second.  Its runs must equal runs
+   whose config is built by hand in that order; the reverse order must
+   give some other history, or this test could not tell the two apart. *)
+let test_seeded_config_order () =
+  let workloads =
+    Workload.register (Dtc_util.Prng.create 3) ~procs:3 ~ops_per_proc:3
+      ~values:3
+  in
+  let run cfg =
+    let machine, inst = Test_support.mk_drw ~n:3 () in
+    (Driver.run machine inst ~workloads cfg).Driver.history
+  in
+  let by_hand ~schedule_first seed =
+    let prng = Dtc_util.Prng.create seed in
+    let first = Dtc_util.Prng.split prng in
+    let second = Dtc_util.Prng.split prng in
+    let sched_stream, crash_stream =
+      if schedule_first then (first, second) else (second, first)
+    in
+    {
+      Driver.schedule = Schedule.random sched_stream;
+      crash_plan = Crash_plan.faulted ~max_crashes:2 ~prob:0.1 crash_stream;
+      policy = Session.Retry;
+      max_steps = 20_000;
+    }
+  in
+  let reversed_differs = ref false in
+  for seed = 1 to 20 do
+    let seeded =
+      run
+        (Driver.seeded_config ~max_steps:20_000 ~max_crashes:2 ~crash_prob:0.1
+           (Dtc_util.Prng.create seed))
+    in
+    if seeded <> run (by_hand ~schedule_first:true seed) then
+      Alcotest.failf "seed %d: seeded_config differs from schedule-first" seed;
+    if seeded <> run (by_hand ~schedule_first:false seed) then
+      reversed_differs := true
+  done;
+  Alcotest.(check bool) "the crash-first order gives another history" true
+    !reversed_differs
+
 let suites =
   [
     ( "sched.driver",
@@ -528,6 +565,8 @@ let suites =
         Alcotest.test_case "step budget" `Quick test_driver_step_budget;
         Alcotest.test_case "giveup skips failed op" `Quick test_giveup_skips;
         Alcotest.test_case "retry re-invokes" `Quick test_retry_reinvokes;
+        Alcotest.test_case "seeded_config: schedule first, crashes second"
+          `Quick test_seeded_config_order;
       ] );
     ( "sched.session",
       [

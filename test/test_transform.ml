@@ -38,15 +38,9 @@ let test_exactly_once_increments () =
     let machine = Runtime.Machine.create () in
     let t = Detectable.Transform.counter machine ~n:2 ~init:0 in
     let inst = Detectable.Transform.instance t in
-    let prng = Dtc_util.Prng.create (31 * seed) in
     let cfg =
-      {
-        Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
-        crash_plan =
-          Crash_plan.faulted ~max_crashes:2 ~prob:0.05 (Dtc_util.Prng.split prng);
-        policy = Session.Retry;
-        max_steps = 50_000;
-      }
+      Driver.seeded_config ~max_steps:50_000 ~max_crashes:2 ~crash_prob:0.05
+        (Dtc_util.Prng.create (31 * seed))
     in
     let res = Driver.run machine inst ~workloads cfg in
     Test_support.assert_ok inst res ~ctx:(Printf.sprintf "seed %d" seed);

@@ -135,17 +135,10 @@ let count_duplicate_consumption ~mk ~seeds =
   let dups = ref 0 in
   List.iter
     (fun seed ->
-      let prng = Dtc_util.Prng.create seed in
       let machine, inst = mk () in
       let cfg =
-        {
-          Driver.schedule = Schedule.random (Dtc_util.Prng.split prng);
-          crash_plan =
-            Crash_plan.faulted ~max_crashes:3 ~prob:0.12
-              (Dtc_util.Prng.split prng);
-          policy = Session.Retry;
-          max_steps = 100_000;
-        }
+        Driver.seeded_config ~max_steps:100_000 ~max_crashes:3 ~crash_prob:0.12
+          (Dtc_util.Prng.create seed)
       in
       (* unique values so duplicates are identifiable; consumers over-poll *)
       let workloads =
