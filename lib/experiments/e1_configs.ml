@@ -3,7 +3,7 @@ open History
 open Sched
 
 (* Drive the processes of subset [s] (bitmask) through one successful CAS
-   each, sequentially, and return the final NVM snapshot. *)
+   each, sequentially, and return the machine in its final state. *)
 let drive_subset ~n s =
   let machine, inst = Objects.(mk (find "dcas")) ~n () in
   (* values 0, 1, 2, …: process k (k-th member of S) swaps the current
@@ -21,12 +21,15 @@ let drive_subset ~n s =
       { Driver.default_config with schedule = Schedule.scripted [] }
   in
   if r.Driver.incomplete then failwith "E1: session did not finish";
-  Runtime.Machine.nvm_snapshot machine
+  machine
 
 let subset_configs ~n =
   let configs = Modelcheck.Config_set.create () in
   for s = 0 to (1 lsl n) - 1 do
-    Modelcheck.Config_set.add configs (drive_subset ~n s)
+    ignore
+      (Modelcheck.Config_set.add_live configs
+         (Runtime.Machine.mem (drive_subset ~n s))
+        : bool)
   done;
   Modelcheck.Config_set.cardinal configs
 

@@ -20,11 +20,6 @@ let word t i =
   | Small w -> if i = 0 then w else 0
   | Big a -> if i < Array.length a then a.(i) else 0
 
-let is_empty t =
-  match t with
-  | Small w -> w = 0
-  | Big a -> Array.for_all (fun w -> w = 0) a
-
 let mem t i =
   if i < 0 then invalid_arg "Bitset.mem: negative index";
   word t (i / word_bits) land (1 lsl (i mod word_bits)) <> 0
@@ -42,7 +37,7 @@ let set t i =
 
 (* Every binary operation below dispatches on [Small, Small] first: both
    operands in one word means pure integer arithmetic — no array, no
-   closure.  [union]/[inter] additionally return a physical operand
+   closure.  [union] additionally returns a physical operand
    whenever the result equals it (the common case for the checker's
    monotone lin-sets), so the fast path allocates nothing at all; only a
    genuinely new [Small] word pays its 2-word constructor block. *)
@@ -54,16 +49,6 @@ let union a b =
   | _ ->
       let n = max (nwords a) (nwords b) in
       Big (Array.init n (fun i -> word a i lor word b i))
-
-let inter a b =
-  match (a, b) with
-  | Small x, Small y ->
-      if x land y = x then a else if x land y = y then b else Small (x land y)
-  | _ ->
-      (* intersection never needs more words than the narrower side, but
-         keeping [nwords a] words stays length-blind like [union] *)
-      let n = max (nwords a) (nwords b) in
-      Big (Array.init n (fun i -> word a i land word b i))
 
 let subset a b =
   match (a, b) with
@@ -83,34 +68,6 @@ let equal a b =
       let rec go i = i >= n || (word a i = word b i && go (i + 1)) in
       go 0
 
-(* [fold f t acc] visits member indices in ascending order.  The Small
-   path is a single-word bit scan: no array access, no allocation beyond
-   whatever [f] itself does.  [fold_word] and [ilog2] are top-level and
-   take [f] as a parameter precisely so that path builds no closure and
-   no ref cells (a local [let fold_word = ...] capturing [f] costs a
-   heap block per call without flambda). *)
-let rec ilog2 i b = if b = 1 then i else ilog2 (i + 1) (b lsr 1)
-
-let rec fold_word f base w acc =
-  if w = 0 then acc
-  else
-    let bit = w land -w in
-    fold_word f base (w land (w - 1)) (f (base + ilog2 0 bit) acc)
-
-let fold f t acc =
-  match t with
-  | Small w -> fold_word f 0 w acc
-  | Big a ->
-      let n = Array.length a in
-      let rec go k acc =
-        if k >= n then acc
-        else
-          let w = a.(k) in
-          go (k + 1)
-            (if w = 0 then acc else fold_word f (k * word_bits) w acc)
-      in
-      go 0 acc
-
 (* Representation-independent: trailing zero words contribute nothing, a
    nonzero word contributes (index, word), so [Small w] and any
    zero-padded [Big] of the same set hash identically. *)
@@ -121,12 +78,3 @@ let hash t =
       let h = ref 0 in
       Array.iteri (fun i w -> if w <> 0 then h := Value.mix !h (Value.mix i w)) a;
       !h
-
-let cardinal t =
-  let pop w =
-    let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
-    go 0 w
-  in
-  match t with
-  | Small w -> pop w
-  | Big a -> Array.fold_left (fun acc w -> acc + pop w) 0 a

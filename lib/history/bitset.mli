@@ -20,7 +20,6 @@ val word_bits : int
 (** Bits per word (62 — keeps every word a non-negative OCaml int). *)
 
 val empty : t
-val is_empty : t -> bool
 
 val mem : t -> int -> bool
 (** Raises [Invalid_argument] on a negative index. *)
@@ -33,10 +32,6 @@ val union : t -> t -> t
     contains the other (the physical operand is returned); otherwise a
     [Small]/[Small] union stays [Small]. *)
 
-val inter : t -> t -> t
-(** Set intersection, with the same [Small]-in/[Small]-out guarantee and
-    operand-reuse fast path as {!union}. *)
-
 val subset : t -> t -> bool
 (** [subset a b] iff every index of [a] is in [b].  [Small]/[Small] is a
     single word test. *)
@@ -46,13 +41,6 @@ val equal : t -> t -> bool
     — a [Big] is never demoted and [Small]/[Big] compare through
     zero-padding — keeps this sound). *)
 
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold f t acc] folds [f] over the member indices in ascending order.
-    The [Small] path is a single-word bit scan that allocates nothing
-    itself. *)
-
 val hash : t -> int
 (** Mixes every nonzero word with its position ({!Nvm.Value.mix}), so
     hash quality does not degrade with set width. *)
-
-val cardinal : t -> int

@@ -129,7 +129,10 @@ let snap_equiv set a b =
   | Some n ->
       Sym.related_shared ~n (Mem.snapshot_cells a) (Mem.snapshot_cells b)
 
-let insert_exact set ((fa, fb) as fp) ~weight snap =
+(* [Exact]: the configuration's snapshot joins the bucket of its live
+   digest [fp] unless an equivalent one is already there *)
+let insert_exact set ((fa, fb) as fp) ~weight mem =
+  let snap = Mem.snapshot mem in
   let bucket = try Hashtbl.find set.exact fp with Not_found -> [] in
   if List.exists (snap_equiv set snap) bucket then false
   else begin
@@ -142,37 +145,21 @@ let insert_exact set ((fa, fb) as fp) ~weight snap =
     true
   end
 
-let insert set snap =
-  match set.canonical with
-  | None -> (
-      let fa, fb = Mem.fingerprint_shared snap in
-      match set.mode with
-      | Fingerprint -> insert_fp_w set fa fb 1
-      | Exact -> insert_exact set (fa, fb) ~weight:1 snap)
-  | Some n -> (
-      let cells = Mem.snapshot_cells snap in
-      let fp = Sym.cells_fingerprint_shared ~n cells in
-      let weight = Sym.cells_orbit_size_shared ~n cells in
-      match set.mode with
-      | Fingerprint -> insert_fp_w set (fst fp) (snd fp) weight
-      | Exact -> insert_exact set fp ~weight snap)
-
-let add set snap = ignore (insert set snap : bool)
-
 let add_live set mem =
+  let fa = Mem.live_shared_a mem and fb = Mem.live_shared_b mem in
   match (set.canonical, set.mode) with
-  | None, Fingerprint ->
-      insert_fp_w set (Mem.live_shared_a mem) (Mem.live_shared_b mem) 1
+  | None, Fingerprint -> insert_fp_w set fa fb 1
+  | None, Exact -> insert_exact set (fa, fb) ~weight:1 mem
   | Some n, Fingerprint ->
-      if
-        Pair_set.add set.seen_raw (Mem.live_shared_a mem)
-          (Mem.live_shared_b mem)
-      then begin
-        let fa, fb = Sym.canonical_fingerprint_shared ~n mem in
-        insert_fp_w set fa fb (Sym.orbit_size_shared ~n mem)
-      end
-      else false
-  | _, Exact -> insert set (Mem.snapshot mem)
+      Pair_set.add set.seen_raw fa fb
+      &&
+      let ca, cb = Sym.canonical_fingerprint_shared ~n mem in
+      insert_fp_w set ca cb (Sym.orbit_size_shared ~n mem)
+  | Some n, Exact ->
+      (* no raw-repeat guard: the audit must see every configuration *)
+      insert_exact set
+        (Sym.canonical_fingerprint_shared ~n mem)
+        ~weight:(Sym.orbit_size_shared ~n mem) mem
 
 (* In exact mode collisions make the snapshot count authoritative: a
    colliding pair occupies ONE pair-set slot but counts as two distinct

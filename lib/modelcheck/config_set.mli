@@ -6,14 +6,16 @@ open Nvm
 
     Theorem 1 counts reachable pairwise non-memory-equivalent
     configurations; both the explorer and experiment E1 accumulate
-    configurations here.  The default representation stores only a
-    two-word {!Mem.fingerprint_shared} digest per configuration — O(1)
-    space per member and allocation-free insertion from a live store —
-    which is what lets the explorer call {!add_live} at every DFS node.
-    [Exact] mode additionally keeps full snapshots bucketed by
-    fingerprint, turning silent fingerprint collisions into an audited
-    {!collisions} count; use it to validate fingerprint-mode results on
-    workloads small enough to afford the snapshots. *)
+    configurations here, read from the live store with {!add_live}.
+    The default representation stores only the two-word
+    {!Mem.live_shared_a}/{!Mem.live_shared_b} digest per configuration
+    — O(1) space per member and allocation-free insertion — which is
+    what lets the explorer call {!add_live} at every DFS node.  [Exact]
+    mode keys on the same digest and additionally keeps a snapshot of
+    each configuration in its digest's bucket, turning silent
+    fingerprint collisions into an audited {!collisions} count; use it
+    to validate fingerprint-mode results on workloads small enough to
+    afford the snapshots. *)
 
 type mode =
   | Fingerprint  (** digests only: O(1) space/member, no false splits *)
@@ -45,12 +47,11 @@ val mode : t -> mode
 val canonical : t -> int option
 (** [Some n] iff the set counts orbit-weighted canonical keys. *)
 
-val add : t -> Mem.snapshot -> unit
-(** No-op if a memory-equivalent snapshot is already present. *)
-
 val add_live : t -> Mem.t -> bool
-(** Insert the store's current shared configuration.  In [Fingerprint]
-    mode this allocates nothing; in [Exact] mode it snapshots. *)
+(** Insert the store's current shared configuration; [true] iff it was
+    new (no memory-equivalent — under a canonical set, no π-related —
+    configuration was present).  In [Fingerprint] mode this allocates
+    nothing; in [Exact] mode it snapshots for the audit bucket. *)
 
 val cardinal : t -> int
 (** Number of distinct configurations.  O(1): a running count is

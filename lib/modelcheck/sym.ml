@@ -3,9 +3,9 @@ open Nvm
 (* The permutation action on a value: π permutes the entries of every
    pid-indexed vector (recursively) and fixes everything else.  A
    vector is a length-n tuple whose entries all share one structural
-   skeleton (constructor shape, not values) — see [skel].  Both
-   fingerprint functions below are defined against that action; the
-   .mli explains why over-approximating vector-ness is safe. *)
+   skeleton (constructor shape, not values) — see [skel].  Every digest
+   below is defined against that action; the .mli explains why
+   over-approximating vector-ness is safe. *)
 
 (* Structural skeleton: constructor tags only, so [Bool true] and
    [Bool false] agree while [Int _] and [Tup _] differ.  Because the
@@ -121,44 +121,31 @@ let rec hash_perm ~n ~inv ~seed v =
            (0, Value.mix seed 0x7ab1e) a)
   | v -> Value.hash_seeded seed v
 
-(* one fingerprint half from one seed; [shared_only] restricts to the
-   shared cells (the paper's memory-equivalence ignores private NVM) *)
-let half ?(shared_only = false) ~n ~seed mem =
+(* one fingerprint half from one seed, over the shared cells only (the
+   paper's memory-equivalence ignores private NVM) *)
+let half ~n ~seed mem =
   let views = Array.make n (seed lxor 0x1e3779b97f4a7c15) in
-  let priv_slot = Array.make n 0 in
   let global = ref seed in
   let shared_ix = ref 0 in
   for i = 0 to Mem.n_locs mem - 1 do
     let loc = Mem.loc_by_id mem i in
-    let v = Mem.read mem loc in
-    match loc.Loc.kind with
-    | Loc.Shared ->
-        let tag = !shared_ix in
-        incr shared_ix;
-        global := Value.mix !global (Value.mix tag (shape ~n ~seed v));
-        for p = 0 to n - 1 do
-          views.(p) <-
-            Value.mix views.(p) (Value.mix tag (slice ~n ~pid:p ~seed v))
-        done
-    | Loc.Private p when p < n && not shared_only ->
-        (* slot-positional: the contract says every process allocates
-           its private cells in the same order *)
-        let slot = priv_slot.(p) in
-        priv_slot.(p) <- slot + 1;
+    if Loc.is_shared loc then begin
+      let v = Mem.read mem loc in
+      let tag = !shared_ix in
+      incr shared_ix;
+      global := Value.mix !global (Value.mix tag (shape ~n ~seed v));
+      for p = 0 to n - 1 do
         views.(p) <-
-          Value.mix views.(p)
-            (Value.mix slot
-               (Value.mix (shape ~n ~seed v) (slice ~n ~pid:p ~seed v)))
-    | Loc.Private _ -> ()
+          Value.mix views.(p) (Value.mix tag (slice ~n ~pid:p ~seed v))
+      done
+    end
   done;
   (* commutative fold over the per-process views: sort, then chain *)
   Array.sort compare views;
   Array.fold_left Value.mix !global views
 
-let canonical_fingerprint ~n mem = (half ~n ~seed:1 mem, half ~n ~seed:2 mem)
-
 let canonical_fingerprint_shared ~n mem =
-  (half ~shared_only:true ~n ~seed:1 mem, half ~shared_only:true ~n ~seed:2 mem)
+  (half ~n ~seed:1 mem, half ~n ~seed:2 mem)
 
 (* ------------------------------------------------------------------ *)
 (* Orbit sizes.
@@ -173,8 +160,22 @@ let canonical_fingerprint_shared ~n mem =
 
 let rec fact k = if k <= 1 then 1 else k * fact (k - 1)
 
-let orbit_size_classes ~n same =
+let orbit_size_shared ~n mem =
   if n > 20 then invalid_arg "Sym.orbit_size: N! overflows past N = 20";
+  let same p q =
+    let ok = ref true in
+    (try
+       for i = 0 to Mem.n_locs mem - 1 do
+         let loc = Mem.loc_by_id mem i in
+         if Loc.is_shared loc && not (swap_ok ~n ~p ~q (Mem.read mem loc))
+         then begin
+           ok := false;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    !ok
+  in
   let rep = Array.make n (-1) in
   let sizes = Array.make n 0 in
   for p = 0 to n - 1 do
@@ -201,65 +202,6 @@ let orbit_size_classes ~n same =
     if rep.(p) = p then denom := !denom * fact sizes.(p)
   done;
   fact n / !denom
-
-let orbit_size_shared ~n mem =
-  orbit_size_classes ~n (fun p q ->
-      let ok = ref true in
-      (try
-         for i = 0 to Mem.n_locs mem - 1 do
-           let loc = Mem.loc_by_id mem i in
-           if Loc.is_shared loc && not (swap_ok ~n ~p ~q (Mem.read mem loc))
-           then begin
-             ok := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !ok)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot-side variants, for Config_set's canonical Exact audit mode:
-   same digests/weights as the live versions, computed from
-   [Mem.snapshot_cells] arrays instead of a live store. *)
-
-let cells_half ~shared_only ~n ~seed cells =
-  let views = Array.make n (seed lxor 0x1e3779b97f4a7c15) in
-  let priv_slot = Array.make n 0 in
-  let global = ref seed in
-  let shared_ix = ref 0 in
-  Array.iter
-    (fun ((loc : Loc.t), v) ->
-      match loc.Loc.kind with
-      | Loc.Shared ->
-          let tag = !shared_ix in
-          incr shared_ix;
-          global := Value.mix !global (Value.mix tag (shape ~n ~seed v));
-          for p = 0 to n - 1 do
-            views.(p) <-
-              Value.mix views.(p) (Value.mix tag (slice ~n ~pid:p ~seed v))
-          done
-      | Loc.Private p when p < n && not shared_only ->
-          let slot = priv_slot.(p) in
-          priv_slot.(p) <- slot + 1;
-          views.(p) <-
-            Value.mix views.(p)
-              (Value.mix slot
-                 (Value.mix (shape ~n ~seed v) (slice ~n ~pid:p ~seed v)))
-      | Loc.Private _ -> ())
-    cells;
-  Array.sort compare views;
-  Array.fold_left Value.mix !global views
-
-let cells_fingerprint_shared ~n cells =
-  ( cells_half ~shared_only:true ~n ~seed:1 cells,
-    cells_half ~shared_only:true ~n ~seed:2 cells )
-
-let cells_orbit_size_shared ~n cells =
-  orbit_size_classes ~n (fun p q ->
-      Array.for_all
-        (fun ((loc : Loc.t), v) ->
-          (not (Loc.is_shared loc)) || swap_ok ~n ~p ~q v)
-        cells)
 
 (* the action of one permutation on a value: entry r of a vector comes
    from entry [perm.(r)] (the direction is irrelevant to the callers —

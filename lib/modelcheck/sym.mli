@@ -19,11 +19,10 @@ open Nvm
       check the explorer's [`Dpor_sym] reduction performs before
       pruning a never-stepped process in favour of an interchangeable
       representative;
-    - {!canonical_fingerprint} digests a configuration {e modulo all
-      of S_N} (a true quotient up to 63-bit hash collisions): π-related
-      configurations always collide, and the quotient tests use it to
-      certify that the canonicalisation respects exactly the orbit
-      relation.
+    - {!canonical_fingerprint_shared} digests the shared cells of a
+      configuration {e modulo all of S_N} (a true quotient up to
+      63-bit hash collisions): π-related configurations always
+      collide, and {!Config_set} keys orbits on it.
 
     Nested vectors are handled recursively.  A tuple is classified as
     a pid-indexed vector when it has length N {e and} all its entries
@@ -36,7 +35,7 @@ open Nvm
     homogeneous N-tuple that is not pid-indexed is still
     over-approximated as one; that only makes {!swap_invariant} more
     conservative (fewer prunes — still sound) and
-    {!canonical_fingerprint} coarser, which is why the explorer
+    {!canonical_fingerprint_shared} coarser, which is why the explorer
     additionally requires the instance's [id_symmetric] declaration
     before acting on either. *)
 
@@ -48,20 +47,17 @@ val swap_invariant : n:int -> Mem.t -> int -> int -> bool
     length and equal values slot by slot.  [p = q] is rejected with
     [Invalid_argument]. *)
 
-val canonical_fingerprint : n:int -> Mem.t -> int * int
-(** Two-word digest of the full configuration modulo process-id
-    permutation: the per-process views (private block + pid-indexed
-    vector entries, position-tagged) are hashed individually and folded
-    as a sorted multiset, the pid-independent remainder positionally.
-    π-related configurations get equal fingerprints for every π ∈ S_N;
-    distinct orbits collide only with 63-bit-hash probability. *)
-
 val canonical_fingerprint_shared : n:int -> Mem.t -> int * int
-(** {!canonical_fingerprint} restricted to the shared cells — the
-    quotient of the paper's memory-equivalence by S_N.  This is the key
-    the explorer's [`Dpor_sym_memo] configuration counting uses: one
-    entry per reachable {e orbit} of shared configurations, with
-    {!orbit_size_shared} supplying each orbit's exact cardinality. *)
+(** Two-word digest of the shared cells modulo process-id permutation —
+    the quotient of the paper's memory-equivalence by S_N.  The
+    per-process views (pid-indexed vector entries, position-tagged) are
+    hashed individually and folded as a sorted multiset, the
+    pid-independent remainder positionally.  π-related configurations
+    get equal fingerprints for every π ∈ S_N; distinct orbits collide
+    only with 63-bit-hash probability.  This is the key
+    {!Config_set}'s canonical counting uses: one entry per reachable
+    {e orbit} of shared configurations, with {!orbit_size_shared}
+    supplying each orbit's exact cardinality. *)
 
 val orbit_size_shared : n:int -> Mem.t -> int
 (** Exact size of the current shared configuration's orbit under S_N:
@@ -87,19 +83,14 @@ val hash_perm : n:int -> inv:int array -> seed:int -> Value.t -> int
     memory contents and logged response values into its
     symmetry-canonical memo key. *)
 
-(** {1 Snapshot-side variants}
-
-    Audit/test-path equivalents over {!Mem.snapshot_cells} arrays, used
-    by {!Config_set}'s canonical Exact mode to audit the fingerprint
-    quotient: same digests and weights as the live versions. *)
-
-val cells_fingerprint_shared : n:int -> (Loc.t * Value.t) array -> int * int
-val cells_orbit_size_shared : n:int -> (Loc.t * Value.t) array -> int
+(** {1 Audit oracle} *)
 
 val related_shared :
   n:int -> (Loc.t * Value.t) array -> (Loc.t * Value.t) array -> bool
-(** [related_shared ~n ca cb] — is some π ∈ S_N's action on [ca]'s
-    shared cells memory-equivalent to [cb]?  Decided exactly, by trying
-    all [n!] permutations — audit/test path only.  Two snapshots with
-    equal {!cells_fingerprint_shared} that are {e not} related witness a
+(** [related_shared ~n ca cb] ({!Mem.snapshot_cells} arrays) — is some
+    π ∈ S_N's action on [ca]'s shared cells memory-equivalent to [cb]?
+    Decided exactly, by trying all [n!] permutations.  Not a digest: it
+    is the bucket equality of {!Config_set}'s canonical [Exact] audit
+    and a test oracle.  Two configurations with equal
+    {!canonical_fingerprint_shared} that are {e not} related witness a
     canonicalisation collision (the quotient test's failure event). *)

@@ -153,27 +153,23 @@ let journal mem id =
     mem.j_len <- mem.j_len + 1
   end
 
+(* One Zobrist fold over the current contents: [term] picks the half,
+   [shared_only] restricts it to the shared cells. *)
+let scan mem ~shared_only ~seed term =
+  let h = ref seed in
+  for i = 0 to mem.len - 1 do
+    if (not shared_only) || Loc.is_shared mem.locs.(i) then
+      h := !h lxor term i mem.cells.(i)
+  done;
+  !h
+
 (* Rebuild all four fingerprint accumulators from the current contents
    (the maintained values are only current while [journal_on]). *)
 let recompute_fps mem =
-  let fa = ref seed_a
-  and fb = ref seed_b
-  and sa = ref seed_a
-  and sb = ref seed_b in
-  for i = 0 to mem.len - 1 do
-    let c = mem.cells.(i) in
-    let ta = term_a i c and tb = term_b i c in
-    fa := !fa lxor ta;
-    fb := !fb lxor tb;
-    if Loc.is_shared mem.locs.(i) then begin
-      sa := !sa lxor ta;
-      sb := !sb lxor tb
-    end
-  done;
-  mem.fpf_a <- !fa;
-  mem.fpf_b <- !fb;
-  mem.fps_a <- !sa;
-  mem.fps_b <- !sb
+  mem.fpf_a <- scan mem ~shared_only:false ~seed:seed_a term_a;
+  mem.fpf_b <- scan mem ~shared_only:false ~seed:seed_b term_b;
+  mem.fps_a <- scan mem ~shared_only:true ~seed:seed_a term_a;
+  mem.fps_b <- scan mem ~shared_only:true ~seed:seed_b term_b
 
 let set_journal mem on =
   let was_on = mem.journal_on in
@@ -261,48 +257,17 @@ let loc_by_id mem id =
   if id < 0 || id >= mem.len then invalid_arg "Mem.loc_by_id: out of range";
   mem.locs.(id)
 
-type snapshot = {
-  s_cells : Value.hc array;
-  s_locs : Loc.t array;
-  s_max_bits : int array;
-}
+type snapshot = { s_cells : Value.hc array; s_locs : Loc.t array }
 
 let snapshot mem =
   {
     s_cells = Array.sub mem.cells 0 mem.len;
     s_locs = Array.sub mem.locs 0 mem.len;
-    s_max_bits = Array.sub mem.max_bits 0 mem.len;
   }
 
 let snapshot_cells snap =
   Array.init (Array.length snap.s_cells) (fun i ->
       (snap.s_locs.(i), snap.s_cells.(i).Value.node))
-
-let restore mem snap =
-  if Array.length snap.s_cells <> mem.len then
-    invalid_arg "Mem.restore: snapshot from a different allocation state";
-  (* roll the high-water marks back too: a restore rewinds the whole
-     store, and leaving [max_bits] at the post-rollback peak would make
-     [max_shared_bits] over-report the Theorem 1 footprint.  While the
-     journal is on, each changed cell is journaled so an enclosing
-     [rewind] still sees a consistent log. *)
-  if mem.journal_on then
-    for i = 0 to mem.len - 1 do
-      if
-        (not (Value.hc_equal mem.cells.(i) snap.s_cells.(i)))
-        || mem.max_bits.(i) <> snap.s_max_bits.(i)
-      then begin
-        journal mem i;
-        fp_set mem i snap.s_cells.(i);
-        mem.max_bits.(i) <- snap.s_max_bits.(i)
-      end
-    done
-  else begin
-    for i = 0 to mem.len - 1 do
-      fp_set mem i snap.s_cells.(i)
-    done;
-    Array.blit snap.s_max_bits 0 mem.max_bits 0 mem.len
-  end
 
 let equal_shared a b =
   let n = Array.length a.s_cells in
@@ -346,66 +311,23 @@ let fingerprint_shared snap =
 
 (* While journaling the accumulators are authoritative (maintained by
    [fp_set]); otherwise fold the terms directly — same values either
-   way, one O(cells) scan per call. *)
-let scan_shared_a mem =
-  let a = ref seed_a in
-  for i = 0 to mem.len - 1 do
-    if Loc.is_shared mem.locs.(i) then a := !a lxor term_a i mem.cells.(i)
-  done;
-  !a
+   way, one O(cells) scan per call.  Scalar readers, so the per-node hot
+   path allocates no pair just to deconstruct it. *)
+let live_shared_a mem =
+  if mem.journal_on then mem.fps_a
+  else scan mem ~shared_only:true ~seed:seed_a term_a
 
-let scan_shared_b mem =
-  let b = ref seed_b in
-  for i = 0 to mem.len - 1 do
-    if Loc.is_shared mem.locs.(i) then b := !b lxor term_b i mem.cells.(i)
-  done;
-  !b
+let live_shared_b mem =
+  if mem.journal_on then mem.fps_b
+  else scan mem ~shared_only:true ~seed:seed_b term_b
 
-let scan_full_a mem =
-  let a = ref seed_a in
-  for i = 0 to mem.len - 1 do
-    a := !a lxor term_a i mem.cells.(i)
-  done;
-  !a
+let live_full_a mem =
+  if mem.journal_on then mem.fpf_a
+  else scan mem ~shared_only:false ~seed:seed_a term_a
 
-let scan_full_b mem =
-  let b = ref seed_b in
-  for i = 0 to mem.len - 1 do
-    b := !b lxor term_b i mem.cells.(i)
-  done;
-  !b
-
-(* Scalar accessors for the per-node hot paths, which would otherwise
-   allocate a pair per call just to deconstruct it. *)
-let live_shared_a mem = if mem.journal_on then mem.fps_a else scan_shared_a mem
-let live_shared_b mem = if mem.journal_on then mem.fps_b else scan_shared_b mem
-let live_full_a mem = if mem.journal_on then mem.fpf_a else scan_full_a mem
-let live_full_b mem = if mem.journal_on then mem.fpf_b else scan_full_b mem
-let live_fingerprint_shared mem =
-  if mem.journal_on then (mem.fps_a, mem.fps_b)
-  else begin
-    let a = ref seed_a and b = ref seed_b in
-    for i = 0 to mem.len - 1 do
-      if Loc.is_shared mem.locs.(i) then begin
-        let c = mem.cells.(i) in
-        a := !a lxor term_a i c;
-        b := !b lxor term_b i c
-      end
-    done;
-    (!a, !b)
-  end
-
-let live_fingerprint_full mem =
-  if mem.journal_on then (mem.fpf_a, mem.fpf_b)
-  else begin
-    let a = ref seed_a and b = ref seed_b in
-    for i = 0 to mem.len - 1 do
-      let c = mem.cells.(i) in
-      a := !a lxor term_a i c;
-      b := !b lxor term_b i c
-    done;
-    (!a, !b)
-  end
+let live_full_b mem =
+  if mem.journal_on then mem.fpf_b
+  else scan mem ~shared_only:false ~seed:seed_b term_b
 
 let equal_full a b =
   let n = Array.length a.s_cells in

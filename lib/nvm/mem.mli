@@ -41,8 +41,7 @@ val loc_by_id : t -> int -> Loc.t
 (** {1 Write journal}
 
     The undo-engine's backtracking substrate.  While journaling is on,
-    every mutation ([write], successful [cas], [faa], and the cells
-    changed by [restore]) pushes [(cell id, old contents, old
+    every mutation ([write], successful [cas], [faa]) pushes [(cell id, old contents, old
     max_bits)] onto a log; {!rewind} pops back to a {!mark} in
     O(writes-since-mark), restoring contents {e and} the [max_bits]
     high-water marks (the bf9564b stale-accounting class of bug).
@@ -83,35 +82,38 @@ val rewound_cells : t -> int
 (** Cumulative number of cell restorations performed by {!rewind} over
     this store's lifetime (the undo-engine throughput metric). *)
 
-(** {1 Snapshots and memory-equivalence} *)
+(** {1 Snapshots and memory-equivalence}
+
+    Snapshots are test oracles and the bucket representation of
+    {!Modelcheck.Config_set}'s [Exact] audit: configurations are
+    digested, counted and orbit-weighted from the live store (the
+    [live_] readers below), and a snapshot only ever checks that
+    digest.  The checkpoint form is {!mark}/{!rewind}; a snapshot is
+    never written back. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Captures every cell's contents {e and} its [max_bits] high-water
-    mark, so a later {!restore} rewinds the space accounting along with
-    the values. *)
-
-val restore : t -> snapshot -> unit
-(** Restore cell contents and high-water marks to the snapshotted state.
-    Raises [Invalid_argument] if the allocation state differs. *)
+(** Captures every cell's contents. *)
 
 val snapshot_cells : snapshot -> (Loc.t * Value.t) array
 (** The snapshotted cells as [(location, contents)] pairs in allocation
-    order — the representation {!Modelcheck.Sym}'s snapshot-side
-    canonicalisation and relatedness checks work over.  Allocates a
-    fresh array; audit/test paths only. *)
+    order — the representation {!Modelcheck.Sym.related_shared}'s
+    orbit-membership check works over.  Allocates a fresh array;
+    audit/test paths only. *)
 
 val equal_shared : snapshot -> snapshot -> bool
 (** The paper's memory-equivalence: two configurations are
     memory-equivalent when every {e shared} variable has the same value in
-    both.  Private NVM and local state are excluded. *)
+    both.  Private NVM and local state are excluded.  The bucket
+    equality of a plain [Exact] {!Modelcheck.Config_set}. *)
 
 val hash_shared : snapshot -> int
-(** Hash consistent with {!equal_shared}. *)
+(** Hash consistent with {!equal_shared}; a test oracle. *)
 
 val equal_full : snapshot -> snapshot -> bool
-(** Equality over all cells, shared and private. *)
+(** Equality over all cells, shared and private; a test oracle for
+    {!rewind}. *)
 
 (** {1 Fingerprints}
 
@@ -128,27 +130,26 @@ val equal_full : snapshot -> snapshot -> bool
     costs. *)
 
 val fingerprint_shared : snapshot -> int * int
-(** Digest of the shared cells only, consistent with {!equal_shared}:
-    memory-equivalent snapshots have equal fingerprints. *)
-
-val live_fingerprint_shared : t -> int * int
-(** [fingerprint_shared] of the current contents, without materialising
-    a snapshot. *)
-
-val live_fingerprint_full : t -> int * int
-(** Digest over {e all} cells, shared and private — the memory half of
-    the explorer's visited-set key (recovery reads private NVM, so
-    pruning must distinguish private differences). *)
+(** Digest of a snapshot's shared cells, consistent with
+    {!equal_shared}: memory-equivalent snapshots have equal
+    fingerprints.  The test oracle for {!live_shared_a}/{!live_shared_b},
+    which compute the same pair from the live store. *)
 
 val live_shared_a : t -> int
+
 val live_shared_b : t -> int
+(** The two halves of the current contents' shared-cell digest — equal
+    to {!fingerprint_shared} of a snapshot taken now, without
+    materialising one.  {!Modelcheck.Config_set} keys on them. *)
 
 val live_full_a : t -> int
 
 val live_full_b : t -> int
-(** The halves of {!live_fingerprint_shared} / {!live_fingerprint_full}
-    as scalars: the explorer reads them at every DFS node, and the pair
-    returns would allocate just to be deconstructed. *)
+(** The two halves of the digest over {e all} cells, shared and private
+    — the memory half of the explorer's visited-set key (recovery reads
+    private NVM, so pruning must distinguish private differences).
+    Scalars, not a pair: the explorer reads them at every DFS node, and
+    a pair would allocate just to be deconstructed. *)
 
 (** {1 Space accounting} *)
 

@@ -140,15 +140,12 @@ let set_nth v i x =
    pointer comparison and fingerprint folding a single table lookup per
    cell.
 
-   The table is domain-local ([Domain.DLS]), so it needs no lock.  The
-   engines run on one domain (parallel torture uses worker processes),
-   so in practice there is one table per process.  It is never emptied:
-   it holds every distinct value interned since the process started,
-   and a long in-process torture run keeps all of them live.
-   [hc_equal] still falls back to the cached hash and a structural
-   comparison, so nodes from two tables (two domains) compare correctly,
-   and the digest seeds are fixed (below) so the cached digests agree
-   across tables. *)
+   There is one table per process, in plain module state: nothing runs
+   on a second domain (parallel torture uses worker processes), so it
+   needs no lock.  It is never emptied: it holds every distinct value
+   interned since the process started, and a long in-process torture
+   run keeps all of them live.  The digest seeds are fixed (below), so
+   the cached digests of a value are the same in every process. *)
 
 type hc = { node : t; h : int; da : int; db : int; bits : int }
 
@@ -168,7 +165,7 @@ let mk_hc v h =
 
 (* Tiny immediate values dominate cell traffic (counters, toggles,
    process ids), so they get a table-free constant-time path: one
-   preallocated node each, shared by every [intern] call on the domain.
+   preallocated node each, shared by every [intern] call.
    They are never entered in [tbl], which keeps them canonical for the
    table's whole lifetime. *)
 let small_int_cache_size = 256
@@ -184,23 +181,20 @@ type intern_state = {
   mutable misses : int;
 }
 
-let intern_key : intern_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let mk v = mk_hc v (hash v) in
-      {
-        tbl = Hashtbl.create 8192;
-        small_int =
-          Array.init small_int_cache_size (fun i -> mk (Int i));
-        c_unit = mk Unit;
-        c_bot = mk Bot;
-        c_true = mk (Bool true);
-        c_false = mk (Bool false);
-        hits = 0;
-        misses = 0;
-      })
+let st =
+  let mk v = mk_hc v (hash v) in
+  {
+    tbl = Hashtbl.create 8192;
+    small_int = Array.init small_int_cache_size (fun i -> mk (Int i));
+    c_unit = mk Unit;
+    c_bot = mk Bot;
+    c_true = mk (Bool true);
+    c_false = mk (Bool false);
+    hits = 0;
+    misses = 0;
+  }
 
 let intern v =
-  let st = Domain.DLS.get intern_key in
   match v with
   | Int n when n >= 0 && n < small_int_cache_size ->
       st.hits <- st.hits + 1;
@@ -230,6 +224,4 @@ let intern v =
 
 let hc_equal a b = a == b || (a.h = b.h && equal a.node b.node)
 
-let intern_stats () =
-  let st = Domain.DLS.get intern_key in
-  (st.hits, st.misses)
+let intern_stats () = (st.hits, st.misses)

@@ -69,13 +69,11 @@ val set_nth : t -> int -> t -> t
 
     Memory cells store interned values so that equality (the [cas] hot
     path) and configuration fingerprinting become O(1) per cell.  The
-    intern table is domain-local and never emptied, so it lives as long
-    as the process (the engines run on one domain): [intern] returns the
-    same physical node for structurally equal inputs, so [==] certifies
-    equality; {!hc_equal} also compares nodes from different domains' tables
-    by a (hash-gated) structural comparison.  The cached digests [da]/[db]
-    are computed with fixed seeds, hence identical for the same
-    structural value in every table. *)
+    process has one intern table, never emptied, so it lives as long as
+    the process: [intern] returns the same physical node for
+    structurally equal inputs, so [==] certifies equality.  The cached
+    digests [da]/[db] are computed with fixed seeds, hence identical for
+    the same structural value in every process. *)
 
 type hc = private {
   node : t;  (** the underlying structural value *)
@@ -86,17 +84,16 @@ type hc = private {
 }
 
 val intern : t -> hc
-(** Canonical interned node for [v] in the calling domain.  O(1)
+(** Canonical interned node for [v] in the process's table.  O(1)
     expected; a hit costs one hash + one (physical-equality-biased)
     structural comparison.  Small immediates ([Unit], [Bot], booleans,
     [Int 0..255]) hit a preallocated table-free cache — no hashing, no
     allocation — and count as intern hits in {!intern_stats}. *)
 
 val hc_equal : hc -> hc -> bool
-(** Structural equality on interned nodes.  Same-domain nodes compare
-    by pointer; the fallback compares cached hashes first, so a
-    mismatch is almost always O(1) too. *)
+(** Structural equality on interned nodes.  Equal nodes compare by
+    pointer; the hash-gated structural fallback compares cached hashes
+    first, so a mismatch is almost always O(1) too. *)
 
 val intern_stats : unit -> int * int
-(** [(hits, misses)] of the calling domain's intern table since domain
-    start. *)
+(** [(hits, misses)] of the intern table since the process started. *)

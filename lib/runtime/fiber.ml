@@ -4,27 +4,25 @@ exception Crashed
 
 type _ Effect.t += Step : Prim.request -> Value.t Effect.t
 
-(* Ghost-feed fast path: while a feed is installed on the current
-   domain, [step] consumes pre-recorded responses directly instead of
-   performing the effect — no suspension, no continuation traffic.  A
+(* Ghost-feed fast path: while a feed is installed, [step] consumes
+   pre-recorded responses directly instead of performing the effect —
+   no suspension, no continuation traffic.  A
    ghost replay (Session.rebuild) re-executes a whole logged prefix as
    one straight-line run with a single final suspension, instead of two
    stack switches per logged step.  The feed returns [None] when its
    log is exhausted; the step then suspends normally. *)
-let feed_key : (Prim.request -> Value.t option) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let feed : (Prim.request -> Value.t option) option ref = ref None
 
 let step req =
-  match !(Domain.DLS.get feed_key) with
+  match !feed with
   | Some f -> (
       match f req with Some v -> v | None -> Effect.perform (Step req))
   | None -> Effect.perform (Step req)
 
 let with_ghost_feed f body =
-  let cell = Domain.DLS.get feed_key in
-  let saved = !cell in
-  cell := Some f;
-  Fun.protect ~finally:(fun () -> cell := saved) body
+  let saved = !feed in
+  feed := Some f;
+  Fun.protect ~finally:(fun () -> feed := saved) body
 
 let read l = step (Prim.Read l)
 let write l v = ignore (step (Prim.Write (l, v)))

@@ -24,8 +24,8 @@ val step : Prim.request -> Value.t
 (** Perform one primitive step.  All the helpers below go through it. *)
 
 val with_ghost_feed : (Prim.request -> Value.t option) -> (unit -> 'a) -> 'a
-(** [with_ghost_feed f body] installs [f] as the current domain's ghost
-    feed for the duration of [body]: every {!step} performed by fibers
+(** [with_ghost_feed f body] installs [f] as the process's ghost feed
+    for the duration of [body]: every {!step} performed by fibers
     running inside [body] first asks [f] for the response, and only
     suspends on the effect when [f] returns [None].  This lets a ghost
     replay re-execute a logged prefix as one straight-line run (no

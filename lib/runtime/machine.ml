@@ -74,8 +74,6 @@ let crash t ~index wipe =
 
 let steps t = t.steps
 
-let nvm_snapshot t = Mem.snapshot t.mem
-
 (* ---- incremental checkpointing (undo engine) ---- *)
 
 let set_journal t on = Mem.set_journal t.mem on

@@ -18,6 +18,8 @@ val create : ?model:model -> unit -> t
 
 val model : t -> model
 val mem : t -> Mem.t
+(** The {e non-volatile} store — what survives a crash.  In the
+    shared-cache model, dirty cache lines are not in it. *)
 
 val alloc_shared : t -> string -> Value.t -> Loc.t
 val alloc_private : t -> pid:int -> string -> Value.t -> Loc.t
@@ -45,10 +47,6 @@ val crash : t -> index:int -> Fault_model.wipe -> unit
 
 val steps : t -> int
 (** Number of primitive steps applied since creation. *)
-
-val nvm_snapshot : t -> Mem.snapshot
-(** Snapshot of the {e non-volatile} state only — what survives a crash.
-    In the shared-cache model, dirty cache lines are not included. *)
 
 (** {1 Incremental checkpointing}
 

@@ -456,7 +456,6 @@ let finished s =
   let rec go i = i >= n || ((not (pid_runnable s s.procs.(i))) && go (i + 1)) in
   go 0
 
-let n_procs s = Array.length s.procs
 
 (* Rebuild a stale fiber at its authoritative position: re-run the
    current incarnation's program, feeding it the logged inputs, with

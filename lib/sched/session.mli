@@ -56,9 +56,6 @@ val runnable_into : t -> int array -> int
 
 val finished : t -> bool
 
-val n_procs : t -> int
-(** Number of processes in the session (the workload array length). *)
-
 val step : t -> int -> unit
 (** [step s pid] executes [pid]'s pending primitive step.  Raises
     [Invalid_argument] if [pid] is not runnable. *)
@@ -210,7 +207,7 @@ val state_digest : t -> int
     deterministic, pins down its fiber continuation exactly), driver
     status, remaining workload, the real-time event order so far, and
     the step/crash/uid counters.  The model checker combines this with
-    {!Nvm.Mem.live_fingerprint_full} to key its visited set: two
+    {!Nvm.Mem.live_full_a}/{!Nvm.Mem.live_full_b} to key its visited set: two
     configurations with equal digests and equal memory behave
     identically under every future decision sequence (up to 63-bit hash
     collisions). *)

@@ -42,37 +42,6 @@ let test_faa () =
   Alcotest.(check int) "negative delta" 15 (Mem.faa m a (-3));
   Alcotest.(check int) "subtracted" 12 (Value.to_int (Mem.read m a))
 
-let test_snapshot_restore () =
-  let m = Mem.create () in
-  let a = Mem.alloc m ~name:"a" ~kind:Loc.Shared (i 1) in
-  let snap = Mem.snapshot m in
-  Mem.write m a (i 2);
-  Mem.restore m snap;
-  Alcotest.check v "restored" (i 1) (Mem.read m a)
-
-let test_restore_rolls_back_max_bits () =
-  (* Regression: [restore] used to put values back but leave the per-location
-     high-water marks at whatever the abandoned branch drove them to, so a
-     model-checking replay that explored a wide write first would inflate
-     [max_shared_bits] for every sibling branch explored after it. *)
-  let m = Mem.create () in
-  let a = Mem.alloc m ~name:"a" ~kind:Loc.Shared (i 1) in
-  let snap = Mem.snapshot m in
-  Alcotest.(check int) "baseline high-water" 1 (Mem.max_shared_bits m);
-  Mem.write m a (i 255);
-  Alcotest.(check int) "wide write raises it" 8 (Mem.max_shared_bits m);
-  Mem.restore m snap;
-  Alcotest.(check int) "restore rolls it back" 1 (Mem.max_shared_bits m);
-  Alcotest.(check int) "per-loc mark rolls back too" 1 (Mem.max_bits_of m a);
-  (* and a snapshot taken *after* the wide write must preserve the mark *)
-  Mem.write m a (i 255);
-  let snap8 = Mem.snapshot m in
-  Mem.restore m snap;
-  Alcotest.(check int) "dropped again" 1 (Mem.max_shared_bits m);
-  Mem.restore m snap8;
-  Alcotest.(check int) "snapshot carries its own mark" 8
-    (Mem.max_shared_bits m)
-
 let test_equal_shared_ignores_private () =
   let mk () =
     let m = Mem.create () in
@@ -336,8 +305,8 @@ let test_mark_rewind_basic () =
 
 let test_rewind_restores_max_bits () =
   (* The journal must roll back the per-location high-water marks along
-     with the contents — the same stale-accounting class of bug that
-     [restore] had before bf9564b, now on the incremental path. *)
+     with the contents — the stale-accounting bug that the old
+     snapshot-restore checkpoint had before bf9564b. *)
   let m = Mem.create () in
   let a = Mem.alloc m ~name:"a" ~kind:Loc.Shared (i 1) in
   Mem.set_journal m true;
@@ -407,25 +376,6 @@ let prop_mark_rewind_roundtrip =
       Mem.equal_full (Mem.snapshot m) reference
       && Mem.max_shared_bits m = max_bits_ref)
 
-let prop_snapshot_roundtrip =
-  QCheck.Test.make ~name:"snapshot/restore roundtrip"
-    ~count:Test_support.qcheck_count
-    QCheck.(list (pair (int_bound 9) small_signed_int))
-    (fun writes ->
-      let m = Mem.create () in
-      let locs =
-        Array.init 10 (fun k ->
-            Mem.alloc m ~name:(Printf.sprintf "l%d" k) ~kind:Loc.Shared (i 0))
-      in
-      let snap0 = Mem.snapshot m in
-      List.iter (fun (k, x) -> Mem.write m locs.(k) (i x)) writes;
-      let snap1 = Mem.snapshot m in
-      Mem.restore m snap0;
-      let back0 = Mem.equal_full (Mem.snapshot m) snap0 in
-      Mem.restore m snap1;
-      let back1 = Mem.equal_full (Mem.snapshot m) snap1 in
-      back0 && back1)
-
 (* --- arena/journal growth discipline (ISSUE 8) ------------------- *)
 
 (* the cell arena grows by doubling from any starting capacity; growth
@@ -474,13 +424,14 @@ let prop_journal_growth_roundtrip =
       for s = 1 to n_before do mutate s done;
       let reference = Mem.snapshot m in
       let bits_ref = Mem.max_shared_bits m in
-      let fa_ref, fb_ref = Mem.live_fingerprint_full m in
+      let full () = (Mem.live_full_a m, Mem.live_full_b m) in
+      let full_ref = full () in
       let mk = Mem.mark m in
       for s = 1 to n_after do mutate s done;
       Mem.rewind m mk;
       Mem.equal_full (Mem.snapshot m) reference
       && Mem.max_shared_bits m = bits_ref
-      && Mem.live_fingerprint_full m = (fa_ref, fb_ref))
+      && full () = full_ref)
 
 (* the incremental (journal-on) fingerprint accumulators must agree with
    the journal-off full scan, and with the snapshot digest, at any point
@@ -499,14 +450,15 @@ let prop_live_fingerprint_consistent =
       in
       Mem.set_journal m true;
       List.iter (fun (k, x) -> Mem.write m locs.(k) (i x)) writes;
-      let live_shared = Mem.live_fingerprint_shared m in
-      let live_full = (Mem.live_full_a m, Mem.live_full_b m) in
+      let shared () = (Mem.live_shared_a m, Mem.live_shared_b m) in
+      let full () = (Mem.live_full_a m, Mem.live_full_b m) in
+      let live_shared = shared () and live_full = full () in
       let snap_shared = Mem.fingerprint_shared (Mem.snapshot m) in
       (* dropping the journal switches the live reads to the scan path
          without touching contents *)
       Mem.set_journal m false;
-      Mem.live_fingerprint_shared m = live_shared
-      && Mem.live_fingerprint_full m = live_full
+      shared () = live_shared
+      && full () = live_full
       && live_shared = snap_shared)
 
 (* --- fault-spec parser: total, and strict about its spellings --- *)
@@ -602,9 +554,6 @@ let suites =
         Alcotest.test_case "growth" `Quick test_many_allocs;
         Alcotest.test_case "cas" `Quick test_cas;
         Alcotest.test_case "faa" `Quick test_faa;
-        Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
-        Alcotest.test_case "restore rolls back footprint high-water" `Quick
-          test_restore_rolls_back_max_bits;
         Alcotest.test_case "memory-equivalence" `Quick
           test_equal_shared_ignores_private;
         Alcotest.test_case "footprint accounting" `Quick test_footprint;
@@ -616,7 +565,6 @@ let suites =
         Alcotest.test_case "journal mark discipline" `Quick
           test_journal_discipline;
         QCheck_alcotest.to_alcotest prop_mark_rewind_roundtrip;
-        QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
         Alcotest.test_case "arena growth from capacity 1" `Quick
           test_arena_growth_from_one;
         QCheck_alcotest.to_alcotest prop_journal_growth_roundtrip;

@@ -149,22 +149,22 @@ let mem_after ~n workloads =
 let test_canonical_fingerprint_quotient () =
   (* the same solo CAS run by p0 vs by p1: raw fingerprints differ (the
      private blocks and the flip vector are pid-indexed), canonical
-     fingerprints agree (the configurations are one transposition apart) *)
+     fingerprints of the shared cells agree (C's flip vector is one
+     transposition apart) *)
   let a = mem_after ~n:2 [| [ Spec.cas_op (i 0) (i 1) ]; [] |] in
   let b = mem_after ~n:2 [| []; [ Spec.cas_op (i 0) (i 1) ] |] in
-  Alcotest.(check bool)
-    "raw fingerprints differ" true
-    (Mem.live_fingerprint_full a <> Mem.live_fingerprint_full b);
+  let full m = (Mem.live_full_a m, Mem.live_full_b m) in
+  Alcotest.(check bool) "raw fingerprints differ" true (full a <> full b);
   Alcotest.(check bool)
     "canonical fingerprints agree" true
-    (Modelcheck.Sym.canonical_fingerprint ~n:2 a
-    = Modelcheck.Sym.canonical_fingerprint ~n:2 b);
+    (Modelcheck.Sym.canonical_fingerprint_shared ~n:2 a
+    = Modelcheck.Sym.canonical_fingerprint_shared ~n:2 b);
   (* distinct orbits must stay distinct: p0's CAS vs no CAS at all *)
   let c = mem_after ~n:2 [| []; [] |] in
   Alcotest.(check bool)
     "distinct orbits distinguished" true
-    (Modelcheck.Sym.canonical_fingerprint ~n:2 a
-    <> Modelcheck.Sym.canonical_fingerprint ~n:2 c)
+    (Modelcheck.Sym.canonical_fingerprint_shared ~n:2 a
+    <> Modelcheck.Sym.canonical_fingerprint_shared ~n:2 c)
 
 let test_swap_invariant () =
   (* freshly created: all processes interchangeable; after p0 runs a CAS
@@ -324,7 +324,17 @@ let test_memo_weighted_count_matches_unreduced () =
     none.Modelcheck.Explore.total_violations
     memo.Modelcheck.Explore.total_violations;
   Alcotest.(check string) "metrics label" "dpor+sym-memo"
-    memo.Modelcheck.Explore.metrics.Modelcheck.Explore.reduction
+    memo.Modelcheck.Explore.metrics.Modelcheck.Explore.reduction;
+  (* the Exact audit keys on the same live canonical digest: it must
+     count the same orbits and weights, and find no collision *)
+  let exact = explore_full ~mk ~workloads ~exact:true `Dpor_sym_memo in
+  Alcotest.(check int) "exact weighted configs"
+    memo.Modelcheck.Explore.distinct_shared_configs
+    exact.Modelcheck.Explore.distinct_shared_configs;
+  Alcotest.(check int) "exact orbits" orbits
+    exact.Modelcheck.Explore.metrics.Modelcheck.Explore.canonical_orbits;
+  Alcotest.(check int) "exact audit: no collisions" 0
+    exact.Modelcheck.Explore.metrics.Modelcheck.Explore.fingerprint_collisions
 
 let prop_canonical_quotient_sound =
   (* the soundness audit for canonical fingerprints as quotient keys:

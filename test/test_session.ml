@@ -274,7 +274,10 @@ let undo_workloads =
 let test_undo_mark_rewind_roundtrip () =
   let machine, inst = Test_support.mk_dcas ~n:2 () in
   let session = Session.create ~undo:true machine inst ~workloads:undo_workloads in
-  let fp () = Mem.live_fingerprint_full (Runtime.Machine.mem machine) in
+  let fp () =
+    let m = Runtime.Machine.mem machine in
+    (Mem.live_full_a m, Mem.live_full_b m)
+  in
   let dig0 = Session.state_digest session and fp0 = fp () in
   let runnable0 = Session.runnable session in
   let m = Session.mark session in
@@ -377,7 +380,7 @@ let mr_observe machine session =
     o_crashes = Session.crashes session;
     o_uids = Session.uids session;
     o_runnable = Session.runnable session;
-    o_nvm = Runtime.Machine.nvm_snapshot machine;
+    o_nvm = Mem.snapshot (Runtime.Machine.mem machine);
     o_max_bits = Mem.max_shared_bits mem;
     o_view =
       List.init (Mem.n_locs mem) (fun id ->
