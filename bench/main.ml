@@ -370,7 +370,7 @@ let modelcheck_suite =
    The incremental checker, once per way it is used:
    "modelcheck_leaves" explores a DRW workload whose leaves share long
    prefixes (the frontier-reuse case), "torture_histories" checks long
-   random crash histories one-shot (beyond Lin_check.word_ops operations,
+   random crash histories one-shot (beyond Bitset.word_bits operations,
    so on chunked bitsets).  Floors: the committed checks/sec. *)
 
 let lincheck_histories ~trials ~procs ~ops_per_proc ~seed =

@@ -706,7 +706,7 @@ let modelcheck_cmd =
     else if out.Modelcheck.Explore.capped then
       print_endline
         "node budget reached: counters are partial lower bounds";
-    Printf.printf "undo: %d cells rewound, intern hit rate %.1f%%\n"
+    Printf.printf "undo: %d cells rewound, constant-node share %.1f%%\n"
       m.Modelcheck.Explore.rewound_cells
       (100.0 *. m.Modelcheck.Explore.intern_hit_rate);
     Printf.printf

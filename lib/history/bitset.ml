@@ -1,8 +1,7 @@
 open Nvm
 
-(* 62 bits per word keeps every word non-negative (OCaml ints are 63-bit)
-   and makes [Small] bit-compatible with the historical one-word bitmask
-   of the checker, whose op indices were bounded by 62. *)
+(* 62 bits per word keeps every word non-negative (OCaml ints are
+   63-bit). *)
 let word_bits = 62
 
 type t =

@@ -53,131 +53,96 @@ let analyze events =
 
 (* ------------------------------------------------------------------ *)
 (* Batch reference checker: Wing–Gong DFS over (linearized set, abstract
-   state), generic in the linearized-set representation so histories of
-   up to 62 operations keep the historical one-word bitmask while longer
-   ones fall back to chunked {!Bitset}s.
+   state), the set a {!Bitset} (one word up to 62 operations, chunked
+   beyond).
 
-   DFS node identity: which ops are linearized plus the {e interned}
-   abstract state.  Interning ([Value.intern]) gives every state an O(1)
-   cached fingerprint, so the visited table neither truncates deep
-   states (the polymorphic [Hashtbl.hash] only samples a bounded prefix
-   of the structure — on large abstract states, e.g. long queues, every
-   node landed in a handful of buckets) nor rehashes them per probe.
-   Ops with a [fail] verdict are excluded up-front (they may never
-   linearize), and ops pending at the end of the history are simply
-   never required — they have no outcome event, so they block nobody. *)
+   DFS node identity: which ops are linearized plus the abstract state
+   with its cached digest ([Value.hc_of]).  The digest hashes the whole
+   structure once per state, so the visited table neither truncates
+   deep states (the polymorphic [Hashtbl.hash] only samples a bounded
+   prefix of the structure — on large abstract states, e.g. long
+   queues, every node landed in a handful of buckets) nor rehashes them
+   per probe.  Ops with a [fail] verdict are excluded up-front (they may
+   never linearize), and ops pending at the end of the history are
+   simply never required — they have no outcome event, so they block
+   nobody. *)
 
-module type MASK = sig
-  type t
+module Node_tbl = Hashtbl.Make (struct
+  type t = Bitset.t * Value.hc
 
-  val empty : t
-  val set : t -> int -> t
-  val mem : t -> int -> bool
-  val union : t -> t -> t
-  val subset : t -> t -> bool
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
+  let equal (la, sa) (lb, sb) = Bitset.equal la lb && Value.hc_equal sa sb
+  let hash (l, s) = Value.mix (Bitset.hash l) s.Value.da
+end)
 
-module Int_mask : MASK with type t = int = struct
-  type t = int
-
-  let empty = 0
-  let set m i = m lor (1 lsl i)
-  let mem m i = m land (1 lsl i) <> 0
-  let union = ( lor )
-  let subset a b = a land lnot b = 0
-  let equal = Int.equal
-  let hash m = m
-end
-
-module Dfs (M : MASK) = struct
-  module Node_tbl = Hashtbl.Make (struct
-    type t = M.t * Value.hc
-
-    let equal (la, sa) (lb, sb) = M.equal la lb && Value.hc_equal sa sb
-    let hash (l, s) = Value.mix (M.hash l) s.Value.da
-  end)
-
-  let run spec (records : op_record array) =
-    let n = Array.length records in
-    (* ops that must never linearize are discarded from the start *)
-    let excluded = ref M.empty in
-    Array.iteri
-      (fun i r -> if r.kind = Must_not then excluded := M.set !excluded i)
-      records;
-    let must = ref M.empty in
-    Array.iteri
-      (fun i r ->
-        match r.kind with
-        | Must _ -> must := M.set !must i
-        | Must_not | May -> ())
-      records;
-    (* preds.(i): set of ops whose outcome precedes i's invocation *)
-    let preds = Array.make n M.empty in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        match records.(j).out with
-        | Some out_j when j <> i && out_j < records.(i).inv ->
-            preds.(i) <- M.set preds.(i) j
-        | Some _ | None -> ()
-      done
-    done;
-    let excluded = !excluded in
-    let must = !must in
-    let visited = Node_tbl.create 4096 in
-    let witness = ref [] in
-    (* DFS: returns true iff all Must ops can be linearized from here *)
-    let rec go lin (state : Value.hc) =
-      if M.subset must lin then true
-      else
-        let node = (lin, state) in
-        if Node_tbl.mem visited node then false
-        else begin
-          Node_tbl.add visited node ();
-          let settled = M.union lin excluded in
-          let found = ref false in
-          let i = ref 0 in
-          while (not !found) && !i < n do
-            (* candidate: unsettled, and every real-time predecessor is
-               settled (linearized or excluded) *)
-            if (not (M.mem settled !i)) && M.subset preds.(!i) settled
-            then begin
-              let r = records.(!i) in
-              let state', resp = spec.Spec.step state.Value.node r.op in
-              let resp_ok =
-                match r.kind with
-                | Must v -> Value.equal resp v
-                | May -> true
-                | Must_not -> assert false
-              in
-              if resp_ok && go (M.set lin !i) (Value.intern state') then begin
-                witness := r.op :: !witness;
-                found := true
-              end
-            end;
-            incr i
-          done;
-          !found
-        end
-    in
-    if go M.empty (Value.intern spec.Spec.init) then Ok_linearizable !witness
-    else Violation no_lin_msg
-end
-
-(* Histories up to [word_ops] operations run on the one-word fast path. *)
-let word_ops = Bitset.word_bits
-
-module Dfs_small = Dfs (Int_mask)
-module Dfs_big = Dfs (Bitset)
+let run spec (records : op_record array) =
+  let n = Array.length records in
+  (* ops that must never linearize are discarded from the start *)
+  let excluded = ref Bitset.empty in
+  Array.iteri
+    (fun i r -> if r.kind = Must_not then excluded := Bitset.set !excluded i)
+    records;
+  let must = ref Bitset.empty in
+  Array.iteri
+    (fun i r ->
+      match r.kind with
+      | Must _ -> must := Bitset.set !must i
+      | Must_not | May -> ())
+    records;
+  (* preds.(i): set of ops whose outcome precedes i's invocation *)
+  let preds = Array.make n Bitset.empty in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      match records.(j).out with
+      | Some out_j when j <> i && out_j < records.(i).inv ->
+          preds.(i) <- Bitset.set preds.(i) j
+      | Some _ | None -> ()
+    done
+  done;
+  let excluded = !excluded in
+  let must = !must in
+  let visited = Node_tbl.create 4096 in
+  let witness = ref [] in
+  (* DFS: returns true iff all Must ops can be linearized from here *)
+  let rec go lin (state : Value.hc) =
+    if Bitset.subset must lin then true
+    else
+      let node = (lin, state) in
+      if Node_tbl.mem visited node then false
+      else begin
+        Node_tbl.add visited node ();
+        let settled = Bitset.union lin excluded in
+        let found = ref false in
+        let i = ref 0 in
+        while (not !found) && !i < n do
+          (* candidate: unsettled, and every real-time predecessor is
+             settled (linearized or excluded) *)
+          if (not (Bitset.mem settled !i)) && Bitset.subset preds.(!i) settled
+          then begin
+            let r = records.(!i) in
+            let state', resp = spec.Spec.step state.Value.node r.op in
+            let resp_ok =
+              match r.kind with
+              | Must v -> Value.equal resp v
+              | May -> true
+              | Must_not -> assert false
+            in
+            if resp_ok && go (Bitset.set lin !i) (Value.hc_of state') then begin
+              witness := r.op :: !witness;
+              found := true
+            end
+          end;
+          incr i
+        done;
+        !found
+      end
+  in
+  if go Bitset.empty (Value.hc_of spec.Spec.init) then Ok_linearizable !witness
+  else Violation no_lin_msg
 
 let check spec events =
   match analyze events with
   | exception Malformed msg -> Violation ("malformed history: " ^ msg)
-  | records ->
-      let records = Array.of_list records in
-      if Array.length records <= word_ops then Dfs_small.run spec records
-      else Dfs_big.run spec records
+  | records -> run spec (Array.of_list records)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental engine.
@@ -194,7 +159,7 @@ let check spec events =
    was linearized — the outcome event then either confirms the promise
    (the configuration survives, the promise is discharged) or refutes it
    (the configuration dies).  Configurations are deduplicated on all
-   three components, keyed on interned-value fingerprints.
+   three components, keyed on the values' cached digests.
 
    Event rules, each preserving the closure invariant ("for every
    configuration in the frontier and every pending op not in it, the
@@ -311,7 +276,7 @@ module Session = struct
     let root =
       {
         f_lin = Bitset.empty;
-        f_state = Value.intern spec.Spec.init;
+        f_state = Value.hc_of spec.Spec.init;
         f_promises = [];
         f_parent = None;
         f_opidx = -1;
@@ -366,8 +331,8 @@ module Session = struct
             let nd' =
               {
                 f_lin = Bitset.set nd.f_lin i;
-                f_state = Value.intern st';
-                f_promises = promise_add nd.f_promises i (Value.intern resp);
+                f_state = Value.hc_of st';
+                f_promises = promise_add nd.f_promises i (Value.hc_of resp);
                 f_parent = Some nd;
                 f_opidx = i;
               }
@@ -437,7 +402,7 @@ module Session = struct
                 else begin
                   oi.oi_state <- O_done;
                   t.pending <- List.filter (fun j -> j <> idx) t.pending;
-                  let vh = Value.intern v in
+                  let vh = Value.hc_of v in
                   let n = ref 0 in
                   let survivors =
                     List.filter_map

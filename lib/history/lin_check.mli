@@ -18,8 +18,8 @@
 
     - {!check}, the batch reference: a Wing–Gong style interleaving
       exploration over one whole history, with memoization on
-      (set of linearized operations, abstract state) keyed on
-      {!Nvm.Value.intern} fingerprints.  Exact, exponential in the worst
+      (set of linearized operations, abstract state) keyed on the
+      state's {!Nvm.Value.hc_of} digest.  Exact, exponential in the worst
       case, O(whole history) even on success.
     - {!Session}, the incremental engine: events are pushed one at a
       time and the reachable Wing–Gong frontier is maintained as state,
@@ -31,8 +31,9 @@
     Both engines agree on every verdict, including violation messages
     (property-tested in [test/test_lin_check.ml]); they may differ in
     which witness linearization they return where several exist.
-    Histories are no longer bounded by a word size: sets of more than
-    {!word_ops} operations transparently switch to chunked {!Bitset}s. *)
+    Histories are not bounded by a word size: both engines keep the
+    linearized set in a {!Bitset}, one word up to
+    {!Bitset.word_bits} operations and chunked beyond. *)
 
 type verdict =
   | Ok_linearizable of Spec.op list
@@ -43,11 +44,6 @@ val check : Spec.t -> Event.t list -> verdict
 (** The batch reference engine. *)
 
 val is_ok : verdict -> bool
-
-val word_ops : int
-(** Histories of at most this many operation instances (62) run on the
-    historical one-word bitmask fast path; longer histories use chunked
-    bitsets.  No history is rejected for size. *)
 
 type engine = [ `Batch | `Incremental ]
 

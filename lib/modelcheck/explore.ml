@@ -326,7 +326,7 @@ type state = {
   mutable dedup_hits : int;
   mutable nodes_saved : int;
   mutable rewound : int;  (* cells restored by rewinds *)
-  mutable intern_hit_rate : float;  (* Value.intern hits / lookups *)
+  mutable intern_hit_rate : float;  (* Value.hc_of constant share *)
   mutable sleep_skips : int;  (* children pruned by the sleep set *)
   mutable sym_skips : int;  (* children pruned by symmetry *)
   mutable source_skips : int;  (* sibling frontiers cut by source sets *)
@@ -958,11 +958,11 @@ let explore ~mk ~workloads (cfg : config) =
         inst.Obj_inst.id_symmetric
     | `None | `Dpor | `Dpor_sym -> false
   in
-  (* allocation and intern-table traffic are the calling domain's
-     counter deltas around the whole search *)
+  (* allocation and [Value.hc_of] traffic are the process's counter
+     deltas around the whole search *)
   let st, alloc =
     Dtc_util.Alloc_stats.measure (fun () ->
-        let h0, m0 = Value.intern_stats () in
+        let c0, f0 = Value.hc_stats () in
         let machine, inst = mk () in
         let session =
           Session.create ~policy:cfg.policy ~undo:true machine inst ~workloads
@@ -973,10 +973,10 @@ let explore ~mk ~workloads (cfg : config) =
              ~stepped:0 None 0 0
          with Node_cap -> st.capped <- true);
         st.rewound <- Mem.rewound_cells (Runtime.Machine.mem machine);
-        let h1, m1 = Value.intern_stats () in
-        let hits = h1 - h0 and total = h1 - h0 + (m1 - m0) in
+        let c1, f1 = Value.hc_stats () in
+        let consts = c1 - c0 and total = c1 - c0 + (f1 - f0) in
         st.intern_hit_rate <-
-          (if total = 0 then 0. else float_of_int hits /. float_of_int total);
+          (if total = 0 then 0. else float_of_int consts /. float_of_int total);
         st)
   in
   finish ~t0 ~alloc st

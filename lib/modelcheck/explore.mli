@@ -173,8 +173,10 @@ type metrics = {
   rewound_cells : int;
       (** total cell restorations performed by rewinds *)
   intern_hit_rate : float;
-      (** {!Nvm.Value.intern} table hits / lookups during the run, 0 if
-          no traffic *)
+      (** share of the run's {!Nvm.Value.hc_of} calls that a
+          preallocated constant node answered ({!Nvm.Value.hc_stats}),
+          0 if no traffic.  The field keeps its name because
+          [bench/perf] reads it by name. *)
   leaf_checks : int;  (** leaf histories submitted to the checker *)
   lin_elapsed_s : float;
       (** checker-attributable wall time: event pushes, frontier

@@ -1,7 +1,7 @@
-(* Cells hold interned values ([Value.hc]) so that equality on the
-   [cas] hot path and per-cell fingerprint folding are O(1).  All
-   public read/write traffic stays in plain [Value.t]; interning is an
-   internal representation choice. *)
+(* Cells hold values with their cached digests ([Value.hc]) so that
+   per-cell fingerprint folding and space accounting are O(1).  All
+   public read/write traffic stays in plain [Value.t]; the digests are
+   an internal representation choice. *)
 
 type t = {
   mutable cells : Value.hc array;
@@ -29,11 +29,11 @@ type t = {
 }
 
 let initial_capacity = 64
-let bot () = Value.intern Value.Bot
+let bot () = Value.hc_of Value.Bot
 
 (* Fingerprint half seeds; the per-cell terms below are already keyed on
-   the independent [da]/[db] digests cached at interning time, the seeds
-   just separate the empty-memory digests of the two halves. *)
+   the independent [da]/[db] digests cached in each cell's [Value.hc],
+   the seeds just separate the empty-memory digests of the two halves. *)
 let seed_a = 0x2545F4914F6CDD1
 let seed_b = 0x6A09E667F3BCC90
 
@@ -107,7 +107,7 @@ let alloc mem ~name ~kind init =
   if mem.len = Array.length mem.cells then grow mem;
   let id = mem.len in
   let loc = Loc.make ~id ~name ~kind in
-  let init = Value.intern init in
+  let init = Value.hc_of init in
   mem.cells.(id) <- init;
   mem.locs.(id) <- loc;
   mem.max_bits.(id) <- init.Value.bits;
@@ -216,7 +216,7 @@ let rewind mem { m_len; m_j } =
 
 (* ---- mutation ---- *)
 
-(* Interned nodes carry their bit width ([Value.hc.bits]), so the
+(* Cell values carry their bit width ([Value.hc.bits]), so the
    high-water update is a cached compare, not a value walk. *)
 let note_hc_bits mem id (c : Value.hc) =
   if c.Value.bits > mem.max_bits.(id) then mem.max_bits.(id) <- c.Value.bits
@@ -224,19 +224,19 @@ let note_hc_bits mem id (c : Value.hc) =
 let write mem (loc : Loc.t) v =
   check mem loc;
   journal mem loc.Loc.id;
-  let c = Value.intern v in
+  let c = Value.hc_of v in
   fp_set mem loc.Loc.id c;
   note_hc_bits mem loc.Loc.id c
 
 let cas mem (loc : Loc.t) expected desired =
   check mem loc;
   let cur = mem.cells.(loc.Loc.id) in
-  (* structural compare against the live cell; interning [expected]
-     (whose only use is this one comparison) would pollute the table and
-     allocate on every failed cas *)
+  (* structural compare against the live cell; digesting [expected]
+     (whose only use is this one comparison) would walk and allocate on
+     every failed cas *)
   if Value.equal cur.Value.node expected then (
     journal mem loc.Loc.id;
-    let c = Value.intern desired in
+    let c = Value.hc_of desired in
     fp_set mem loc.Loc.id c;
     note_hc_bits mem loc.Loc.id c;
     true)
@@ -245,7 +245,7 @@ let cas mem (loc : Loc.t) expected desired =
 let faa mem (loc : Loc.t) delta =
   check mem loc;
   let old = Value.to_int mem.cells.(loc.Loc.id).Value.node in
-  let c = Value.intern (Value.Int (old + delta)) in
+  let c = Value.hc_of (Value.Int (old + delta)) in
   journal mem loc.Loc.id;
   fp_set mem loc.Loc.id c;
   note_hc_bits mem loc.Loc.id c;
@@ -285,7 +285,8 @@ let hash_shared a =
   let h = ref 5381 in
   Array.iteri
     (fun i loc ->
-      if Loc.is_shared loc then h := (!h * 1000003) lxor a.s_cells.(i).Value.h)
+      if Loc.is_shared loc then
+        h := (!h * 1000003) lxor a.s_cells.(i).Value.da)
     a.s_locs;
   !h
 
@@ -293,7 +294,7 @@ let hash_shared a =
    per-cell terms (see above).  The model checker treats a pair
    collision as "same configuration", so the halves must be wide and
    independent; Config_set's exact mode audits them.  Terms use the
-   digests cached at interning time ([Value.hc.da]/[db]), so each cell
+   digests cached in each cell ([Value.hc.da]/[db]), so each cell
    costs O(1) regardless of value size — and the [live_] variants just
    read the accumulators the mutation path maintains. *)
 

@@ -120,7 +120,7 @@ val equal_full : snapshot -> snapshot -> bool
     Compact (two-word) digests used by the model checker's visited set
     and by {!Modelcheck.Config_set}'s fingerprint mode.  Each half is
     the XOR of a per-cell term mixed from the cell index and the
-    value-digest cached at interning time (a Zobrist scheme); the two
+    value-digest cached with the cell's value (a Zobrist scheme); the two
     halves use the independent [da]/[db] digest streams, so a pair
     collision between distinct configurations needs both 63-bit streams
     to collide at once.  XOR terms make the digest incrementally

@@ -54,8 +54,8 @@ let rec hash v =
   | Unit -> 17
   | Bot -> 31
   | Bool b -> if b then 83 else 97
-  | Int n -> Hashtbl.hash n
-  | Str s -> Hashtbl.hash s
+  | Int n -> Int.hash n
+  | Str s -> String.hash s
   | Tup xs -> Array.fold_left (fun acc x -> (acc * 1000003) lxor hash x) 7919 xs
 
 (* 63-bit avalanche combine (xor-multiply-shift, splitmix-style).  The
@@ -74,7 +74,7 @@ let rec hash_seeded seed v =
   | Bot -> mix seed 31
   | Bool b -> mix seed (if b then 83 else 97)
   | Int n -> mix (mix seed 2) n
-  | Str s -> mix (mix seed 3) (Hashtbl.hash s)
+  | Str s -> mix (mix seed 3) (String.hash s)
   | Tup xs -> Array.fold_left hash_seeded (mix seed 4099) xs
 
 let rec pp fmt = function
@@ -130,98 +130,65 @@ let set_nth v i x =
   | v -> type_error (Printf.sprintf "tuple with component %d" i) v
 
 (* ------------------------------------------------------------------ *)
-(* Hash-consing.
+(* Values with cached digests.
 
    The undo-engine's hot loop fingerprints whole configurations and
-   compares cell contents on every [cas], so values that live in
-   memory cells are interned: one canonical [hc] node per structural
-   value, carrying its bucketing hash and the two fixed-seed fingerprint
-   half-digests used by [Mem.fingerprint_*].  Interning makes equality a
-   pointer comparison and fingerprint folding a single table lookup per
-   cell.
+   the space accounting sizes every write, so the values that live in
+   memory cells carry their two fixed-seed fingerprint half-digests
+   (used by [Mem]'s fingerprints) and their bit width, computed once
+   when the value is built.  There is no table behind [hc_of]: a fresh
+   value gets a fresh node, so nothing outlives the cells and checker
+   states that hold it.  The digest seeds are fixed (below), so the
+   digests of a value are the same in every process. *)
 
-   There is one table per process, in plain module state: nothing runs
-   on a second domain (parallel torture uses worker processes), so it
-   needs no lock.  It is never emptied: it holds every distinct value
-   interned since the process started, and a long in-process torture
-   run keeps all of them live.  The digest seeds are fixed (below), so
-   the cached digests of a value are the same in every process. *)
-
-type hc = { node : t; h : int; da : int; db : int; bits : int }
+type hc = { node : t; da : int; db : int; bits : int }
 
 (* Distinct from Mem's chain seeds; only the per-value digests matter,
    the chain seeds stay in Mem. *)
 let digest_seed_a = 0x71C94A2F3E609D1
 let digest_seed_b = 0x2B992DDFA23249D
 
-let mk_hc v h =
+let mk_hc v =
   {
     node = v;
-    h;
     da = hash_seeded digest_seed_a v;
     db = hash_seeded digest_seed_b v;
     bits = bits v;
   }
 
 (* Tiny immediate values dominate cell traffic (counters, toggles,
-   process ids), so they get a table-free constant-time path: one
-   preallocated node each, shared by every [intern] call.
-   They are never entered in [tbl], which keeps them canonical for the
-   table's whole lifetime. *)
+   process ids), so each gets one preallocated node, shared by every
+   [hc_of] call: no digest walk, no allocation. *)
 let small_int_cache_size = 256
+let small_int = Array.init small_int_cache_size (fun i -> mk_hc (Int i))
+let c_unit = mk_hc Unit
+let c_bot = mk_hc Bot
+let c_true = mk_hc (Bool true)
+let c_false = mk_hc (Bool false)
 
-type intern_state = {
-  tbl : (int, hc list) Hashtbl.t;
-  small_int : hc array;  (* [Int 0] .. [Int (small_int_cache_size - 1)] *)
-  c_unit : hc;
-  c_bot : hc;
-  c_true : hc;
-  c_false : hc;
-  mutable hits : int;
-  mutable misses : int;
-}
+(* Process-wide call counters, in plain module state: nothing runs on a
+   second domain (parallel torture uses worker processes). *)
+let constants = ref 0
+let fresh = ref 0
 
-let st =
-  let mk v = mk_hc v (hash v) in
-  {
-    tbl = Hashtbl.create 8192;
-    small_int = Array.init small_int_cache_size (fun i -> mk (Int i));
-    c_unit = mk Unit;
-    c_bot = mk Bot;
-    c_true = mk (Bool true);
-    c_false = mk (Bool false);
-    hits = 0;
-    misses = 0;
-  }
-
-let intern v =
+let hc_of v =
   match v with
   | Int n when n >= 0 && n < small_int_cache_size ->
-      st.hits <- st.hits + 1;
-      st.small_int.(n)
+      incr constants;
+      small_int.(n)
   | Unit ->
-      st.hits <- st.hits + 1;
-      st.c_unit
+      incr constants;
+      c_unit
   | Bot ->
-      st.hits <- st.hits + 1;
-      st.c_bot
+      incr constants;
+      c_bot
   | Bool b ->
-      st.hits <- st.hits + 1;
-      if b then st.c_true else st.c_false
+      incr constants;
+      if b then c_true else c_false
   | _ ->
-      let h = hash v in
-      let bucket = try Hashtbl.find st.tbl h with Not_found -> [] in
-      let rec find = function
-        | [] ->
-            st.misses <- st.misses + 1;
-            let c = mk_hc v h in
-            Hashtbl.replace st.tbl h (c :: bucket);
-            c
-        | c :: rest ->
-            if equal c.node v then (st.hits <- st.hits + 1; c) else find rest
-      in
-      find bucket
+      incr fresh;
+      mk_hc v
 
-let hc_equal a b = a == b || (a.h = b.h && equal a.node b.node)
+let hc_equal a b = a == b || (a.da = b.da && equal a.node b.node)
 
-let intern_stats () = (st.hits, st.misses)
+let hc_stats () = (!constants, !fresh)

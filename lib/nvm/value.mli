@@ -65,35 +65,36 @@ val set_nth : t -> int -> t -> t
 (** [set_nth v i x] is tuple [v] with component [i] replaced by [x]
     (functional update; the original is unchanged). *)
 
-(** {1 Hash-consing}
+(** {1 Values with cached digests}
 
-    Memory cells store interned values so that equality (the [cas] hot
-    path) and configuration fingerprinting become O(1) per cell.  The
-    process has one intern table, never emptied, so it lives as long as
-    the process: [intern] returns the same physical node for
-    structurally equal inputs, so [==] certifies equality.  The cached
-    digests [da]/[db] are computed with fixed seeds, hence identical for
-    the same structural value in every process. *)
+    Memory cells and the checker's abstract states hold values bundled
+    with their fingerprint digests and bit width, computed once when
+    the value is built, so configuration fingerprinting and space
+    accounting cost O(1) per cell.  There is no table behind {!hc_of}:
+    equal values built apart are distinct nodes, and nothing keeps a
+    node alive once its holders drop it.  The digests [da]/[db] are
+    computed with fixed seeds, hence identical for the same structural
+    value in every process. *)
 
 type hc = private {
   node : t;  (** the underlying structural value *)
-  h : int;  (** [hash node], cached *)
   da : int;  (** fixed-seed fingerprint half-digest A *)
   db : int;  (** fixed-seed fingerprint half-digest B *)
   bits : int;  (** [bits node], cached — space accounting without a walk *)
 }
 
-val intern : t -> hc
-(** Canonical interned node for [v] in the process's table.  O(1)
-    expected; a hit costs one hash + one (physical-equality-biased)
-    structural comparison.  Small immediates ([Unit], [Bot], booleans,
-    [Int 0..255]) hit a preallocated table-free cache — no hashing, no
-    allocation — and count as intern hits in {!intern_stats}. *)
+val hc_of : t -> hc
+(** [v] with its digests.  Small immediates ([Unit], [Bot], booleans,
+    [Int 0..255]) return a preallocated constant node (no digest walk,
+    no allocation); any other value costs one walk per digest and one
+    for [bits]. *)
 
 val hc_equal : hc -> hc -> bool
-(** Structural equality on interned nodes.  Equal nodes compare by
-    pointer; the hash-gated structural fallback compares cached hashes
-    first, so a mismatch is almost always O(1) too. *)
+(** Structural equality.  Physically equal nodes (the constants) compare
+    by pointer; otherwise digest [da] is compared first, so a mismatch
+    is almost always O(1). *)
 
-val intern_stats : unit -> int * int
-(** [(hits, misses)] of the intern table since the process started. *)
+val hc_stats : unit -> int * int
+(** [(constant, fresh)]: the {!hc_of} calls since the process started
+    that a preallocated constant node answered, and those that built a
+    fresh node. *)

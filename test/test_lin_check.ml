@@ -210,7 +210,7 @@ let test_identity_cas_success_accepted () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* histories beyond the one-word bitmask (> Lin_check.word_ops ops) *)
+(* histories beyond one bitset word (> Bitset.word_bits ops) *)
 
 let long_history n =
   List.concat
@@ -221,8 +221,8 @@ let long_history n =
 
 let test_long_history_accepted () =
   Alcotest.(check bool)
-    "70 > word_ops" true
-    (70 > Lin_check.word_ops);
+    "70 > word_bits" true
+    (70 > Bitset.word_bits);
   ok reg (long_history 70)
 
 let test_long_history_corrupted () =
@@ -262,7 +262,7 @@ let test_long_crash_histories_parity () =
     let ops =
       List.length (List.filter (function Event.Inv _ -> true | _ -> false) h)
     in
-    Alcotest.(check bool) "beyond word_ops" true (ops > Lin_check.word_ops);
+    Alcotest.(check bool) "beyond word_bits" true (ops > Bitset.word_bits);
     events := !events + List.length h;
     ignore (both inst.Obj_inst.spec h)
   done;
@@ -328,7 +328,7 @@ let test_session_stale_mark_rejected () =
 (* visited-set hashing on deep values (regression: the old visited set
    keyed on polymorphic Hashtbl.hash, which stops sampling after a few
    nodes, so deep states whose difference is buried collapse into one
-   bucket; Value.intern fingerprints hash the whole structure) *)
+   bucket; Value.hc_of digests hash the whole structure) *)
 
 let deep_chain k =
   let rec go k acc = if k = 0 then acc else go (k - 1) (Value.pair (i 0) acc) in
@@ -343,8 +343,8 @@ let test_deep_value_fingerprints () =
     Hashtbl.length t
   in
   let poly = distinct Hashtbl.hash in
-  let interned = distinct (fun c -> (Value.intern c).Value.da) in
-  Alcotest.(check int) "interned fingerprints are collision-free" n interned;
+  let digested = distinct (fun c -> (Value.hc_of c).Value.da) in
+  Alcotest.(check int) "hc_of digests are collision-free" n digested;
   if poly > n / 4 then
     Alcotest.failf
       "expected polymorphic hash to collapse deep chains (got %d distinct \
@@ -406,7 +406,7 @@ let test_witness_is_reported () =
 (* Property: every crash-free sequential history generated from the spec
    itself is accepted by both engines — with the SAME witness, since a
    complete sequential history has exactly one linearization.  The 80-op
-   bound deliberately exceeds [Lin_check.word_ops] so the chunked-bitset
+   bound deliberately exceeds [Bitset.word_bits] so the chunked-bitset
    slow path is exercised on random data. *)
 let prop_sequential_accepted =
   let gen = QCheck.(list (option (int_bound 9))) in

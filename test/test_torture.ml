@@ -813,6 +813,35 @@ let prop_checkpoint_loader_total =
             List.iter (fun (pos, c) -> Bytes.set b (pos mod n) c) subs;
             Bytes.to_string b))
 
+(* A long in-process campaign keeps no per-value state: after 250
+   dqueue trials (the benchmark's dqueue spec) and a full major GC, 1 000
+   more trials on another root seed may not grow the live heap by 256 KB.
+   Any process-wide cache of the values stored or checked grows by
+   megabytes over these trials, so the bound leaves no room for one. *)
+let test_live_heap_flat () =
+  let spec =
+    Torture.default_spec_of ~label:"dqueue"
+      ~mk:(fun () ->
+        let m = Runtime.Machine.create () in
+        ( m,
+          Detectable.Dqueue.instance
+            (Detectable.Dqueue.create m ~n:3 ~capacity:64) ))
+      ~workloads_of_seed:(fun s ->
+        Workload.queue (Dtc_util.Prng.create s) ~procs:3 ~ops_per_proc:4
+          ~values:3)
+      ()
+  in
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  ignore (Torture.run ~root_seed:1 ~trials:250 spec);
+  let before = live_bytes () in
+  ignore (Torture.run ~root_seed:2 ~trials:1000 spec);
+  let growth = live_bytes () - before in
+  if growth >= 256 * 1024 then
+    Alcotest.failf "live heap grew by %d bytes over 1000 trials" growth
+
 let suites =
   [
     ( "torture.engine",
@@ -829,6 +858,8 @@ let suites =
           test_lin_engine_parity;
         Alcotest.test_case "only a failing trial keeps its trace" `Quick
           test_trace_kept_only_on_failure;
+        Alcotest.test_case "live heap flat across trials" `Quick
+          test_live_heap_flat;
       ] );
     ( "torture.faults",
       [

@@ -1,5 +1,5 @@
-(* Tests for Nvm.Value: equality, ordering, hashing, bit accounting and
-   tuple accessors. *)
+(* Tests for Nvm.Value: equality, ordering, hashing, bit accounting,
+   tuple accessors and the cached digests of [Value.hc_of]. *)
 
 open Nvm
 
@@ -115,56 +115,68 @@ let prop_set_nth_roundtrip =
           Value.equal (Value.nth (Value.set_nth t k x) k) x
       | _ -> QCheck.assume_fail ())
 
-(* --- hash-consing --- *)
+(* --- values with cached digests --- *)
 
-let test_intern_canonical () =
-  (* two structurally equal values built independently intern to the
-     same physical node within a domain, so [==] certifies equality *)
+let test_constants_shared () =
+  (* the small immediates come back as one preallocated node each *)
+  List.iter
+    (fun (name, x) ->
+      Alcotest.(check bool) name true (Value.hc_of x == Value.hc_of x))
+    [
+      ("unit", Value.Unit);
+      ("bot", Value.Bot);
+      ("true", Value.Bool true);
+      ("false", Value.Bool false);
+      ("int 0", Value.Int 0);
+      ("int 255", Value.Int 255);
+    ];
+  Alcotest.(check int) "constant's cached bits" 8
+    (Value.hc_of (Value.Int 255)).Value.bits;
+  (* any other value is a fresh node: equal values built apart are equal
+     but not shared *)
   let x = Value.pair (Value.Int 3) (Value.Str "ab") in
   let y = Value.pair (Value.Int 3) (Value.Str "ab") in
-  Alcotest.(check bool) "distinct nodes in" false (x == y);
-  let hx = Value.intern x and hy = Value.intern y in
-  Alcotest.(check bool) "same node out" true (hx == hy);
+  let hx = Value.hc_of x and hy = Value.hc_of y in
+  Alcotest.(check bool) "fresh nodes are distinct" false (hx == hy);
   Alcotest.(check bool) "hc_equal" true (Value.hc_equal hx hy);
-  Alcotest.(check int) "cached hash" (Value.hash x) hx.Value.h;
-  let hz = Value.intern (Value.pair (Value.Int 4) (Value.Str "ab")) in
+  let hz = Value.hc_of (Value.pair (Value.Int 4) (Value.Str "ab")) in
   Alcotest.(check bool) "different values differ" false
     (Value.hc_equal hx hz)
 
-let test_intern_stats_move () =
-  let _, m0 = Value.intern_stats () in
-  ignore (Value.intern (Value.Str "intern-stats-probe"));
-  let h1, m1 = Value.intern_stats () in
-  ignore (Value.intern (Value.Str "intern-stats-probe"));
-  let h2, m2 = Value.intern_stats () in
-  Alcotest.(check bool) "first sight is a miss" true (m1 > m0);
-  Alcotest.(check int) "second sight is a hit" (h1 + 1) h2;
-  Alcotest.(check int) "and not a miss" m1 m2
+let test_hc_stats_move () =
+  let c0, f0 = Value.hc_stats () in
+  ignore (Value.hc_of (Value.Int 7));
+  let c1, f1 = Value.hc_stats () in
+  Alcotest.(check int) "a constant counts as constant" (c0 + 1) c1;
+  Alcotest.(check int) "and not as fresh" f0 f1;
+  ignore (Value.hc_of (Value.Str "hc-stats-probe"));
+  ignore (Value.hc_of (Value.Int 256));
+  let c2, f2 = Value.hc_stats () in
+  Alcotest.(check int) "other values count as fresh" (f1 + 2) f2;
+  Alcotest.(check int) "and not as constant" c1 c2
 
-let prop_intern_respects_equal =
-  QCheck.Test.make ~name:"intern canonical iff structurally equal"
+let prop_hc_equal_iff_equal =
+  QCheck.Test.make ~name:"hc_equal iff structurally equal"
     ~count:Test_support.qcheck_count
     QCheck.(pair arb_value arb_value)
     (fun (x, y) ->
-      let hx = Value.intern x and hy = Value.intern y in
-      Value.hc_equal hx hy = Value.equal x y
-      && (hx == hy) = Value.equal x y)
+      Value.hc_equal (Value.hc_of x) (Value.hc_of y) = Value.equal x y)
 
 let rec deep_copy = function
   | Value.Tup xs -> Value.Tup (Array.map deep_copy xs)
   | Value.Str s -> Value.Str (String.init (String.length s) (String.get s))
   | v -> v
 
-let prop_intern_digests_fixed =
-  QCheck.Test.make ~name:"interned digests are value-determined"
+let prop_digests_fixed =
+  QCheck.Test.make ~name:"digests are value-determined"
     ~count:Test_support.qcheck_count arb_value (fun x ->
-      (* intern a physically distinct structural copy: the cached hash
-         and fingerprint digests must depend only on the value *)
-      let h1 = Value.intern x and h2 = Value.intern (deep_copy x) in
-      h1 == h2
-      && h1.Value.da = h2.Value.da
+      (* digest a physically distinct structural copy: the cached
+         digests and bit width must depend only on the value *)
+      let h1 = Value.hc_of x and h2 = Value.hc_of (deep_copy x) in
+      h1.Value.da = h2.Value.da
       && h1.Value.db = h2.Value.db
-      && h1.Value.h = Value.hash x)
+      && h1.Value.bits = h2.Value.bits
+      && h1.Value.bits = Value.bits x)
 
 let prop_bits_nonneg =
   QCheck.Test.make ~name:"bits >= 0" ~count:Test_support.qcheck_count arb_value
@@ -185,10 +197,11 @@ let suites =
         QCheck_alcotest.to_alcotest prop_hash_consistent;
         QCheck_alcotest.to_alcotest prop_set_nth_roundtrip;
         QCheck_alcotest.to_alcotest prop_bits_nonneg;
-        Alcotest.test_case "intern canonicalises" `Quick test_intern_canonical;
-        Alcotest.test_case "intern hit/miss counters" `Quick
-          test_intern_stats_move;
-        QCheck_alcotest.to_alcotest prop_intern_respects_equal;
-        QCheck_alcotest.to_alcotest prop_intern_digests_fixed;
+        Alcotest.test_case "constant nodes are shared" `Quick
+          test_constants_shared;
+        Alcotest.test_case "hc_of constant/fresh counters" `Quick
+          test_hc_stats_move;
+        QCheck_alcotest.to_alcotest prop_hc_equal_iff_equal;
+        QCheck_alcotest.to_alcotest prop_digests_fixed;
       ] );
   ]

@@ -3,11 +3,12 @@
 #
 # The program runs on one domain: parallel torture runs in worker
 # processes (`campaign --workers`), so module-level state such as
-# `Value`'s intern table and `Fiber`'s ghost feed is plain global state
-# with no lock and no domain-local storage.  A `Domain.spawn` (or a
-# `Domain.DLS` key) would silently break that assumption, so this guard
-# reports, by file and line, every `Domain.` in lib/ and bin/.  bench/
-# may still read `Domain.recommended_domain_count` to describe the host.
+# `Value.hc_of`'s call counters and `Fiber`'s ghost feed is plain
+# global state with no lock and no domain-local storage.  A
+# `Domain.spawn` (or a `Domain.DLS` key) would silently break that
+# assumption, so this guard reports, by file and line, every `Domain.`
+# in lib/ and bin/.  bench/ may still read
+# `Domain.recommended_domain_count` to describe the host.
 #
 # Usage: tools/check_no_domains.sh            scan lib and bin
 #        tools/check_no_domains.sh FILE...    scan the given files only
