@@ -360,24 +360,20 @@ type state = {
   c_rank : int array;  (* pid -> rank *)
   c_pacc : int array;  (* per-process private-cell digest accumulator *)
   c_slot : int array;  (* per-process private-slot counter *)
-  (* per-process digest caches keyed on {!Session.mut_stamp}: a process
-     whose stamp is unchanged since the cached entry has an identical
-     logged state (stamps are restored exactly by rewinds and drawn
-     from a never-rewound counter), so its [proc_sym_sig] walk can be
-     skipped.  Stamps are only meaningful within one session, which is
-     fine: a state serves exactly one session for its whole search.
-     [-1] marks an empty slot (real stamps are >= 0). *)
-  c_self_stamp : int array;
-  c_self_val : int array;  (* self-relabeled signature, for [canon_order] *)
-  c_perm_stamp : int array;
-  c_perm_sig : int array;  (* hash of the permutation the entry was cut for *)
-  c_perm_val : int array;  (* rank-relabeled digest, for [canon_key] *)
+  mutable c_sigs : sig_slot array array;
+      (* per-depth digests ([slot_sig]), reused like [rbufs]: self keys
+         at [pid], relabeled ones at [n + pid] *)
+}
+
+and sig_slot = {
+  mutable s_stamp : int;  (* {!Session.mut_stamp} cut for; -1 empty *)
+  mutable s_perm : int;  (* permutation hash cut for (0 for self keys) *)
+  mutable s_cur : Session.sig_cursor;  (* carries the digest *)
 }
 
 let mk_state ~sym_memo cfg workloads spec =
   let n_procs = Array.length workloads in
   let scr () = if sym_memo then Array.make n_procs 0 else [||] in
-  let scr_empty () = if sym_memo then Array.make n_procs (-1) else [||] in
   {
     cfg;
     configs =
@@ -425,11 +421,7 @@ let mk_state ~sym_memo cfg workloads spec =
     c_rank = scr ();
     c_pacc = scr ();
     c_slot = scr ();
-    c_self_stamp = scr_empty ();
-    c_self_val = scr ();
-    c_perm_stamp = scr_empty ();
-    c_perm_sig = scr ();
-    c_perm_val = scr ();
+    c_sigs = [||];
   }
 
 
@@ -446,12 +438,14 @@ let bump_depth st d =
     st.depth_hist <- b
   end
 
+(* [a] grown to hold index [depth], new slots [[||]] *)
+let grow a depth =
+  let b = Array.make (max (depth + 1) ((2 * Array.length a) + 8)) [||] in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let get_rbuf st depth =
-  if depth >= Array.length st.rbufs then begin
-    let b = Array.make (max (depth + 1) ((2 * Array.length st.rbufs) + 8)) [||] in
-    Array.blit st.rbufs 0 b 0 (Array.length st.rbufs);
-    st.rbufs <- b
-  end;
+  if depth >= Array.length st.rbufs then st.rbufs <- grow st.rbufs depth;
   if Array.length st.rbufs.(depth) < st.n_procs then
     st.rbufs.(depth) <- Array.make st.n_procs 0;
   st.rbufs.(depth)
@@ -515,7 +509,43 @@ let buf_mem buf n x =
    batches would break the positional correspondence), and the two key
    families are tag-separated so they can share the memo table. *)
 
-let canon_order st session ~smask ~stepped =
+(* [pid]'s walk, self-keyed or relabeled through the chosen permutation *)
+let walk st session ~self pid from =
+  let n = st.n_procs and inv = st.c_inv and rank = st.c_rank in
+  Session.proc_sym_sig session pid from
+    ~hash_value:(fun v ->
+      if self then Sym.self_key ~n ~pid ~seed:5 v
+      else Sym.hash_perm ~n ~inv ~seed:7 v)
+    ~hash_uid:(fun u -> if u >= n then u else if self then -1 else rank.(u))
+
+(* [pid]'s digest at a crash-free node of depth [depth], cut for the
+   permutation hash [perm] (0 for self keys).  The parent's slot is
+   filled: every ancestor of a crash-free node keyed canonically.  An
+   equal stamp means identical process state, so an equal (stamp, perm)
+   here or in the parent reuses that cursor; an equal perm resumes the
+   parent's walk (never this slot's: it may hold a sibling's entries);
+   a new permutation walks in full. *)
+let slot_sig st session ~depth ~self pid ~perm =
+  if depth >= Array.length st.c_sigs then st.c_sigs <- grow st.c_sigs depth;
+  if Array.length st.c_sigs.(depth) = 0 then
+    st.c_sigs.(depth) <-
+      Array.init (2 * st.n_procs) (fun _ ->
+          { s_stamp = -1; s_perm = 0; s_cur = Session.sig_start });
+  let ix = if self then pid else st.n_procs + pid in
+  let me = st.c_sigs.(depth).(ix) and stamp = Session.mut_stamp session pid in
+  if not (me.s_stamp = stamp && me.s_perm = perm) then begin
+    let up = if depth = 0 then me else st.c_sigs.(depth - 1).(ix) in
+    let resume = depth > 0 && up.s_perm = perm in
+    let from = if resume then up.s_cur else Session.sig_start in
+    me.s_cur <-
+      (if resume && up.s_stamp = stamp then from
+       else walk st session ~self pid from);
+    me.s_stamp <- stamp;
+    me.s_perm <- perm
+  end;
+  Session.sig_digest me.s_cur
+
+let canon_order st session ~depth ~smask ~stepped =
   let n = st.n_procs in
   let evr = st.c_evr
   and fl = st.c_flags
@@ -529,18 +559,7 @@ let canon_order st session ~smask ~stepped =
     fl.(p) <-
       (if stepped land (1 lsl p) <> 0 then 2 else 0)
       lor (if smask land (1 lsl p) <> 0 then 1 else 0);
-    (let stamp = Session.mut_stamp session p in
-     if st.c_self_stamp.(p) = stamp then ky.(p) <- st.c_self_val.(p)
-     else begin
-       let v =
-         Session.proc_sym_sig session p
-           ~hash_value:(fun v -> Sym.self_key ~n ~pid:p ~seed:5 v)
-           ~hash_uid:(fun u -> if u < n then -1 else u)
-       in
-       st.c_self_stamp.(p) <- stamp;
-       st.c_self_val.(p) <- v;
-       ky.(p) <- v
-     end);
+    ky.(p) <- slot_sig st session ~depth ~self:true p ~perm:0;
     ord.(p) <- p
   done;
   (* lexicographic (evr, flags, key, pid) insertion sort — n is tiny *)
@@ -595,41 +614,26 @@ let canon_mem_digest st mem =
   done;
   !acc
 
-let canon_key st session machine ~cur ~switches ~crashes ~sleep ~stepped =
+let canon_key st session machine ~depth ~cur ~switches ~crashes ~sleep ~stepped =
   let n = st.n_procs in
-  canon_order st session ~smask:(sleep_mask sleep) ~stepped;
+  canon_order st session ~depth ~smask:(sleep_mask sleep) ~stepped;
   let inv = st.c_inv and rank = st.c_rank in
-  let hv v = Sym.hash_perm ~n ~inv ~seed:7 v in
-  let hu u = if u < n then rank.(u) else u in
   let acc = ref 0x5ca90 in
   acc := Value.mix !acc (Session.sym_events_sig session);
   acc := Value.mix !acc (Session.uids session);
   acc := Value.mix !acc (Session.steps session);
   (* the rank-relabeled digest of a process depends on its own log AND
      on the whole permutation (relabeling runs through [inv]/[rank]),
-     so cache entries are keyed on (stamp, permutation hash).  A hash
-     collision here merely reuses a digest cut for another permutation
-     — the same 63-bit collision class the memo key already lives in. *)
+     so slots are keyed on (stamp, permutation hash).  A hash collision
+     here merely reuses a digest cut for another permutation — the same
+     63-bit collision class the memo key already lives in. *)
   let psig = ref 0x7fb5 in
   for r = 0 to n - 1 do
     psig := Value.mix !psig inv.(r)
   done;
   let psig = !psig in
   for r = 0 to n - 1 do
-    let pid = inv.(r) in
-    let stamp = Session.mut_stamp session pid in
-    let d =
-      if st.c_perm_stamp.(pid) = stamp && st.c_perm_sig.(pid) = psig then
-        st.c_perm_val.(pid)
-      else begin
-        let d = Session.proc_sym_sig session pid ~hash_value:hv ~hash_uid:hu in
-        st.c_perm_stamp.(pid) <- stamp;
-        st.c_perm_sig.(pid) <- psig;
-        st.c_perm_val.(pid) <- d;
-        d
-      end
-    in
-    acc := Value.mix !acc d
+    acc := Value.mix !acc (slot_sig st session ~depth ~self:false inv.(r) ~perm:psig)
   done;
   acc := Value.mix !acc (canon_mem_digest st (Runtime.Machine.mem machine));
   let c = match cur with None -> -1 | Some pid -> rank.(pid) in
@@ -743,7 +747,8 @@ let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
     if st.cfg.prune then
       Some
         (if st.sym_memo && crashes = 0 then
-           canon_key st session machine ~cur ~switches ~crashes ~sleep ~stepped
+           canon_key st session machine ~depth ~cur ~switches ~crashes ~sleep
+             ~stepped
          else begin
            let m = Runtime.Machine.mem machine in
            let c = match cur with None -> -1 | Some pid -> pid in

@@ -22,15 +22,20 @@ let rec skel ~n v =
   | Value.Int _ -> 3
   | Value.Str _ -> 4
   | Value.Bot -> 5
+  | Value.Tup a when is_vec ~n a -> Value.mix 7 (skel ~n a.(0))
   | Value.Tup a ->
-      let ks = Array.map (skel ~n) a in
-      if is_vec_skels ~n a ks then Value.mix 7 ks.(0)
-      else Array.fold_left (fun h k -> Value.mix h k) 11 ks
+      let h = ref 11 in
+      for i = 0 to Array.length a - 1 do
+        h := Value.mix !h (skel ~n a.(i))
+      done;
+      !h
 
-and is_vec_skels ~n a ks =
-  Array.length a = n && Array.for_all (fun k -> k = ks.(0)) ks
+and is_vec ~n a =
+  Array.length a = n && (n = 0 || same_skel ~n a (skel ~n a.(0)) 1)
 
-let is_vec ~n a = is_vec_skels ~n a (Array.map (skel ~n) a)
+(* do entries [i..] all have skeleton [k0]? *)
+and same_skel ~n a k0 i =
+  i >= Array.length a || (skel ~n a.(i) = k0 && same_skel ~n a k0 (i + 1))
 
 (* is [v] fixed by the transposition (p q)? *)
 let rec swap_ok ~n ~p ~q v =
@@ -73,10 +78,11 @@ let rec shape ~n ~seed v =
   match (v : Value.t) with
   | Value.Tup a when is_vec ~n a -> Value.mix seed (Value.mix 0x5eed7 (skel ~n v))
   | Value.Tup a ->
-      snd
-        (Array.fold_left
-           (fun (i, h) x -> (i + 1, Value.mix h (shape ~n ~seed:(seed + i) x)))
-           (0, Value.mix seed 0x7ab1e) a)
+      let h = ref (Value.mix seed 0x7ab1e) in
+      for i = 0 to Array.length a - 1 do
+        h := Value.mix !h (shape ~n ~seed:(seed + i) a.(i))
+      done;
+      !h
   | v -> Value.hash_seeded seed v
 
 and slice ~n ~pid ~seed v =
@@ -85,11 +91,11 @@ and slice ~n ~pid ~seed v =
       Value.mix 0x511ce
         (Value.mix (shape ~n ~seed a.(pid)) (slice ~n ~pid ~seed a.(pid)))
   | Value.Tup a ->
-      snd
-        (Array.fold_left
-           (fun (i, h) x ->
-             (i + 1, Value.mix h (slice ~n ~pid ~seed:(seed + i) x)))
-           (0, Value.mix seed 0x7ab1e) a)
+      let h = ref (Value.mix seed 0x7ab1e) in
+      for i = 0 to Array.length a - 1 do
+        h := Value.mix !h (slice ~n ~pid ~seed:(seed + i) a.(i))
+      done;
+      !h
   | Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Bot -> 0
 
 (* One process's view of a value: the pid-independent shape plus that
@@ -114,11 +120,11 @@ let rec hash_perm ~n ~inv ~seed v =
       done;
       !h
   | Value.Tup a ->
-      snd
-        (Array.fold_left
-           (fun (i, h) x ->
-             (i + 1, Value.mix h (hash_perm ~n ~inv ~seed:(seed + i) x)))
-           (0, Value.mix seed 0x7ab1e) a)
+      let h = ref (Value.mix seed 0x7ab1e) in
+      for i = 0 to Array.length a - 1 do
+        h := Value.mix !h (hash_perm ~n ~inv ~seed:(seed + i) a.(i))
+      done;
+      !h
   | v -> Value.hash_seeded seed v
 
 (* one fingerprint half from one seed, over the shared cells only (the
@@ -142,7 +148,10 @@ let half ~n ~seed mem =
   done;
   (* commutative fold over the per-process views: sort, then chain *)
   Array.sort compare views;
-  Array.fold_left Value.mix !global views
+  for p = 0 to n - 1 do
+    global := Value.mix !global views.(p)
+  done;
+  !global
 
 let canonical_fingerprint_shared ~n mem =
   (half ~n ~seed:1 mem, half ~n ~seed:2 mem)

@@ -853,7 +853,19 @@ let mut_stamp s pid =
     invalid_arg "Session.mut_stamp: no such process";
   s.procs.(pid).stamp
 
-let proc_sym_sig s pid ~hash_value ~hash_uid =
+(* Where a [proc_sym_sig] walk stopped (see the .mli); immutable, so
+   the explorer's slots share them *)
+type sig_cursor = {
+  c_incs : incarnation list;
+  c_pos : int;
+  c_acc : int;
+  c_digest : int;
+}
+
+let sig_start = { c_incs = []; c_pos = 0; c_acc = 0; c_digest = 0 }
+let sig_digest c = c.c_digest
+
+let proc_sym_sig s pid cur ~hash_value ~hash_uid =
   if not s.undo then
     invalid_arg "Session.proc_sym_sig: session is not in undo mode";
   if pid < 0 || pid >= Array.length s.procs then
@@ -874,12 +886,8 @@ let proc_sym_sig s pid ~hash_value ~hash_uid =
     acc := Value.mix !acc (List.length ops);
     List.iter (fun op -> acc := Value.mix !acc (Hashtbl.hash op)) ops
   in
-  let fold_inc inc =
-    acc := Value.mix !acc (if inc.restart then 0x21 else 0x22);
-    fold_ops inc.i_todo;
-    acc := Value.mix !acc (fold_status inc.i_status);
-    acc := Value.mix !acc (if inc.i_rec_started then 1 else 0);
-    for i = 0 to inc.log_len - 1 do
+  let fold_log inc from =
+    for i = from to inc.log_len - 1 do
       match inc.log.(i) with
       | E_resp v -> acc := Value.mix !acc (Value.mix 0x31 (hash_value v))
       | E_uid u -> acc := Value.mix !acc (Value.mix 0x32 (hash_uid u))
@@ -891,9 +899,22 @@ let proc_sym_sig s pid ~hash_value ~hash_uid =
     | [] -> ()
     | inc :: tl ->
         go tl;
-        fold_inc inc
+        acc := Value.mix !acc (if inc.restart then 0x21 else 0x22);
+        fold_ops inc.i_todo;
+        acc := Value.mix !acc (fold_status inc.i_status);
+        acc := Value.mix !acc (if inc.i_rec_started then 1 else 0);
+        fold_log inc 0
   in
-  go ps.incs;
+  (* only the head's log grows, and a log entry is overwritten only
+     after a rewind below it: a cursor cut on this path (see the .mli)
+     for this very list, at or before the log's end, folded a prefix *)
+  let pos = match ps.incs with inc :: _ -> inc.log_len | [] -> 0 in
+  (match ps.incs with
+  | inc :: _ when cur.c_incs == ps.incs && cur.c_pos <= pos ->
+      acc := cur.c_acc;
+      fold_log inc cur.c_pos
+  | _ -> go ps.incs);
+  let c_acc = !acc in
   acc := Value.mix !acc (fold_status ps.status);
   let flags =
     (if ps.in_recovery then 1 else 0)
@@ -903,4 +924,4 @@ let proc_sym_sig s pid ~hash_value ~hash_uid =
   in
   fold_ops ps.todo;
   acc := Value.mix !acc (Value.mix ps.cur_steps flags);
-  !acc
+  { c_incs = ps.incs; c_pos = pos; c_acc; c_digest = !acc }

@@ -180,25 +180,40 @@ val mut_stamp : t -> int -> int
     strictly increasing per-session counter that is {e never} rewound:
     a process's stamp is refreshed whenever its logical state can have
     changed (its own step, any crash) and restored exactly by
-    {!rewind}, so within one session two observations of
-    an equal stamp for [pid] guarantee [pid]'s future-relevant state
-    (everything {!proc_sym_sig} digests) is identical.  Distinct
-    sessions share no counter — stamp-keyed caches must be per-session.
-    Intended for memoising per-process digests across DFS siblings. *)
+    {!rewind}, so within one session two observations of an equal
+    stamp for [pid] guarantee [pid]'s state (everything {!proc_sym_sig}
+    digests, log contents included) is identical.  Distinct sessions
+    share no counter.  The explorer keys its digest slots on it. *)
+
+type sig_cursor
+(** Where a {!proc_sym_sig} walk stopped: the incarnation list it
+    folded, its position in the current incarnation's log, the fold so
+    far and the digest ({!sig_digest}).  Immutable. *)
+
+val sig_start : sig_cursor
+(** The reset cursor: resuming from it is the full walk. *)
+
+val sig_digest : sig_cursor -> int
 
 val proc_sym_sig :
-  t -> int -> hash_value:(Value.t -> int) -> hash_uid:(int -> int) -> int
-(** Relabelable digest of one process's future-relevant state: its
-    incarnation boundaries, logged external inputs (step responses, uid
-    draws, pending queries — the ghost-replay stream, which pins the
-    fiber continuation exactly), driver status, remaining workload and
-    step counter, with embedded response values hashed through
-    [hash_value] and operation uids through [hash_uid].  Folding these
-    per-process digests in a canonical process order — with
-    [hash_value]/[hash_uid] relabeling pid-indexed data by the same
-    order — yields a digest constant on permutation orbits.  Undo mode
-    only (the logs are the undo engine's replay inputs); O(entries
-    logged by [pid]). *)
+  t -> int -> sig_cursor ->
+  hash_value:(Value.t -> int) -> hash_uid:(int -> int) -> sig_cursor
+(** [proc_sym_sig s pid cur ~hash_value ~hash_uid] — relabelable digest
+    of one process's future-relevant state: its incarnation boundaries,
+    logged external inputs (step responses, uid draws, pending queries —
+    the ghost-replay stream, which pins the fiber continuation exactly),
+    driver status, remaining workload and step counter, with response
+    values hashed through [hash_value] and uids through [hash_uid].
+    Folded in a canonical process order, with the hashes relabeling by
+    that order, these give a digest constant on permutation orbits.
+    Undo mode only.
+
+    It resumes from [cur], folding only the entries logged since, when
+    [cur] was cut for the physically same incarnation list at a log
+    position no later than the current one; otherwise it walks every
+    log in full.  Sound only for a [cur] returned for [pid], with the
+    same hashes, at this state or an ancestor (whose {!mark} is live):
+    a sibling branch's cursor can pass that check with stale entries. *)
 
 val state_digest : t -> int
 (** O(N) rolling digest of everything about the session that can affect

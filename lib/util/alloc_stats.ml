@@ -1,9 +1,11 @@
 (* Allocation accounting for the hot loops.
 
-   Everything here is a thin veneer over [Gc.quick_stat], which reads the
-   calling domain's counters without forcing a collection.  A [snap] is
-   taken before and after a region of interest; the [delta] is the
-   allocation attributable to that region.
+   Everything here reads the calling domain's counters without forcing a
+   collection: [Gc.quick_stat], except the minor count, which OCaml 5.1's
+   [quick_stat] advances only at a minor collection ([Gc.minor_words]
+   also counts the current minor heap).  A [snap] is taken before and
+   after a region of interest; the [delta] is the allocation
+   attributable to that region.
 
    [allocated_words] follows the standard OCaml accounting identity:
    minor_words + major_words - promoted_words (promoted words would
@@ -19,7 +21,7 @@ type snap = {
 let snap () =
   let s = Gc.quick_stat () in
   {
-    minor_words = s.Gc.minor_words;
+    minor_words = Gc.minor_words ();
     promoted_words = s.Gc.promoted_words;
     major_words = s.Gc.major_words;
     minor_collections = s.Gc.minor_collections;

@@ -1,12 +1,12 @@
-(** Allocation accounting via [Gc.quick_stat] deltas.
+(** Allocation accounting via GC counter deltas.
 
     Used by the torture and model-checking hot loops to make their
     allocation behaviour observable ([bytes_per_trial] /
     [bytes_per_node] in reports, CLI output and bench JSON) without
     perturbing it: [snap] never forces a collection.
 
-    [Gc.quick_stat] reads the calling domain's counters, so a snapshot
-    pair meters the code that ran on that domain between them. *)
+    [Gc.quick_stat] and [Gc.minor_words] read the calling domain's
+    counters, so a snapshot pair meters the code that ran on it. *)
 
 type snap
 (** The calling domain's GC counters at one instant. *)

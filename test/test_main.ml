@@ -28,6 +28,7 @@ let () =
          Test_broken.suites;
          Test_modelcheck.suites;
          Test_reduction.suites;
+         Test_sym.suites;
          Test_perturb.suites;
          Test_shared_cache.suites;
          Test_extras.suites;

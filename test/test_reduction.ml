@@ -300,6 +300,25 @@ let explore_full ?(switches = 2) ?(crashes = 0) ?(exact = false) ~mk ~workloads
       exact_configs = exact;
     }
 
+(* The canonical memo key folds per-process digests that the explorer
+   resumes from the parent node's slots (see [Explore.slot_sig]).  A
+   slot that resumed from a stale cursor would still transfer exact
+   subtree sizes, so every count-level invariant above holds; only the
+   search shape moves: extra (false) memo hits and fewer nodes.  Pin
+   that shape on Theorem 1's N=3 uniform CAS chain. *)
+let test_memo_search_shape_pinned () =
+  let n = 3 in
+  let mk () = Test_support.mk_dcas ~n () in
+  let workloads =
+    Array.make n (List.init n (fun k -> Spec.cas_op (i k) (i (k + 1))))
+  in
+  let o = explore_full ~mk ~workloads `Dpor_sym_memo in
+  let m = o.Modelcheck.Explore.metrics in
+  Alcotest.(check (list int)) "nodes, dedup hits, executions, configs"
+    [ 13_228; 213; 555; 12 ]
+    Modelcheck.Explore.
+      [ o.nodes; m.dedup_hits; o.executions; o.distinct_shared_configs ]
+
 let test_memo_weighted_count_matches_unreduced () =
   (* orbit-size-weighted canonical counting reconstructs exactly the
      unreduced search's configuration count: the budget-limited reachable
@@ -449,5 +468,7 @@ let suites =
         Alcotest.test_case "verdict parity under crashes" `Quick
           test_memo_parity_under_crashes;
         Alcotest.test_case "source skips fire" `Quick test_source_skips_fire;
+        Alcotest.test_case "search shape pinned (N=3 uniform chain)" `Quick
+          test_memo_search_shape_pinned;
       ] );
   ]

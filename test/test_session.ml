@@ -518,6 +518,121 @@ let prop_mark_rewind_restores =
   QCheck.Test.make ~name:"undo mark/rewind restores the configuration"
     ~count:Test_support.qcheck_count (QCheck.make ~print:mr_print case) mr_run
 
+(* [proc_sym_sig]'s resumed walk equals the full walk.  Random step,
+   crash and rewind sequences on Dcas N=3 in undo mode, each step under
+   a fresh mark as the explorer takes them, with per-depth per-process
+   slots kept the explorer's way: an equal stamp here or in the parent
+   slot reuses that cursor, anything else resumes from the PARENT's
+   cursor (this depth's slot may hold a sibling's log entries).  After
+   every step or crash each slot's digest must equal a walk from
+   [sig_start], both self-keyed and relabeled through a random
+   permutation.  Crashes start new incarnations, so the physical
+   incarnation check and its full-walk fallback run too. *)
+type rs_action = Rs_step of int | Rs_crash | Rs_rewind
+type rs_slot = { mutable rs_stamp : int; mutable rs_cur : Session.sig_cursor }
+
+let rs_run (inv, actions) =
+  let n = 3 in
+  let machine, inst = Test_support.mk_dcas ~n () in
+  let workloads =
+    [| [ Spec.cas_op (i 0) (i 1); Spec.cas_op (i 1) (i 2) ];
+       [ Spec.cas_op (i 1) (i 0); Spec.cas_op (i 0) (i 2) ];
+       [ Spec.cas_op (i 0) (i 2); Spec.cas_op (i 2) (i 1) ] |]
+  in
+  let session = Session.create ~undo:true machine inst ~workloads in
+  let rank = Array.make n 0 in
+  Array.iteri (fun r p -> rank.(p) <- r) inv;
+  (* slot [2p] self-keyed, [2p + 1] relabeled through [inv] *)
+  let walk ix from =
+    let pid = ix / 2 in
+    if ix mod 2 = 0 then
+      Session.proc_sym_sig session pid from
+        ~hash_value:(fun v -> Modelcheck.Sym.self_key ~n ~pid ~seed:5 v)
+        ~hash_uid:(fun u -> if u < n then -1 else u)
+    else
+      Session.proc_sym_sig session pid from
+        ~hash_value:(fun v -> Modelcheck.Sym.hash_perm ~n ~inv ~seed:7 v)
+        ~hash_uid:(fun u -> if u < n then rank.(u) else u)
+  in
+  let max_depth = List.length actions + 1 in
+  let slots =
+    Array.init max_depth (fun _ ->
+        Array.init (2 * n) (fun _ ->
+            { rs_stamp = -1; rs_cur = Session.sig_start }))
+  in
+  let marks = Array.make max_depth None in
+  let ok = ref true in
+  let fill d =
+    for ix = 0 to (2 * n) - 1 do
+      let me = slots.(d).(ix) and stamp = Session.mut_stamp session (ix / 2) in
+      if me.rs_stamp <> stamp then begin
+        let up = slots.(max 0 (d - 1)).(ix) in
+        me.rs_cur <-
+          (if d > 0 && up.rs_stamp = stamp then up.rs_cur
+           else walk ix (if d = 0 then Session.sig_start else up.rs_cur));
+        me.rs_stamp <- stamp
+      end;
+      ok :=
+        !ok
+        && Session.sig_digest me.rs_cur
+           = Session.sig_digest (walk ix Session.sig_start)
+    done
+  in
+  let depth = ref 0 in
+  let push apply =
+    marks.(!depth) <- Some (Session.mark session);
+    apply ();
+    incr depth;
+    fill !depth
+  in
+  fill 0;
+  List.iter
+    (function
+      | Rs_step k -> (
+          match Session.runnable session with
+          | [] -> ()
+          | r ->
+              let pid = List.nth r (k mod List.length r) in
+              push (fun () -> Session.step session pid))
+      | Rs_crash ->
+          if Session.crashes session < 2 then
+            push (fun () -> Session.crash session Fault_model.keep_all)
+      | Rs_rewind ->
+          if !depth > 0 then begin
+            decr depth;
+            Option.iter (Session.rewind session) marks.(!depth)
+          end)
+    actions;
+  !ok
+
+let prop_sym_sig_resume_is_full_walk =
+  let open QCheck.Gen in
+  let action =
+    frequency
+      [
+        (6, map (fun k -> Rs_step k) (int_bound 5));
+        (1, return Rs_crash);
+        (3, return Rs_rewind);
+      ]
+  in
+  let print (inv, actions) =
+    Printf.sprintf "inv=[%s] actions=[%s]"
+      (String.concat ";" (Array.to_list (Array.map string_of_int inv)))
+      (String.concat ";"
+         (List.map
+            (function
+              | Rs_step k -> Printf.sprintf "s%d" k
+              | Rs_crash -> "C"
+              | Rs_rewind -> "R")
+            actions))
+  in
+  QCheck.Test.make ~name:"proc_sym_sig: resumed walk = full walk"
+    ~count:Test_support.qcheck_count
+    (QCheck.make ~print
+       (pair (map Array.of_list (shuffle_l [ 0; 1; 2 ]))
+          (list_size (int_bound 60) action)))
+    rs_run
+
 (* The one seeding rule: [Driver.seeded_config] splits the schedule's
    stream first and the crash plan's second.  Its runs must equal runs
    whose config is built by hand in that order; the reverse order must
@@ -585,6 +700,7 @@ let suites =
         Alcotest.test_case "mark requires undo mode" `Quick
           test_mark_requires_undo_mode;
         QCheck_alcotest.to_alcotest prop_mark_rewind_restores;
+        QCheck_alcotest.to_alcotest prop_sym_sig_resume_is_full_walk;
       ] );
     ( "sched.schedule",
       [
