@@ -8,9 +8,9 @@
      verdict counters, crash histogram, step and space distributions,
      first failure and first engine fault, and (unless written with
      --no-timing) the timing block with its allocation profile and its
-     "supervision" counters (worker spawn/death/hang, rescue, retry,
-     degradation, in-process fallback, chaos parameters) — all-zero for
-     a plain single-process torture run;
+     "supervision" counters (worker spawn/death/hang, retry, in-process
+     trials, chaos parameters) — all-zero for a plain single-process
+     torture run;
    - "detectable-bench/rows-v1" — a committed BENCH baseline
      (`bench/main.exe --baseline`): one suite's rows, checked by
      Bench_row's reader (every field typed, every gate naming a
@@ -19,10 +19,11 @@
 
    With --chaos-active (valid only for torture reports) the validator
    additionally requires the supervision counters to show a non-trivial
-   supervision history — rescues, retries and degradations all strictly
-   positive — which is how the bench chaos gate proves the byte-identity
-   comparison actually covered the failure paths rather than a campaign
-   where no worker ever died.
+   supervision history — worker deaths, retries and in-process trials
+   all strictly positive — which is how the bench chaos gate proves the
+   byte-identity comparison covered every failure path (death, respawn,
+   in-process remainder) rather than a campaign where no worker ever
+   died.
 
    Any other schema is rejected as unknown.  Every failure is one line on
    stderr and exit status 1. *)
@@ -38,8 +39,8 @@ let require_keys what j keys =
 
 let supervision_counter_keys =
   [
-    "workers_spawned"; "worker_deaths"; "worker_hangs"; "rescues"; "retries";
-    "degradations"; "inproc_trials";
+    "workers_spawned"; "worker_deaths"; "worker_hangs"; "retries";
+    "inproc_trials";
   ]
 
 let check_torture_report j =
@@ -82,7 +83,7 @@ let check_torture_report j =
     let timing = member "timing" j in
     require_keys "torture timing" timing
       [
-        "elapsed_s"; "trials_per_sec"; "domains"; "alloc"; "supervision";
+        "elapsed_s"; "trials_per_sec"; "parallelism"; "alloc"; "supervision";
       ];
     require_keys "torture timing alloc" (member "alloc" timing)
       [ "minor_words"; "promoted_words"; "minor_collections"; "bytes_per_trial" ];
@@ -92,8 +93,8 @@ let check_torture_report j =
   end
 
 (* --chaos-active: the report must record a supervision history where
-   workers actually died and the supervisor actually rescued, retried
-   and degraded — the teeth of the bench chaos gate *)
+   workers actually died, the supervisor actually respawned a remainder
+   and finished one in-process — the teeth of the bench chaos gate *)
 let check_chaos_active j =
   if not (mem "timing" j) then
     fail
@@ -112,7 +113,7 @@ let check_chaos_active j =
           "json_check: --chaos-active but supervision counter %S is 0 — the \
            chaos run never exercised that failure path"
           k)
-    [ "rescues"; "retries"; "degradations" ]
+    [ "worker_deaths"; "retries"; "inproc_trials" ]
 
 let check_rows path j =
   let suite, rows = Bench_row.of_json j in

@@ -321,10 +321,10 @@ let campaign_cmd =
       value & opt int 4
       & info [ "workers" ] ~docv:"W"
           ~doc:
-            "Initial worker-process parallelism: the number of trial \
-             ranges run side by side, one process each.  The merged \
-             report's deterministic fields are bit-identical for any value \
-             — and to the equivalent in-process $(b,torture) run.")
+            "Worker-process parallelism: the number of trial ranges run \
+             side by side, one process each.  The merged report's \
+             deterministic fields are bit-identical for any value — and \
+             to the equivalent in-process $(b,torture) run.")
   in
   let heartbeat_every =
     Arg.(
@@ -345,20 +345,9 @@ let campaign_cmd =
       value & opt int 3
       & info [ "retry-budget" ] ~docv:"N"
           ~doc:
-            "Respawns allowed per failed range before the supervisor \
-             degrades (halves parallelism, ultimately falling back to \
-             in-process execution so the campaign always terminates).")
-  in
-  let backoff_base =
-    Arg.(
-      value & opt float 0.05
-      & info [ "backoff-base" ] ~docv:"SECS"
-          ~doc:"Backoff before retry k is base * 2^(k-1), capped below.")
-  in
-  let backoff_cap =
-    Arg.(
-      value & opt float 2.0
-      & info [ "backoff-cap" ] ~docv:"SECS" ~doc:"Backoff ceiling.")
+            "Immediate respawns allowed per failed range; after that the \
+             supervisor runs the range's remainder in-process, so the \
+             campaign always terminates.")
   in
   let chaos =
     Arg.(
@@ -375,7 +364,7 @@ let campaign_cmd =
   in
   let run obj procs ops trials crash_prob max_crashes policy seed workers
       fault watchdog chaos heartbeat_every heartbeat_timeout
-      retry_budget backoff_base backoff_cap checkpoint resume json no_timing
+      retry_budget checkpoint resume json no_timing
       report_file no_shrink =
     let config =
       {
@@ -384,8 +373,6 @@ let campaign_cmd =
         heartbeat_every;
         heartbeat_timeout;
         retry_budget;
-        backoff_base;
-        backoff_cap;
         chaos;
       }
     in
@@ -448,10 +435,9 @@ let campaign_cmd =
           $(b,torture-worker) processes, each streaming per-trial JSONL \
           records and heartbeats over its pipe; the supervisor detects \
           worker death (waitpid) and hangs ($(b,--heartbeat-timeout)), \
-          reassigns remaining ranges with capped exponential backoff and a \
-          $(b,--retry-budget), halves parallelism when a range keeps \
-          failing, and ultimately falls back to in-process execution — so \
-          the campaign always terminates with a verdict byte-identical to \
+          respawns a failed worker's remaining range at once, up to \
+          $(b,--retry-budget) times, then runs it in-process — so the \
+          campaign always terminates with a verdict byte-identical to \
           the equivalent $(b,torture) run.  $(b,--chaos) injects \
           deterministic worker kills/hangs to prove exactly that.")
     Term.(
@@ -459,9 +445,8 @@ let campaign_cmd =
         (const run $ obj_arg $ procs_arg $ ops_arg $ trials_arg
        $ crash_prob_arg $ max_crashes_arg $ policy_arg $ seed_arg $ workers
        $ fault_arg $ watchdog_arg $ chaos
-       $ heartbeat_every $ heartbeat_timeout $ retry_budget $ backoff_base
-       $ backoff_cap $ checkpoint_arg $ resume_arg $ json_arg $ no_timing_arg
-       $ report_arg $ no_shrink_arg))
+       $ heartbeat_every $ heartbeat_timeout $ retry_budget $ checkpoint_arg
+       $ resume_arg $ json_arg $ no_timing_arg $ report_arg $ no_shrink_arg))
 
 (* torture-worker: the internal campaign worker process *)
 

@@ -1,4 +1,3 @@
-open Nvm
 open Runtime
 
 (** The {e durable} (but not detectable) lock-free queue, after the first
@@ -22,5 +21,3 @@ type t
 val create : ?persist:bool -> Machine.t -> n:int -> capacity:int -> t
 val instance : t -> Sched.Obj_inst.t
 (** Operations: [enq v], [deq]. *)
-
-val shared_locs : t -> Loc.t list

@@ -135,5 +135,3 @@ let instance t =
     strict_recovery = true;
     id_symmetric = false;
   }
-
-let shared_locs t = t.c :: Array.to_list t.rem

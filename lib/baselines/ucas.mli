@@ -27,5 +27,3 @@ type t
 val create : ?persist:bool -> Machine.t -> n:int -> init:Value.t -> t
 val instance : t -> Sched.Obj_inst.t
 (** Operations: [read], [cas old new]. *)
-
-val shared_locs : t -> Loc.t list

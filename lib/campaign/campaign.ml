@@ -53,8 +53,6 @@ type config = {
   heartbeat_every : int;
   heartbeat_timeout : float;
   retry_budget : int;
-  backoff_base : float;
-  backoff_cap : float;
   chaos : chaos;
   chaos_plan : (spawn:int -> range_len:int -> fault_plan) option;
 }
@@ -65,8 +63,6 @@ let default_config =
     heartbeat_every = 16;
     heartbeat_timeout = 30.0;
     retry_budget = 3;
-    backoff_base = 0.05;
-    backoff_cap = 2.0;
     chaos = no_chaos;
     chaos_plan = None;
   }
@@ -75,9 +71,7 @@ type counters = Torture.supervision = {
   workers_spawned : int;
   worker_deaths : int;
   worker_hangs : int;
-  rescues : int;
   retries : int;
-  degradations : int;
   inproc_trials : int;
   chaos : chaos;
 }
@@ -122,7 +116,7 @@ let worker_main ?(fault = No_fault) ?(out = stdout) ~heartbeat_every ~root_seed
 
 (* a pending (sub)range of trial indices [r_lo, r_hi), with its respawn
    history: attempt 1 is the first spawn, attempt n+1 the n-th respawn *)
-type range = { r_lo : int; r_hi : int; r_attempt : int; r_not_before : float }
+type range = { r_lo : int; r_hi : int; r_attempt : int }
 
 type worker = {
   w_pid : int;
@@ -159,6 +153,11 @@ let split_run (lo, hi) target =
 let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
     ~worker_argv ~root_seed ~trials spec =
   if config.workers < 1 then invalid_arg "Campaign.run: workers must be >= 1";
+  let hb_timeout = config.heartbeat_timeout in
+  if not (hb_timeout > 0.0 && Float.is_finite hb_timeout) then
+    invalid_arg "Campaign.run: heartbeat_timeout must be a finite number > 0";
+  if config.retry_budget < 0 then
+    invalid_arg "Campaign.run: retry_budget must be >= 0";
   Torture.run_with ?shrink ?checkpoint ?resume ?should_stop ~root_seed ~trials
     spec
   @@ fun (l : Torture.ledger) ->
@@ -172,36 +171,10 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
   let spawned = ref 0
   and deaths = ref 0
   and hangs = ref 0
-  and rescues = ref 0
   and retries = ref 0
-  and degradations = ref 0
   and inproc = ref 0 in
-  let parallelism = ref config.workers in
-  (* pending-range queue (never long: at most one entry per live failure
-     chain), ordered by insertion; entries may carry a backoff deadline *)
-  let queue = ref [] in
-  let enqueue r = queue := !queue @ [ r ] in
-  let take_ready () =
-    let t = now () in
-    let rec go acc = function
-      | [] -> None
-      | r :: rest ->
-          if r.r_not_before <= t then begin
-            queue := List.rev_append acc rest;
-            Some r
-          end
-          else go (r :: acc) rest
-    in
-    go [] !queue
-  in
-  let earliest_not_before () =
-    List.fold_left
-      (fun acc r ->
-        match acc with
-        | None -> Some r.r_not_before
-        | Some t -> Some (Float.min t r.r_not_before))
-      None !queue
-  in
+  (* pending ranges, first in first out *)
+  let queue = Queue.create () in
   (* initial ranges: contiguous runs of missing indices, split so a clean
      run hands one chunk to each worker *)
   let target =
@@ -211,7 +184,7 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
     (fun run ->
       List.iter
         (fun (lo, hi) ->
-          enqueue { r_lo = lo; r_hi = hi; r_attempt = 1; r_not_before = 0.0 })
+          Queue.add { r_lo = lo; r_hi = hi; r_attempt = 1 } queue)
         (split_run run target))
     (coalesce (Array.to_list l.missing));
   let chaos_draw =
@@ -293,10 +266,6 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
         `More
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> `More
   in
-  let backoff attempt =
-    Float.min config.backoff_cap
-      (config.backoff_base *. (2.0 ** float_of_int (max 0 (attempt - 1))))
-  in
   let first_missing lo hi =
     let rec go i = if i >= hi || not (l.has i) then i else go (i + 1) in
     go lo
@@ -324,33 +293,17 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
         w.w_lo w.w_hi
     else begin
       if hung then incr hangs else incr deaths;
-      incr rescues;
       jevent
         {|{ "event": %S, "pid": %d, "lo": %d, "hi": %d, "remaining_lo": %d, "attempt": %d }|}
         (if hung then "hang" else "death")
         w.w_pid w.w_lo w.w_hi rem_lo w.w_attempt;
-      let a = w.w_attempt in
-      let retry () =
-        enqueue
-          {
-            r_lo = rem_lo;
-            r_hi = w.w_hi;
-            r_attempt = a + 1;
-            r_not_before = now () +. backoff a;
-          }
-      in
-      if a <= config.retry_budget then retry ()
-      else if !parallelism > 1 then begin
-        (* the range keeps failing: assume resource pressure and halve
-           the process parallelism before trying again *)
-        parallelism := max 1 (!parallelism / 2);
-        incr degradations;
-        jevent {|{ "event": "degrade", "parallelism": %d }|} !parallelism;
-        retry ()
-      end
+      if w.w_attempt <= config.retry_budget then
+        Queue.add
+          { r_lo = rem_lo; r_hi = w.w_hi; r_attempt = w.w_attempt + 1 }
+          queue
       else begin
-        (* last resort: run the remainder in-process (no chaos, no
-           subprocess) so the campaign is guaranteed to terminate *)
+        (* budget spent: run the remainder in-process (no chaos, no
+           subprocess), which alone guarantees the campaign terminates *)
         jevent {|{ "event": "inproc", "lo": %d, "hi": %d }|} rem_lo w.w_hi;
         let scratch = Lazy.force inproc_scratch in
         for i = rem_lo to w.w_hi - 1 do
@@ -358,66 +311,49 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
             record i (Torture.run_trial spec ~scratch ~root:root_seed ~index:i);
             incr inproc
           end
-        done
+        done;
+        (* nobody read the other workers' pipes meanwhile: their silence
+           was the supervisor's, so restart their hang clocks *)
+        List.iter (fun x -> x.w_last <- now ()) !workers
       end
     end
   in
-  while (!workers <> [] || !queue <> []) && not (l.stop ()) do
-    let rec fill () =
-      if List.length !workers < !parallelism then
-        match take_ready () with
-        | Some r ->
-            spawn_range r;
-            fill ()
-        | None -> ()
+  while (!workers <> [] || not (Queue.is_empty queue)) && not (l.stop ()) do
+    while
+      List.length !workers < config.workers && not (Queue.is_empty queue)
+    do
+      spawn_range (Queue.pop queue)
+    done;
+    let fds = List.map (fun w -> w.w_fd) !workers in
+    let timeout =
+      let hb_deadline =
+        List.fold_left
+          (fun acc w -> Float.min acc (w.w_last +. config.heartbeat_timeout))
+          infinity !workers
+      in
+      Float.max 0.01 (Float.min (hb_deadline -. now ()) 0.25)
     in
-    fill ();
-    if !workers = [] then (
-      (* every pending range is in backoff: sleep toward the earliest
-         deadline (capped so should_stop stays responsive) *)
-      match earliest_not_before () with
-      | Some t ->
-          let d = t -. now () in
-          if d > 0.0 then Unix.sleepf (Float.min d 0.2)
-      | None -> ())
-    else begin
-      let fds = List.map (fun w -> w.w_fd) !workers in
-      let timeout =
-        let hb_deadline =
-          List.fold_left
-            (fun acc w -> Float.min acc (w.w_last +. config.heartbeat_timeout))
-            infinity !workers
-        in
-        let d = hb_deadline -. now () in
-        let d =
-          match earliest_not_before () with
-          | Some t -> Float.min d (t -. now ())
-          | None -> d
-        in
-        Float.max 0.01 (Float.min d 0.25)
-      in
-      let readable =
-        match Unix.select fds [] [] timeout with
-        | r, _, _ -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-      in
-      List.iter
-        (fun w ->
-          if List.mem w.w_fd readable then
-            match read_worker w with
-            | `Eof -> reap w ~hung:false
-            | `More -> ())
-        !workers;
-      let t = now () in
-      List.iter
-        (fun w ->
-          if t -. w.w_last > config.heartbeat_timeout then begin
-            kill_worker w;
-            drain w;
-            reap w ~hung:true
-          end)
-        !workers
-    end
+    let readable =
+      match Unix.select fds [] [] timeout with
+      | r, _, _ -> r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    in
+    List.iter
+      (fun w ->
+        if List.mem w.w_fd readable then
+          match read_worker w with
+          | `Eof -> reap w ~hung:false
+          | `More -> ())
+      !workers;
+    let t = now () in
+    List.iter
+      (fun w ->
+        if t -. w.w_last > config.heartbeat_timeout then begin
+          kill_worker w;
+          drain w;
+          reap w ~hung:true
+        end)
+      !workers
   done;
   (* interrupted: stop the workers still running; the core journals the
      event and raises *)
@@ -431,9 +367,7 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
       workers_spawned = !spawned;
       worker_deaths = !deaths;
       worker_hangs = !hangs;
-      rescues = !rescues;
       retries = !retries;
-      degradations = !degradations;
       inproc_trials = !inproc;
       chaos = config.chaos;
     } )

@@ -17,14 +17,11 @@
     - {b Hang}: a worker that emits nothing (trials or heartbeats) for
       [heartbeat_timeout] seconds is SIGKILLed, drained, and treated as
       a death.
-    - {b Retry/backoff}: each failed range is respawned with capped
-      exponential backoff ([backoff_base * 2^(attempt-1)], capped at
-      [backoff_cap]) up to [retry_budget] retries.
-    - {b Graceful degradation}: once a range exhausts its retry budget
-      the supervisor halves process parallelism (repeatedly, down to 1)
-      and keeps going; if failures persist at parallelism 1 the range
-      runs {e in-process} via {!Torture.run_trial} — chaos-free by
-      construction — so a campaign always terminates with a verdict.
+    - {b One failure rule}: the unfinished remainder of a dead or hung
+      worker's range is respawned at once, up to [retry_budget] times;
+      after that it runs {e in-process} via {!Torture.run_trial} —
+      chaos-free by construction — which alone guarantees that a
+      campaign terminates with a verdict.
 
     Because trial [i] is a pure function of [(spec, root_seed, i)], the
     merged report's deterministic fields are byte-identical to
@@ -48,7 +45,7 @@
     checkpoint journal, resume, the interrupt and the merge, exactly as
     for {!Torture.run}; either engine resumes the other's journal.  The
     supervisor adds its lifecycle events (spawn / exit / death / hang /
-    degrade / inproc) to the journal between the trial lines. *)
+    inproc) to the journal between the trial lines. *)
 
 type fault_plan =
   | No_fault
@@ -70,12 +67,12 @@ val chaos_of_string : string -> (chaos, string) result
 val chaos_to_string : chaos -> string
 
 type config = {
-  workers : int;  (** initial process parallelism (>= 1) *)
+  workers : int;  (** process parallelism (>= 1) *)
   heartbeat_every : int;  (** worker heartbeat period, in trials *)
-  heartbeat_timeout : float;  (** seconds of silence before a SIGKILL *)
-  retry_budget : int;  (** per-range respawns before degradation *)
-  backoff_base : float;  (** seconds; retry k waits base * 2^(k-1) *)
-  backoff_cap : float;  (** ceiling on the backoff delay *)
+  heartbeat_timeout : float;
+      (** seconds of silence before a SIGKILL (finite, > 0) *)
+  retry_budget : int;
+      (** respawns of a failed range before it runs in-process (>= 0) *)
   chaos : chaos;
   chaos_plan : (spawn:int -> range_len:int -> fault_plan) option;
       (** test hook: overrides the [chaos] draw per spawn when set *)
@@ -83,15 +80,13 @@ type config = {
 
 val default_config : config
 (** 4 workers, heartbeat every 16 trials / 30 s timeout, retry budget 3,
-    backoff 0.05 s capped at 2 s, no chaos. *)
+    no chaos. *)
 
 type counters = Torture.supervision = {
   workers_spawned : int;
   worker_deaths : int;
   worker_hangs : int;
-  rescues : int;
   retries : int;
-  degradations : int;
   inproc_trials : int;
   chaos : chaos;
 }
@@ -133,9 +128,11 @@ val run :
     path; [fault] is the chaos plan drawn for that spawn — encode it
     into the child's command line), and record each streamed trial.
     The report's deterministic fields are byte-identical to a
-    single-process run's; its [domains_used] is [config.workers].
+    single-process run's; its [parallelism] is [config.workers].
     [should_stop] is polled in the event loop; when it turns true the
     supervisor kills its workers and {!Torture.run_with} journals the
     interrupt and raises {!Torture.Interrupted}.  Raises
-    [Invalid_argument] when [config.workers < 1] and wherever
+    [Invalid_argument], before anything is spawned, when
+    [config.workers < 1], when [config.heartbeat_timeout] is not a
+    finite number [> 0], when [config.retry_budget < 0], and wherever
     {!Torture.run_with} does. *)

@@ -49,5 +49,3 @@ let instance t =
     strict_recovery = false;
     id_symmetric = false;
   }
-
-let shared_locs t = Array.to_list t.mr

@@ -1,4 +1,3 @@
-open Nvm
 open Runtime
 
 (** Algorithm 3: a detectable max register that needs {e no} auxiliary
@@ -28,5 +27,3 @@ type t
 val create : ?persist:bool -> Machine.t -> n:int -> init:int -> t
 val instance : t -> Sched.Obj_inst.t
 (** Operations: [read], [write_max v]. *)
-
-val shared_locs : t -> Loc.t list

@@ -171,9 +171,3 @@ let instance t =
     strict_recovery = true;
     id_symmetric = false;
   }
-
-let shared_locs t =
-  [ t.head; t.tail; t.alloc_idx ]
-  @ Array.to_list t.node_val
-  @ Array.to_list t.node_next
-  @ Array.to_list t.node_deq

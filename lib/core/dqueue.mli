@@ -1,4 +1,3 @@
-open Nvm
 open Runtime
 
 (** A detectable durable FIFO queue, in the style of Friedman, Herlihy,
@@ -36,5 +35,3 @@ val create : ?persist:bool -> Machine.t -> n:int -> capacity:int -> t
 val instance : t -> Sched.Obj_inst.t
 (** Operations: [enq v], [deq] (returns [Str "empty"] on an empty
     queue). *)
-
-val shared_locs : t -> Loc.t list

@@ -118,9 +118,3 @@ let instance t =
     strict_recovery = true;
     id_symmetric = false;
   }
-
-let shared_locs t =
-  t.r
-  :: List.concat_map
-       (fun plane -> List.concat_map Array.to_list (Array.to_list plane))
-       (Array.to_list t.a)

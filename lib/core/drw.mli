@@ -33,7 +33,3 @@ val create : ?persist:bool -> Machine.t -> n:int -> init:Value.t -> t
 
 val instance : t -> Sched.Obj_inst.t
 (** Driver-facing instance.  Operations: [read], [write v]. *)
-
-val shared_locs : t -> Loc.t list
-(** The object's shared locations ([R] and all of [A]), for space
-    accounting. *)

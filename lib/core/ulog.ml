@@ -145,5 +145,3 @@ let log_length machine t =
     else go (k + 1)
   in
   go 0
-
-let shared_locs t = t.log_next :: Array.to_list t.slots

@@ -1,4 +1,3 @@
-open Nvm
 open Runtime
 open History
 
@@ -50,5 +49,3 @@ val instance : t -> Sched.Obj_inst.t
 
 val log_length : Machine.t -> t -> int
 (** Driver-side: entries appended so far (the space that grows). *)
-
-val shared_locs : t -> Loc.t list

@@ -113,7 +113,6 @@ let create ?(mode = Fingerprint) ?canonical () =
       Pair_set.create (match canonical with Some _ -> 1024 | None -> 2);
   }
 
-let mode set = set.mode
 let canonical set = set.canonical
 
 let insert_fp_w set fa fb w =

@@ -42,8 +42,6 @@ val create : ?mode:mode -> ?canonical:int -> unit -> t
     equality.  Raises [Invalid_argument] if [n] is outside [1..20]
     ([N!] weights would overflow). *)
 
-val mode : t -> mode
-
 val canonical : t -> int option
 (** [Some n] iff the set counts orbit-weighted canonical keys. *)
 

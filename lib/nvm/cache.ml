@@ -5,7 +5,6 @@ type t = {
 
 let create backing = { backing; dirty = Hashtbl.create 64 }
 
-let mem c = c.backing
 
 let read c (loc : Loc.t) =
   match Hashtbl.find_opt c.dirty loc.Loc.id with

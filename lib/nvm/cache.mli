@@ -17,9 +17,6 @@ type t
 
 val create : Mem.t -> t
 
-val mem : t -> Mem.t
-(** The backing non-volatile store. *)
-
 val read : t -> Loc.t -> Value.t
 val write : t -> Loc.t -> Value.t -> unit
 val cas : t -> Loc.t -> Value.t -> Value.t -> bool

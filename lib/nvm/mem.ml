@@ -183,7 +183,6 @@ let set_journal mem on =
       grow_journal mem
   end
 
-let journaling mem = mem.journal_on
 let journal_depth mem = mem.j_len
 let rewound_cells mem = mem.rewound
 

@@ -59,8 +59,6 @@ val set_journal : t -> bool -> unit
 (** Turn journaling on or off.  Turning it off discards the log (and
     invalidates all marks). *)
 
-val journaling : t -> bool
-
 val mark : t -> mark
 (** A fresh mark of the current position: [mark_into] on a new mark.
     Raises [Invalid_argument] if journaling is off. *)

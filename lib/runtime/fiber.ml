@@ -29,7 +29,6 @@ let write l v = ignore (step (Prim.Write (l, v)))
 let cas l e d = Value.to_bool (step (Prim.Cas (l, e, d)))
 let faa l d = Value.to_int (step (Prim.Faa (l, d)))
 let persist l = ignore (step (Prim.Persist l))
-let fence () = ignore (step Prim.Fence)
 let yield () = ignore (step Prim.Yield)
 
 type outcome =

@@ -45,7 +45,6 @@ val faa : Loc.t -> int -> int
 val persist : Loc.t -> unit
 (** Explicit persist instruction (no-op in the private-cache model). *)
 
-val fence : unit -> unit
 val yield : unit -> unit
 
 (** {1 Fiber lifecycle — driver side} *)

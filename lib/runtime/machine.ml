@@ -3,7 +3,6 @@ open Nvm
 type model = Private_cache | Shared_cache
 
 type t = {
-  model : model;
   mem : Mem.t;
   cache : Cache.t option;
   mutable steps : int;
@@ -12,9 +11,8 @@ type t = {
 let create ?(model = Private_cache) () =
   let mem = Mem.create () in
   let cache = match model with Private_cache -> None | Shared_cache -> Some (Cache.create mem) in
-  { model; mem; cache; steps = 0 }
+  { mem; cache; steps = 0 }
 
-let model t = t.model
 let mem t = t.mem
 
 let alloc_shared t name init = Mem.alloc t.mem ~name ~kind:Loc.Shared init

@@ -16,7 +16,6 @@ type t
 val create : ?model:model -> unit -> t
 (** Fresh machine with an empty store.  Default model: [Private_cache]. *)
 
-val model : t -> model
 val mem : t -> Mem.t
 (** The {e non-volatile} store — what survives a crash.  In the
     shared-cache model, dirty cache lines are not in it. *)

@@ -69,7 +69,7 @@ type report = {
   first_engine_fault : engine_fault option;
   elapsed_s : float;
   trials_per_sec : float;
-  domains_used : int;
+  parallelism : int;
   alloc_minor_words : float;
   alloc_promoted_words : float;
   alloc_minor_collections : int;
@@ -623,7 +623,7 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
     (* timing is the caller's to measure: merge is pure *)
     elapsed_s = 0.0;
     trials_per_sec = 0.0;
-    domains_used = 0;
+    parallelism = 0;
     alloc_minor_words = 0.0;
     alloc_promoted_words = 0.0;
     alloc_minor_collections = 0;
@@ -720,7 +720,7 @@ let run_with ?(shrink = true) ?checkpoint ?(resume = false)
       report with
       elapsed_s;
       trials_per_sec = float_of_int trials /. Float.max elapsed_s 1e-9;
-      domains_used = used;
+      parallelism = used;
     },
     measured )
 
@@ -768,9 +768,7 @@ type supervision = {
   workers_spawned : int;
   worker_deaths : int;
   worker_hangs : int;
-  rescues : int;
   retries : int;
-  degradations : int;
   inproc_trials : int;
   chaos : chaos;
 }
@@ -780,19 +778,16 @@ let no_supervision =
     workers_spawned = 0;
     worker_deaths = 0;
     worker_hangs = 0;
-    rescues = 0;
     retries = 0;
-    degradations = 0;
     inproc_trials = 0;
     chaos = { kill_prob = 0.0; hang_prob = 0.0; chaos_seed = 0 };
   }
 
 let supervision_json s =
   Printf.sprintf
-    {|{ "workers_spawned": %d, "worker_deaths": %d, "worker_hangs": %d, "rescues": %d, "retries": %d, "degradations": %d, "inproc_trials": %d, "chaos": { "kill": %.4f, "hang": %.4f, "seed": %d } }|}
-    s.workers_spawned s.worker_deaths s.worker_hangs s.rescues s.retries
-    s.degradations s.inproc_trials s.chaos.kill_prob s.chaos.hang_prob
-    s.chaos.chaos_seed
+    {|{ "workers_spawned": %d, "worker_deaths": %d, "worker_hangs": %d, "retries": %d, "inproc_trials": %d, "chaos": { "kill": %.4f, "hang": %.4f, "seed": %d } }|}
+    s.workers_spawned s.worker_deaths s.worker_hangs s.retries s.inproc_trials
+    s.chaos.kill_prob s.chaos.hang_prob s.chaos.chaos_seed
 
 let to_json ?(timing = true) ?(supervision = no_supervision) r =
   let b = Buffer.create 1024 in
@@ -849,10 +844,10 @@ let to_json ?(timing = true) ?(supervision = no_supervision) r =
   if timing then
     add
       ",\n  \"timing\": { \"elapsed_s\": %.6f, \"trials_per_sec\": %.1f, \
-       \"domains\": %d, \"alloc\": { \"minor_words\": %.0f, \
+       \"parallelism\": %d, \"alloc\": { \"minor_words\": %.0f, \
        \"promoted_words\": %.0f, \"minor_collections\": %d, \
        \"bytes_per_trial\": %.1f }, \"supervision\": %s }\n"
-      r.elapsed_s r.trials_per_sec r.domains_used
+      r.elapsed_s r.trials_per_sec r.parallelism
       r.alloc_minor_words r.alloc_promoted_words r.alloc_minor_collections
       r.bytes_per_trial (supervision_json supervision)
   else add "\n";
@@ -870,7 +865,7 @@ let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
        parallelism %d@."
       r.label r.trials r.root_seed (policy_string r.policy)
       (Nvm.Fault_model.to_string r.fault)
-      r.domains_used
+      r.parallelism
   else
     Format.fprintf fmt
       "torture: %s — %d trials, root seed %d, policy %s, fault %s@." r.label
@@ -900,9 +895,9 @@ let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
     if s.workers_spawned > 0 then
       Format.fprintf fmt
         "supervise:  %d worker(s) spawned, %d death(s), %d hang(s), %d \
-         rescue(s), %d retry(ies), %d degradation(s), %d in-process trial(s)@."
-        s.workers_spawned s.worker_deaths s.worker_hangs s.rescues s.retries
-        s.degradations s.inproc_trials
+         retry(ies), %d in-process trial(s)@."
+        s.workers_spawned s.worker_deaths s.worker_hangs s.retries
+        s.inproc_trials
   end;
   (match r.crash_hist with
   | [] -> ()

@@ -169,9 +169,9 @@ type report = {
   first_engine_fault : engine_fault option;
   elapsed_s : float;  (** wall-clock of the trial phase (shrinking excluded) *)
   trials_per_sec : float;
-  domains_used : int;
-      (** the executor's parallelism: 1 for {!run}, the initial worker
-          count for {!Campaign.run} *)
+  parallelism : int;
+      (** the executor's parallelism: 1 for {!run}, the worker count for
+          {!Campaign.run} *)
   alloc_minor_words : float;
       (** words allocated on the minor heap by {!run}'s trial loop
           ({!Dtc_util.Alloc_stats}); measured around the whole loop, so
@@ -227,7 +227,7 @@ val merge :
   spec -> root_seed:int -> trials:int -> shrink:bool -> trial array -> report
 (** Fold the per-trial records (element [i] = trial [i]) into a report,
     shrinking the first failure when [shrink].  The timing-block fields
-    ([elapsed_s], [trials_per_sec], [domains_used], [alloc_*],
+    ([elapsed_s], [trials_per_sec], [parallelism], [alloc_*],
     [bytes_per_trial]) are zeroed; callers that measured them
     record-update the result. *)
 
@@ -284,7 +284,7 @@ val run_with :
     executor, which runs every [missing] index, then either journal an
     ["interrupted"] event and raise {!Interrupted} (trials missing and
     [should_stop ()] true) or merge.  The executor returns its
-    parallelism ([domains_used]) and whatever else it measured.
+    [parallelism] and whatever else it measured.
     [elapsed_s] and [trials_per_sec] time the executor alone, never the
     shrinking; the other timing fields stay zero.  Raises
     [Invalid_argument] on negative [trials], on [resume] without
@@ -337,10 +337,9 @@ type supervision = {
   workers_spawned : int;  (** worker processes forked, incl. respawns *)
   worker_deaths : int;  (** workers that exited before finishing *)
   worker_hangs : int;  (** workers killed after a heartbeat timeout *)
-  rescues : int;  (** range reassignments after a death/hang *)
   retries : int;  (** respawns of a previously-failed range *)
-  degradations : int;  (** parallelism halvings after budget exhaustion *)
-  inproc_trials : int;  (** trials run in-process as the final fallback *)
+  inproc_trials : int;
+      (** trials run in-process once a range's retry budget is spent *)
   chaos : chaos;  (** the chaos parameters the campaign ran under *)
 }
 

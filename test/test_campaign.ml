@@ -9,8 +9,8 @@
 
    The contract under test is the one the paper's determinism gives us
    for free: trial [i] is a pure function of [(spec, root_seed, i)], so
-   whatever the supervisor has to do — rescue dead workers, SIGKILL hung
-   ones, degrade parallelism, fall back in-process — the merged report
+   whatever the supervisor has to do — respawn what dead workers left,
+   SIGKILL hung ones, finish a remainder in-process — the merged report
    must be byte-identical to a plain single-process {!Torture.run}. *)
 
 open Sched
@@ -81,7 +81,7 @@ let run_campaign ?checkpoint ?resume ?should_stop
   Campaign.run ?checkpoint ?resume ?should_stop ~config ~worker_argv ~root_seed
     ~trials spec
 
-(* fast supervisor settings: no backoff waits, tight heartbeats *)
+(* fast supervisor settings: tight heartbeats *)
 let fast ?(workers = 2) ?chaos_plan ?(retry_budget = 3)
     ?(heartbeat_timeout = 30.0) () =
   {
@@ -90,8 +90,6 @@ let fast ?(workers = 2) ?chaos_plan ?(retry_budget = 3)
     heartbeat_every = 2;
     heartbeat_timeout;
     retry_budget;
-    backoff_base = 0.0;
-    backoff_cap = 0.0;
     chaos_plan;
   }
 
@@ -111,7 +109,7 @@ let test_clean_campaign_matches_torture () =
         (body r);
       Alcotest.(check int) "one worker per range" 3 c.Campaign.workers_spawned;
       Alcotest.(check int) "no deaths" 0 c.Campaign.worker_deaths;
-      Alcotest.(check int) "no rescues" 0 c.Campaign.rescues)
+      Alcotest.(check int) "no retries" 0 c.Campaign.retries)
     [ dcas_spec; broken_spec ]
 
 (* --- worker death at every trial index --- *)
@@ -136,8 +134,7 @@ let test_kill_at_every_index () =
     if k < trials then begin
       Alcotest.(check bool)
         (Printf.sprintf "kill at trial %d: death recorded" k)
-        true
-        (c.Campaign.worker_deaths >= 1 && c.Campaign.rescues >= 1);
+        true (c.Campaign.worker_deaths >= 1);
       Alcotest.(check bool)
         (Printf.sprintf "kill at trial %d: retry spawned" k)
         true (c.Campaign.retries >= 1)
@@ -173,26 +170,75 @@ let test_hang_detected_and_rescued () =
   let r, c = run_campaign ~config ~root_seed:91 ~trials spec in
   Alcotest.(check string) "hang is invisible in the report" base (body r);
   Alcotest.(check bool) "hang detected" true (c.Campaign.worker_hangs >= 1);
-  Alcotest.(check bool) "hung range rescued" true (c.Campaign.rescues >= 1)
+  Alcotest.(check bool) "hung range respawned" true (c.Campaign.retries >= 1)
 
-(* --- graceful degradation down to the in-process fallback --- *)
+(* --- the one failure rule: retry the remainder, then finish it
+   in-process --- *)
 
-let test_degradation_and_inproc_fallback () =
+let test_retry_then_inproc () =
   let spec = dcas_spec () in
   let trials = 15 in
   let base = body (Torture.run ~root_seed:13 ~trials spec) in
-  (* every spawn dies immediately and there are no retries: the
-     supervisor must halve 4 -> 2 -> 1 and then finish in-process *)
+  (* every spawn dies before its first trial: each of the two ranges is
+     spawned, respawned once (retry budget 1), and then runs whole in
+     the supervisor's process *)
   let plan ~spawn:_ ~range_len:_ = Campaign.Kill_after 0 in
-  let config = fast ~workers:4 ~chaos_plan:plan ~retry_budget:0 () in
+  let config = fast ~workers:2 ~chaos_plan:plan ~retry_budget:1 () in
   let r, c = run_campaign ~config ~root_seed:13 ~trials spec in
-  Alcotest.(check string) "fallback report byte-identical" base (body r);
-  Alcotest.(check bool) "parallelism halved" true
-    (c.Campaign.degradations >= 2);
-  Alcotest.(check int) "every trial fell back in-process" trials
-    c.Campaign.inproc_trials;
-  Alcotest.(check bool) "deaths and rescues recorded" true
-    (c.Campaign.worker_deaths >= 1 && c.Campaign.rescues >= 1)
+  Alcotest.(check string) "in-process report byte-identical" base (body r);
+  Alcotest.(check int) "spawned" 4 c.Campaign.workers_spawned;
+  Alcotest.(check int) "deaths" 4 c.Campaign.worker_deaths;
+  Alcotest.(check int) "hangs" 0 c.Campaign.worker_hangs;
+  Alcotest.(check int) "retries" 2 c.Campaign.retries;
+  Alcotest.(check int) "every trial ran in-process" trials
+    c.Campaign.inproc_trials
+
+(* the supervisor reads no pipe while it runs a remainder in-process:
+   the other worker, blocked on its full pipe meanwhile, is alive, and
+   must not be declared hung for the supervisor's own silence.  Range 0
+   dies at once and runs whole in-process (~1.2 s on a 2-vCPU box);
+   range 1's worker fills its pipe within a fraction of the 0.5 s
+   timeout. *)
+let test_inproc_run_starves_no_worker () =
+  let spec = dcas_spec () in
+  let trials = 24_000 in
+  let plan ~spawn ~range_len:_ =
+    if spawn = 0 then Campaign.Kill_after 0 else Campaign.No_fault
+  in
+  let config =
+    fast ~workers:2 ~chaos_plan:plan ~retry_budget:0 ~heartbeat_timeout:0.5 ()
+  in
+  let _, c = run_campaign ~config ~root_seed:3 ~trials spec in
+  Alcotest.(check int) "no hang" 0 c.Campaign.worker_hangs;
+  Alcotest.(check int) "spawned" 2 c.Campaign.workers_spawned;
+  Alcotest.(check int) "range 0 ran in-process" (trials / 2)
+    c.Campaign.inproc_trials
+
+(* --- input validation --- *)
+
+(* a bad supervisor setting is rejected before any worker is spawned: a
+   NaN heartbeat timeout would switch hang detection off, one <= 0
+   would declare every worker hung at the first poll *)
+let test_bad_config_rejected () =
+  let spec = dcas_spec () in
+  let worker_argv ~lo:_ ~hi:_ ~fault:_ =
+    Alcotest.fail "worker_argv called for a rejected config"
+  in
+  List.iter
+    (fun (what, config) ->
+      match
+        Campaign.run ~config ~worker_argv ~root_seed:1 ~trials:5 spec
+      with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("workers 0", fast ~workers:0 ());
+      ("heartbeat_timeout nan", fast ~heartbeat_timeout:Float.nan ());
+      ("heartbeat_timeout infinity", fast ~heartbeat_timeout:Float.infinity ());
+      ("heartbeat_timeout 0", fast ~heartbeat_timeout:0.0 ());
+      ("heartbeat_timeout -1", fast ~heartbeat_timeout:(-1.0) ());
+      ("retry_budget -1", fast ~retry_budget:(-1) ());
+    ]
 
 (* --- checkpointing across engines --- *)
 
@@ -418,8 +464,12 @@ let suites =
         QCheck_alcotest.to_alcotest prop_kill_random;
         Alcotest.test_case "hung worker detected and rescued" `Quick
           test_hang_detected_and_rescued;
-        Alcotest.test_case "degradation down to in-process fallback" `Quick
-          test_degradation_and_inproc_fallback;
+        Alcotest.test_case "retry once, then in-process" `Quick
+          test_retry_then_inproc;
+        Alcotest.test_case "in-process run starves no worker" `Quick
+          test_inproc_run_starves_no_worker;
+        Alcotest.test_case "bad config rejected before spawning" `Quick
+          test_bad_config_rejected;
       ] );
     ( "campaign.checkpoint",
       [

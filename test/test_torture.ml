@@ -116,9 +116,9 @@ let test_json_shape () =
       {|"crashes"|}; {|"histogram"|}; {|"steps"|}; {|"max_shared_bits"|};
       {|"first_failure"|}; {|"first_engine_fault"|}; {|"timing"|};
       {|"fault": "atomic"|}; {|"watchdog"|}; {|"budget_exhausted"|};
-      {|"engine_faults"|}; {|"domains"|}; {|"alloc"|};
+      {|"engine_faults"|}; {|"parallelism"|}; {|"alloc"|};
       {|"bytes_per_trial"|}; {|"supervision"|}; {|"workers_spawned"|};
-      {|"rescues"|}; {|"degradations"|}; {|"inproc_trials"|};
+      {|"retries"|}; {|"inproc_trials"|};
     ];
   (* --no-timing strips timing entirely, supervision included — that is
      the byte-identity surface campaign/chaos/resume runs are compared
@@ -218,7 +218,7 @@ let prop_order_and_scratch_invisible =
           (Array.map Option.get by_trial)
       in
       let r = Torture.run ~root_seed:seed ~trials spec in
-      r.Torture.domains_used = 1
+      r.Torture.parallelism = 1
       && r.Torture.bytes_per_trial > 0.0
       && Torture.to_json ~timing:false merged = Torture.to_json ~timing:false r)
 
