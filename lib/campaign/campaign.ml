@@ -54,7 +54,7 @@ type config = {
   heartbeat_timeout : float;
   retry_budget : int;
   chaos : chaos;
-  chaos_plan : (spawn:int -> range_len:int -> fault_plan) option;
+  chaos_plan : (lo:int -> attempt:int -> range_len:int -> fault_plan) option;
 }
 
 let default_config =
@@ -191,11 +191,17 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
     match config.chaos_plan with
     | Some plan -> plan
     | None ->
-        fun ~spawn ~range_len ->
+        fun ~lo ~attempt ~range_len ->
           let c = config.chaos in
           if c.kill_prob = 0.0 && c.hang_prob = 0.0 then No_fault
           else
-            let g = Dtc_util.Prng.stream c.chaos_seed ~index:spawn in
+            (* keyed on the range, not the spawn order: which worker is
+               reaped first must not change the fault schedule *)
+            let g =
+              Dtc_util.Prng.stream
+                (Dtc_util.Prng.stream_seed c.chaos_seed ~index:lo)
+                ~index:attempt
+            in
             let u = Dtc_util.Prng.float g in
             if u < c.kill_prob then
               Kill_after (Dtc_util.Prng.int g (max 1 range_len))
@@ -205,7 +211,9 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
   in
   let workers : worker list ref = ref [] in
   let spawn_range r =
-    let fault = chaos_draw ~spawn:!spawned ~range_len:(r.r_hi - r.r_lo) in
+    let fault =
+      chaos_draw ~lo:r.r_lo ~attempt:r.r_attempt ~range_len:(r.r_hi - r.r_lo)
+    in
     let argv = worker_argv ~lo:r.r_lo ~hi:r.r_hi ~fault in
     let rd, wr = Unix.pipe () in
     let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in

@@ -32,12 +32,17 @@
     {2 Chaos}
 
     [chaos] injects deterministic worker faults for testing the
-    supervisor itself: each spawn draws from
-    [Prng.stream chaos_seed ~index:spawn_counter] and with probability
-    [kill_prob] the worker self-kills (exit 70) after a seeded number of
-    trials, or with probability [hang_prob] stops emitting instead.  The
-    final report must be byte-identical to an undisturbed run — that
-    assertion is the chaos harness's whole point.
+    supervisor itself: the spawn of the range that starts at trial [lo],
+    at attempt [a] (1 for its first spawn), draws from
+    [Prng.stream (Prng.stream_seed chaos_seed ~index:lo) ~index:a], and
+    with probability [kill_prob] the worker self-kills (exit 70) after a
+    seeded number of trials, or with probability [hang_prob] stops
+    emitting instead.  A respawned remainder starts where its worker
+    stopped, which the drawn fault itself fixes, so the fault schedule
+    (and with it the counters) does not depend on the order in which
+    the supervisor reaps workers.  The final report must be
+    byte-identical to an undisturbed run — that assertion is the chaos
+    harness's whole point.
 
     {2 Checkpointing}
 
@@ -74,8 +79,10 @@ type config = {
   retry_budget : int;
       (** respawns of a failed range before it runs in-process (>= 0) *)
   chaos : chaos;
-  chaos_plan : (spawn:int -> range_len:int -> fault_plan) option;
-      (** test hook: overrides the [chaos] draw per spawn when set *)
+  chaos_plan : (lo:int -> attempt:int -> range_len:int -> fault_plan) option;
+      (** test hook: overrides the [chaos] draw when set; called once per
+          spawn with the range's first trial index, its attempt number
+          (1 for the first spawn) and its length *)
 }
 
 val default_config : config

@@ -192,83 +192,13 @@ type outcome = {
   metrics : metrics;
 }
 
-(* Memoised summary of one DFS subtree: what the unpruned engine would
-   have accumulated at-and-below a node with this state (excluding the
-   node's own visit, which every hit performs anyway to learn the
-   state).  Adding a cached summary instead of re-exploring reproduces
-   the unpruned counters exactly — pruning changes [nodes] (physical
-   visits) but never [executions]/[truncated]/[total_violations].
-
-   The table is open-addressed over flat int arrays (keys plus 4-int
-   payload slots: logical nodes strictly below, executions, truncated,
-   violations) instead of a Hashtbl: the memo is probed at every node
-   and extended at every miss, and the Hashtbl's bucket conses +
-   per-entry summary records were the hot loop's largest remaining
-   allocation.  Keys are the sign-masked {!mk_key} words, so [-1] is
-   free to mark empty slots, and they are already uniformly mixed, so
-   [key land mask] indexes directly — no hash call on the probe. *)
-module Memo_tbl = struct
-  type t = {
-    mutable keys : int array;  (* [empty] marks a free slot *)
-    mutable vals : int array;  (* 4 ints per slot: nodes/execs/trunc/viols *)
-    mutable mask : int;  (* capacity - 1; capacity is a power of two *)
-    mutable count : int;
-  }
-
-  let empty = -1
-
-  let create cap =
-    {
-      keys = Array.make cap empty;
-      vals = Array.make (4 * cap) 0;
-      mask = cap - 1;
-      count = 0;
-    }
-
-  let length t = t.count
-
-  (* slot holding [k], or the free slot where it would go *)
-  let rec probe keys mask k i =
-    let ki = keys.(i) in
-    if ki = k || ki = empty then i else probe keys mask k ((i + 1) land mask)
-
-  let find t k =
-    let i = probe t.keys t.mask k (k land t.mask) in
-    if t.keys.(i) = k then i else -1
-
-  let nodes_at t i = t.vals.(4 * i)
-  let execs_at t i = t.vals.((4 * i) + 1)
-  let trunc_at t i = t.vals.((4 * i) + 2)
-  let viols_at t i = t.vals.((4 * i) + 3)
-
-  let grow t =
-    let old_keys = t.keys and old_vals = t.vals in
-    let cap = 2 * (t.mask + 1) in
-    t.keys <- Array.make cap empty;
-    t.vals <- Array.make (4 * cap) 0;
-    t.mask <- cap - 1;
-    Array.iteri
-      (fun i k ->
-        if k <> empty then begin
-          let j = probe t.keys t.mask k (k land t.mask) in
-          t.keys.(j) <- k;
-          Array.blit old_vals (4 * i) t.vals (4 * j) 4
-        end)
-      old_keys
-
-  let set t k ~nodes ~execs ~trunc ~viols =
-    if 2 * (t.count + 1) > t.mask + 1 then grow t;
-    let i = probe t.keys t.mask k (k land t.mask) in
-    if t.keys.(i) = empty then begin
-      t.keys.(i) <- k;
-      t.count <- t.count + 1
-    end;
-    let b = 4 * i in
-    t.vals.(b) <- nodes;
-    t.vals.(b + 1) <- execs;
-    t.vals.(b + 2) <- trunc;
-    t.vals.(b + 3) <- viols
-end
+(* The visited set is {!Memo_tbl}: per key, a summary of what the
+   unpruned engine would have accumulated at-and-below a node with this
+   state (excluding the node's own visit, which every hit performs
+   anyway to learn the state).  Adding a cached summary instead of
+   re-exploring reproduces the unpruned counters exactly — pruning
+   changes [nodes] (physical visits) but never
+   [executions]/[truncated]/[total_violations]. *)
 
 (* Visited-set key: full-memory fingerprint (private NVM drives
    recovery, so shared cells alone would merge states with different
@@ -293,8 +223,9 @@ end
    collisions; mixing adds nothing new in kind, and the bench --compare
    gate pins the resulting counters against the committed baselines
    exactly. *)
-(* [land max_int] drops the sign bit so [Memo_tbl.empty = -1] can never
-   be a real key; 62 bits of key keep the collision odds negligible. *)
+(* [land max_int] drops the sign bit: {!Memo_tbl} takes non-negative
+   keys only (it marks free slots with -1); 62 bits of key keep the
+   collision odds negligible. *)
 let mk_key ~fa ~fb ~dg ~c ~switches ~crashes ~smask ~stepped =
   let m = Value.mix in
   m (m (m (m (m (m (m fa fb) dg) c) switches) crashes) smask) stepped

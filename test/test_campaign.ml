@@ -114,12 +114,12 @@ let test_clean_campaign_matches_torture () =
 
 (* --- worker death at every trial index --- *)
 
-(* kill the first spawn after [k] trials; the rescue respawn runs
-   fault-free.  Sweeping k over every index of a single-worker campaign
-   covers death before the first trial, between every pair of trials,
-   and after the last one. *)
-let kill_first_spawn_at k ~spawn ~range_len:_ =
-  if spawn = 0 then Campaign.Kill_after k else Campaign.No_fault
+(* kill the first spawn of the range at trial 0 after [k] trials; the
+   rescue respawn runs fault-free.  Sweeping k over every index of a
+   single-worker campaign covers death before the first trial, between
+   every pair of trials, and after the last one. *)
+let kill_first_spawn_at k ~lo ~attempt ~range_len:_ =
+  if lo = 0 && attempt = 1 then Campaign.Kill_after k else Campaign.No_fault
 
 let test_kill_at_every_index () =
   let spec = dcas_spec () in
@@ -161,8 +161,8 @@ let test_hang_detected_and_rescued () =
   let spec = dcas_spec () in
   let trials = 12 in
   let base = body (Torture.run ~root_seed:91 ~trials spec) in
-  let plan ~spawn ~range_len:_ =
-    if spawn = 0 then Campaign.Hang_after 3 else Campaign.No_fault
+  let plan ~lo ~attempt ~range_len:_ =
+    if lo = 0 && attempt = 1 then Campaign.Hang_after 3 else Campaign.No_fault
   in
   let config =
     fast ~workers:2 ~chaos_plan:plan ~heartbeat_timeout:0.4 ()
@@ -182,7 +182,7 @@ let test_retry_then_inproc () =
   (* every spawn dies before its first trial: each of the two ranges is
      spawned, respawned once (retry budget 1), and then runs whole in
      the supervisor's process *)
-  let plan ~spawn:_ ~range_len:_ = Campaign.Kill_after 0 in
+  let plan ~lo:_ ~attempt:_ ~range_len:_ = Campaign.Kill_after 0 in
   let config = fast ~workers:2 ~chaos_plan:plan ~retry_budget:1 () in
   let r, c = run_campaign ~config ~root_seed:13 ~trials spec in
   Alcotest.(check string) "in-process report byte-identical" base (body r);
@@ -202,8 +202,8 @@ let test_retry_then_inproc () =
 let test_inproc_run_starves_no_worker () =
   let spec = dcas_spec () in
   let trials = 24_000 in
-  let plan ~spawn ~range_len:_ =
-    if spawn = 0 then Campaign.Kill_after 0 else Campaign.No_fault
+  let plan ~lo ~attempt:_ ~range_len:_ =
+    if lo = 0 then Campaign.Kill_after 0 else Campaign.No_fault
   in
   let config =
     fast ~workers:2 ~chaos_plan:plan ~retry_budget:0 ~heartbeat_timeout:0.5 ()
@@ -213,6 +213,37 @@ let test_inproc_run_starves_no_worker () =
   Alcotest.(check int) "spawned" 2 c.Campaign.workers_spawned;
   Alcotest.(check int) "range 0 ran in-process" (trials / 2)
     c.Campaign.inproc_trials
+
+(* --- chaos reproducibility --- *)
+
+(* the chaos draw is keyed on (range start, attempt), not on the spawn
+   counter, so which worker the supervisor reaps first cannot change the
+   fault schedule: two runs of one chaos campaign report the same
+   supervision counters, not only the same report body *)
+let test_chaos_reproducible () =
+  let spec = dcas_spec () in
+  let trials = 100 in
+  let base = body (Torture.run ~root_seed:11 ~trials spec) in
+  let config =
+    {
+      (fast ~workers:4 ~retry_budget:1 ()) with
+      Campaign.chaos =
+        { Campaign.kill_prob = 1.0; hang_prob = 0.0; chaos_seed = 3 };
+    }
+  in
+  let run () =
+    let r, c = run_campaign ~config ~root_seed:11 ~trials spec in
+    Alcotest.(check string) "chaos is invisible in the report" base (body r);
+    c
+  in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "chaos active" true
+    (a.Campaign.worker_deaths > 0 && a.Campaign.inproc_trials > 0);
+  Alcotest.(check int) "same worker_deaths" a.Campaign.worker_deaths
+    b.Campaign.worker_deaths;
+  Alcotest.(check int) "same retries" a.Campaign.retries b.Campaign.retries;
+  Alcotest.(check int) "same inproc_trials" a.Campaign.inproc_trials
+    b.Campaign.inproc_trials
 
 (* --- input validation --- *)
 
@@ -377,8 +408,9 @@ let test_should_stop_interrupts_and_torture_resumes () =
              (read_lines path))
       in
       let should_stop () = journaled () >= 23 in
-      let plan ~spawn ~range_len:_ =
-        if spawn = 1 then Campaign.Hang_after 3 else Campaign.No_fault
+      let plan ~lo ~attempt ~range_len:_ =
+        if lo = 20 && attempt = 1 then Campaign.Hang_after 3
+        else Campaign.No_fault
       in
       (match
          run_campaign ~checkpoint:path ~should_stop
@@ -468,6 +500,8 @@ let suites =
           test_retry_then_inproc;
         Alcotest.test_case "in-process run starves no worker" `Quick
           test_inproc_run_starves_no_worker;
+        Alcotest.test_case "chaos campaign reproducible" `Quick
+          test_chaos_reproducible;
         Alcotest.test_case "bad config rejected before spawning" `Quick
           test_bad_config_rejected;
       ] );

@@ -348,6 +348,78 @@ let test_metrics_sanity () =
   Alcotest.(check bool) "histogram sorted" true
     (depths = List.sort_uniq compare depths)
 
+(* --- the subtree memo against a Hashtbl reference --- *)
+
+(* field values on both sides of the 15-bit packing limit, so summaries
+   take the packed path and the spill path *)
+let memo_field_values = [ 0; 1; (1 lsl 15) - 1; 1 lsl 15; 1 lsl 31; max_int / 4 ]
+
+type memo_op = Set of int * (int * int * int * int) | Find of int
+
+let arb_memo_ops =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [
+        (* dense small keys: overwrites and neighbouring slots *)
+        (4, int_range 0 255);
+        (* equal low bits: long probe chains that wrap the table *)
+        (2, map (fun x -> x lsl 20) (int_range 0 31));
+        (1, int_range 0 max_int);
+      ]
+  in
+  let field = oneofl memo_field_values in
+  let op =
+    frequency
+      [
+        (3, map2 (fun k f -> Set (k, f)) key (quad field field field field));
+        (1, map (fun k -> Find k) key);
+      ]
+  in
+  let print_op = function
+    | Set (k, (n, e, t, v)) -> Printf.sprintf "set %d (%d,%d,%d,%d)" k n e t v
+    | Find k -> Printf.sprintf "find %d" k
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 100 400) op)
+
+(* From capacity 2, every sequence doubles the table several times.
+   After every operation each key seen so far, bound or not, must read
+   back exactly as in the reference. *)
+let prop_memo_tbl_reference =
+  QCheck.Test.make ~name:"Memo_tbl = Hashtbl reference" ~count:100 arb_memo_ops
+    (fun ops ->
+      let module M = Modelcheck.Memo_tbl in
+      let t = M.create 2 and reference = Hashtbl.create 16 in
+      let seen = Hashtbl.create 16 in
+      let agrees k =
+        let i = M.find t k in
+        match Hashtbl.find_opt reference k with
+        | None -> i = -1
+        | Some (n, e, tr, v) ->
+            i >= 0
+            && M.nodes_at t i = n
+            && M.execs_at t i = e
+            && M.trunc_at t i = tr
+            && M.viols_at t i = v
+      in
+      List.for_all
+        (fun op ->
+          let k =
+            match op with
+            | Set (k, ((n, e, tr, v) as f)) ->
+                M.set t k ~nodes:n ~execs:e ~trunc:tr ~viols:v;
+                Hashtbl.replace reference k f;
+                k
+            | Find k -> k
+          in
+          Hashtbl.replace seen k ();
+          M.length t = Hashtbl.length reference
+          && Hashtbl.fold (fun k () ok -> ok && agrees k) seen true)
+        ops)
+
 let suites =
   [
     ( "modelcheck.explore",
@@ -375,5 +447,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_reference_random_workloads;
         QCheck_alcotest.to_alcotest prop_reduced_configs_bounded;
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;
+        QCheck_alcotest.to_alcotest prop_memo_tbl_reference;
       ] );
   ]
