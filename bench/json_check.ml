@@ -17,13 +17,14 @@
      recorded metric, ids unique) and then by the suite's cross-row
      invariants — the same ones `--compare` runs on fresh rows.
 
-   With --chaos-active (valid only for torture reports) the validator
-   additionally requires the supervision counters to show a non-trivial
-   supervision history — worker deaths, retries and in-process trials
-   all strictly positive — which is how the bench chaos gate proves the
-   byte-identity comparison covered every failure path (death, respawn,
-   in-process remainder) rather than a campaign where no worker ever
-   died.
+   With --chaos-active worker_deaths=D,retries=R,inproc_trials=I (valid
+   only for torture reports) the validator additionally requires those
+   three supervision counters to equal D, R and I.  A chaos campaign's
+   draws are deterministic, so its counters are too; pinning them is
+   how the bench chaos gate proves the byte-identity comparison covered
+   every failure path (death, respawn, in-process remainder), as often
+   as that schedule takes it, rather than a campaign where no worker
+   ever died.
 
    Any other schema is rejected as unknown.  Every failure is one line on
    stderr and exit status 1. *)
@@ -92,10 +93,35 @@ let check_torture_report j =
     require_keys "supervision chaos" (member "chaos" s) [ "kill"; "hang"; "seed" ]
   end
 
-(* --chaos-active: the report must record a supervision history where
-   workers actually died, the supervisor actually respawned a remainder
-   and finished one in-process — the teeth of the bench chaos gate *)
-let check_chaos_active j =
+(* --chaos-active: the report must record exactly the expected
+   supervision history (chaos draws are deterministic, so a chaos
+   campaign's counters are too) — the teeth of the bench chaos gate *)
+let chaos_keys = [ "worker_deaths"; "retries"; "inproc_trials" ]
+
+(* "worker_deaths=D,retries=R,inproc_trials=I", every key once *)
+let parse_chaos_expect spec =
+  let bad () =
+    fail
+      "json_check: --chaos-active takes worker_deaths=D,retries=R,inproc_trials=I, \
+       not %S"
+      spec
+  in
+  let pairs =
+    List.map
+      (fun kv ->
+        match String.split_on_char '=' kv with
+        | [ k; v ] -> (
+            match int_of_string_opt v with
+            | Some n when n >= 0 -> (k, n)
+            | _ -> bad ())
+        | _ -> bad ())
+      (String.split_on_char ',' spec)
+  in
+  if List.sort compare (List.map fst pairs) <> List.sort compare chaos_keys then
+    bad ();
+  pairs
+
+let check_chaos_active expect j =
   if not (mem "timing" j) then
     fail
       "json_check: --chaos-active needs the timing.supervision block, but \
@@ -107,13 +133,14 @@ let check_chaos_active j =
         fail "json_check: supervision counter %S is negative" k)
     supervision_counter_keys;
   List.iter
-    (fun k ->
-      if get_int (member k s) = 0 then
+    (fun (k, want) ->
+      let got = get_int (member k s) in
+      if got <> want then
         fail
-          "json_check: --chaos-active but supervision counter %S is 0 — the \
-           chaos run never exercised that failure path"
-          k)
-    [ "worker_deaths"; "retries"; "inproc_trials" ]
+          "json_check: --chaos-active expects supervision counter %S = %d, \
+           the report has %d"
+          k want got)
+    expect
 
 let check_rows path j =
   let suite, rows = Bench_row.of_json j in
@@ -124,18 +151,23 @@ let check_rows path j =
       exit 1
 
 let () =
-  let chaos_active, path =
+  let chaos_expect, path =
     match Array.to_list Sys.argv with
-    | [ _; p ] -> (false, p)
-    | [ _; "--chaos-active"; p ] | [ _; p; "--chaos-active" ] -> (true, p)
-    | _ -> fail "usage: json_check [--chaos-active] FILE"
+    | [ _; p ] -> (None, p)
+    | [ _; "--chaos-active"; e; p ] | [ _; p; "--chaos-active"; e ] ->
+        (Some (parse_chaos_expect e), p)
+    | _ ->
+        fail
+          "usage: json_check [--chaos-active \
+           worker_deaths=D,retries=R,inproc_trials=I] FILE"
   in
+  let chaos_active = chaos_expect <> None in
   try
     let j = of_file path in
     match get_str (member "schema" j) with
     | "detectable-torture/v4" ->
         check_torture_report j;
-        if chaos_active then check_chaos_active j;
+        Option.iter (fun e -> check_chaos_active e j) chaos_expect;
         print_endline
           (if chaos_active then "torture report: valid, chaos active"
            else "torture report: valid")

@@ -489,9 +489,9 @@ let lincheck_suite =
      and stays far below the bound — the committed evidence that
      canonical memoisation, not symmetry skipping alone, scales the
      certificate past N=6.  The N=7 row takes about a minute and is
-     re-run by --compare (its memo search peaks at 0.67 GB).  The N=8
-     row is recheck:false: its memo search alone takes ~130 s at a
-     2.56 GB peak, and both reductions would add ~5 min to
+     re-run by --compare (its memo search peaks at 0.40 GB).  The N=8
+     row is recheck:false: its memo search alone takes ~140 s at a
+     0.78 GB peak, and both reductions would add ~5 min to
      @bench-check.  The smoke set caps N=7 at a few seconds. *)
 
 let lowerbound_run params =

@@ -660,9 +660,11 @@ let modelcheck_cmd =
         float_of_int m.Modelcheck.Explore.dedup_hits /. float_of_int total
     in
     Printf.printf
-      "dedup: %d hits (%.1f%%), %d nodes saved, %d states tracked%s\n"
+      "dedup: %d hits (%.1f%%), %d nodes saved, %d states tracked (%.1f MB \
+       memo)%s\n"
       m.Modelcheck.Explore.dedup_hits (100.0 *. hit_rate)
       m.Modelcheck.Explore.nodes_saved m.Modelcheck.Explore.peak_visited
+      (float_of_int m.Modelcheck.Explore.memo_bytes /. 1048576.)
       (if exact_configs then
          Printf.sprintf ", %d fingerprint collisions"
            m.Modelcheck.Explore.fingerprint_collisions

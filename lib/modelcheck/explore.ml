@@ -157,6 +157,7 @@ type metrics = {
   dedup_hits : int;
   nodes_saved : int;
   peak_visited : int;
+  memo_bytes : int;
   fingerprint_collisions : int;
   elapsed_s : float;
   nodes_per_sec : float;
@@ -837,6 +838,7 @@ let finish ~t0 ~alloc st =
         dedup_hits = st.dedup_hits;
         nodes_saved = st.nodes_saved;
         peak_visited = Memo_tbl.length st.visited;
+        memo_bytes = Memo_tbl.bytes st.visited;
         fingerprint_collisions = Config_set.collisions st.configs;
         elapsed_s;
         nodes_per_sec = float_of_int nodes /. Float.max elapsed_s 1e-9;

@@ -162,6 +162,10 @@ type metrics = {
       (** logical nodes the memo hits avoided visiting; the unpruned
           search would have visited [nodes + nodes_saved] nodes *)
   peak_visited : int;  (** memo-table entries *)
+  memo_bytes : int;
+      (** {!Memo_tbl.bytes} of the memo at the end of the search: its
+          slots live off the GC heap, so [bytes_per_node] does not count
+          them *)
   fingerprint_collisions : int;
       (** {!Config_set.collisions} of the configuration set; always 0
           unless [exact_configs] *)

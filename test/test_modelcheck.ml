@@ -333,6 +333,10 @@ let test_metrics_sanity () =
   let m = out.Modelcheck.Explore.metrics in
   Alcotest.(check bool) "visited set populated" true
     (m.Modelcheck.Explore.peak_visited > 0);
+  (* at most 3/4 full, 16 bytes per slot *)
+  Alcotest.(check bool) "memo bytes cover its entries" true
+    (3 * m.Modelcheck.Explore.memo_bytes
+    >= 4 * 16 * m.Modelcheck.Explore.peak_visited);
   Alcotest.(check bool) "throughput measured" true
     (m.Modelcheck.Explore.nodes_per_sec > 0.0);
   Alcotest.(check bool) "elapsed measured" true
@@ -385,40 +389,63 @@ let arb_memo_ops =
     ~shrink:QCheck.Shrink.list
     (list_size (int_range 100 400) op)
 
-(* From capacity 2, every sequence doubles the table several times.
-   After every operation each key seen so far, bound or not, must read
-   back exactly as in the reference. *)
+(* From capacity 1 and from capacity 2, every sequence doubles the
+   table several times.  After every operation each key seen so far,
+   bound or not, must read back exactly as in the reference. *)
 let prop_memo_tbl_reference =
   QCheck.Test.make ~name:"Memo_tbl = Hashtbl reference" ~count:100 arb_memo_ops
     (fun ops ->
       let module M = Modelcheck.Memo_tbl in
-      let t = M.create 2 and reference = Hashtbl.create 16 in
-      let seen = Hashtbl.create 16 in
-      let agrees k =
-        let i = M.find t k in
-        match Hashtbl.find_opt reference k with
-        | None -> i = -1
-        | Some (n, e, tr, v) ->
-            i >= 0
-            && M.nodes_at t i = n
-            && M.execs_at t i = e
-            && M.trunc_at t i = tr
-            && M.viols_at t i = v
-      in
       List.for_all
-        (fun op ->
-          let k =
-            match op with
-            | Set (k, ((n, e, tr, v) as f)) ->
-                M.set t k ~nodes:n ~execs:e ~trunc:tr ~viols:v;
-                Hashtbl.replace reference k f;
-                k
-            | Find k -> k
+        (fun cap ->
+          let t = M.create cap and reference = Hashtbl.create 16 in
+          let seen = Hashtbl.create 16 in
+          let agrees k =
+            let i = M.find t k in
+            match Hashtbl.find_opt reference k with
+            | None -> i = -1
+            | Some (n, e, tr, v) ->
+                i >= 0
+                && M.nodes_at t i = n
+                && M.execs_at t i = e
+                && M.trunc_at t i = tr
+                && M.viols_at t i = v
           in
-          Hashtbl.replace seen k ();
-          M.length t = Hashtbl.length reference
-          && Hashtbl.fold (fun k () ok -> ok && agrees k) seen true)
-        ops)
+          List.for_all
+            (fun op ->
+              let k =
+                match op with
+                | Set (k, ((n, e, tr, v) as f)) ->
+                    M.set t k ~nodes:n ~execs:e ~trunc:tr ~viols:v;
+                    Hashtbl.replace reference k f;
+                    k
+                | Find k -> k
+              in
+              Hashtbl.replace seen k ();
+              M.length t = Hashtbl.length reference
+              && Hashtbl.fold (fun k () ok -> ok && agrees k) seen true)
+            ops)
+        [ 1; 2 ])
+
+(* The growth rule, pinned: after n distinct inserts of packed summaries
+   (no spill) the table holds 16 bytes per slot for the smallest
+   power-of-two capacity c with n <= 3c/4, whatever it started from. *)
+let test_memo_tbl_growth () =
+  let module M = Modelcheck.Memo_tbl in
+  List.iter
+    (fun cap ->
+      let t = M.create cap in
+      let c = ref 1 in
+      for n = 1 to 5_000 do
+        M.set t (n * 7919) ~nodes:n ~execs:1 ~trunc:0 ~viols:0;
+        while 4 * n > 3 * !c do
+          c := 2 * !c
+        done;
+        if M.bytes t <> 16 * !c then
+          Alcotest.failf "create %d, %d entries: %d bytes, expected %d" cap n
+            (M.bytes t) (16 * !c)
+      done)
+    [ 1; 2 ]
 
 let suites =
   [
@@ -448,5 +475,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_reduced_configs_bounded;
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;
         QCheck_alcotest.to_alcotest prop_memo_tbl_reference;
+        Alcotest.test_case "memo grows at 3/4 load" `Quick test_memo_tbl_growth;
       ] );
   ]
