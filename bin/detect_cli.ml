@@ -25,12 +25,13 @@ let obj_arg =
     & opt (some (enum choices)) None
     & info [ "o"; "object" ] ~docv:"OBJECT" ~doc)
 
-(* [k] gets the object's constructor; Objects.mk's rejection of --procs
-   becomes a one-line usage error *)
+(* [k] gets the object's constructor; an out-of-range number it is
+   given (Objects.mk on --procs, Objects.workloads on --ops, a budget or
+   crash step) becomes a one-line usage error *)
 let with_mk obj ~procs k =
-  match Objects.mk obj ~n:procs with
+  match k (Objects.mk obj ~n:procs) with
   | exception Invalid_argument m -> `Error (false, m)
-  | mk -> k mk
+  | r -> r
 
 let procs_arg =
   Arg.(value & opt int 3 & info [ "p"; "procs" ] ~docv:"N" ~doc:"Process count.")
@@ -44,7 +45,9 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let policy_arg =
-  let choices = [ ("retry", Session.Retry); ("giveup", Session.Give_up) ] in
+  let choices =
+    List.map (fun p -> (Session.policy_name p, p)) Session.[ Retry; Give_up ]
+  in
   Arg.(
     value
     & opt (enum choices) Session.Retry
@@ -104,11 +107,14 @@ let fault_conv =
   let print ppf f = Format.pp_print_string ppf (Fault_model.to_string f) in
   Arg.conv ~docv:"FAULT" (parse, print)
 
-(* Objects.mk (on --procs) and Torture.default_spec_of (on --crash-prob)
-   raise Invalid_argument here, before any trial runs *)
+(* Objects.mk (on --procs), Objects.workloads (on --ops) and
+   Torture.default_spec_of (on --crash-prob, --max-crashes, --watchdog)
+   raise Invalid_argument here, before any trial runs or worker spawns *)
 let torture_spec_of ~obj ~procs ~ops ~policy ~crash_prob ~max_crashes ~fault
     ~watchdog =
   let model, persist = Objects.machine_for fault in
+  ignore
+    (Objects.workloads obj (Dtc_util.Prng.create 0) ~procs ~ops_per_proc:ops);
   Torture.default_spec_of ~label:(Objects.name obj)
     ~mk:(Objects.mk ~model ~persist obj ~n:procs)
     ~workloads_of_seed:(fun s ->
@@ -376,46 +382,34 @@ let campaign_cmd =
         chaos;
       }
     in
+    (* one "--name=value" word per option: a separate word that starts
+       with '-' (a negative seed) would parse as an option *)
     let worker_argv ~lo ~hi ~fault:fault_plan =
-      let base =
-        [
-          Sys.executable_name;
-          "torture-worker";
-          "-o";
-          Objects.name obj;
-          "-p";
-          string_of_int procs;
-          "-k";
-          string_of_int ops;
-          "--policy";
-          (match policy with
-          | Session.Retry -> "retry"
-          | Session.Give_up -> "giveup");
-          "--crash-prob";
-          Printf.sprintf "%h" crash_prob;
-          "--max-crashes";
-          string_of_int max_crashes;
-          "--fault";
-          fault_exact_arg fault;
-          "--watchdog";
-          string_of_int watchdog;
-          "-s";
-          string_of_int seed;
-          "--lo";
-          string_of_int lo;
-          "--hi";
-          string_of_int hi;
-          "--heartbeat-every";
-          string_of_int heartbeat_every;
-        ]
-      in
-      let chaos_args =
+      let chaos_opts =
         match fault_plan with
         | Campaign.No_fault -> []
-        | Campaign.Kill_after k -> [ "--chaos-kill-after"; string_of_int k ]
-        | Campaign.Hang_after k -> [ "--chaos-hang-after"; string_of_int k ]
+        | Campaign.Kill_after k -> [ ("chaos-kill-after", string_of_int k) ]
+        | Campaign.Hang_after k -> [ ("chaos-hang-after", string_of_int k) ]
       in
-      Array.of_list (base @ chaos_args)
+      Array.of_list
+        (Sys.executable_name :: "torture-worker"
+        :: List.map
+             (fun (name, v) -> Printf.sprintf "--%s=%s" name v)
+             ([
+                ("object", Objects.name obj);
+                ("procs", string_of_int procs);
+                ("ops", string_of_int ops);
+                ("policy", Session.policy_name policy);
+                ("crash-prob", Printf.sprintf "%h" crash_prob);
+                ("max-crashes", string_of_int max_crashes);
+                ("fault", fault_exact_arg fault);
+                ("watchdog", string_of_int watchdog);
+                ("seed", string_of_int seed);
+                ("lo", string_of_int lo);
+                ("hi", string_of_int hi);
+                ("heartbeat-every", string_of_int heartbeat_every);
+              ]
+             @ chaos_opts))
     in
     run_campaign ~checkpoint ~resume ~json ~no_timing ~report_file
     @@ fun should_stop ->
@@ -726,9 +720,7 @@ let modelcheck_cmd =
       (fun (v : Modelcheck.Explore.violation) ->
         Printf.printf "\nsample violation: %s\nschedule: %s\n" v.msg
           (String.concat " "
-             (List.map
-                (Format.asprintf "%a" Modelcheck.Explore.pp_decision)
-                v.decisions));
+             (List.map Modelcheck.Explore.decision_to_string v.decisions));
         Format.printf "%a@." Event.pp_history v.history;
         (* shrink to a minimal reproduction *)
         match
@@ -740,8 +732,7 @@ let modelcheck_cmd =
               (List.length r.Modelcheck.Shrink.decisions)
               r.Modelcheck.Shrink.attempts
               (String.concat " "
-                 (List.map
-                    (Format.asprintf "%a" Modelcheck.Explore.pp_decision)
+                 (List.map Modelcheck.Explore.decision_to_string
                     r.Modelcheck.Shrink.decisions))
         | None ->
             print_endline
@@ -807,7 +798,7 @@ let attack_cmd =
       (fun (r : Perturb.Adversary.report) ->
         Printf.printf "policy %-6s: %d violations / %d executions
 "
-          (match r.policy with Session.Retry -> "retry" | Session.Give_up -> "giveup")
+          (Session.policy_name r.policy)
           r.violations r.executions;
         match r.sample with
         | Some v ->

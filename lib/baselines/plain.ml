@@ -55,17 +55,6 @@ let counter machine ~init =
   no_recovery_inst ~descr:"plain counter (not recoverable)"
     ~spec:(Spec.counter init) ~invoke
 
-let faa machine ~init =
-  let c = Machine.alloc_shared machine "faa" (Value.Int init) in
-  let invoke ~pid:_ (op : Spec.op) =
-    match (op.Spec.name, op.Spec.args) with
-    | "read", [||] -> Fiber.read c
-    | "faa", [| Value.Int d |] -> Value.Int (Fiber.faa c d)
-    | _ -> Detectable.Base.bad_op "Plain.faa" op
-  in
-  no_recovery_inst ~descr:"plain faa (not recoverable)" ~spec:(Spec.faa_cell init)
-    ~invoke
-
 let queue machine ~capacity =
   if capacity < 1 then invalid_arg "Plain.queue: capacity must be >= 1";
   let cap = capacity + 1 in

@@ -22,8 +22,5 @@ val cas_cell : Machine.t -> init:Value.t -> Sched.Obj_inst.t
 val counter : Machine.t -> init:int -> Sched.Obj_inst.t
 (** Ops: [read], [inc] (a primitive fetch-and-add). *)
 
-val faa : Machine.t -> init:int -> Sched.Obj_inst.t
-(** Ops: [read], [faa d]. *)
-
 val queue : Machine.t -> capacity:int -> Sched.Obj_inst.t
 (** Lock-free MS-style queue over a node pool.  Ops: [enq v], [deq]. *)

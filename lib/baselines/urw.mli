@@ -25,3 +25,4 @@ val instance : t -> Sched.Obj_inst.t
 (** Operations: [read], [write v]. *)
 
 val shared_locs : t -> Loc.t list
+(** The register's one shared cell; a test hook. *)

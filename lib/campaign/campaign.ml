@@ -158,6 +158,10 @@ let run ?checkpoint ?resume ?shrink ?should_stop ?(config = default_config)
     invalid_arg "Campaign.run: heartbeat_timeout must be a finite number > 0";
   if config.retry_budget < 0 then
     invalid_arg "Campaign.run: retry_budget must be >= 0";
+  if config.heartbeat_every < 0 then
+    invalid_arg
+      (Printf.sprintf "Campaign.run: heartbeat_every must be >= 0 (got %d)"
+         config.heartbeat_every);
   Torture.run_with ?shrink ?checkpoint ?resume ?should_stop ~root_seed ~trials
     spec
   @@ fun (l : Torture.ledger) ->

@@ -73,7 +73,8 @@ val chaos_to_string : chaos -> string
 
 type config = {
   workers : int;  (** process parallelism (>= 1) *)
-  heartbeat_every : int;  (** worker heartbeat period, in trials *)
+  heartbeat_every : int;
+      (** worker heartbeat period, in trials (>= 0; 0 = only the first) *)
   heartbeat_timeout : float;
       (** seconds of silence before a SIGKILL (finite, > 0) *)
   retry_budget : int;
@@ -141,5 +142,6 @@ val run :
     interrupt and raises {!Torture.Interrupted}.  Raises
     [Invalid_argument], before anything is spawned, when
     [config.workers < 1], when [config.heartbeat_timeout] is not a
-    finite number [> 0], when [config.retry_budget < 0], and wherever
+    finite number [> 0], when [config.retry_budget < 0] or
+    [config.heartbeat_every < 0], and wherever
     {!Torture.run_with} does. *)

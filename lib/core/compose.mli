@@ -20,14 +20,17 @@ open Sched
     histories without modification. *)
 
 val lift : string -> Spec.op -> Spec.op
-(** [lift name op] prefixes [op] with the component name. *)
+(** [lift name op] prefixes [op] with the component name.  A test hook,
+    like the rest of this module: only the composition tests build
+    composites. *)
 
 val product_spec : (string * Spec.t) list -> Spec.t
 (** Product specification: the abstract state is the tuple of component
-    states, operations are routed by prefix. *)
+    states, operations are routed by prefix.  A test hook. *)
 
 val combine : (string * Obj_inst.t) list -> Obj_inst.t
 (** [combine components] — names must be distinct and non-empty, and all
     components must live in the same machine.  At most one component
     operation per process is in flight at a time (the composite presents
-    one sequential interface per process, like any object). *)
+    one sequential interface per process, like any object).  A test
+    hook. *)

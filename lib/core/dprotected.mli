@@ -31,3 +31,4 @@ val instance : t -> Sched.Obj_inst.t
 (** Operations: [read], [inc]. *)
 
 val shared_locs : t -> Loc.t list
+(** The lock word and the two data cells; a test hook. *)

@@ -35,7 +35,8 @@ val release : t -> pid:int -> unit
 
 val holds : Machine.t -> t -> pid:int -> bool
 (** Driver/recovery context (no step): does [pid] own the lock?  Exact
-    across crashes — the CAS and the release store are both atomic. *)
+    across crashes — the CAS and the release store are both atomic.  A
+    test hook. *)
 
 val holds_f : t -> pid:int -> bool
 (** Fiber context (one read step): same question from inside a program. *)

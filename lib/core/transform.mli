@@ -21,6 +21,7 @@ type t
 
 val instance : t -> Sched.Obj_inst.t
 val shared_locs : t -> Loc.t list
+(** The core CAS cell; a test hook. *)
 
 (** {1 Ready-made objects} *)
 

@@ -48,4 +48,5 @@ val instance : t -> Sched.Obj_inst.t
 (** Accepts every operation of [spec] (it is appended and replayed). *)
 
 val log_length : Machine.t -> t -> int
-(** Driver-side: entries appended so far (the space that grows). *)
+(** Driver-side: entries appended so far (the space that grows); a test
+    hook. *)

@@ -20,11 +20,12 @@ open Dtc_util
 
 val subset_configs : n:int -> int
 (** Distinct (non-memory-equivalent) configurations reached by driving
-    every subset of processes through one successful CAS each. *)
+    every subset of processes through one successful CAS each; a test
+    hook, as is {!exhaustive_configs}. *)
 
 val exhaustive_configs : n:int -> int
 (** Distinct configurations seen by delay-bounded exploration of an
-    N-process one-CAS-each workload (with crashes). *)
+    N-process one-CAS-each workload (with crashes); a test hook. *)
 
 val table : unit -> Table.t
 (** Rows: N, subset-driven configs, 2^(N−1) lower bound, exhaustive

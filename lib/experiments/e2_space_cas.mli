@@ -10,11 +10,11 @@ open Dtc_util
 
 val dcas_extra_bits : n:int -> ops:int -> int
 (** Shared bits of Algorithm 2's variable [C] beyond the value bits after
-    a workload of [ops] operations per process. *)
+    a workload of [ops] operations per process; a test hook. *)
 
 val ucas_bits : n:int -> ops:int -> int
 (** Total shared bits of the unbounded baseline after [ops] alternating
-    CAS operations. *)
+    CAS operations; a test hook. *)
 
 val table_bounded : unit -> Table.t
 (** N vs Algorithm 2 extra bits vs the N−1 lower bound (flat in ops). *)

@@ -20,4 +20,5 @@ open Dtc_util
 val table : unit -> Table.t
 
 val all_as_predicted : unit -> bool
-(** True iff every row's verdict matches the theory's prediction. *)
+(** True iff every row's verdict matches the theory's prediction; a test
+    hook. *)

@@ -11,9 +11,9 @@ open Dtc_util
 
 val drw_bits : n:int -> ops:int -> int
 (** High-water shared footprint (bits) of Algorithm 1 after [ops] writes
-    per process. *)
+    per process; a test hook. *)
 
 val urw_bits : n:int -> ops:int -> int
-(** Same for the unbounded-tag baseline. *)
+(** Same for the unbounded-tag baseline; a test hook. *)
 
 val table : unit -> Table.t

@@ -30,7 +30,8 @@ val aba_directed :
     answers fail, abandoning a write p2 already read: a violation.  The
     real Algorithm 1 survives, because p1's completed write raised the
     toggle bit p0 lowered.  Raises [Failure] if the script does not
-    converge. *)
+    converge.  A test hook. *)
 
 val all_as_predicted : ?trials:int -> unit -> bool
-(** Every row of {!table} meets its expectation (default 60 trials). *)
+(** Every row of {!table} meets its expectation (default 60 trials); a
+    test hook. *)

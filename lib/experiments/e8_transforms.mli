@@ -23,4 +23,5 @@ val table_shared_cache : ?trials:int -> unit -> Table.t
     violations, the untransformed one with more than zero. *)
 
 val all_as_predicted : ?trials:int -> unit -> bool
-(** Every row of both tables is as predicted (default 60 runs). *)
+(** Every row of both tables is as predicted (default 60 runs); a test
+    hook. *)

@@ -17,7 +17,8 @@ type t = private
   | Big of int array  (** word [k] holds indices [62k .. 62k+61] *)
 
 val word_bits : int
-(** Bits per word (62 — keeps every word a non-negative OCaml int). *)
+(** Bits per word (62 — keeps every word a non-negative OCaml int); a
+    test hook. *)
 
 val empty : t
 

@@ -21,7 +21,6 @@ type t =
       (** recovery inferred the crashed operation was {e not} linearized
           (the paper's [fail] verdict) *)
 
-val pp : Format.formatter -> t -> unit
 val pp_history : Format.formatter -> t list -> unit
 
 val crashes : t list -> int

@@ -70,11 +70,6 @@ let ops events =
     events;
   List.rev_map (Hashtbl.find tbl) !order
 
-let by_pid events =
-  let infos = ops events in
-  let pids = List.sort_uniq compare (List.map (fun i -> i.pid) infos) in
-  List.map (fun pid -> (pid, List.filter (fun i -> i.pid = pid) infos)) pids
-
 let responses events =
   List.filter_map
     (fun e ->
@@ -99,15 +94,3 @@ let pp_stats fmt s =
   Format.fprintf fmt
     "%d invocations: %d completed, %d recovered, %d failed, %d pending; %d crashes"
     s.invocations s.completed s.recovered s.failed s.pending s.crashes
-
-let project events ~pid =
-  List.filter
-    (fun e ->
-      match (e : Event.t) with
-      | Event.Crash -> true
-      | Event.Inv { pid = p; _ }
-      | Event.Ret { pid = p; _ }
-      | Event.Rec_ret { pid = p; _ }
-      | Event.Rec_fail { pid = p; _ } ->
-          p = pid)
-    events

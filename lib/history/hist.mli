@@ -1,6 +1,7 @@
 open Nvm
 
-(** History utilities: projections, statistics and well-formedness.
+(** History utilities: per-operation outcomes, statistics and
+    well-formedness.
 
     A history is the event list a {!Sched.Driver} run records.  These
     helpers answer the questions tests, experiments and the CLI keep
@@ -21,13 +22,12 @@ type op_info = {
 
 val ops : Event.t list -> op_info list
 (** One record per operation instance, in invocation order.  Raises
-    [Invalid_argument] on a malformed history (see {!well_formed}). *)
-
-val by_pid : Event.t list -> (int * op_info list) list
-(** Operations grouped by process, pids ascending. *)
+    [Invalid_argument] on a malformed history (see {!well_formed}).  A
+    test hook. *)
 
 val responses : Event.t list -> Value.t list
-(** Responses of completed and recovered operations, in outcome order. *)
+(** Responses of completed and recovered operations, in outcome order;
+    a test hook. *)
 
 type stats = {
   invocations : int;
@@ -45,8 +45,4 @@ val well_formed : Event.t list -> (unit, string) result
 (** Structural validity: unique invocation uids, outcomes only for known
     invocations, at most one outcome per instance.  The checker enforces
     the same rules; this exposes them without running a linearizability
-    search. *)
-
-val project : Event.t list -> pid:int -> Event.t list
-(** The sub-history of one process (crashes included — they are global
-    events every process observes). *)
+    search.  A test hook. *)

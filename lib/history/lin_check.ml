@@ -496,12 +496,10 @@ module Session = struct
   let frontier_size t = t.n_frontier
 end
 
-let check_incremental spec events =
-  let s = Session.create spec in
-  Session.push_history s events;
-  Session.verdict s
-
 let check_with engine spec events =
   match engine with
   | `Batch -> check spec events
-  | `Incremental -> check_incremental spec events
+  | `Incremental ->
+      let s = Session.create spec in
+      Session.push_history s events;
+      Session.verdict s

@@ -92,5 +92,3 @@ module Session : sig
   (** Configurations currently in the frontier (0 iff violating). *)
 end
 
-val check_incremental : Spec.t -> Event.t list -> verdict
-(** Fresh session, push the whole history, verdict. *)

@@ -16,7 +16,11 @@ type op = { name : string; args : Value.t array }
     through [args]. *)
 
 val op : string -> Value.t list -> op
+(** [op name args]; a test hook. *)
+
 val equal_op : op -> op -> bool
+(** Same name and equal arguments; a test hook. *)
+
 val pp_op : Format.formatter -> op -> unit
 
 type t = {
@@ -29,7 +33,8 @@ type t = {
 }
 
 val run : t -> op list -> Value.t list
-(** Responses of a sequential history run from the initial state. *)
+(** Responses of a sequential history run from the initial state: the
+    tests' sequential test oracle. *)
 
 val final_state : t -> op list -> Value.t
 (** Abstract state after a sequential history. *)

@@ -4,9 +4,22 @@ open Sched
 
 type decision = Step of int | Crash
 
-let pp_decision fmt = function
-  | Step pid -> Format.fprintf fmt "p%d" pid
-  | Crash -> Format.fprintf fmt "CRASH"
+let decision_to_string = function
+  | Step pid -> "p" ^ string_of_int pid
+  | Crash -> "CRASH"
+
+(* only the spelling [decision_to_string] gives: "p01" and "p+1" are
+   errors, so a decoded decision always re-encodes to its input *)
+let decision_of_string s =
+  let n = String.length s in
+  let pid =
+    if n >= 2 && s.[0] = 'p' then int_of_string_opt (String.sub s 1 (n - 1))
+    else None
+  in
+  match pid with
+  | _ when s = "CRASH" -> Ok Crash
+  | Some pid when decision_to_string (Step pid) = s -> Ok (Step pid)
+  | _ -> Error (Printf.sprintf "bad decision %S" s)
 
 type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
 
@@ -22,7 +35,6 @@ type config = {
   max_steps : int;
   policy : Session.policy;
   wipe : Fault_model.wipe;
-  max_violations : int;
   prune : bool;
   exact_configs : bool;
   reduction : reduction;
@@ -36,7 +48,6 @@ let default_config =
     max_steps = 2_000;
     policy = Session.Retry;
     wipe = Fault_model.keep_all;
-    max_violations = 3;
     prune = true;
     exact_configs = false;
     reduction = `None;
@@ -632,6 +643,9 @@ let leaf_verdict st ~session =
       st.lin_elapsed <- st.lin_elapsed +. (Unix.gettimeofday () -. t0);
       v
 
+(* violation samples kept; [total_violations] counts them all *)
+let max_violation_samples = 3
+
 (* [decisions] arrives newest-first (the DFS stack as-is); it is only
    materialised oldest-first when a violation sample is actually kept,
    so the common all-green leaf allocates no reversed copy. *)
@@ -642,7 +656,7 @@ let record_execution st ~decisions ~session ~truncated =
   | Lin_check.Ok_linearizable _ -> ()
   | Lin_check.Violation msg ->
       st.n_violations <- st.n_violations + 1;
-      if List.length st.violations < st.cfg.max_violations then
+      if List.length st.violations < max_violation_samples then
         st.violations <-
           { decisions = List.rev decisions;
             history = Session.history session;
@@ -871,6 +885,16 @@ let finish ~t0 ~alloc st =
   }
 
 let explore ~mk ~workloads (cfg : config) =
+  let check what budget =
+    if budget < 0 then
+      invalid_arg
+        (Printf.sprintf
+           "Explore.explore: the %s budget must be at least 0 (got %d)" what
+           budget)
+  in
+  check "switch" cfg.switch_budget;
+  check "crash" cfg.crash_budget;
+  check "node" cfg.node_budget;
   let t0 = Unix.gettimeofday () in
   (* the pid masks in the memo key are single-word bitsets *)
   let cfg =

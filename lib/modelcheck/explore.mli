@@ -44,7 +44,14 @@ open Sched
 
 type decision = Step of int  (** process [pid] takes one step *) | Crash
 
-val pp_decision : Format.formatter -> decision -> unit
+val decision_to_string : decision -> string
+(** ["p<pid>"] for [Step pid], ["CRASH"] for [Crash]: how schedules are
+    printed and journaled. *)
+
+val decision_of_string : string -> (decision, string) result
+(** The inverse of {!decision_to_string}; any other string, including a
+    non-canonical pid spelling such as ["p01"], is an [Error] naming
+    it. *)
 
 type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
 (** Search-space reduction applied during child generation (default
@@ -122,8 +129,8 @@ val reduction_name : reduction -> string
     used in metrics and JSON. *)
 
 type config = {
-  switch_budget : int;  (** max context switches per execution *)
-  crash_budget : int;  (** max crashes per execution *)
+  switch_budget : int;  (** max context switches per execution, >= 0 *)
+  crash_budget : int;  (** max crashes per execution, >= 0 *)
   max_steps : int;  (** per-execution step bound (safety) *)
   policy : Session.policy;
   wipe : Fault_model.wipe;
@@ -132,23 +139,23 @@ type config = {
           [Seeded] wipes key their randomness on the session's crash
           counter, which backtracking rewinds, so every revisit of a
           crash decision sees the same outcome. *)
-  max_violations : int;  (** stop collecting after this many samples *)
   prune : bool;  (** memoise subtrees by state fingerprint (exact) *)
   exact_configs : bool;
       (** audit config-set fingerprints with full snapshots *)
   reduction : reduction;  (** see {!reduction}; default [`None] *)
   node_budget : int;
       (** stop after physically visiting this many DFS nodes (0 = no
-          bound, the default).  A capped run sets [outcome.capped]; its
-          counters are partial but remain valid lower bounds.  The cap
-          is on {e physical} nodes, which is what makes reduced and
-          unreduced searches comparable under the same budget. *)
+          bound, the default; >= 0).  A capped run sets
+          [outcome.capped]; its counters are partial but remain valid
+          lower bounds.  The cap is on {e physical} nodes, which is what
+          makes reduced and unreduced searches comparable under the same
+          budget. *)
 }
 
 val default_config : config
-(** switch budget 3, crash budget 1, 2_000 steps, [Retry], keep-all,
-    collect up to 3 violations; pruning on, fingerprint-mode
-    configuration counting, no reduction, no node budget. *)
+(** switch budget 3, crash budget 1, 2_000 steps, [Retry], keep-all;
+    pruning on, fingerprint-mode configuration counting, no reduction,
+    no node budget. *)
 
 type violation = {
   decisions : decision list;  (** the schedule that exhibits it *)
@@ -224,7 +231,7 @@ type outcome = {
   executions : int;  (** complete executions explored (incl. memoised) *)
   truncated : int;  (** executions cut off by [max_steps] *)
   nodes : int;  (** DFS nodes physically visited *)
-  violations : violation list;  (** sample, capped at [max_violations] *)
+  violations : violation list;  (** the first 3 violations found *)
   total_violations : int;  (** all violating executions, uncapped *)
   distinct_shared_configs : int;
       (** pairwise non-memory-equivalent shared-memory configurations
@@ -242,4 +249,5 @@ val explore :
   outcome
 (** [mk] must build a fresh machine and instance on every call (the
     explorer builds one for the search, plus one to read
-    [id_symmetric] under [`Dpor_sym_memo]). *)
+    [id_symmetric] under [`Dpor_sym_memo]).  A negative switch, crash
+    or node budget raises [Invalid_argument]. *)

@@ -48,7 +48,8 @@ val reproduces :
     batch checker rejects the resulting history.  Crashes in the
     sequence apply [wipe] (default {!Nvm.Fault_model.keep_all}; a
     [Seeded] wipe keys on the crash index, so the exact faulted run that
-    produced the violation is replayed). *)
+    produced the violation is replayed).  The test oracle for
+    {!minimise}. *)
 
 val minimise :
   mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->

@@ -83,8 +83,8 @@ val hash_perm : n:int -> inv:int array -> seed:int -> Value.t -> int
     memory contents and logged response values into its
     symmetry-canonical memo key. *)
 
-(** Skeleton, shape and slice: {!self_key}'s parts, for the reference test. *)
-
+(** Skeleton, shape and slice: {!self_key}'s parts, test hooks for the
+    reference test. *)
 val skel : n:int -> Value.t -> int
 val shape : n:int -> seed:int -> Value.t -> int
 val slice : n:int -> pid:int -> seed:int -> Value.t -> int

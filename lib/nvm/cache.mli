@@ -30,7 +30,7 @@ val persist_all : t -> unit
 
 val dirty_locs : t -> Loc.t list
 (** Locations whose newest value has not yet been persisted, in
-    allocation-id order (deterministic). *)
+    allocation-id order (deterministic); a test hook. *)
 
 val crash : t -> keep:(Loc.t -> bool) -> unit
 (** [crash c ~keep] simulates a power failure: each dirty line is written

@@ -17,7 +17,6 @@ let to_string = function
   | Torn { granularity } -> Printf.sprintf "torn(g=%d)" granularity
   | Reorder -> "reorder"
 
-let pp fmt f = Format.pp_print_string fmt (to_string f)
 
 (* Accepts exactly the bare names, "name:X", "name=X" and [to_string]'s
    "name(key=X)", so the CLI, the checkpoint header and the report

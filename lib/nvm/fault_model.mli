@@ -58,5 +58,3 @@ val of_string : string -> (t, string) result
     ["torn"], ["torn:2"], ["torn=2"].  Any other spelling — a second
     separator, a stray parenthesis, a missing number — is an [Error]
     naming the bad parameter; it never raises. *)
-
-val pp : Format.formatter -> t -> unit

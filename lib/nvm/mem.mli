@@ -74,7 +74,7 @@ val rewind : t -> mark -> unit
     the mark is stale (deeper than the current log). *)
 
 val journal_depth : t -> int
-(** Current number of live journal entries. *)
+(** Current number of live journal entries; a test hook. *)
 
 val rewound_cells : t -> int
 (** Cumulative number of cell restorations performed by {!rewind} over
@@ -152,7 +152,8 @@ val live_full_b : t -> int
 (** {1 Space accounting} *)
 
 val shared_bits : t -> int
-(** Current footprint: sum of {!Value.bits} over shared cells. *)
+(** Current footprint: sum of {!Value.bits} over shared cells; a test
+    hook. *)
 
 val max_shared_bits : t -> int
 (** High-water mark of per-cell maxima: sum over shared cells of the

@@ -49,15 +49,6 @@ let rec compare a b =
       go 0
   | _, _ -> Int.compare (tag a) (tag b)
 
-let rec hash v =
-  match v with
-  | Unit -> 17
-  | Bot -> 31
-  | Bool b -> if b then 83 else 97
-  | Int n -> Int.hash n
-  | Str s -> String.hash s
-  | Tup xs -> Array.fold_left (fun acc x -> (acc * 1000003) lxor hash x) 7919 xs
-
 (* 63-bit avalanche combine (xor-multiply-shift, splitmix-style).  The
    model checker keys its visited-set on chains of [mix], so the mixer
    must spread single-bit input differences across the whole word. *)

@@ -18,7 +18,7 @@ type t =
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
+(** A total order; a test hook. *)
 
 val mix : int -> int -> int
 (** [mix h x] folds [x] into accumulator [h] with a 63-bit avalanche
@@ -28,12 +28,13 @@ val mix : int -> int -> int
 
 val hash_seeded : int -> t -> int
 (** [hash_seeded seed v] is a structural 63-bit digest of [v] chained
-    from [seed].  Unlike {!hash} (a bucketing hash), this recurses with
-    full-width mixing, so two [hash_seeded] streams started from
-    different seeds act as independent fingerprint halves. *)
+    from [seed], the one value hash: it recurses with full-width
+    {!mix}ing, so two streams started from different seeds act as
+    independent fingerprint halves. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** [pp] to a string; a test hook. *)
 
 val bits : t -> int
 (** Size of the value in bits, as counted by the space-complexity

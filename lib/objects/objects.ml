@@ -73,6 +73,11 @@ let mk ?(model = Machine.Private_cache) ?(persist = false) ?(capacity = 256) t
     (m, t.build ~persist ~capacity m ~n)
 
 let workloads ?values t prng ~procs ~ops_per_proc =
+  if ops_per_proc < 0 then
+    invalid_arg
+      (Printf.sprintf
+         "%s: the operation count per process must be at least 0 (got %d)"
+         t.name ops_per_proc);
   let values default = Option.value values ~default in
   match t.family with
   | Register -> Workload.register prng ~procs ~ops_per_proc ~values:(values 3)

@@ -52,7 +52,8 @@ val workloads :
 (** The entry's random workload family ({!Sched.Workload}).  [values]
     overrides the family's value domain (register, CAS and swap 3,
     max register 8, queue 5) or, for fetch-and-add, its largest delta
-    (4); the counter and test-and-set families take no values. *)
+    (4); the counter and test-and-set families take no values.  Raises
+    [Invalid_argument] when [ops_per_proc < 0]. *)
 
 val attack : t -> Perturb.Witnesses.entry
 (** The entry's Theorem 2 attack: its type's doubly-perturbing witness

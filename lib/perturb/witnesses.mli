@@ -23,10 +23,6 @@ val register : entry
 val counter : entry
 (** Lemma 5: [inc]. *)
 
-val bounded_counter : entry
-(** Appendix remark after Lemma 5: a counter bounded to {0,1,2} is still
-    doubly-perturbing (though not perturbable). *)
-
 val cas : entry
 (** Lemma 6: [cas(v0,v1)]. *)
 

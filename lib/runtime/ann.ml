@@ -10,22 +10,7 @@ let alloc machine ~pid =
     cp = Machine.alloc_private machine ~pid (name "cp") (Value.Int 0);
   }
 
-(* [op] is written last: it commits the announcement, so a crash between
-   these writes either shows no pending operation or a fully initialised
-   one ([resp] = ⊥, [cp] = 0). *)
-let announce t ~name ~args =
-  Fiber.write t.resp Value.Bot;
-  Fiber.write t.cp (Value.Int 0);
-  Fiber.write t.op (Value.pair (Value.Str name) args)
-
-let clear t = Fiber.write t.op Value.Bot
-
 let pending machine t =
   match Machine.peek machine t.op with
   | Value.Bot -> None
   | v -> Some (Value.to_str (Value.nth v 0), Value.nth v 1)
-
-let set_resp t v = Fiber.write t.resp v
-let resp t = Fiber.read t.resp
-let cp t = Value.to_int (Fiber.read t.cp)
-let set_cp t n = Fiber.write t.cp (Value.Int n)

@@ -14,9 +14,13 @@ open Nvm
 
     The fields are the paper's {e auxiliary state}: Theorem 2 proves that
     detectable implementations of doubly-perturbing objects cannot do
-    without writes like these occurring outside the operation itself.  The
-    no-aux-state ablations used by experiment E3 are obtained by skipping
-    the {!announce} writes. *)
+    without writes like these occurring outside the operation itself.
+
+    This module allocates the fields and reads them from the driver
+    side; the fiber-side protocol (announce, clear, the [resp] and [CP]
+    accesses) is [Detectable.Base]'s, which makes each access
+    persist-aware.  The no-aux-state ablations used by experiment E3 are
+    obtained by skipping its announcement writes. *)
 
 type t = private { op : Loc.t; resp : Loc.t; cp : Loc.t }
 
@@ -24,28 +28,6 @@ val alloc : Machine.t -> pid:int -> t
 (** Allocate the three private NVM fields for process [pid].  [op] and
     [resp] start at ⊥, [cp] at 0. *)
 
-val announce : t -> name:string -> args:Value.t -> unit
-(** Caller-side protocol, executed {e inside a fiber} as three primitive
-    writes: [resp := ⊥], [cp := 0], and last [op := (name, args)] — the
-    [op] write commits the announcement, so a crash mid-announcement never
-    exposes a half-initialised one. *)
-
-val clear : t -> unit
-(** Caller-side: mark the process idle ([op := ⊥]) after a recoverable
-    operation and its response handling are finished. *)
-
 val pending : Machine.t -> t -> (string * Value.t) option
 (** Driver-side (no fiber): the operation recorded in [op], if any — what
     the recovery dispatcher consults after a crash. *)
-
-val set_resp : t -> Value.t -> unit
-(** Operation-side: persist the response ([resp := v]), one write. *)
-
-val resp : t -> Value.t
-(** Operation-side read of [resp]. *)
-
-val cp : t -> int
-(** Operation-side read of [CP]. *)
-
-val set_cp : t -> int -> unit
-(** Operation-side write of [CP]. *)

@@ -20,12 +20,9 @@ exception Crashed
 
 (** {1 Effect operations — to be called only from inside a fiber} *)
 
-val step : Prim.request -> Value.t
-(** Perform one primitive step.  All the helpers below go through it. *)
-
 val with_ghost_feed : (Prim.request -> Value.t option) -> (unit -> 'a) -> 'a
 (** [with_ghost_feed f body] installs [f] as the process's ghost feed
-    for the duration of [body]: every {!step} performed by fibers
+    for the duration of [body]: every primitive step performed by fibers
     running inside [body] first asks [f] for the response, and only
     suspends on the effect when [f] returns [None].  This lets a ghost
     replay re-execute a logged prefix as one straight-line run (no

@@ -45,7 +45,7 @@ val crash : t -> index:int -> Fault_model.wipe -> unit
     back). *)
 
 val steps : t -> int
-(** Number of primitive steps applied since creation. *)
+(** Number of primitive steps applied since creation; a test hook. *)
 
 (** {1 Incremental checkpointing}
 

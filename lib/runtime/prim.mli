@@ -19,10 +19,11 @@ type request =
   | Yield
 
 val pp : Format.formatter -> request -> unit
+(** A test hook. *)
 
 val touches : request -> Loc.t option
 (** The location a request addresses, if any. *)
 
 val is_shared_write : request -> bool
 (** Does the request potentially modify a shared location?  ([Write],
-    [Cas] and [Faa] on shared locations.) *)
+    [Cas] and [Faa] on shared locations.)  A test hook. *)

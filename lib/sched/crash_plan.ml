@@ -11,6 +11,11 @@ let none =
 let draw_seed prng = Int64.to_int (Int64.shift_right_logical (Prng.next_int64 prng) 2)
 
 let at_steps ks =
+  List.iter
+    (fun k ->
+      if k < 0 then
+        invalid_arg (Printf.sprintf "crash step must be at least 0 (got %d)" k))
+    ks;
   (* plain sort, not sort_uniq: two crashes requested at the same step
      must both fire (on consecutive consultations) *)
   let remaining = ref (List.sort Int.compare ks) in

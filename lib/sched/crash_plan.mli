@@ -27,7 +27,7 @@ val at_steps : int list -> t
     exactly once, including duplicates — [at_steps [4; 4]] crashes on
     two consecutive consultations once step 4 is reached.  The wipe
     keeps everything (private-cache semantics); override the [wipe]
-    field for another. *)
+    field for another.  Raises [Invalid_argument] on a negative step. *)
 
 val check_prob : float -> unit
 (** Raises [Invalid_argument] unless the crash probability is in

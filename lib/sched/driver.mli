@@ -134,5 +134,5 @@ val crash_points :
     invoked once per run, so stateful schedules like round-robin start
     fresh each time.  Default policy [Retry], [max_steps] 2000.  Linear
     in the schedule length, and exactly the shape of the Figure 2
-    construction; the tests use it to sweep every crash point of small
+    construction; a test oracle that sweeps every crash point of small
     scripted runs. *)

@@ -19,8 +19,7 @@ val random : Prng.t -> t
 
 val solo : int -> t
 (** Always the given process when runnable, else round-robin among the
-    rest.  Used for obstruction-free solo executions in the Theorem 2
-    construction. *)
+    rest; a test hook. *)
 
 val scripted : int list -> t
 (** Follow the given pid sequence, skipping entries that are not runnable;

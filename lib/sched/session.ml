@@ -4,6 +4,8 @@ open Runtime
 
 type policy = Retry | Give_up
 
+let policy_name = function Retry -> "retry" | Give_up -> "giveup"
+
 (* Driver-side view of what a process is up to.  This is "application
    knowledge": it survives crashes (the application's script is durable),
    whereas everything inside the fiber is volatile. *)
@@ -135,11 +137,13 @@ let sym_note s e =
         Value.mix 0x1e1 (Value.mix r (Value.mix (uidc uid) (Hashtbl.hash op)))
     | Event.Ret { pid; uid; v } ->
         let r = rank pid in
-        Value.mix 0x1e2 (Value.mix r (Value.mix (uidc uid) (Value.hash v)))
+        Value.mix 0x1e2
+          (Value.mix r (Value.mix (uidc uid) (Value.hash_seeded 0 v)))
     | Event.Crash -> 0x1e3
     | Event.Rec_ret { pid; uid; v } ->
         let r = rank pid in
-        Value.mix 0x1e4 (Value.mix r (Value.mix (uidc uid) (Value.hash v)))
+        Value.mix 0x1e4
+          (Value.mix r (Value.mix (uidc uid) (Value.hash_seeded 0 v)))
     | Event.Rec_fail { pid; uid } ->
         let r = rank pid in
         Value.mix 0x1e5 (Value.mix r (uidc uid))
@@ -809,7 +813,8 @@ let state_digest s =
         match ps.status with
         | Idle -> 1
         | Announced (uid, _) -> Value.mix 2 uid
-        | Completed (uid, _, v) -> Value.mix (Value.mix 3 uid) (Value.hash v)
+        | Completed (uid, _, v) ->
+            Value.mix (Value.mix 3 uid) (Value.hash_seeded 0 v)
       in
       let flags =
         (if ps.in_recovery then 1 else 0)

@@ -12,6 +12,10 @@ open Nvm
 
 type policy = Retry | Give_up
 
+val policy_name : policy -> string
+(** ["retry"] or ["giveup"]: the spelling of the CLI's [--policy], the
+    torture report and the checkpoint header. *)
+
 type t
 
 type scratch
@@ -55,6 +59,7 @@ val runnable_into : t -> int array -> int
     process count. *)
 
 val finished : t -> bool
+(** No process is runnable; a test hook. *)
 
 val step : t -> int -> unit
 (** [step s pid] executes [pid]'s pending primitive step.  Raises

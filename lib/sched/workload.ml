@@ -48,10 +48,3 @@ let queue prng ~procs ~ops_per_proc ~values =
   gen prng ~procs ~ops_per_proc (fun g ->
       if Prng.int g 3 = 0 then Spec.deq_op
       else Spec.enq_op (Value.Int (Prng.int g values)))
-
-let total_enqueues workloads =
-  Array.fold_left
-    (fun acc ops ->
-      acc
-      + List.length (List.filter (fun (o : Spec.op) -> o.Spec.name = "enq") ops))
-    0 workloads

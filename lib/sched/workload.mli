@@ -37,6 +37,3 @@ val queue :
   Prng.t -> procs:int -> ops_per_proc:int -> values:int -> Spec.op list array
 (** Mix of [enq v] and [deq], enqueue-biased so queues are usually
     non-empty. *)
-
-val total_enqueues : Spec.op list array -> int
-(** Capacity a {!Detectable.Dqueue} needs for the workload. *)

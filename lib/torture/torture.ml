@@ -18,6 +18,11 @@ let default_spec_of ?(policy = Session.Retry) ?(crash_prob = 0.05)
     ?(max_crashes = 2) ?(max_steps = 50_000) ?(fault = Nvm.Fault_model.Atomic)
     ?(watchdog = 10_000) ~label ~mk ~workloads_of_seed () =
   Crash_plan.check_prob crash_prob;
+  if max_crashes < 0 then
+    invalid_arg
+      (Printf.sprintf "max crashes must be at least 0 (got %d)" max_crashes);
+  if watchdog < 1 then
+    invalid_arg (Printf.sprintf "watchdog must be at least 1 (got %d)" watchdog);
   {
     label;
     mk;
@@ -81,22 +86,6 @@ let crash_bucket = 16
 (* ------------------------------------------------------------------ *)
 (* rendering primitives (also used by the checkpoint journal) *)
 
-let policy_string = function
-  | Session.Retry -> "retry"
-  | Session.Give_up -> "giveup"
-
-let decision_string = function
-  | Modelcheck.Explore.Step pid -> Printf.sprintf "p%d" pid
-  | Modelcheck.Explore.Crash -> "CRASH"
-
-let decision_of_string s =
-  if s = "CRASH" then Modelcheck.Explore.Crash
-  else if String.length s >= 2 && s.[0] = 'p' then
-    match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-    | Some pid -> Modelcheck.Explore.Step pid
-    | None -> failwith ("Torture: bad decision " ^ s)
-  else failwith ("Torture: bad decision " ^ s)
-
 (* JSON string escaping (checker violation messages and engine-fault
    backtraces are the only free-form strings; keep them valid whatever
    they contain).  Tiny_json.parse inverts this exactly, which the
@@ -122,10 +111,8 @@ let dist_json d =
     d.d_min d.d_max d.d_mean d.d_total
 
 let schedule_json ds =
-  "[ "
-  ^ String.concat ", "
-      (List.map (fun d -> Printf.sprintf "%S" (decision_string d)) ds)
-  ^ " ]"
+  let quote d = Printf.sprintf "%S" (Modelcheck.Explore.decision_to_string d) in
+  "[ " ^ String.concat ", " (List.map quote ds) ^ " ]"
 
 (* ------------------------------------------------------------------ *)
 (* one trial *)
@@ -278,7 +265,7 @@ let header_line (spec : spec) ~root_seed ~trials =
   Printf.sprintf
     {|{ "schema": %S, "object": "%s", "root_seed": %d, "trials": %d, "policy": %S, "crash_prob": %.4f, "max_crashes": %d, "max_steps": %d, "fault": %S, "watchdog": %d }|}
     checkpoint_schema (escape spec.label) root_seed trials
-    (policy_string spec.policy)
+    (Session.policy_name spec.policy)
     spec.crash_prob spec.max_crashes spec.max_steps
     (Nvm.Fault_model.to_string spec.fault)
     spec.watchdog
@@ -335,7 +322,12 @@ let trial_of_json j =
            carry one: checked, then dropped like run_trial does *)
         (let trace =
            List.map
-             (fun d -> decision_of_string (Tiny_json.get_str d))
+             (fun d ->
+               match
+                 Modelcheck.Explore.decision_of_string (Tiny_json.get_str d)
+               with
+               | Ok d -> d
+               | Error m -> failwith m)
              (Tiny_json.get_list (Tiny_json.member "trace" j))
          in
          if verdict = V_ok then [] else trace);
@@ -393,7 +385,7 @@ let journaled_trials path (spec : spec) ~root_seed ~trials (header, rest) =
   if str "object" <> spec.label then mismatch "object";
   if int "root_seed" <> root_seed then mismatch "root_seed";
   if int "trials" <> trials then mismatch "trials";
-  if str "policy" <> policy_string spec.policy then mismatch "policy";
+  if str "policy" <> Session.policy_name spec.policy then mismatch "policy";
   if abs_float (num "crash_prob" -. spec.crash_prob) > 1e-9 then
     mismatch "crash_prob";
   if int "max_crashes" <> spec.max_crashes then mismatch "max_crashes";
@@ -800,7 +792,7 @@ let to_json ?(timing = true) ?(supervision = no_supervision) r =
   add
     "  \"config\": { \"policy\": %S, \"crash_prob\": %.4f, \"max_crashes\": \
      %d, \"max_steps\": %d, \"fault\": %S, \"watchdog\": %d },\n"
-    (policy_string r.policy) r.crash_prob r.max_crashes r.max_steps
+    (Session.policy_name r.policy) r.crash_prob r.max_crashes r.max_steps
     (Nvm.Fault_model.to_string r.fault)
     r.watchdog;
   add
@@ -854,6 +846,9 @@ let to_json ?(timing = true) ?(supervision = no_supervision) r =
   add "}\n";
   Buffer.contents b
 
+let schedule_string ds =
+  String.concat " " (List.map Modelcheck.Explore.decision_to_string ds)
+
 let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
   (* the non-timing lines below are pure functions of the deterministic
      report fields — with [~timing:false] this rendering is the text
@@ -863,13 +858,13 @@ let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
     Format.fprintf fmt
       "torture: %s — %d trials, root seed %d, policy %s, fault %s, \
        parallelism %d@."
-      r.label r.trials r.root_seed (policy_string r.policy)
+      r.label r.trials r.root_seed (Session.policy_name r.policy)
       (Nvm.Fault_model.to_string r.fault)
       r.parallelism
   else
     Format.fprintf fmt
       "torture: %s — %d trials, root seed %d, policy %s, fault %s@." r.label
-      r.trials r.root_seed (policy_string r.policy)
+      r.trials r.root_seed (Session.policy_name r.policy)
       (Nvm.Fault_model.to_string r.fault);
   Format.fprintf fmt
     "verdicts:   %d linearized, %d not-linearized, %d incomplete, %d \
@@ -923,14 +918,14 @@ let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
         f.seed f.msg;
       Format.fprintf fmt "  schedule (%d decisions): %s@."
         (List.length f.schedule)
-        (String.concat " " (List.map decision_string f.schedule));
+        (schedule_string f.schedule);
       (match f.minimised with
       | Some ds ->
           Format.fprintf fmt
             "  minimised to %d decisions (%d replays): %s  [prefix, then free \
              run]@."
             (List.length ds) f.shrink_attempts
-            (String.concat " " (List.map decision_string ds))
+            (schedule_string ds)
       | None ->
           Format.fprintf fmt
             "  (no minimisation: failure did not reproduce under tolerant \

@@ -101,7 +101,8 @@ val default_spec_of :
     at most 2 crashes, 50_000 steps, incremental checker, [Atomic]
     fault model, watchdog 10_000.  Raises [Invalid_argument] when
     [crash_prob] is outside [\[0, 1\]] ({!Sched.Crash_plan.check_prob}),
-    so no trial ever runs with it. *)
+    [max_crashes < 0] or [watchdog < 1], so no trial ever runs with
+    them. *)
 
 type dist = {
   d_min : int;

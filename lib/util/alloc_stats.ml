@@ -7,7 +7,7 @@
    after a region of interest; the [delta] is the allocation
    attributable to that region.
 
-   [allocated_words] follows the standard OCaml accounting identity:
+   [allocated_bytes] follows the standard OCaml accounting identity:
    minor_words + major_words - promoted_words (promoted words would
    otherwise be counted twice, once in each heap). *)
 
@@ -42,8 +42,9 @@ let delta ~before ~after =
     d_minor_collections = after.minor_collections - before.minor_collections;
   }
 
-let allocated_words d = d.d_minor_words +. d.d_major_words -. d.d_promoted_words
-let allocated_bytes d = allocated_words d *. float_of_int (Sys.word_size / 8)
+let allocated_bytes d =
+  (d.d_minor_words +. d.d_major_words -. d.d_promoted_words)
+  *. float_of_int (Sys.word_size / 8)
 
 let bytes_per d n =
   if n <= 0 then 0. else allocated_bytes d /. float_of_int n

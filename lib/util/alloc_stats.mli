@@ -23,11 +23,9 @@ type delta = {
 
 val delta : before:snap -> after:snap -> delta
 
-val allocated_words : delta -> float
-(** [minor + major - promoted]: total words allocated, counting each
-    word once regardless of promotion. *)
-
 val allocated_bytes : delta -> float
+(** [minor + major - promoted] words, in bytes: everything allocated,
+    counting each word once regardless of promotion. *)
 
 val bytes_per : delta -> int -> float
 (** [bytes_per d n] is [allocated_bytes d / n], or [0.] if [n <= 0]. *)

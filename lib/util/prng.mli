@@ -14,7 +14,8 @@ val create : int -> t
     created from the same seed produce identical streams. *)
 
 val copy : t -> t
-(** [copy g] is an independent generator starting from [g]'s current state. *)
+(** [copy g] is an independent generator starting from [g]'s current
+    state; a test hook. *)
 
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -13,7 +13,6 @@ let add_row t cells =
   let padded = cells @ List.init (n - k) (fun _ -> "") in
   t.rows <- padded :: t.rows
 
-let add_int_row t cells = add_row t (List.map string_of_int cells)
 
 let render t =
   let rows = List.rev t.rows in

@@ -14,11 +14,9 @@ val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row.  Rows shorter than the header are
     padded with empty cells; longer rows raise [Invalid_argument]. *)
 
-val add_int_row : t -> int list -> unit
-(** Convenience: a row of integers. *)
-
 val render : t -> string
-(** Render the table, title first, columns padded to their widest cell. *)
+(** Render the table, title first, columns padded to their widest cell;
+    a test hook ({!print} writes it). *)
 
 val print : t -> unit
 (** [print t] writes [render t] to stdout followed by a blank line. *)

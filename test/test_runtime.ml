@@ -189,22 +189,27 @@ let drive_fiber m f =
   in
   go ()
 
+(* the fiber-side protocol is Detectable.Base's; these pin what it
+   leaves in the fields Ann allocates and what Ann.pending reads back *)
+module Base = Detectable.Base
+
 let test_ann_announce_pending () =
   let m = Machine.create () in
-  let ann = Ann.alloc m ~pid:0 in
+  let ctx = Base.make_ctx m ~n:1 in
+  let ann = ctx.Base.ann.(0) in
   Alcotest.(check bool) "initially idle" true (Ann.pending m ann = None);
   let f =
     Fiber.start (fun () ->
-        Ann.announce ann ~name:"write" ~args:(i 5);
+        Base.std_announce ctx ~pid:0 (History.Spec.write_op (i 5));
         Value.Unit)
   in
   ignore (drive_fiber m f);
   (match Ann.pending m ann with
-  | Some ("write", args) -> Alcotest.check v "args" (i 5) args
+  | Some ("write", args) -> Alcotest.check v "args" (Value.Tup [| i 5 |]) args
   | _ -> Alcotest.fail "expected pending write");
   let f2 =
     Fiber.start (fun () ->
-        Ann.clear ann;
+        Base.std_clear ctx ~pid:0;
         Value.Unit)
   in
   ignore (drive_fiber m f2);
@@ -214,10 +219,10 @@ let test_ann_announce_order () =
   (* the committing [op] write must come last: crash one step earlier
      leaves the announcement invisible *)
   let m = Machine.create () in
-  let ann = Ann.alloc m ~pid:0 in
+  let ctx = Base.make_ctx m ~n:1 in
   let f =
     Fiber.start (fun () ->
-        Ann.announce ann ~name:"write" ~args:(i 5);
+        Base.std_announce ctx ~pid:0 (History.Spec.write_op (i 5));
         Value.Unit)
   in
   (* apply exactly two of the three announce writes *)
@@ -229,16 +234,18 @@ let test_ann_announce_order () =
   | _ -> Alcotest.fail "expected step");
   Fiber.kill f;
   Alcotest.(check bool) "half announcement invisible" true
-    (Ann.pending m ann = None)
+    (Ann.pending m ctx.Base.ann.(0) = None)
 
 let test_ann_fields () =
   let m = Machine.create () in
-  let ann = Ann.alloc m ~pid:1 in
+  let ctx = Base.make_ctx m ~n:2 in
   let f =
     Fiber.start (fun () ->
-        Ann.set_cp ann 2;
-        Ann.set_resp ann (i 9);
-        Value.pair (Value.Int (Ann.cp ann)) (Ann.resp ann))
+        Base.set_cp ctx ~pid:1 2;
+        Base.set_resp ctx ~pid:1 (i 9);
+        Value.pair
+          (Value.Int (Base.get_cp ctx ~pid:1))
+          (Base.get_resp ctx ~pid:1))
   in
   let out = drive_fiber m f in
   Alcotest.check v "cp and resp" (Value.pair (i 2) (i 9)) out

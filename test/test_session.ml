@@ -249,16 +249,6 @@ let test_workload_faa_deltas_positive () =
          | _ -> Alcotest.fail "unexpected op"))
     wl
 
-let test_workload_total_enqueues () =
-  let wl =
-    [|
-      [ Spec.enq_op (i 1); Spec.deq_op; Spec.enq_op (i 2) ];
-      [ Spec.deq_op ];
-      [ Spec.enq_op (i 3) ];
-    |]
-  in
-  Alcotest.(check int) "counts enqs" 3 (Workload.total_enqueues wl)
-
 let test_workload_determinism () =
   let mk seed =
     Workload.queue (Dtc_util.Prng.create seed) ~procs:3 ~ops_per_proc:5 ~values:4
@@ -715,7 +705,6 @@ let suites =
       [
         Alcotest.test_case "shapes and ranges" `Quick test_workload_shapes;
         Alcotest.test_case "faa deltas" `Quick test_workload_faa_deltas_positive;
-        Alcotest.test_case "total enqueues" `Quick test_workload_total_enqueues;
         Alcotest.test_case "determinism" `Quick test_workload_determinism;
       ] );
     ( "sched.crash_plan",
