@@ -719,21 +719,16 @@ let modelcheck_cmd =
     List.iter
       (fun (v : Modelcheck.Explore.violation) ->
         Printf.printf "\nsample violation: %s\nschedule: %s\n" v.msg
-          (String.concat " "
-             (List.map Modelcheck.Explore.decision_to_string v.decisions));
+          (Decision.schedule_to_string v.decisions);
         Format.printf "%a@." Event.pp_history v.history;
         (* shrink to a minimal reproduction *)
-        match
-          Modelcheck.Shrink.minimise ~mk ~workloads ~policy v.decisions
-        with
+        match Shrink.minimise ~mk ~workloads ~policy v.decisions with
         | Some r ->
             Printf.printf
               "minimised to %d decisions (%d attempts): %s  [prefix, then free run]\n"
-              (List.length r.Modelcheck.Shrink.decisions)
-              r.Modelcheck.Shrink.attempts
-              (String.concat " "
-                 (List.map Modelcheck.Explore.decision_to_string
-                    r.Modelcheck.Shrink.decisions))
+              (List.length r.Shrink.decisions)
+              r.Shrink.attempts
+              (Decision.schedule_to_string r.Shrink.decisions)
         | None ->
             print_endline
               "(the violation did not reproduce under prefix-then-free-run \

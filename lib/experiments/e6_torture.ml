@@ -69,11 +69,7 @@ let aba_directed ~mk =
   step_until 2 (fun () -> rets 2 >= 1);
   (* p1 re-installs (5, p1) *)
   step_until 1 (fun () -> Value.equal (r_value ()) (Value.Int 5));
-  Session.crash session Fault_model.keep_all;
-  let res =
-    Driver.run_session session ~schedule:(Schedule.scripted [])
-      ~crash_plan:Crash_plan.none ~max_steps:40_000
-  in
+  let res = Driver.replay ~max_steps:40_000 session [ Decision.Crash ] in
   if res.Driver.incomplete then failwith "drain did not converge";
   Driver.check inst res
 

@@ -84,6 +84,14 @@ let all =
          shared bits vs operation steps vs recovery steps";
       tables = (fun () -> [ E10_tradeoff.table () ]);
     };
+    {
+      id = "T1";
+      paper_artefact = "Algorithms 1-3 (step costs)";
+      descr =
+        "simulated primitive steps per operation run solo, and Algorithm \
+         1's write cost against N";
+      tables = (fun () -> T1_solo_steps.[ steps_table (); drw_scaling_table () ]);
+    };
   ]
 
 let find id =

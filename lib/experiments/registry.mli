@@ -1,8 +1,8 @@
 open Dtc_util
 
 (** The experiment registry: every reproduced figure/table of the paper,
-    addressable by id.  `bench/main.exe` prints all of them;
-    `bin/detect_cli.exe exp <id>` prints one. *)
+    addressable by id.  [detect_cli exp] prints all of them, in order;
+    [detect_cli exp <id>] prints one. *)
 
 type entry = {
   id : string;  (** e.g. "E1" *)

@@ -2,25 +2,6 @@ open Nvm
 open History
 open Sched
 
-type decision = Step of int | Crash
-
-let decision_to_string = function
-  | Step pid -> "p" ^ string_of_int pid
-  | Crash -> "CRASH"
-
-(* only the spelling [decision_to_string] gives: "p01" and "p+1" are
-   errors, so a decoded decision always re-encodes to its input *)
-let decision_of_string s =
-  let n = String.length s in
-  let pid =
-    if n >= 2 && s.[0] = 'p' then int_of_string_opt (String.sub s 1 (n - 1))
-    else None
-  in
-  match pid with
-  | _ when s = "CRASH" -> Ok Crash
-  | Some pid when decision_to_string (Step pid) = s -> Ok (Step pid)
-  | _ -> Error (Printf.sprintf "bad decision %S" s)
-
 type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
 
 let reduction_name = function
@@ -34,7 +15,6 @@ type config = {
   crash_budget : int;
   max_steps : int;
   policy : Session.policy;
-  wipe : Fault_model.wipe;
   prune : bool;
   exact_configs : bool;
   reduction : reduction;
@@ -47,7 +27,6 @@ let default_config =
     crash_budget = 1;
     max_steps = 2_000;
     policy = Session.Retry;
-    wipe = Fault_model.keep_all;
     prune = true;
     exact_configs = false;
     reduction = `None;
@@ -159,7 +138,7 @@ let source_eligible ~reduction ~crash_budget ~cur ~crashes session =
       | None -> false)
 
 type violation = {
-  decisions : decision list;
+  decisions : Decision.t list;
   history : Event.t list;
   msg : string;
 }
@@ -736,8 +715,8 @@ let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
         if crashes < st.cfg.crash_budget then begin
           let mk = get_mark st session depth in
           Session.mark_into session mk;
-          Session.crash session st.cfg.wipe;
-          dfs st session machine inst (Crash :: decisions)
+          Session.crash session Fault_model.keep_all;
+          dfs st session machine inst (Decision.Crash :: decisions)
             ~depth:(depth + 1) ~hlen:here ~sleep:[] ~stepped None switches
             (crashes + 1);
           Session.rewind session mk
@@ -796,7 +775,7 @@ let rec dfs st session machine inst decisions ~depth ~hlen ~sleep ~stepped
               Session.mark_into session mk;
               Session.step session pid;
               let silent = Session.event_count session = here in
-              dfs st session machine inst (Step pid :: decisions)
+              dfs st session machine inst (Decision.Step pid :: decisions)
                 ~depth:(depth + 1) ~hlen:here ~sleep:child_sleep
                 ~stepped:(stepped lor (1 lsl pid))
                 (Some pid) (switches + cost) crashes;

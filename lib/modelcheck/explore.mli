@@ -1,4 +1,3 @@
-open Nvm
 open History
 open Sched
 
@@ -41,17 +40,6 @@ open Sched
     non-memory-equivalent shared-memory configurations visited, which is
     how experiment E1 measures reachable configurations against
     Theorem 1's 2^(N−1) bound. *)
-
-type decision = Step of int  (** process [pid] takes one step *) | Crash
-
-val decision_to_string : decision -> string
-(** ["p<pid>"] for [Step pid], ["CRASH"] for [Crash]: how schedules are
-    printed and journaled. *)
-
-val decision_of_string : string -> (decision, string) result
-(** The inverse of {!decision_to_string}; any other string, including a
-    non-canonical pid spelling such as ["p01"], is an [Error] naming
-    it. *)
 
 type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
 (** Search-space reduction applied during child generation (default
@@ -130,15 +118,11 @@ val reduction_name : reduction -> string
 
 type config = {
   switch_budget : int;  (** max context switches per execution, >= 0 *)
-  crash_budget : int;  (** max crashes per execution, >= 0 *)
+  crash_budget : int;
+      (** max crashes per execution, >= 0; a crash keeps every dirty
+          cache line ({!Nvm.Fault_model.keep_all}) *)
   max_steps : int;  (** per-execution step bound (safety) *)
   policy : Session.policy;
-  wipe : Fault_model.wipe;
-      (** what a crash does to dirty cache lines (see
-          {!Nvm.Fault_model}); default {!Nvm.Fault_model.keep_all}.
-          [Seeded] wipes key their randomness on the session's crash
-          counter, which backtracking rewinds, so every revisit of a
-          crash decision sees the same outcome. *)
   prune : bool;  (** memoise subtrees by state fingerprint (exact) *)
   exact_configs : bool;
       (** audit config-set fingerprints with full snapshots *)
@@ -153,12 +137,13 @@ type config = {
 }
 
 val default_config : config
-(** switch budget 3, crash budget 1, 2_000 steps, [Retry], keep-all;
-    pruning on, fingerprint-mode configuration counting, no reduction,
-    no node budget. *)
+(** switch budget 3, crash budget 1, 2_000 steps, [Retry]; pruning on,
+    fingerprint-mode configuration counting, no reduction, no node
+    budget. *)
 
 type violation = {
-  decisions : decision list;  (** the schedule that exhibits it *)
+  decisions : Decision.t list;
+      (** the schedule that exhibits it; {!Driver.replay} re-runs it *)
   history : Event.t list;
   msg : string;
 }

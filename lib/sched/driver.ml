@@ -75,6 +75,16 @@ let run_session ?watchdog session ~schedule ~crash_plan ~max_steps =
     budget_exhausted = !budget_exhausted;
   }
 
+let apply ~wipe session = function
+  | Decision.Crash -> Session.crash session wipe
+  | Decision.Step pid ->
+      if List.mem pid (Session.runnable session) then Session.step session pid
+
+let replay ?(wipe = Nvm.Fault_model.keep_all) ~max_steps session decisions =
+  List.iter (apply ~wipe session) decisions;
+  run_session session ~schedule:(Schedule.scripted [])
+    ~crash_plan:Crash_plan.none ~max_steps
+
 let run ?watchdog ?scratch machine inst ~workloads cfg =
   run_session ?watchdog
     (Session.create ~policy:cfg.policy ?scratch machine inst ~workloads)

@@ -11,10 +11,10 @@ open History
 
     This module owns the two halves of the act every engine repeats:
     {!run_session} is the one loop that free-runs a session to
-    completion (torture trials, crash sweeps, shrink replays and
-    directed scripts all end in it), and {!anomaly_verdict} is the one
-    statement of the verdict rule: an anomaly the driver saw is a
-    violation before any checker runs. *)
+    completion (torture trials, crash sweeps and, through {!replay},
+    shrink replays and directed scripts all end in it), and
+    {!anomaly_verdict} is the one statement of the verdict rule: an
+    anomaly the driver saw is a violation before any checker runs. *)
 
 type config = {
   schedule : Schedule.t;
@@ -80,9 +80,21 @@ val run_session :
     [watchdog] bounds the steps any single operation/recovery may take
     ({!Session.max_cur_steps}); exceeding it stops the run with
     [budget_exhausted] set instead of spinning until [max_steps].  A
-    session already advanced by hand (a script, a decision prefix)
-    continues from where it stands; {!Schedule.scripted} [[]] finishes
-    it lowest-runnable-pid first. *)
+    session already advanced by hand continues from where it stands. *)
+
+val apply : wipe:Nvm.Fault_model.wipe -> Session.t -> Decision.t -> unit
+(** Apply one decision: [Crash] crashes under [wipe]; [Step pid] steps
+    [pid] if it is runnable and is otherwise skipped, so replay is {e
+    tolerant} of an earlier decision having been deleted. *)
+
+val replay :
+  ?wipe:Nvm.Fault_model.wipe -> max_steps:int -> Session.t ->
+  Decision.t list -> result
+(** "Prefix, then free run": {!apply} each decision ([wipe] defaults to
+    {!Nvm.Fault_model.keep_all}), then {!run_session} lowest runnable
+    pid first.  The decisions of a run that finished (an explorer
+    violation, a torture trace under its trial's wipe) replay to that
+    run. *)
 
 val run :
   ?watchdog:int ->

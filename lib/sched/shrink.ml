@@ -1,26 +1,11 @@
 open History
-open Sched
 
 type result = {
-  decisions : Explore.decision list;
+  decisions : Decision.t list;
   history : Event.t list;
   msg : string;
   attempts : int;
 }
-
-(* "prefix then free run": tolerantly apply the decisions, then let the
-   driver finish the run lowest-runnable-pid first, then judge the closed
-   history *)
-
-let apply_decision session ~wipe d =
-  match (d : Explore.decision) with
-  | Explore.Crash -> Session.crash session wipe
-  | Explore.Step pid ->
-      if List.mem pid (Session.runnable session) then Session.step session pid
-
-let finish_run session ~max_steps =
-  Driver.run_session session ~schedule:(Schedule.scripted [])
-    ~crash_plan:Crash_plan.none ~max_steps
 
 (* driver anomalies short-circuit; otherwise [verdict ()] judges the
    history *)
@@ -38,8 +23,7 @@ let reproduces ~mk ~workloads ?(policy = Session.Retry)
     ?(wipe = Nvm.Fault_model.keep_all) ?(max_steps = 5_000) decisions =
   let machine, inst = mk () in
   let session = Session.create ~policy machine inst ~workloads in
-  List.iter (apply_decision session ~wipe) decisions;
-  let r = finish_run session ~max_steps in
+  let r = Driver.replay ~wipe ~max_steps session decisions in
   judge r (fun () -> Lin_check.check inst.Obj_inst.spec r.history)
 
 (* Greedy single-deletion passes until no deletion preserves the
@@ -97,9 +81,8 @@ let minimise ~mk ~workloads ?(policy = Session.Retry)
         incr attempts;
         let m = Session.mark session in
         let lm = lin_mark () in
-        List.iter (apply_decision session ~wipe) tail;
         let outcome =
-          judge (finish_run session ~max_steps) (fun () ->
+          judge (Driver.replay ~wipe ~max_steps session tail) (fun () ->
               sync ();
               Lin_check.Session.verdict lin)
         in
@@ -124,7 +107,7 @@ let minimise ~mk ~workloads ?(policy = Session.Retry)
             match try_candidate ~tail candidate with
             | Some (h, m) -> Some (candidate, h, m)
             | None ->
-                apply_decision session ~wipe arr.(k);
+                Driver.apply ~wipe session arr.(k);
                 try_deletions (k + 1)
         in
         let next = try_deletions 0 in

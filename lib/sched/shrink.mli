@@ -1,23 +1,22 @@
 open History
-open Sched
 
 (** Counterexample minimisation (delta debugging over decision
     sequences).
 
-    A violation found by {!Explore} comes with the decision sequence that
-    produced it.  [minimise] greedily deletes decisions — steps and
-    crashes — re-executing after each deletion and keeping any shorter
-    sequence that still yields a checker violation, until no single
-    deletion preserves the failure (1-minimality).
+    A violation found by the explorer or by a torture trial comes with
+    the decision sequence that produced it.  [minimise] greedily deletes
+    decisions — steps and crashes — re-executing after each deletion and
+    keeping any shorter sequence that still yields a checker violation,
+    until no single deletion preserves the failure (1-minimality).
 
-    Replay of a candidate sequence is {e tolerant}: a [Step pid] whose
-    process is not currently runnable is skipped rather than an error
-    (deleting an early decision shifts everything after it), and the
-    run is completed after the prefix by {!Driver.run_session}, lowest
-    runnable pid first, so the history is closed.  The result therefore reproduces a violation under "prefix
-    then free run", which is how the minimised schedule should be read.
+    A candidate sequence is run by {!Driver.replay}: tolerant (a [Step
+    pid] whose process is not runnable is skipped, since deleting an
+    early decision shifts everything after it), then completed lowest
+    runnable pid first.  The result therefore reproduces a violation
+    under "prefix then free run", which is how the minimised schedule
+    should be read.
 
-    Like {!Explore.explore}, the shrinker keeps one session in undo
+    Like the explorer, the shrinker keeps one session in undo
     mode: the greedy pass advances the session through the kept prefix
     and evaluates each deletion candidate by mark / run-tail / rewind,
     so a candidate costs O(its tail) instead of O(the whole sequence).
@@ -30,7 +29,7 @@ open Sched
     greedy single deletion over [reproduces]. *)
 
 type result = {
-  decisions : Explore.decision list;  (** the minimised prefix *)
+  decisions : Decision.t list;  (** the minimised prefix *)
   history : Event.t list;
   msg : string;
   attempts : int;  (** candidate executions performed while shrinking *)
@@ -42,7 +41,7 @@ val reproduces :
   ?policy:Session.policy ->
   ?wipe:Nvm.Fault_model.wipe ->
   ?max_steps:int ->
-  Explore.decision list ->
+  Decision.t list ->
   (Event.t list * string) option
 (** Run "prefix then free run" for a decision sequence; [Some] iff the
     batch checker rejects the resulting history.  Crashes in the
@@ -57,7 +56,7 @@ val minimise :
   ?policy:Session.policy ->
   ?wipe:Nvm.Fault_model.wipe ->
   ?max_steps:int ->
-  Explore.decision list ->
+  Decision.t list ->
   result option
 (** [None] if the input sequence does not reproduce a violation under
     tolerant replay (shrinking needs a reproducible starting point).

@@ -42,8 +42,8 @@ type failure = {
   trial : int;
   seed : int;
   msg : string;
-  schedule : Modelcheck.Explore.decision list;
-  minimised : Modelcheck.Explore.decision list option;
+  schedule : Decision.t list;
+  minimised : Decision.t list option;
   shrink_attempts : int;
 }
 
@@ -111,7 +111,7 @@ let dist_json d =
     d.d_min d.d_max d.d_mean d.d_total
 
 let schedule_json ds =
-  let quote d = Printf.sprintf "%S" (Modelcheck.Explore.decision_to_string d) in
+  let quote d = Printf.sprintf "%S" (Decision.to_string d) in
   "[ " ^ String.concat ", " (List.map quote ds) ^ " ]"
 
 (* ------------------------------------------------------------------ *)
@@ -134,7 +134,7 @@ type trial = {
   t_rec_failed : int;
   t_bits : int;
   t_verdict : verdict;
-  t_trace : Modelcheck.Explore.decision list;  (* oldest first; [] when ok *)
+  t_trace : Decision.t list;  (* oldest first; [] when ok *)
 }
 
 (* Everything random in a trial — workload, schedule, crash points, and
@@ -166,7 +166,7 @@ let run_trial spec ~scratch ~root ~index =
       Schedule.choose =
         (fun ~runnable ~step ->
           let pid = base.Driver.schedule.Schedule.choose ~runnable ~step in
-          trace := Modelcheck.Explore.Step pid :: !trace;
+          trace := Decision.Step pid :: !trace;
           pid);
     }
   in
@@ -180,7 +180,7 @@ let run_trial spec ~scratch ~root ~index =
           let fire = base_plan.Crash_plan.should_crash ~step in
           if fire then begin
             crash_steps := step :: !crash_steps;
-            trace := Modelcheck.Explore.Crash :: !trace
+            trace := Decision.Crash :: !trace
           end;
           fire);
     }
@@ -204,12 +204,7 @@ let run_trial spec ~scratch ~root ~index =
       t_trace = (if verdict = V_ok then [] else List.rev !trace);
     }
   in
-  let trace_steps () =
-    List.length
-      (List.filter
-         (function Modelcheck.Explore.Step _ -> true | _ -> false)
-         !trace)
-  in
+  let trace_steps () = List.length (List.filter (( <> ) Decision.Crash) !trace) in
   match
     let res =
       Driver.run ~watchdog:spec.watchdog ~scratch machine inst ~workloads cfg
@@ -324,7 +319,7 @@ let trial_of_json j =
            List.map
              (fun d ->
                match
-                 Modelcheck.Explore.decision_of_string (Tiny_json.get_str d)
+                 Decision.of_string (Tiny_json.get_str d)
                with
                | Ok d -> d
                | Error m -> failwith m)
@@ -560,14 +555,14 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
                the raw schedule is still reported *)
             match
               try
-                Modelcheck.Shrink.minimise ~mk:spec.mk
+                Shrink.minimise ~mk:spec.mk
                   ~workloads:(spec.workloads_of_seed tr.t_seed)
                   ~policy:spec.policy ~wipe ~max_steps:spec.max_steps
                   tr.t_trace
               with _ -> None
             with
             | Some r ->
-                (Some r.Modelcheck.Shrink.decisions, r.Modelcheck.Shrink.attempts)
+                (Some r.Shrink.decisions, r.Shrink.attempts)
             | None -> (None, 0)
         in
         {
@@ -846,9 +841,6 @@ let to_json ?(timing = true) ?(supervision = no_supervision) r =
   add "}\n";
   Buffer.contents b
 
-let schedule_string ds =
-  String.concat " " (List.map Modelcheck.Explore.decision_to_string ds)
-
 let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
   (* the non-timing lines below are pure functions of the deterministic
      report fields — with [~timing:false] this rendering is the text
@@ -918,14 +910,14 @@ let pp_report ?(timing = true) ?(supervision = no_supervision) () fmt r =
         f.seed f.msg;
       Format.fprintf fmt "  schedule (%d decisions): %s@."
         (List.length f.schedule)
-        (schedule_string f.schedule);
+        (Decision.schedule_to_string f.schedule);
       (match f.minimised with
       | Some ds ->
           Format.fprintf fmt
             "  minimised to %d decisions (%d replays): %s  [prefix, then free \
              run]@."
             (List.length ds) f.shrink_attempts
-            (schedule_string ds)
+            (Decision.schedule_to_string ds)
       | None ->
           Format.fprintf fmt
             "  (no minimisation: failure did not reproduce under tolerant \

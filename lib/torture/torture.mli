@@ -11,7 +11,7 @@ open Sched
     structured {!report}: verdict counts, a crash-point histogram,
     recovery-verdict counts, step and [max_shared_bits] distributions,
     throughput, and — when a trial fails — the first failing trial's
-    schedule, minimised with {!Modelcheck.Shrink} under the trial's
+    schedule, minimised with {!Sched.Shrink} under the trial's
     exact fault stream.
 
     {2 Determinism contract}
@@ -117,10 +117,11 @@ type failure = {
   trial : int;  (** lowest failing trial index *)
   seed : int;  (** the trial's derived workload seed *)
   msg : string;  (** checker verdict or escaped exception message *)
-  schedule : Modelcheck.Explore.decision list;
-      (** the full decision trace of the failing trial, oldest first *)
-  minimised : Modelcheck.Explore.decision list option;
-      (** 1-minimal prefix from {!Modelcheck.Shrink.minimise}, replayed
+  schedule : Decision.t list;
+      (** the full decision trace of the failing trial, oldest first;
+          {!Driver.replay} under the trial's fault stream re-runs it *)
+  minimised : Decision.t list option;
+      (** 1-minimal prefix from {!Sched.Shrink.minimise}, replayed
           under the trial's exact fault stream ([None] if the failure
           does not reproduce under tolerant replay, or shrinking was
           disabled) *)
@@ -210,7 +211,7 @@ type trial = {
   t_rec_failed : int;
   t_bits : int;
   t_verdict : verdict;
-  t_trace : Modelcheck.Explore.decision list;
+  t_trace : Decision.t list;
       (** the trial's decisions, oldest first, when [t_verdict] is not
           [V_ok]; [[]] for an ok trial, whose schedule is already a pure
           function of [(spec, root, index)] and which the merge never

@@ -43,8 +43,8 @@ let explore ~mk ~workloads (cfg : E.config) =
     let session = Session.create ~policy:cfg.policy machine inst ~workloads in
     List.iter
       (function
-        | E.Step pid -> Session.step session pid
-        | E.Crash -> Session.crash session cfg.wipe)
+        | Decision.Step pid -> Session.step session pid
+        | Decision.Crash -> Session.crash session Fault_model.keep_all)
       (List.rev rev);
     see (Runtime.Machine.mem machine);
     let runnable = Session.runnable session in
@@ -63,7 +63,7 @@ let explore ~mk ~workloads (cfg : E.config) =
     end
     else begin
       if crashes < cfg.crash_budget then
-        dfs (E.Crash :: rev) None switches (crashes + 1);
+        dfs (Decision.Crash :: rev) None switches (crashes + 1);
       List.iter
         (fun pid ->
           let cost =
@@ -72,7 +72,7 @@ let explore ~mk ~workloads (cfg : E.config) =
             | _ -> 0
           in
           if switches + cost <= cfg.switch_budget then
-            dfs (E.Step pid :: rev) (Some pid) (switches + cost) crashes)
+            dfs (Decision.Step pid :: rev) (Some pid) (switches + cost) crashes)
         runnable
     end
   in
@@ -89,7 +89,7 @@ let explore ~mk ~workloads (cfg : E.config) =
    that keeps the violation, until none does.  Returns the minimised
    decisions with the history and message of their reproduction. *)
 let minimise ~mk ~workloads decisions =
-  let repro ds = Modelcheck.Shrink.reproduces ~mk ~workloads ds in
+  let repro ds = Shrink.reproduces ~mk ~workloads ds in
   let rec pass cur found k =
     if k >= List.length cur then Some (cur, found)
     else

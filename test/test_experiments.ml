@@ -2,8 +2,9 @@
    the bench regenerates must keep holding (at reduced scale). *)
 
 let test_registry_lookup () =
-  Alcotest.(check int) "ten experiments" 10
-    (List.length Experiments.Registry.all);
+  Alcotest.(check (list string)) "E1-E10, then T1"
+    (List.init 10 (fun k -> Printf.sprintf "E%d" (k + 1)) @ [ "T1" ])
+    (List.map (fun e -> e.Experiments.Registry.id) Experiments.Registry.all);
   (match Experiments.Registry.find "e3" with
   | Some e -> Alcotest.(check string) "case-insensitive" "E3" e.id
   | None -> Alcotest.fail "E3 not found");

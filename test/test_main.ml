@@ -18,6 +18,7 @@ let () =
          Test_spec.suites;
          Test_lin_check.suites;
          Test_session.suites;
+         Test_decision.suites;
          Test_drw.suites;
          Test_dcas.suites;
          Test_dmax.suites;

@@ -97,7 +97,7 @@ let test_violation_reports_schedule () =
       Alcotest.(check bool) "has schedule" true (v.decisions <> []);
       Alcotest.(check bool) "has history" true (v.history <> []);
       Alcotest.(check bool) "schedule contains the crash" true
-        (List.mem Modelcheck.Explore.Crash v.decisions)
+        (List.mem Sched.Decision.Crash v.decisions)
 
 (* --- pruned / parallel engines agree with the original engine ---
 
@@ -447,38 +447,6 @@ let test_memo_tbl_growth () =
       done)
     [ 1; 2 ]
 
-(* The one decision codec: every decision survives encode/decode, and a
-   string decodes only if it is exactly some decision's spelling; any
-   other string is an error that names it. *)
-let prop_decision_codec =
-  let open Modelcheck.Explore in
-  let decision =
-    QCheck.Gen.(
-      oneof [ return Crash; map (fun p -> Step p) (oneof [ small_nat; int ]) ])
-  in
-  let spelling =
-    QCheck.Gen.(
-      oneof
-        [
-          map decision_to_string decision;
-          string_size ~gen:(oneofl [ 'p'; 'P'; '0'; '1'; '9'; '-'; '+'; ' ' ])
-            (int_bound 5);
-          oneofl [ ""; "p"; "CRASH "; "crash"; "p01"; "p+1"; "p 1"; "p1_0" ];
-          string_size (int_bound 8);
-        ])
-  in
-  QCheck.Test.make ~name:"decision codec round-trips" ~count:2000
-    QCheck.(
-      make
-        ~print:(fun (d, s) -> Printf.sprintf "%s / %S" (decision_to_string d) s)
-        Gen.(pair decision spelling))
-    (fun (d, s) ->
-      decision_of_string (decision_to_string d) = Ok d
-      &&
-      match decision_of_string s with
-      | Ok d' -> decision_to_string d' = s
-      | Error m -> m = Printf.sprintf "bad decision %S" s)
-
 let suites =
   [
     ( "modelcheck.explore",
@@ -508,6 +476,5 @@ let suites =
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;
         QCheck_alcotest.to_alcotest prop_memo_tbl_reference;
         Alcotest.test_case "memo grows at 3/4 load" `Quick test_memo_tbl_growth;
-        QCheck_alcotest.to_alcotest prop_decision_codec;
       ] );
   ]

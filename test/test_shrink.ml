@@ -23,24 +23,24 @@ let find_violation () =
 let test_minimise_shrinks () =
   let v = find_violation () in
   match
-    Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads
+    Sched.Shrink.minimise ~mk:mk_no_vec ~workloads
       v.Modelcheck.Explore.decisions
   with
   | None -> Alcotest.fail "original violation did not reproduce"
   | Some r ->
       Alcotest.(check bool) "no longer than the original" true
-        (List.length r.Modelcheck.Shrink.decisions
+        (List.length r.Sched.Shrink.decisions
         <= List.length v.Modelcheck.Explore.decisions);
       Alcotest.(check bool) "still mentions a violation" true
-        (String.length r.Modelcheck.Shrink.msg > 0);
+        (String.length r.Sched.Shrink.msg > 0);
       (* 1-minimality: deleting any single remaining decision loses the
          violation *)
-      let n = List.length r.Modelcheck.Shrink.decisions in
+      let n = List.length r.Sched.Shrink.decisions in
       for k = 0 to n - 1 do
         let candidate =
-          List.filteri (fun idx _ -> idx <> k) r.Modelcheck.Shrink.decisions
+          List.filteri (fun idx _ -> idx <> k) r.Sched.Shrink.decisions
         in
-        match Modelcheck.Shrink.reproduces ~mk:mk_no_vec ~workloads candidate with
+        match Sched.Shrink.reproduces ~mk:mk_no_vec ~workloads candidate with
         | Some _ -> Alcotest.failf "deleting decision %d still violates" k
         | None -> ()
       done
@@ -48,14 +48,14 @@ let test_minimise_shrinks () =
 let test_minimised_still_reproduces () =
   let v = find_violation () in
   match
-    Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads
+    Sched.Shrink.minimise ~mk:mk_no_vec ~workloads
       v.Modelcheck.Explore.decisions
   with
   | None -> Alcotest.fail "did not reproduce"
   | Some r -> (
       match
-        Modelcheck.Shrink.reproduces ~mk:mk_no_vec ~workloads
-          r.Modelcheck.Shrink.decisions
+        Sched.Shrink.reproduces ~mk:mk_no_vec ~workloads
+          r.Sched.Shrink.decisions
       with
       | Some _ -> ()
       | None -> Alcotest.fail "minimised sequence does not reproduce")
@@ -63,30 +63,22 @@ let test_minimised_still_reproduces () =
 let test_reproduces_none_for_correct_object () =
   (* an arbitrary schedule against the real Dcas yields no violation *)
   let mk () = Test_support.mk_dcas ~n:2 () in
-  let decisions =
-    [
-      Modelcheck.Explore.Step 0;
-      Modelcheck.Explore.Step 1;
-      Modelcheck.Explore.Crash;
-      Modelcheck.Explore.Step 0;
-      Modelcheck.Explore.Step 1;
-    ]
-  in
-  match Modelcheck.Shrink.reproduces ~mk ~workloads decisions with
+  let decisions = Sched.Decision.[ Step 0; Step 1; Crash; Step 0; Step 1 ] in
+  match Sched.Shrink.reproduces ~mk ~workloads decisions with
   | None -> ()
   | Some (_, msg) -> Alcotest.failf "unexpected violation: %s" msg
 
 let test_minimise_none_for_correct_object () =
   let mk () = Test_support.mk_dcas ~n:2 () in
-  match Modelcheck.Shrink.minimise ~mk ~workloads [ Modelcheck.Explore.Crash ] with
+  match Sched.Shrink.minimise ~mk ~workloads [ Sched.Decision.Crash ] with
   | None -> ()
   | Some _ -> Alcotest.fail "minimise invented a violation"
 
 let test_tolerant_replay_skips_dead_steps () =
   (* steps of finished processes are skipped, not errors *)
   let mk () = Test_support.mk_dcas ~n:2 () in
-  let decisions = List.init 200 (fun _ -> Modelcheck.Explore.Step 0) in
-  match Modelcheck.Shrink.reproduces ~mk ~workloads decisions with
+  let decisions = List.init 200 (fun _ -> Sched.Decision.Step 0) in
+  match Sched.Shrink.reproduces ~mk ~workloads decisions with
   | None -> ()
   | Some (_, msg) -> Alcotest.failf "unexpected violation: %s" msg
 
@@ -103,15 +95,15 @@ let test_matches_reference () =
   List.iter
     (fun (v : Modelcheck.Explore.violation) ->
       match
-        ( Modelcheck.Shrink.minimise ~mk:mk_no_vec ~workloads v.decisions,
+        ( Sched.Shrink.minimise ~mk:mk_no_vec ~workloads v.decisions,
           Ref_modelcheck.minimise ~mk:mk_no_vec ~workloads v.decisions )
       with
       | Some r, Some (ds, (history, msg)) ->
           Alcotest.(check bool) "same minimised decisions" true
-            (r.Modelcheck.Shrink.decisions = ds);
-          Alcotest.(check string) "same message" msg r.Modelcheck.Shrink.msg;
+            (r.Sched.Shrink.decisions = ds);
+          Alcotest.(check string) "same message" msg r.Sched.Shrink.msg;
           Alcotest.(check bool) "same history" true
-            (r.Modelcheck.Shrink.history = history)
+            (r.Sched.Shrink.history = history)
       | _ -> Alcotest.fail "shrinker and reference disagree on reproducibility")
     out.Modelcheck.Explore.violations
 
@@ -120,8 +112,8 @@ let test_undo_refuses_non_repro () =
      still judge the whole sequence clean before it shrinks anything *)
   let mk () = Test_support.mk_dcas ~n:2 () in
   match
-    Modelcheck.Shrink.minimise ~mk ~workloads
-      Modelcheck.Explore.[ Step 0; Step 1; Crash; Step 0; Step 1 ]
+    Sched.Shrink.minimise ~mk ~workloads
+      Sched.Decision.[ Step 0; Step 1; Crash; Step 0; Step 1 ]
   with
   | None -> ()
   | Some _ -> Alcotest.fail "undo minimise invented a violation"

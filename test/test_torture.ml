@@ -73,7 +73,7 @@ let test_broken_object_fails_and_shrinks () =
              replay — the same contract Shrink promises *)
           let spec = broken_spec () in
           (match
-             Modelcheck.Shrink.reproduces ~mk:spec.Torture.mk
+             Shrink.reproduces ~mk:spec.Torture.mk
                ~workloads:(spec.Torture.workloads_of_seed f.Torture.seed)
                ~policy:spec.Torture.policy
                ~max_steps:spec.Torture.max_steps ds
@@ -718,9 +718,9 @@ let test_trace_kept_only_on_failure () =
   let i, tr = Lazy.force first_violation in
   let count p = List.length (List.filter p tr.Torture.t_trace) in
   Alcotest.(check int) "#Step = t_steps" tr.t_steps
-    (count (function Modelcheck.Explore.Step _ -> true | _ -> false));
+    (count (function Decision.Step _ -> true | _ -> false));
   Alcotest.(check int) "#Crash = t_crashes" tr.t_crashes
-    (count (( = ) Modelcheck.Explore.Crash));
+    (count (( = ) Decision.Crash));
   Alcotest.(check bool) "the violation crashed" true (tr.t_crashes > 0);
   let decode line = Torture.trial_of_json (Tiny_json.parse line) in
   Alcotest.(check bool) "violating trial_line round-trips" true
