@@ -37,7 +37,6 @@ let prop_decision_codec =
       | Ok d' -> to_string d' = s
       | Error m -> m = Printf.sprintf "bad decision %S" s)
 
-
 let fresh_session ?(policy = Session.Retry) mk ~workloads =
   let machine, inst = mk () in
   (inst, Session.create ~policy machine inst ~workloads)
