@@ -52,7 +52,7 @@ let reductions params =
       match
         List.find_opt
           (fun r -> Modelcheck.Explore.reduction_name r = name)
-          [ `None; `Dpor; `Dpor_sym; `Dpor_sym_memo ]
+          Modelcheck.Explore.reductions
       with
       | Some r -> (name, r)
       | None -> failwith ("unknown reduction " ^ name))

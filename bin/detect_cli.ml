@@ -590,12 +590,9 @@ let modelcheck_cmd =
       value
       & opt
           (enum
-             [
-               ("none", (`None : Modelcheck.Explore.reduction));
-               ("dpor", `Dpor);
-               ("dpor+sym", `Dpor_sym);
-               ("dpor+sym-memo", `Dpor_sym_memo);
-             ])
+             (List.map
+                (fun r -> (Modelcheck.Explore.reduction_name r, r))
+                Modelcheck.Explore.reductions))
           `None
       & info [ "reduction" ] ~docv:"RED"
           ~doc:

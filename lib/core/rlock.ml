@@ -22,9 +22,6 @@ let release t ~pid =
   Fiber.write t.owner Value.Bot;
   if t.persist then Fiber.persist t.owner
 
-let holds machine t ~pid =
-  Value.equal (Machine.peek machine t.owner) (Value.Int pid)
-
 let holds_f t ~pid = Value.equal (Fiber.read t.owner) (Value.Int pid)
 
 let owner_loc t = t.owner

@@ -33,13 +33,9 @@ val acquire : t -> pid:int -> unit
 val release : t -> pid:int -> unit
 (** Fiber context: a single store of ⊥.  Only the owner may call it. *)
 
-val holds : Machine.t -> t -> pid:int -> bool
-(** Driver/recovery context (no step): does [pid] own the lock?  Exact
-    across crashes — the CAS and the release store are both atomic.  A
-    test hook. *)
-
 val holds_f : t -> pid:int -> bool
-(** Fiber context (one read step): same question from inside a program. *)
+(** Fiber context (one read step): does [pid] own the lock?  Exact
+    across crashes — the CAS and the release store are both atomic. *)
 
 val owner_loc : t -> Loc.t
 (** The ownership cell (for space accounting: one cell of O(log N) bits). *)

@@ -70,14 +70,6 @@ let ops events =
     events;
   List.rev_map (Hashtbl.find tbl) !order
 
-let responses events =
-  List.filter_map
-    (fun e ->
-      match (e : Event.t) with
-      | Event.Ret { v; _ } | Event.Rec_ret { v; _ } -> Some v
-      | Event.Inv _ | Event.Crash | Event.Rec_fail _ -> None)
-    events
-
 let stats events =
   let infos = ops events in
   let count p = List.length (List.filter p infos) in

@@ -25,10 +25,6 @@ val ops : Event.t list -> op_info list
     [Invalid_argument] on a malformed history (see {!well_formed}).  A
     test hook. *)
 
-val responses : Event.t list -> Value.t list
-(** Responses of completed and recovered operations, in outcome order;
-    a test hook. *)
-
 type stats = {
   invocations : int;
   completed : int;

@@ -16,7 +16,7 @@
 
     Two engines implement the same judgment:
 
-    - {!check}, the batch reference: a Wing–Gong style interleaving
+    - [`Batch], the reference: a Wing–Gong style interleaving
       exploration over one whole history, with memoization on
       (set of linearized operations, abstract state) keyed on the
       state's {!Nvm.Value.hc_of} digest.  Exact, exponential in the worst
@@ -40,17 +40,14 @@ type verdict =
       (** a witness linearization (operations in linearization order) *)
   | Violation of string  (** human-readable reason *)
 
-val check : Spec.t -> Event.t list -> verdict
-(** The batch reference engine. *)
-
 val is_ok : verdict -> bool
 
 type engine = [ `Batch | `Incremental ]
 
 val check_with : engine -> Spec.t -> Event.t list -> verdict
-(** [check_with `Batch] is {!check}; [check_with `Incremental] runs a
-    fresh {!Session} over the whole history.  Same verdicts either
-    way. *)
+(** [check_with `Batch] runs the batch reference engine;
+    [check_with `Incremental] runs a fresh {!Session} over the whole
+    history.  Same verdicts either way. *)
 
 (** The incremental checker engine. *)
 module Session : sig
@@ -63,7 +60,7 @@ module Session : sig
   (** Append one event to the history and update the frontier.  A
       malformed event (duplicate invocation, outcome for an unknown
       operation, second outcome) does not raise: it latches the
-      violation, exactly as {!check} reports it, and further pushes
+      violation, exactly as the batch engine reports it, and further pushes
       become no-ops until rewound past the offending event. *)
 
   val push_history : t -> Event.t list -> unit

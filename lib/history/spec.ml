@@ -4,15 +4,6 @@ type op = { name : string; args : Value.t array }
 
 let op name args = { name; args = Array.of_list args }
 
-let equal_op a b =
-  String.equal a.name b.name
-  && Array.length a.args = Array.length b.args
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x -> if not (Value.equal x b.args.(i)) then ok := false)
-        a.args;
-      !ok)
-
 let pp_op fmt o =
   if Array.length o.args = 0 then Format.fprintf fmt "%s" o.name
   else
@@ -27,16 +18,6 @@ type t = {
   init : Value.t;
   step : Value.t -> op -> Value.t * Value.t;
 }
-
-let run spec ops =
-  let _, responses =
-    List.fold_left
-      (fun (state, acc) o ->
-        let state', r = spec.step state o in
-        (state', r :: acc))
-      (spec.init, []) ops
-  in
-  List.rev responses
 
 let final_state spec ops =
   List.fold_left (fun state o -> fst (spec.step state o)) spec.init ops

@@ -15,12 +15,6 @@ type op = { name : string; args : Value.t array }
     implementation needs it, travels through announcement structures, not
     through [args]. *)
 
-val op : string -> Value.t list -> op
-(** [op name args]; a test hook. *)
-
-val equal_op : op -> op -> bool
-(** Same name and equal arguments; a test hook. *)
-
 val pp_op : Format.formatter -> op -> unit
 
 type t = {
@@ -31,10 +25,6 @@ type t = {
           [Invalid_argument] on an operation the object does not
           support. *)
 }
-
-val run : t -> op list -> Value.t list
-(** Responses of a sequential history run from the initial state: the
-    tests' sequential test oracle. *)
 
 val final_state : t -> op list -> Value.t
 (** Abstract state after a sequential history. *)

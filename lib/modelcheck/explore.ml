@@ -4,6 +4,8 @@ open Sched
 
 type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
 
+let reductions = [ `None; `Dpor; `Dpor_sym; `Dpor_sym_memo ]
+
 let reduction_name = function
   | `None -> "none"
   | `Dpor -> "dpor"

@@ -112,6 +112,10 @@ type reduction = [ `None | `Dpor | `Dpor_sym | `Dpor_sym_memo ]
     the reduction parity tests pin verdict agreement empirically on the
     ablations and random workloads. *)
 
+val reductions : reduction list
+(** Every reduction, weakest first: [`None], [`Dpor], [`Dpor_sym],
+    [`Dpor_sym_memo]. *)
+
 val reduction_name : reduction -> string
 (** ["none"] / ["dpor"] / ["dpor+sym"] / ["dpor+sym-memo"] — the label
     used in metrics and JSON. *)

@@ -83,11 +83,14 @@ val hash_perm : n:int -> inv:int array -> seed:int -> Value.t -> int
     memory contents and logged response values into its
     symmetry-canonical memo key. *)
 
-(** Skeleton, shape and slice: {!self_key}'s parts, test hooks for the
-    reference test. *)
 val skel : n:int -> Value.t -> int
+(** {!self_key}'s skeleton part; a test hook for the reference test. *)
+
 val shape : n:int -> seed:int -> Value.t -> int
+(** {!self_key}'s shape part; a test hook for the reference test. *)
+
 val slice : n:int -> pid:int -> seed:int -> Value.t -> int
+(** {!self_key}'s per-process slice; a test hook for the reference test. *)
 
 (** {1 Audit oracle} *)
 
@@ -96,7 +99,6 @@ val related_shared :
 (** [related_shared ~n ca cb] ({!Mem.snapshot_cells} arrays) — is some
     π ∈ S_N's action on [ca]'s shared cells memory-equivalent to [cb]?
     Decided exactly, by trying all [n!] permutations.  Not a digest: it
-    is the bucket equality of {!Config_set}'s canonical [Exact] audit
-    and a test oracle.  Two configurations with equal
+    is the bucket equality of {!Config_set}'s canonical [Exact] audit.  Two configurations with equal
     {!canonical_fingerprint_shared} that are {e not} related witness a
     canonicalisation collision (the quotient test's failure event). *)

@@ -11,6 +11,9 @@ type wipe =
 let default = Atomic
 let keep_all = Keep (fun _ -> true)
 
+let wipe fault ~seed =
+  match fault with Atomic -> keep_all | _ -> Seeded (fault, seed ())
+
 let to_string = function
   | Atomic -> "atomic"
   | Drop { keep_prob } -> Printf.sprintf "drop(keep=%.2f)" keep_prob

@@ -47,6 +47,12 @@ val default : t
 val keep_all : wipe
 (** [Keep (fun _ -> true)] — every dirty line persists whole. *)
 
+val wipe : t -> seed:(unit -> int) -> wipe
+(** The wipe of a run's crashes under [fault]: {!keep_all} for [Atomic],
+    which calls no [seed], otherwise [Seeded (fault, seed ())].  A
+    crash plan draws the seed when it is built; replaying a torture
+    trial passes the seed its record kept. *)
+
 val to_string : t -> string
 (** ["atomic"], ["drop(keep=0.50)"], ["torn(g=1)"], ["reorder"] —
     stable spellings used in reports, checkpoints and baselines;

@@ -5,8 +5,3 @@ type t = { id : int; name : string; kind : kind }
 let make ~id ~name ~kind = { id; name; kind }
 
 let is_shared l = l.kind = Shared
-
-let pp fmt l =
-  match l.kind with
-  | Shared -> Format.fprintf fmt "%s" l.name
-  | Private p -> Format.fprintf fmt "%s<p%d>" l.name p

@@ -19,4 +19,3 @@ val make : id:int -> name:string -> kind:kind -> t
 (** For use by {!Mem} only. *)
 
 val is_shared : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -280,37 +280,14 @@ let equal_shared a b =
   in
   go 0
 
-let hash_shared a =
-  let h = ref 5381 in
-  Array.iteri
-    (fun i loc ->
-      if Loc.is_shared loc then
-        h := (!h * 1000003) lxor a.s_cells.(i).Value.da)
-    a.s_locs;
-  !h
-
 (* The two fingerprint halves are Zobrist XORs of the [term_a]/[term_b]
    per-cell terms (see above).  The model checker treats a pair
    collision as "same configuration", so the halves must be wide and
    independent; Config_set's exact mode audits them.  Terms use the
    digests cached in each cell ([Value.hc.da]/[db]), so each cell
    costs O(1) regardless of value size — and the [live_] variants just
-   read the accumulators the mutation path maintains. *)
-
-let fingerprint_shared snap =
-  let a = ref seed_a and b = ref seed_b in
-  Array.iteri
-    (fun i loc ->
-      if Loc.is_shared loc then begin
-        let c = snap.s_cells.(i) in
-        a := !a lxor term_a i c;
-        b := !b lxor term_b i c
-      end)
-    snap.s_locs;
-  (!a, !b)
-
-(* While journaling the accumulators are authoritative (maintained by
-   [fp_set]); otherwise fold the terms directly — same values either
+   read the accumulators the mutation path maintains.  While journaling the accumulators are authoritative
+   (maintained by [fp_set]); otherwise fold the terms directly — same values either
    way, one O(cells) scan per call.  Scalar readers, so the per-node hot
    path allocates no pair just to deconstruct it. *)
 let live_shared_a mem =
@@ -328,23 +305,6 @@ let live_full_a mem =
 let live_full_b mem =
   if mem.journal_on then mem.fpf_b
   else scan mem ~shared_only:false ~seed:seed_b term_b
-
-let equal_full a b =
-  let n = Array.length a.s_cells in
-  n = Array.length b.s_cells
-  &&
-  let rec go i =
-    i >= n || (Value.hc_equal a.s_cells.(i) b.s_cells.(i) && go (i + 1))
-  in
-  go 0
-
-let shared_bits mem =
-  let total = ref 0 in
-  for i = 0 to mem.len - 1 do
-    if Loc.is_shared mem.locs.(i) then
-      total := !total + Value.bits mem.cells.(i).Value.node
-  done;
-  !total
 
 let max_shared_bits mem =
   let total = ref 0 in

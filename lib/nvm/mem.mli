@@ -82,7 +82,7 @@ val rewound_cells : t -> int
 
 (** {1 Snapshots and memory-equivalence}
 
-    Snapshots are test oracles and the bucket representation of
+    Snapshots are the bucket representation of
     {!Modelcheck.Config_set}'s [Exact] audit: configurations are
     digested, counted and orbit-weighted from the live store (the
     [live_] readers below), and a snapshot only ever checks that
@@ -106,13 +106,6 @@ val equal_shared : snapshot -> snapshot -> bool
     both.  Private NVM and local state are excluded.  The bucket
     equality of a plain [Exact] {!Modelcheck.Config_set}. *)
 
-val hash_shared : snapshot -> int
-(** Hash consistent with {!equal_shared}; a test oracle. *)
-
-val equal_full : snapshot -> snapshot -> bool
-(** Equality over all cells, shared and private; a test oracle for
-    {!rewind}. *)
-
 (** {1 Fingerprints}
 
     Compact (two-word) digests used by the model checker's visited set
@@ -127,18 +120,12 @@ val equal_full : snapshot -> snapshot -> bool
     allocation — which is what the model checker's per-node hot path
     costs. *)
 
-val fingerprint_shared : snapshot -> int * int
-(** Digest of a snapshot's shared cells, consistent with
-    {!equal_shared}: memory-equivalent snapshots have equal
-    fingerprints.  The test oracle for {!live_shared_a}/{!live_shared_b},
-    which compute the same pair from the live store. *)
-
 val live_shared_a : t -> int
 
 val live_shared_b : t -> int
-(** The two halves of the current contents' shared-cell digest — equal
-    to {!fingerprint_shared} of a snapshot taken now, without
-    materialising one.  {!Modelcheck.Config_set} keys on them. *)
+(** The two halves of the current contents' shared-cell digest,
+    consistent with {!equal_shared}: memory-equivalent contents have
+    equal digests.  {!Modelcheck.Config_set} keys on them. *)
 
 val live_full_a : t -> int
 
@@ -150,10 +137,6 @@ val live_full_b : t -> int
     a pair would allocate just to be deconstructed. *)
 
 (** {1 Space accounting} *)
-
-val shared_bits : t -> int
-(** Current footprint: sum of {!Value.bits} over shared cells; a test
-    hook. *)
 
 val max_shared_bits : t -> int
 (** High-water mark of per-cell maxima: sum over shared cells of the

@@ -22,33 +22,6 @@ let rec equal a b =
       go 0
   | (Unit | Bool _ | Int _ | Str _ | Tup _ | Bot), _ -> false
 
-let tag = function
-  | Unit -> 0
-  | Bool _ -> 1
-  | Int _ -> 2
-  | Str _ -> 3
-  | Tup _ -> 4
-  | Bot -> 5
-
-let rec compare a b =
-  match (a, b) with
-  | Unit, Unit | Bot, Bot -> 0
-  | Bool x, Bool y -> Bool.compare x y
-  | Int x, Int y -> Int.compare x y
-  | Str x, Str y -> String.compare x y
-  | Tup x, Tup y ->
-      let lx = Array.length x and ly = Array.length y in
-      let rec go i =
-        if i >= lx && i >= ly then 0
-        else if i >= lx then -1
-        else if i >= ly then 1
-        else
-          let c = compare x.(i) y.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
-  | _, _ -> Int.compare (tag a) (tag b)
-
 (* 63-bit avalanche combine (xor-multiply-shift, splitmix-style).  The
    model checker keys its visited-set on chains of [mix], so the mixer
    must spread single-bit input differences across the whole word. *)

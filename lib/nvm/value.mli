@@ -17,8 +17,6 @@ type t =
   | Bot  (** the paper's ⊥: "unset" *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-(** A total order; a test hook. *)
 
 val mix : int -> int -> int
 (** [mix h x] folds [x] into accumulator [h] with a 63-bit avalanche
@@ -33,15 +31,6 @@ val hash_seeded : int -> t -> int
     independent fingerprint halves. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-(** [pp] to a string; a test hook. *)
-
-val bits : t -> int
-(** Size of the value in bits, as counted by the space-complexity
-    experiments: booleans cost 1 bit, an integer [n] costs the number of
-    bits in the binary representation of [abs n] (at least 1), strings
-    cost 8 bits per byte, tuples cost the sum of their components, and
-    [Bot]/[Unit] cost 1/0 bits respectively. *)
 
 val pair : t -> t -> t
 val triple : t -> t -> t -> t
@@ -81,7 +70,13 @@ type hc = private {
   node : t;  (** the underlying structural value *)
   da : int;  (** fixed-seed fingerprint half-digest A *)
   db : int;  (** fixed-seed fingerprint half-digest B *)
-  bits : int;  (** [bits node], cached — space accounting without a walk *)
+  bits : int;
+      (** Size of [node] in bits, as counted by the space-complexity
+          experiments: booleans cost 1 bit, an integer [n] costs the
+          number of bits in the binary representation of [abs n] (at
+          least 1), strings cost 8 bits per byte, tuples cost the sum of
+          their components, and [Bot]/[Unit] cost 1/0 bits
+          respectively.  Cached: space accounting without a walk. *)
 }
 
 val hc_of : t -> hc

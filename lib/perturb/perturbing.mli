@@ -16,7 +16,9 @@ val is_perturbing :
   Spec.t -> history:Spec.op list -> op:Spec.op -> wrt:Spec.op -> bool
 (** [is_perturbing spec ~history ~op ~wrt]: does [wrt] return different
     responses in [history ∘ op ∘ wrt] and [history ∘ wrt]?  (Definition 3,
-    "OP is perturbing with respect to OP' after H".)  A test oracle. *)
+    "OP is perturbing with respect to OP' after H".)  {!verify_witness}
+    and {!search} decide with it; a test hook for checking Definition 3
+    directly. *)
 
 type witness = {
   h1 : Spec.op list;  (** the sequential history H1 *)

@@ -9,20 +9,6 @@ type request =
   | Fence
   | Yield
 
-let pp fmt = function
-  | Read l -> Format.fprintf fmt "read %a" Loc.pp l
-  | Write (l, v) -> Format.fprintf fmt "write %a := %a" Loc.pp l Value.pp v
-  | Cas (l, e, d) ->
-      Format.fprintf fmt "cas %a (%a -> %a)" Loc.pp l Value.pp e Value.pp d
-  | Faa (l, d) -> Format.fprintf fmt "faa %a += %d" Loc.pp l d
-  | Persist l -> Format.fprintf fmt "persist %a" Loc.pp l
-  | Fence -> Format.fprintf fmt "fence"
-  | Yield -> Format.fprintf fmt "yield"
-
 let touches = function
   | Read l | Write (l, _) | Cas (l, _, _) | Faa (l, _) | Persist l -> Some l
   | Fence | Yield -> None
-
-let is_shared_write = function
-  | Write (l, _) | Cas (l, _, _) | Faa (l, _) -> Loc.is_shared l
-  | Read _ | Persist _ | Fence | Yield -> false

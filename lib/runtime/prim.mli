@@ -18,12 +18,5 @@ type request =
   | Fence  (** flush all dirty lines (shared-cache model) *)
   | Yield
 
-val pp : Format.formatter -> request -> unit
-(** A test hook. *)
-
 val touches : request -> Loc.t option
 (** The location a request addresses, if any. *)
-
-val is_shared_write : request -> bool
-(** Does the request potentially modify a shared location?  ([Write],
-    [Cas] and [Faa] on shared locations.)  A test hook. *)

@@ -41,11 +41,7 @@ let faulted ?(max_crashes = 3) ?(fault = Fault_model.Atomic) ~prob prng =
      the wipe a pure function of (crash index, dirty set).  [Atomic]
      draws no seed, so keep-everything plans consume only the crash
      coin flips. *)
-  let wipe =
-    match fault with
-    | Fault_model.Atomic -> Fault_model.keep_all
-    | _ -> Fault_model.Seeded (fault, draw_seed prng)
-  in
+  let wipe = Fault_model.wipe fault ~seed:(fun () -> draw_seed prng) in
   let fired = ref 0 in
   let should_crash ~step:_ =
     if !fired >= max_crashes then false

@@ -99,31 +99,3 @@ let check ?(lin_engine = (`Incremental : Lin_check.engine)) inst
   match anomaly_verdict result.anomalies with
   | Some v -> v
   | None -> Lin_check.check_with lin_engine inst.Obj_inst.spec result.history
-
-type sweep = { executions : int; truncated : int; total_violations : int }
-
-let crash_points ~mk ~workloads ~schedule ?(policy = Session.Retry)
-    ?(wipe = Nvm.Fault_model.keep_all) ?(max_steps = 2_000) () =
-  let executions = ref 0 and truncated = ref 0 and violations = ref 0 in
-  let run_with crash_plan =
-    let machine, inst = mk () in
-    let r =
-      run machine inst ~workloads
-        { schedule = schedule (); crash_plan; policy; max_steps }
-    in
-    incr (if r.incomplete then truncated else executions);
-    (match check inst r with
-    | Lin_check.Violation _ -> incr violations
-    | Lin_check.Ok_linearizable _ -> ());
-    r.steps
-  in
-  (* the crash-free run also learns how many steps there are to crash at *)
-  let total = run_with Crash_plan.none in
-  for k = 0 to total - 1 do
-    ignore (run_with { (Crash_plan.at_steps [ k ]) with wipe } : int)
-  done;
-  {
-    executions = !executions;
-    truncated = !truncated;
-    total_violations = !violations;
-  }

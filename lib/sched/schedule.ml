@@ -20,13 +20,6 @@ let random prng =
   let choose ~runnable ~step:_ = Prng.pick prng runnable in
   { choose }
 
-let solo pid =
-  let fallback = round_robin () in
-  let choose ~runnable ~step =
-    if List.mem pid runnable then pid else fallback.choose ~runnable ~step
-  in
-  { choose }
-
 let scripted pids =
   let script = ref pids in
   let choose ~runnable ~step:_ =

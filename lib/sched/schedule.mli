@@ -17,10 +17,6 @@ val random : Prng.t -> t
 (** Uniformly random runnable process at every step — the workhorse of the
     crash-torture tests. *)
 
-val solo : int -> t
-(** Always the given process when runnable, else round-robin among the
-    rest; a test hook. *)
-
 val scripted : int list -> t
 (** Follow the given pid sequence, skipping entries that are not runnable;
     falls back to the smallest runnable pid when the script is exhausted.

@@ -19,13 +19,6 @@ let judge (r : Driver.result) verdict =
   | Lin_check.Ok_linearizable _ -> None
   | Lin_check.Violation msg -> Some (r.history, msg)
 
-let reproduces ~mk ~workloads ?(policy = Session.Retry)
-    ?(wipe = Nvm.Fault_model.keep_all) ?(max_steps = 5_000) decisions =
-  let machine, inst = mk () in
-  let session = Session.create ~policy machine inst ~workloads in
-  let r = Driver.replay ~wipe ~max_steps session decisions in
-  judge r (fun () -> Lin_check.check inst.Obj_inst.spec r.history)
-
 (* Greedy single-deletion passes until no deletion preserves the
    violation (1-minimality), over ONE undo session for the whole search.
    Deleting index [k] leaves the first [k] decisions of the current

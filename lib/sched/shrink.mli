@@ -23,10 +23,10 @@ open History
 
     A {!Lin_check.Session} shadows the undo session mark-for-mark, so
     each candidate's verdict reuses the frontier of the kept prefix
-    instead of re-checking the whole history.  {!reproduces}, the
-    one-shot replay, judges with the batch {!Lin_check.check}; the two
-    checkers agree on every verdict, so [minimise]'s result is exactly
-    greedy single deletion over [reproduces]. *)
+    instead of re-checking the whole history.  It agrees with the batch
+    engine ({!Lin_check.check_with} [`Batch]) on every verdict, so [minimise]'s result is
+    exactly greedy single deletion over a one-shot {!Driver.replay}
+    judged by the batch checker. *)
 
 type result = {
   decisions : Decision.t list;  (** the minimised prefix *)
@@ -34,21 +34,6 @@ type result = {
   msg : string;
   attempts : int;  (** candidate executions performed while shrinking *)
 }
-
-val reproduces :
-  mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->
-  workloads:Spec.op list array ->
-  ?policy:Session.policy ->
-  ?wipe:Nvm.Fault_model.wipe ->
-  ?max_steps:int ->
-  Decision.t list ->
-  (Event.t list * string) option
-(** Run "prefix then free run" for a decision sequence; [Some] iff the
-    batch checker rejects the resulting history.  Crashes in the
-    sequence apply [wipe] (default {!Nvm.Fault_model.keep_all}; a
-    [Seeded] wipe keys on the crash index, so the exact faulted run that
-    produced the violation is replayed).  The test oracle for
-    {!minimise}. *)
 
 val minimise :
   mk:(unit -> Runtime.Machine.t * Obj_inst.t) ->
@@ -60,4 +45,6 @@ val minimise :
   result option
 (** [None] if the input sequence does not reproduce a violation under
     tolerant replay (shrinking needs a reproducible starting point).
-    [wipe] as in {!reproduces}. *)
+    Crashes in the sequence apply [wipe] (default
+    {!Nvm.Fault_model.keep_all}; a [Seeded] wipe keys on the crash index,
+    so the exact faulted run that produced the violation is replayed). *)

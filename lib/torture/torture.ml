@@ -546,9 +546,7 @@ let merge (spec : spec) ~root_seed ~trials ~shrink (by_trial : trial array) =
             (* replay the failing trial's exact fault stream: crash k of
                a candidate replays wipe stream k of the original run *)
             let wipe =
-              match spec.fault with
-              | Nvm.Fault_model.Atomic -> Nvm.Fault_model.keep_all
-              | f -> Nvm.Fault_model.Seeded (f, tr.t_fault_seed)
+              Nvm.Fault_model.wipe spec.fault ~seed:(fun () -> tr.t_fault_seed)
             in
             (* tolerant replay of an exception-raising trial can re-raise
                inside the minimiser; losing the minimisation then is fine,

@@ -30,7 +30,7 @@ let explore ~mk ~workloads (cfg : E.config) =
   let configs = Hashtbl.create 64 and n_configs = ref 0 in
   let see mem =
     let s = Mem.snapshot mem in
-    let h = Mem.hash_shared s in
+    let h = Oracle.hash_shared s in
     let bucket = Option.value (Hashtbl.find_opt configs h) ~default:[] in
     if not (List.exists (Mem.equal_shared s) bucket) then begin
       Hashtbl.replace configs h (s :: bucket);
@@ -54,7 +54,7 @@ let explore ~mk ~workloads (cfg : E.config) =
       let verdict =
         match Session.anomalies session with
         | a :: _ -> Lin_check.Violation ("driver anomaly: " ^ a)
-        | [] -> Lin_check.check inst.Obj_inst.spec history
+        | [] -> Lin_check.check_with `Batch inst.Obj_inst.spec history
       in
       match verdict with
       | Lin_check.Ok_linearizable _ -> ()
@@ -85,11 +85,11 @@ let explore ~mk ~workloads (cfg : E.config) =
   }
 
 (* The reference shrinker: greedy single deletion straight over
-   Shrink.reproduces, restarting from the front after every deletion
+   Oracle.reproduces, restarting from the front after every deletion
    that keeps the violation, until none does.  Returns the minimised
    decisions with the history and message of their reproduction. *)
 let minimise ~mk ~workloads decisions =
-  let repro ds = Shrink.reproduces ~mk ~workloads ds in
+  let repro ds = Oracle.reproduces ~mk ~workloads ds in
   let rec pass cur found k =
     if k >= List.length cur then Some (cur, found)
     else

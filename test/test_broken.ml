@@ -31,16 +31,16 @@ let fig2_workload =
 let test_refail_violates () =
   (* the fail verdict denies a write a concurrent read already saw *)
   let out =
-    Sched.Driver.crash_points ~mk:mk_refail ~workloads:fig2_workload
+    Test_support.crash_points ~mk:mk_refail ~workloads:fig2_workload
       ~schedule:(fun () -> Schedule.scripted (List.init 40 (fun _ -> 0)))
       ~policy:Session.Give_up ()
   in
   Alcotest.(check bool) "violation found" true
-    (out.Sched.Driver.total_violations > 0);
+    (out.Test_support.total_violations > 0);
   (* pinned: the crash-free run plus 24 crash points, one of which violates *)
   Alcotest.(check (triple int int int)) "executions, truncated, violations"
     (25, 0, 1)
-    Sched.Driver.(out.executions, out.truncated, out.total_violations)
+    (out.Test_support.executions, out.truncated, out.total_violations)
 
 let test_reexec_violates () =
   (* re-execution gives the write two linearization points around q's
@@ -56,12 +56,12 @@ let test_reexec_violates () =
 let test_real_drw_survives_both () =
   let mk () = Test_support.mk_drw ~n:2 () in
   let out1 =
-    Sched.Driver.crash_points ~mk ~workloads:fig2_workload
+    Test_support.crash_points ~mk ~workloads:fig2_workload
       ~schedule:(fun () -> Schedule.scripted (List.init 40 (fun _ -> 0)))
       ~policy:Session.Give_up ()
   in
   Alcotest.(check int) "crash_points clean" 0
-    out1.Sched.Driver.total_violations;
+    out1.Test_support.total_violations;
   let cfg = { Modelcheck.Explore.default_config with switch_budget = 2 } in
   let out2 = Modelcheck.Explore.explore ~mk ~workloads:fig2_workload cfg in
   Alcotest.(check int) "explore clean" 0 out2.Modelcheck.Explore.total_violations

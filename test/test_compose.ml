@@ -15,23 +15,23 @@ let mk_pair ?(n = 3) () =
   let log =
     Detectable.Dqueue.instance (Detectable.Dqueue.create m ~n ~capacity:64)
   in
-  (m, Detectable.Compose.combine [ ("acct", acct); ("log", log) ])
+  (m, Compose.combine [ ("acct", acct); ("log", log) ])
 
 let mk_regs ?(n = 3) () =
   let m = Runtime.Machine.create () in
   let a = Detectable.Drw.instance (Detectable.Drw.create m ~n ~init:(i 0)) in
   let b = Detectable.Drw.instance (Detectable.Drw.create m ~n ~init:(i 0)) in
-  (m, Detectable.Compose.combine [ ("a", a); ("b", b) ])
+  (m, Compose.combine [ ("a", a); ("b", b) ])
 
-let lift = Detectable.Compose.lift
+let lift = Compose.lift
 
 let test_product_spec () =
   let spec =
-    Detectable.Compose.product_spec
+    Compose.product_spec
       [ ("a", Spec.register (i 0)); ("b", Spec.counter 0) ]
   in
   let responses =
-    Spec.run spec
+    Oracle.run_spec spec
       [
         lift "a" (Spec.write_op (i 5));
         lift "b" Spec.inc_op;
@@ -42,24 +42,24 @@ let test_product_spec () =
   Alcotest.(check (list v)) "responses" [ Spec.ack; Spec.ack; i 5; i 1 ] responses
 
 let test_product_spec_unknown_component () =
-  let spec = Detectable.Compose.product_spec [ ("a", Spec.register (i 0)) ] in
-  (match Spec.run spec [ lift "zz" Spec.read_op ] with
+  let spec = Compose.product_spec [ ("a", Spec.register (i 0)) ] in
+  (match Oracle.run_spec spec [ lift "zz" Spec.read_op ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown component accepted");
-  match Spec.run spec [ Spec.read_op ] with
+  match Oracle.run_spec spec [ Spec.read_op ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unprefixed op accepted"
 
 let test_combine_validation () =
   let m = Runtime.Machine.create () in
   let a = Detectable.Dcas.instance (Detectable.Dcas.create m ~n:1 ~init:(i 0)) in
-  (match Detectable.Compose.combine [] with
+  (match Compose.combine [] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty composite accepted");
-  (match Detectable.Compose.combine [ ("x", a); ("x", a) ] with
+  (match Compose.combine [ ("x", a); ("x", a) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate names accepted");
-  match Detectable.Compose.combine [ ("x/y", a) ] with
+  match Compose.combine [ ("x/y", a) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "name with separator accepted"
 
@@ -102,7 +102,7 @@ let test_composite_torture_giveup () =
 
 let test_composite_crash_at_every_step () =
   let out =
-    Sched.Driver.crash_points ~mk:(mk_pair ~n:2)
+    Test_support.crash_points ~mk:(mk_pair ~n:2)
       ~workloads:
         [|
           [ lift "acct" (Spec.cas_op (i 0) (i 1)); lift "log" (Spec.enq_op (i 9)) ];
@@ -111,7 +111,7 @@ let test_composite_crash_at_every_step () =
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
+  Alcotest.(check int) "no violations" 0 out.Test_support.total_violations
 
 (* recovery resolves exactly the component that was in flight *)
 let test_recovery_routes_to_component () =

@@ -42,17 +42,17 @@ let test_crash_torture_giveup () =
 
 let test_crash_at_every_step () =
   let out =
-    Sched.Driver.crash_points ~mk:(Test_support.mk_dcas ~n:2)
+    Test_support.crash_points ~mk:(Test_support.mk_dcas ~n:2)
       ~workloads:
         [| [ Spec.cas_op (i 0) (i 1) ]; [ Spec.cas_op (i 1) (i 0) ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations;
+  Alcotest.(check int) "no violations" 0 out.Test_support.total_violations;
   (* pinned: the crash-free run takes 15 steps, so 1 + 15 runs *)
   Alcotest.(check (triple int int int)) "executions, truncated, violations"
     (16, 0, 0)
-    Sched.Driver.(out.executions, out.truncated, out.total_violations)
+    (out.Test_support.executions, out.truncated, out.total_violations)
 
 (* ABA stress: tiny value domain forces the same values to be reinstalled
    repeatedly; vec bits must still disambiguate. *)

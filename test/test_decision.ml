@@ -73,6 +73,40 @@ let test_explorer_violations_replay () =
         out.violations)
     cases
 
+(* the one wipe rule: a seeded run's crash plan carries exactly the wipe
+   [Fault_model.wipe] gives for the seed the plan records, so a torture
+   trial's replay, which rebuilds it from that seed, crashes alike *)
+let test_seeded_wipe () =
+  let same (a : Nvm.Fault_model.wipe) (b : Nvm.Fault_model.wipe) =
+    match (a, b) with
+    | Keep f, Keep g -> f == g
+    | Seeded (fa, sa), Seeded (fb, sb) -> fa = fb && sa = sb
+    | _ -> false
+  in
+  List.iter
+    (fun fault ->
+      for seed = 1 to 20 do
+        let plan =
+          (Driver.seeded_config ~fault ~max_steps:100 ~max_crashes:3
+             ~crash_prob:0.1 (Dtc_util.Prng.create seed))
+            .crash_plan
+        in
+        let wipe =
+          Nvm.Fault_model.wipe fault ~seed:(fun () -> Crash_plan.fault_seed plan)
+        in
+        if not (same plan.wipe wipe) then
+          Alcotest.failf "%s, seed %d: the plan's wipe differs"
+            (Nvm.Fault_model.to_string fault) seed
+      done)
+    Nvm.Fault_model.
+      [
+        Atomic;
+        Drop { keep_prob = 0.5 };
+        Torn { granularity = 1 };
+        Torn { granularity = 2 };
+        Reorder;
+      ]
+
 (* torture's first failure replays, under the failing trial's own wipe,
    to the trial's history and a violation: the atomic run of the CLI's
    [torture -o broken-dcas-no-vec --trials 400 --seed 3 --crash-prob
@@ -104,9 +138,7 @@ let test_torture_failure_replays () =
           Alcotest.(check bool) "the trace is the schedule" true
             (tr.t_trace = f.schedule);
           let wipe =
-            match fault with
-            | Nvm.Fault_model.Atomic -> Nvm.Fault_model.keep_all
-            | fault -> Nvm.Fault_model.Seeded (fault, tr.t_fault_seed)
+            Nvm.Fault_model.wipe fault ~seed:(fun () -> tr.t_fault_seed)
           in
           let inst, session =
             fresh_session ~policy:spec.policy spec.mk
@@ -145,6 +177,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_decision_codec;
         Alcotest.test_case "explorer violations replay" `Quick
           test_explorer_violations_replay;
+        Alcotest.test_case "seeded wipe = Fault_model.wipe" `Quick
+          test_seeded_wipe;
         Alcotest.test_case "torture failure replays" `Quick
           test_torture_failure_replays;
       ] );

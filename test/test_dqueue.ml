@@ -56,24 +56,24 @@ let test_crash_torture_giveup () =
 
 let test_crash_at_every_step_enq () =
   let out =
-    Sched.Driver.crash_points
+    Test_support.crash_points
       ~mk:(Test_support.mk_dqueue ~n:2 ~capacity:8)
       ~workloads:[| [ Spec.enq_op (i 1) ]; [ Spec.deq_op; Spec.deq_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
+  Alcotest.(check int) "no violations" 0 out.Test_support.total_violations
 
 let test_crash_at_every_step_deq () =
   let out =
-    Sched.Driver.crash_points
+    Test_support.crash_points
       ~mk:(Test_support.mk_dqueue ~n:2 ~capacity:8)
       ~workloads:
         [| [ Spec.enq_op (i 1); Spec.enq_op (i 2); Spec.deq_op ]; [ Spec.deq_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
+  Alcotest.(check int) "no violations" 0 out.Test_support.total_violations
 
 (* No element is ever dequeued twice, and every dequeued element was
    enqueued — extracted from the checker-approved histories, but asserted

@@ -45,14 +45,14 @@ let test_many_processes () =
    out, and recovery must be decisive. *)
 let test_crash_at_every_step_solo () =
   let out =
-    Sched.Driver.crash_points ~mk:(Test_support.mk_drw ~n:2)
+    Test_support.crash_points ~mk:(Test_support.mk_drw ~n:2)
       ~workloads:[| [ Spec.write_op (i 5); Spec.read_op ]; [ Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations;
+  Alcotest.(check int) "no violations" 0 out.Test_support.total_violations;
   Alcotest.(check bool) "explored all crash points" true
-    (out.Sched.Driver.executions > 10)
+    (out.Test_support.executions > 10)
 
 (* The double-crash case: recovery itself is crashed and re-run. *)
 let test_double_crash () =
@@ -152,7 +152,7 @@ let test_idle_crash () =
   in
   drain2 ();
   Alcotest.(check (list string)) "no anomalies" [] (Session.anomalies session);
-  match Lin_check.check inst.Obj_inst.spec (Session.history session) with
+  match Lin_check.check_with `Batch inst.Obj_inst.spec (Session.history session) with
   | Lin_check.Ok_linearizable _ -> ()
   | Lin_check.Violation m -> Alcotest.fail m
 

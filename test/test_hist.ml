@@ -48,7 +48,7 @@ let test_responses () =
   Alcotest.(check (list Test_support.value_testable))
     "in outcome order"
     [ i 0; Spec.ack ]
-    (Hist.responses sample)
+    (Test_support.responses sample)
 
 let test_well_formed () =
   Alcotest.(check bool) "sample ok" true (Hist.well_formed sample = Ok ());

@@ -31,15 +31,14 @@ let step_until session pid pred ~ctx =
 (* finish the run lowest runnable pid first, at most 20 000 more steps *)
 let drain session =
   let r =
-    Driver.run_session session ~schedule:(Schedule.scripted [])
-      ~crash_plan:Crash_plan.none ~max_steps:(Session.steps session + 20_000)
+    Driver.replay ~max_steps:(Session.steps session + 20_000) session []
   in
   if r.Driver.incomplete then Alcotest.fail "drain did not converge"
 
 let verdict session (inst : Obj_inst.t) =
   match Driver.anomaly_verdict (Session.anomalies session) with
   | Some v -> v
-  | None -> Lin_check.check inst.Obj_inst.spec (Session.history session)
+  | None -> Lin_check.check_with `Batch inst.Obj_inst.spec (Session.history session)
 
 let assert_consistent session inst ~ctx =
   match verdict session inst with

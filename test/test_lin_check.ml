@@ -16,7 +16,7 @@ let rfail pid uid = Event.Rec_fail { pid; uid }
 (* every hand-crafted history is judged by BOTH engines; they must agree
    on the verdict class and, for violations, on the exact message *)
 let both spec h =
-  let vb = Lin_check.check spec h in
+  let vb = Lin_check.check_with `Batch spec h in
   let vi = Lin_check.check_with `Incremental spec h in
   (match (vb, vi) with
   | Lin_check.Ok_linearizable _, Lin_check.Ok_linearizable _ -> ()
@@ -299,7 +299,7 @@ let test_session_rewind_past_malformed () =
       Alcotest.(check string)
         "batch message" msg
         (match
-           Lin_check.check reg [ inv 0 0 Spec.read_op; inv 0 0 Spec.read_op ]
+           Lin_check.check_with `Batch reg [ inv 0 0 Spec.read_op; inv 0 0 Spec.read_op ]
          with
         | Lin_check.Violation m -> m
         | Lin_check.Ok_linearizable _ -> "?")
@@ -396,7 +396,7 @@ let test_deep_state_parity () =
 
 let test_witness_is_reported () =
   match
-    Lin_check.check reg
+    Lin_check.check_with `Batch reg
       [ inv 0 0 (Spec.write_op (i 5)); ret 0 0 Spec.ack ]
   with
   | Lin_check.Ok_linearizable w ->
@@ -421,7 +421,7 @@ let prop_sequential_accepted =
         if List.length ops > 80 then List.filteri (fun k _ -> k < 80) ops
         else ops
       in
-      let responses = Spec.run reg ops in
+      let responses = Oracle.run_spec reg ops in
       let events =
         List.concat
           (List.mapi
@@ -429,7 +429,7 @@ let prop_sequential_accepted =
              (List.combine ops responses))
       in
       match
-        ( Lin_check.check reg events,
+        ( Lin_check.check_with `Batch reg events,
           Lin_check.check_with `Incremental reg events )
       with
       | Lin_check.Ok_linearizable wb, Lin_check.Ok_linearizable wi -> wb = wi
@@ -450,7 +450,7 @@ let prop_corrupted_rejected =
           ret 0 1 (i y);
         ]
       in
-      (not (Lin_check.is_ok (Lin_check.check reg events)))
+      (not (Lin_check.is_ok (Lin_check.check_with `Batch reg events)))
       && not (Lin_check.is_ok (Lin_check.check_with `Incremental reg events)))
 
 (* Property: a session driven through random push/mark/rewind traffic
@@ -473,7 +473,7 @@ let prop_session_rewind_parity =
         Lin_check.Session.push_event s e
       in
       let agree () =
-        let batch = Lin_check.check reg (List.rev !hist) in
+        let batch = Lin_check.check_with `Batch reg (List.rev !hist) in
         match (batch, Lin_check.Session.verdict s) with
         | Lin_check.Ok_linearizable _, Lin_check.Ok_linearizable _ -> true
         | Lin_check.Violation mb, Lin_check.Violation mi -> mb = mi

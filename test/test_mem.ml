@@ -54,23 +54,23 @@ let test_equal_shared_ignores_private () =
   Mem.write m1 p1 (i 42);
   Alcotest.(check bool) "private differences invisible" true
     (Mem.equal_shared (Mem.snapshot m1) (Mem.snapshot m2));
-  Alcotest.(check int) "hash agrees" (Mem.hash_shared (Mem.snapshot m1))
-    (Mem.hash_shared (Mem.snapshot m2));
+  Alcotest.(check int) "hash agrees" (Oracle.hash_shared (Mem.snapshot m1))
+    (Oracle.hash_shared (Mem.snapshot m2));
   Mem.write m2 a2 (i 7);
   Alcotest.(check bool) "shared differences visible" false
     (Mem.equal_shared (Mem.snapshot m1) (Mem.snapshot m2));
   Alcotest.(check bool) "equal_full sees private" false
-    (Mem.equal_full (Mem.snapshot m1) (Mem.snapshot m2))
+    (Oracle.equal_full (Mem.snapshot m1) (Mem.snapshot m2))
 
 let test_footprint () =
   let m = Mem.create () in
   let a = Mem.alloc m ~name:"a" ~kind:Loc.Shared (i 1) in
   let _p = Mem.alloc m ~name:"p" ~kind:(Loc.Private 0) (i 1023) in
-  Alcotest.(check int) "shared bits exclude private" 1 (Mem.shared_bits m);
+  Alcotest.(check int) "shared bits exclude private" 1 (Test_support.shared_bits m);
   Mem.write m a (i 255);
-  Alcotest.(check int) "current" 8 (Mem.shared_bits m);
+  Alcotest.(check int) "current" 8 (Test_support.shared_bits m);
   Mem.write m a (i 0);
-  Alcotest.(check int) "current drops" 1 (Mem.shared_bits m);
+  Alcotest.(check int) "current drops" 1 (Test_support.shared_bits m);
   Alcotest.(check int) "high-water sticks" 8 (Mem.max_shared_bits m);
   Alcotest.(check int) "per-loc max" 8 (Mem.max_bits_of m a)
 
@@ -373,7 +373,7 @@ let prop_mark_rewind_roundtrip =
       let mk = Mem.mark m in
       List.iter (fun (k, x) -> Mem.write m locs.(k) (i x)) after;
       Mem.rewind m mk;
-      Mem.equal_full (Mem.snapshot m) reference
+      Oracle.equal_full (Mem.snapshot m) reference
       && Mem.max_shared_bits m = max_bits_ref)
 
 (* --- arena/journal growth discipline (ISSUE 8) ------------------- *)
@@ -429,7 +429,7 @@ let prop_journal_growth_roundtrip =
       let mk = Mem.mark m in
       for s = 1 to n_after do mutate s done;
       Mem.rewind m mk;
-      Mem.equal_full (Mem.snapshot m) reference
+      Oracle.equal_full (Mem.snapshot m) reference
       && Mem.max_shared_bits m = bits_ref
       && full () = full_ref)
 
@@ -453,7 +453,7 @@ let prop_live_fingerprint_consistent =
       let shared () = (Mem.live_shared_a m, Mem.live_shared_b m) in
       let full () = (Mem.live_full_a m, Mem.live_full_b m) in
       let live_shared = shared () and live_full = full () in
-      let snap_shared = Mem.fingerprint_shared (Mem.snapshot m) in
+      let snap_shared = Oracle.fingerprint_shared (Mem.snapshot m) in
       (* dropping the journal switches the live reads to the scan path
          without touching contents *)
       Mem.set_journal m false;

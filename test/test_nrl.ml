@@ -80,13 +80,13 @@ let test_nrl_double_crash () =
 
 let test_nrl_crash_at_every_step () =
   let out =
-    Sched.Driver.crash_points
+    Test_support.crash_points
       ~mk:(fun () -> mk_nrl_dcas ~n:2 ())
       ~workloads:[| [ Spec.cas_op (i 0) (i 1) ]; [ Spec.cas_op (i 1) (i 0) ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
+  Alcotest.(check int) "no violations" 0 out.Test_support.total_violations
 
 let test_descr_tagged () =
   let _, inst = mk_nrl_dcas () in

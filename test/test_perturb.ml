@@ -180,12 +180,12 @@ let test_adversary_queue_witness () =
       List.iter
         (fun policy ->
           let out =
-            Sched.Driver.crash_points
+            Test_support.crash_points
               ~mk:(fun () -> Test_support.mk_dqueue ~n:2 ~capacity:16 ())
               ~workloads:e.attack ~schedule ~policy ()
           in
           Alcotest.(check int) "dqueue survives" 0
-            out.Sched.Driver.total_violations)
+            out.Test_support.total_violations)
         [ Sched.Session.Retry; Sched.Session.Give_up ])
     schedules
 

@@ -35,8 +35,7 @@ let fig2_workload =
     [ Spec.write_op (i 1) ]; [ Spec.read_op; Spec.write_op (i 0); Spec.read_op ];
   |]
 
-let reductions : Modelcheck.Explore.reduction list =
-  [ `None; `Dpor; `Dpor_sym; `Dpor_sym_memo ]
+let reductions = Modelcheck.Explore.reductions
 
 let explore_with ?(switches = 2) ?(crashes = 1) ~mk ~workloads red =
   Modelcheck.Explore.explore ~mk ~workloads

@@ -86,7 +86,7 @@ let reference_check (spec : Spec.t) events =
 
 let agree spec events =
   let reference = reference_check spec events in
-  let fast = Lin_check.is_ok (Lin_check.check spec events) in
+  let fast = Lin_check.is_ok (Lin_check.check_with `Batch spec events) in
   if reference <> fast then
     Alcotest.failf "checkers disagree (reference=%b, lin_check=%b) on:@.%a"
       reference fast Event.pp_history events

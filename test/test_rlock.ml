@@ -14,6 +14,10 @@ let mk_prot ?(n = 3) ?(init = 0) () =
 
 (* --- the bare lock --- *)
 
+(* Driver side (no step): does [pid] own the lock? *)
+let holds m lock ~pid =
+  Value.equal (Machine.peek m (Detectable.Rlock.owner_loc lock)) (i pid)
+
 let drive m f =
   let rec go () =
     match Fiber.status f with
@@ -28,22 +32,22 @@ let drive m f =
 let test_lock_acquire_release () =
   let m = Machine.create () in
   let lock = Detectable.Rlock.create m in
-  Alcotest.(check bool) "initially free" false (Detectable.Rlock.holds m lock ~pid:0);
+  Alcotest.(check bool) "initially free" false (holds m lock ~pid:0);
   let f =
     Fiber.start (fun () ->
         Detectable.Rlock.acquire lock ~pid:0;
         Value.Unit)
   in
   ignore (drive m f);
-  Alcotest.(check bool) "acquired" true (Detectable.Rlock.holds m lock ~pid:0);
-  Alcotest.(check bool) "not by others" false (Detectable.Rlock.holds m lock ~pid:1);
+  Alcotest.(check bool) "acquired" true (holds m lock ~pid:0);
+  Alcotest.(check bool) "not by others" false (holds m lock ~pid:1);
   let g =
     Fiber.start (fun () ->
         Detectable.Rlock.release lock ~pid:0;
         Value.Unit)
   in
   ignore (drive m g);
-  Alcotest.(check bool) "released" false (Detectable.Rlock.holds m lock ~pid:0)
+  Alcotest.(check bool) "released" false (holds m lock ~pid:0)
 
 let test_lock_mutual_exclusion () =
   (* a contender spins while the lock is held, and gets it after release *)
@@ -66,7 +70,7 @@ let test_lock_mutual_exclusion () =
     | Fiber.Pending req -> Fiber.resume f1 (Machine.apply m req)
     | _ -> Alcotest.fail "contender terminated while lock held"
   done;
-  Alcotest.(check bool) "still p0's" true (Detectable.Rlock.holds m lock ~pid:0);
+  Alcotest.(check bool) "still p0's" true (holds m lock ~pid:0);
   let r =
     Fiber.start (fun () ->
         Detectable.Rlock.release lock ~pid:0;
@@ -74,7 +78,7 @@ let test_lock_mutual_exclusion () =
   in
   ignore (drive m r);
   ignore (drive m f1);
-  Alcotest.(check bool) "now p1's" true (Detectable.Rlock.holds m lock ~pid:1)
+  Alcotest.(check bool) "now p1's" true (holds m lock ~pid:1)
 
 let test_lock_ownership_survives_crash () =
   let m = Machine.create () in
@@ -88,7 +92,7 @@ let test_lock_ownership_survives_crash () =
   (* a crash only kills fibers; NVM ownership persists *)
   Machine.crash m ~index:0 Fault_model.keep_all;
   Alcotest.(check bool) "still owned after crash" true
-    (Detectable.Rlock.holds m lock ~pid:2)
+    (holds m lock ~pid:2)
 
 (* --- the protected counter --- *)
 
@@ -118,23 +122,23 @@ let test_prot_torture_giveup () =
 
 let test_prot_crash_at_every_step () =
   let out =
-    Sched.Driver.crash_points ~mk:(mk_prot ~n:2)
+    Test_support.crash_points ~mk:(mk_prot ~n:2)
       ~workloads:[| [ Spec.inc_op ]; [ Spec.inc_op; Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations;
+  Alcotest.(check int) "no violations" 0 out.Test_support.total_violations;
   (* and crash points under Give_up: an abandoned inc must not have
      leaked the lock (the run would hang and be cut off) *)
   let out =
-    Sched.Driver.crash_points ~mk:(mk_prot ~n:2)
+    Test_support.crash_points ~mk:(mk_prot ~n:2)
       ~workloads:[| [ Spec.inc_op ]; [ Spec.inc_op; Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ~policy:Session.Give_up ()
   in
   Alcotest.(check int) "no violations (giveup)" 0
-    out.Sched.Driver.total_violations;
-  Alcotest.(check int) "no truncated runs" 0 out.Sched.Driver.truncated
+    out.Test_support.total_violations;
+  Alcotest.(check int) "no truncated runs" 0 out.Test_support.truncated
 
 (* exactly-once: with Retry, the final counter equals the increments, and
    the mirror cell caught up *)

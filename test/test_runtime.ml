@@ -156,18 +156,18 @@ let test_prim_touches () =
   Alcotest.(check bool) "fence touches nothing" true (Prim.touches Prim.Fence = None);
   Alcotest.(check bool) "yield touches nothing" true (Prim.touches Prim.Yield = None);
   Alcotest.(check bool) "shared write" true
-    (Prim.is_shared_write (Prim.Write (a, i 1)));
+    (Test_support.is_shared_write (Prim.Write (a, i 1)));
   Alcotest.(check bool) "private write not shared" false
-    (Prim.is_shared_write (Prim.Write (p, i 1)));
+    (Test_support.is_shared_write (Prim.Write (p, i 1)));
   Alcotest.(check bool) "shared cas" true
-    (Prim.is_shared_write (Prim.Cas (a, i 0, i 1)));
+    (Test_support.is_shared_write (Prim.Cas (a, i 0, i 1)));
   Alcotest.(check bool) "read not a write" false
-    (Prim.is_shared_write (Prim.Read a))
+    (Test_support.is_shared_write (Prim.Read a))
 
 let test_prim_pp () =
   let m = Machine.create () in
   let a = Machine.alloc_shared m "cell" (i 0) in
-  let s = Format.asprintf "%a" Prim.pp (Prim.Cas (a, i 0, i 1)) in
+  let s = Format.asprintf "%a" Test_support.pp_request (Prim.Cas (a, i 0, i 1)) in
   Alcotest.(check bool) "mentions the location" true
     (let contains hay needle =
        let nh = String.length hay and nn = String.length needle in

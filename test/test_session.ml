@@ -172,7 +172,7 @@ let test_scripted () =
   Alcotest.(check int) "fallback" 1 (s.Schedule.choose ~runnable:[ 1; 2 ] ~step:3)
 
 let test_solo () =
-  let s = Schedule.solo 1 in
+  let s = Test_support.solo 1 in
   Alcotest.(check int) "prefers 1" 1 (s.Schedule.choose ~runnable:[ 0; 1 ] ~step:0);
   Alcotest.(check int) "falls back" 0 (s.Schedule.choose ~runnable:[ 0; 2 ] ~step:1)
 
@@ -382,7 +382,7 @@ let mr_same a b =
   && a.o_history = b.o_history && a.o_steps = b.o_steps
   && a.o_crashes = b.o_crashes && a.o_uids = b.o_uids
   && a.o_runnable = b.o_runnable
-  && Mem.equal_full a.o_nvm b.o_nvm
+  && Oracle.equal_full a.o_nvm b.o_nvm
   && a.o_max_bits = b.o_max_bits
   && List.equal Value.equal a.o_view b.o_view
 

@@ -77,7 +77,7 @@ let test_ulog_persist () =
    with the mask that loses everything. *)
 let test_dcas_keep_none_exhaustive () =
   let out =
-    Sched.Driver.crash_points
+    Test_support.crash_points
       ~mk:(Test_support.mk_dcas ~persist:true ~model:Machine.Shared_cache ~n:2)
       ~workloads:[| [ Spec.cas_op (i 0) (i 1) ]; [ Spec.cas_op (i 1) (i 0) ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
@@ -85,7 +85,7 @@ let test_dcas_keep_none_exhaustive () =
       ()
   in
   Alcotest.(check int) "no violations with keep-none" 0
-    out.Sched.Driver.total_violations
+    out.Test_support.total_violations
 
 (* Without persist instrumentation, the shared-cache model breaks
    detectability: an uninstrumented Drw must violate somewhere when the
@@ -97,18 +97,18 @@ let test_uninstrumented_drw_breaks () =
     (m, Detectable.Drw.instance (Detectable.Drw.create ~persist:false m ~n:2 ~init:(i 0)))
   in
   let out =
-    Sched.Driver.crash_points ~mk
+    Test_support.crash_points ~mk
       ~workloads:[| [ Spec.write_op (i 1) ]; [ Spec.read_op; Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.scripted (List.init 40 (fun _ -> 0)))
       ~wipe:(Fault_model.Keep (fun _ -> false))
       ~policy:Session.Give_up ()
   in
   Alcotest.(check bool) "uninstrumented algorithm violated" true
-    (out.Sched.Driver.total_violations > 0);
+    (out.Test_support.total_violations > 0);
   (* pinned: the crash-free run plus 28 crash points, 7 of which violate *)
   Alcotest.(check (triple int int int)) "executions, truncated, violations"
     (29, 0, 7)
-    Sched.Driver.(out.executions, out.truncated, out.total_violations)
+    (out.Test_support.executions, out.truncated, out.total_violations)
 
 (* Persist instructions are no-ops in the private-cache model: the
    instrumented algorithms still pass there. *)

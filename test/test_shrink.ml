@@ -40,7 +40,7 @@ let test_minimise_shrinks () =
         let candidate =
           List.filteri (fun idx _ -> idx <> k) r.Sched.Shrink.decisions
         in
-        match Sched.Shrink.reproduces ~mk:mk_no_vec ~workloads candidate with
+        match Oracle.reproduces ~mk:mk_no_vec ~workloads candidate with
         | Some _ -> Alcotest.failf "deleting decision %d still violates" k
         | None -> ()
       done
@@ -54,7 +54,7 @@ let test_minimised_still_reproduces () =
   | None -> Alcotest.fail "did not reproduce"
   | Some r -> (
       match
-        Sched.Shrink.reproduces ~mk:mk_no_vec ~workloads
+        Oracle.reproduces ~mk:mk_no_vec ~workloads
           r.Sched.Shrink.decisions
       with
       | Some _ -> ()
@@ -64,7 +64,7 @@ let test_reproduces_none_for_correct_object () =
   (* an arbitrary schedule against the real Dcas yields no violation *)
   let mk () = Test_support.mk_dcas ~n:2 () in
   let decisions = Sched.Decision.[ Step 0; Step 1; Crash; Step 0; Step 1 ] in
-  match Sched.Shrink.reproduces ~mk ~workloads decisions with
+  match Oracle.reproduces ~mk ~workloads decisions with
   | None -> ()
   | Some (_, msg) -> Alcotest.failf "unexpected violation: %s" msg
 
@@ -78,7 +78,7 @@ let test_tolerant_replay_skips_dead_steps () =
   (* steps of finished processes are skipped, not errors *)
   let mk () = Test_support.mk_dcas ~n:2 () in
   let decisions = List.init 200 (fun _ -> Sched.Decision.Step 0) in
-  match Sched.Shrink.reproduces ~mk ~workloads decisions with
+  match Oracle.reproduces ~mk ~workloads decisions with
   | None -> ()
   | Some (_, msg) -> Alcotest.failf "unexpected violation: %s" msg
 

@@ -11,7 +11,7 @@ let test_register () =
   Alcotest.(check (list Test_support.value_testable))
     "responses"
     [ i 0; Spec.ack; i 5; Spec.ack; i 2 ]
-    (Spec.run spec
+    (Oracle.run_spec spec
        [
          Spec.read_op;
          Spec.write_op (i 5);
@@ -25,7 +25,7 @@ let test_cas_cell () =
   Alcotest.(check (list Test_support.value_testable))
     "responses"
     [ Value.Bool true; Value.Bool false; i 1; Value.Bool true ]
-    (Spec.run spec
+    (Oracle.run_spec spec
        [
          Spec.cas_op (i 0) (i 1);
          Spec.cas_op (i 0) (i 2);
@@ -36,13 +36,13 @@ let test_cas_cell () =
 let test_counter () =
   let spec = Spec.counter 0 in
   Alcotest.check v "final read" (i 3)
-    (List.nth (Spec.run spec [ Spec.inc_op; Spec.inc_op; Spec.inc_op; Spec.read_op ]) 3)
+    (List.nth (Oracle.run_spec spec [ Spec.inc_op; Spec.inc_op; Spec.inc_op; Spec.read_op ]) 3)
 
 let test_bounded_counter () =
   let spec = Spec.bounded_counter ~lo:0 ~hi:2 0 in
   Alcotest.check v "saturates" (i 2)
     (List.nth
-       (Spec.run spec [ Spec.inc_op; Spec.inc_op; Spec.inc_op; Spec.read_op ])
+       (Oracle.run_spec spec [ Spec.inc_op; Spec.inc_op; Spec.inc_op; Spec.read_op ])
        3);
   (match Spec.bounded_counter ~lo:0 ~hi:2 5 with
   | exception Invalid_argument _ -> ()
@@ -52,14 +52,14 @@ let test_faa () =
   let spec = Spec.faa_cell 10 in
   Alcotest.(check (list Test_support.value_testable))
     "returns old" [ i 10; i 15; i 15 ]
-    (Spec.run spec [ Spec.faa_op 5; Spec.faa_op 0; Spec.read_op ])
+    (Oracle.run_spec spec [ Spec.faa_op 5; Spec.faa_op 0; Spec.read_op ])
 
 let test_max_register () =
   let spec = Spec.max_register 0 in
   Alcotest.(check (list Test_support.value_testable))
     "monotone"
     [ Spec.ack; i 5; Spec.ack; i 5; Spec.ack; i 9 ]
-    (Spec.run spec
+    (Oracle.run_spec spec
        [
          Spec.write_max_op 5;
          Spec.read_op;
@@ -74,7 +74,7 @@ let test_queue () =
   Alcotest.(check (list Test_support.value_testable))
     "fifo"
     [ Value.Str "empty"; Spec.ack; Spec.ack; i 1; i 2; Value.Str "empty" ]
-    (Spec.run spec
+    (Oracle.run_spec spec
        [
          Spec.deq_op;
          Spec.enq_op (i 1);
@@ -86,7 +86,7 @@ let test_queue () =
 
 let test_unsupported_op () =
   let spec = Spec.register (i 0) in
-  match Spec.run spec [ Spec.inc_op ] with
+  match Oracle.run_spec spec [ Spec.inc_op ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "register accepted inc"
 
@@ -140,7 +140,7 @@ let prop_counter_counts =
     (fun n ->
       let spec = Spec.counter 0 in
       let ops = List.init n (fun _ -> Spec.inc_op) @ [ Spec.read_op ] in
-      Value.equal (List.nth (Spec.run spec ops) n) (i n))
+      Value.equal (List.nth (Oracle.run_spec spec ops) n) (i n))
 
 (* Max register returns the max over writes. *)
 let prop_max_register_max =
@@ -151,15 +151,15 @@ let prop_max_register_max =
       let spec = Spec.max_register 0 in
       let ops = List.map Spec.write_max_op xs @ [ Spec.read_op ] in
       let expect = List.fold_left max 0 xs in
-      Value.equal (List.nth (Spec.run spec ops) (List.length xs)) (i expect))
+      Value.equal (List.nth (Oracle.run_spec spec ops) (List.length xs)) (i expect))
 
 let test_op_equality () =
   Alcotest.(check bool) "equal ops" true
-    (Spec.equal_op (Spec.cas_op (i 1) (i 2)) (Spec.cas_op (i 1) (i 2)));
+    (Test_support.equal_op (Spec.cas_op (i 1) (i 2)) (Spec.cas_op (i 1) (i 2)));
   Alcotest.(check bool) "different args" false
-    (Spec.equal_op (Spec.cas_op (i 1) (i 2)) (Spec.cas_op (i 1) (i 3)));
+    (Test_support.equal_op (Spec.cas_op (i 1) (i 2)) (Spec.cas_op (i 1) (i 3)));
   Alcotest.(check bool) "different names" false
-    (Spec.equal_op Spec.read_op Spec.inc_op)
+    (Test_support.equal_op Spec.read_op Spec.inc_op)
 
 let suites =
   [

@@ -66,7 +66,7 @@ let gen_case =
 let print_case (n, pid, inv, seed, v) =
   Printf.sprintf "n=%d pid=%d inv=[%s] seed=%d v=%s" n pid
     (String.concat ";" (Array.to_list (Array.map string_of_int inv)))
-    seed (Value.to_string v)
+    seed (Format.asprintf "%a" Value.pp v)
 
 let prop_sym_matches_reference =
   QCheck.Test.make ~name:"Sym digests = reference definitions"

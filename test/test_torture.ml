@@ -73,7 +73,7 @@ let test_broken_object_fails_and_shrinks () =
              replay — the same contract Shrink promises *)
           let spec = broken_spec () in
           (match
-             Shrink.reproduces ~mk:spec.Torture.mk
+             Oracle.reproduces ~mk:spec.Torture.mk
                ~workloads:(spec.Torture.workloads_of_seed f.Torture.seed)
                ~policy:spec.Torture.policy
                ~max_steps:spec.Torture.max_steps ds

@@ -76,12 +76,12 @@ let test_faa_giveup_torture () =
 
 let test_crash_at_every_step () =
   let out =
-    Sched.Driver.crash_points ~mk:(Test_support.mk_dfaa ~n:2)
+    Test_support.crash_points ~mk:(Test_support.mk_dfaa ~n:2)
       ~workloads:[| [ Spec.faa_op 2 ]; [ Spec.faa_op 5; Spec.read_op ] |]
       ~schedule:(fun () -> Schedule.round_robin ())
       ()
   in
-  Alcotest.(check int) "no violations" 0 out.Sched.Driver.total_violations
+  Alcotest.(check int) "no violations" 0 out.Test_support.total_violations
 
 (* A crashed read that never persisted a response must recover as fail,
    never inventing a value. *)

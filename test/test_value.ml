@@ -5,6 +5,9 @@ open Nvm
 
 let v = Test_support.value_testable
 
+(* the space measure, as a cell caches it *)
+let bits x = (Value.hc_of x).Value.bits
+
 (* Generator for random values, depth-bounded. *)
 let value_gen =
   let open QCheck.Gen in
@@ -28,7 +31,7 @@ let value_gen =
                 (list_size (int_bound 4) (self (n - 1))) );
           ]))
 
-let arb_value = QCheck.make ~print:Value.to_string value_gen
+let arb_value = QCheck.make ~print:(Format.asprintf "%a" Value.pp) value_gen
 
 let test_equal_basic () =
   Alcotest.check v "int" (Value.Int 3) (Value.Int 3);
@@ -42,20 +45,20 @@ let test_equal_basic () =
     (Value.equal (Value.pair (Value.Int 1) (Value.Int 2)) (Value.Tup [| Value.Int 1 |]))
 
 let test_bits () =
-  Alcotest.(check int) "bool" 1 (Value.bits (Value.Bool true));
-  Alcotest.(check int) "unit" 0 (Value.bits Value.Unit);
-  Alcotest.(check int) "bot" 1 (Value.bits Value.Bot);
-  Alcotest.(check int) "int 0" 1 (Value.bits (Value.Int 0));
-  Alcotest.(check int) "int 1" 1 (Value.bits (Value.Int 1));
-  Alcotest.(check int) "int 7" 3 (Value.bits (Value.Int 7));
-  Alcotest.(check int) "int 8" 4 (Value.bits (Value.Int 8));
-  Alcotest.(check int) "string" 24 (Value.bits (Value.Str "abc"));
+  Alcotest.(check int) "bool" 1 (bits (Value.Bool true));
+  Alcotest.(check int) "unit" 0 (bits Value.Unit);
+  Alcotest.(check int) "bot" 1 (bits Value.Bot);
+  Alcotest.(check int) "int 0" 1 (bits (Value.Int 0));
+  Alcotest.(check int) "int 1" 1 (bits (Value.Int 1));
+  Alcotest.(check int) "int 7" 3 (bits (Value.Int 7));
+  Alcotest.(check int) "int 8" 4 (bits (Value.Int 8));
+  Alcotest.(check int) "string" 24 (bits (Value.Str "abc"));
   Alcotest.(check int) "tuple sums" 4
-    (Value.bits (Value.pair (Value.Int 7) (Value.Bool false)))
+    (bits (Value.pair (Value.Int 7) (Value.Bool false)))
 
 let test_bool_vec () =
   let vec = Value.bool_vec 4 in
-  Alcotest.(check int) "4 bits" 4 (Value.bits vec);
+  Alcotest.(check int) "4 bits" 4 (bits vec);
   for k = 0 to 3 do
     Alcotest.check v "all false" (Value.Bool false) (Value.nth vec k)
   done
@@ -90,13 +93,13 @@ let prop_compare_consistent =
   QCheck.Test.make ~name:"compare = 0 iff equal"
     ~count:Test_support.qcheck_count
     QCheck.(pair arb_value arb_value)
-    (fun (x, y) -> Value.equal x y = (Value.compare x y = 0))
+    (fun (x, y) -> Value.equal x y = (Test_support.compare_value x y = 0))
 
 let prop_compare_antisym =
   QCheck.Test.make ~name:"compare antisymmetric"
     ~count:Test_support.qcheck_count
     QCheck.(pair arb_value arb_value)
-    (fun (x, y) -> Value.compare x y = -Value.compare y x)
+    (fun (x, y) -> Test_support.compare_value x y = -Test_support.compare_value y x)
 
 let prop_hash_consistent =
   QCheck.Test.make ~name:"equal values hash equal"
@@ -131,7 +134,7 @@ let test_constants_shared () =
       ("int 255", Value.Int 255);
     ];
   Alcotest.(check int) "constant's cached bits" 8
-    (Value.hc_of (Value.Int 255)).Value.bits;
+    (Value.hc_of (Value.Int 255)).bits;
   (* any other value is a fresh node: equal values built apart are equal
      but not shared *)
   let x = Value.pair (Value.Int 3) (Value.Str "ab") in
@@ -175,12 +178,12 @@ let prop_digests_fixed =
       let h1 = Value.hc_of x and h2 = Value.hc_of (deep_copy x) in
       h1.Value.da = h2.Value.da
       && h1.Value.db = h2.Value.db
-      && h1.Value.bits = h2.Value.bits
-      && h1.Value.bits = Value.bits x)
+      && h1.bits = h2.bits
+      && h1.bits = bits x)
 
 let prop_bits_nonneg =
   QCheck.Test.make ~name:"bits >= 0" ~count:Test_support.qcheck_count arb_value
-    (fun x -> Value.bits x >= 0)
+    (fun x -> bits x >= 0)
 
 let suites =
   [
